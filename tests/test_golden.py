@@ -1,0 +1,47 @@
+"""Golden outputs: sha256 of certificate JSON and sweep CSV at fixed seeds.
+
+Refactors of the search, coverability and verifier code must keep these
+bytes identical. A digest changes only when the output format or a
+search rule (such as which path a gluing step picks) is changed on
+purpose; update the digest in the same change and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from diskcover.certificates import SPHERE, serialize_certificate
+from diskcover.experiments import sweep_csv, threshold_sweep
+from diskcover.hypergraph import complete_hypergraph
+from diskcover.search import (SearchParams, find_k_t_homeomorph,
+                              find_projective_plane, find_sphere, find_torus)
+
+DESK = SearchParams(p=0.5, epsilon=0.1)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("finder, n, params, digest", [
+    (find_k_t_homeomorph, 12, SearchParams(t=3, p=0.5, epsilon=0.1),
+     "695ed695bd56055e52bef9d0fbf340760ff154084bc23fb595861708632a0ed4"),
+    (find_k_t_homeomorph, 30, SearchParams(t=4, p=0.5, epsilon=0.1),
+     "2be72faedf9f295b72cc664118cbaeb4afe211396cb033de7273a2b7557a10c5"),
+    (find_torus, 20, DESK,
+     "62fd016647c8aac70291e6aa259b07daf9dbfda53c302d9f761c19b069270496"),
+    (find_projective_plane, 15, DESK,
+     "0c7b3f9463dcf91730d052998ec70dc159f3ffcd9d54ba0bfc4c257e52523e45"),
+    (find_sphere, 8, DESK,
+     "99a7039bce008174c2f079499ac504aa65405654f55034876f7e1ab5166a64fb"),
+], ids=["ktt3-k12", "ktt4-k30", "torus-k20", "rp2-k15", "sphere-k8"])
+def test_certificate_digest(finder, n, params, digest):
+    cert = finder(complete_hypergraph(n), params)
+    assert _sha(serialize_certificate(cert)) == digest
+
+
+def test_sphere_sweep_digest():
+    rows = threshold_sweep(SPHERE, [12, 20], [1.0, 4.0], trials=2, seed=4,
+                           params=SearchParams(p=0.5, epsilon=0.1, trials=64))
+    assert _sha(sweep_csv(rows)) == (
+        "9384a2d8037fe407f5db9e6b9e4948a100395de87e713c4b33b79fd2a31bd524")
