@@ -10,11 +10,9 @@ certificate checker, and :mod:`diskcover.experiments` the sweep/audit
 plumbing behind the CLI.
 """
 
-from .complexes import (Boundary, Classification, SubComplex, TwoComplex,
-                        boundary, classify, complex_intersection,
-                        cycle_complex, euler_characteristic,
-                        intersect_subcomplexes, is_boundary_inducing,
-                        orientability)
+from .complexes import (Boundary, Classification, TwoComplex, boundary,
+                        classify, euler_characteristic,
+                        is_boundary_inducing, orientability)
 from .coverability import (CoverabilityEstimate, EstimatorParams, P2Audit,
                            PairStats, WeightedAudit,
                            admissibility_probabilities, as_fraction,
@@ -31,8 +29,7 @@ from .generators import (clique_pendant_graph, random_graph,
                          random_graph_corpus, random_hypergraph)
 from .hypergraph import (Hypergraph3, SkeletonGraph, codegree,
                          common_neighborhood, complete_hypergraph,
-                         connected_components, iter_p2s, link,
-                         link_intersection, skeleton)
+                         iter_p2s, link, link_intersection, skeleton)
 from .search import (GlueFailure, SearchFailure, SearchParams, find_k_t_homeomorph,
                      find_projective_plane, find_sphere, find_torus,
                      glue_disks)
@@ -41,10 +38,8 @@ from .verify import CertificateError, CheckResult, VerificationReport, verify_ce
 __version__ = "0.1.0"
 
 __all__ = [
-    "Boundary", "Classification", "SubComplex", "TwoComplex", "boundary",
-    "classify", "complex_intersection", "cycle_complex",
-    "euler_characteristic", "intersect_subcomplexes", "is_boundary_inducing",
-    "orientability",
+    "Boundary", "Classification", "TwoComplex", "boundary", "classify",
+    "euler_characteristic", "is_boundary_inducing", "orientability",
     "CoverabilityEstimate", "EstimatorParams", "P2Audit", "PairStats",
     "WeightedAudit", "admissibility_probabilities", "as_fraction",
     "exact_admissibility", "exact_disk_coverability",
@@ -57,8 +52,8 @@ __all__ = [
     "clique_pendant_graph", "random_graph", "random_graph_corpus",
     "random_hypergraph",
     "Hypergraph3", "SkeletonGraph", "codegree", "common_neighborhood",
-    "complete_hypergraph", "connected_components", "iter_p2s", "link",
-    "link_intersection", "skeleton",
+    "complete_hypergraph", "iter_p2s", "link", "link_intersection",
+    "skeleton",
     "GlueFailure", "SearchFailure", "SearchParams", "find_k_t_homeomorph",
     "find_projective_plane", "find_sphere", "find_torus", "glue_disks",
     "CertificateError", "CheckResult", "VerificationReport",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .complexes import TwoComplex
 
@@ -96,8 +96,3 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
         seed=int(doc["seed"]),
         retries=int(doc["retries"]),
     )
-
-
-def cycle_vertices(cycles: Sequence[Sequence[int]]) -> frozenset[int]:
-    """Union of all boundary-cycle vertices (the set every interior avoids)."""
-    return frozenset(v for c in cycles for v in c)

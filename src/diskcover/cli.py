@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from .certificates import (TARGETS, HomeomorphCertificate, parse_certificate,
                            serialize_certificate)
@@ -28,17 +27,9 @@ from .generators import (clique_pendant_graph, complete_hypergraph,
 from .hypergraph import link, skeleton
 from .io import (classification_dict, parse_complex, parse_graph, parse_h3,
                  read_text, serialize_complex, serialize_graph, serialize_h3)
-from .search import (SearchParams, find_k_t_homeomorph,
-                     find_projective_plane, find_sphere, find_torus)
+from .search import FINDERS, SearchParams
 from .experiments import audit_corpus, sweep_csv, threshold_sweep
 from .verify import CertificateError, verify_certificate
-
-_FINDERS = {
-    "ktt": find_k_t_homeomorph,
-    "torus": find_torus,
-    "rp2": find_projective_plane,
-    "sphere": find_sphere,
-}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -225,7 +216,7 @@ def _search_params(args) -> SearchParams:
 
 def _cmd_find(args) -> int:
     H = parse_h3(read_text(args.file))
-    result = _FINDERS[args.target](H, _search_params(args))
+    result = FINDERS[args.target](H, _search_params(args))
     if not isinstance(result, HomeomorphCertificate):
         print(f"not found: stage={result.stage} ({result.detail})",
               file=sys.stderr)

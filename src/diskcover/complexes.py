@@ -91,18 +91,6 @@ class Classification:
     boundary_components: int
 
 
-@dataclass(frozen=True)
-class SubComplex:
-    """Common simplices of two complexes, one set per dimension."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    triangles: frozenset[tuple[int, int, int]]
-
-    def is_empty(self) -> bool:
-        return not (self.vertices or self.edges or self.triangles)
-
-
 def euler_characteristic(X: TwoComplex) -> int:
     return len(X.vertices) - len(X.edges) + len(X.triangles)
 
@@ -303,29 +291,3 @@ def is_boundary_inducing(X: TwoComplex) -> bool:
         if e[0] in on_boundary and e[1] in on_boundary and e not in bd.edges:
             return False
     return True
-
-
-def complex_intersection(X1: TwoComplex, X2: TwoComplex) -> SubComplex:
-    """Simplices common to both complexes, per dimension."""
-    return SubComplex(
-        vertices=X1.vertices & X2.vertices,
-        edges=X1.edges & X2.edges,
-        triangles=X1.triangles & X2.triangles,
-    )
-
-
-def cycle_complex(cycle: Iterable[int]) -> SubComplex:
-    """The 1-complex of a cycle given as a vertex sequence."""
-    seq = list(cycle)
-    verts = frozenset(seq)
-    if len(verts) != len(seq) or len(seq) < 3:
-        raise ValueError("cycle must list distinct vertices, at least three")
-    edges = frozenset(
-        tuple(sorted((seq[i], seq[(i + 1) % len(seq)]))) for i in range(len(seq))
-    )
-    return SubComplex(verts, edges, frozenset())
-
-
-def intersect_subcomplexes(a: SubComplex, b: SubComplex) -> SubComplex:
-    return SubComplex(a.vertices & b.vertices, a.edges & b.edges,
-                      a.triangles & b.triangles)

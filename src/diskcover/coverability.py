@@ -43,7 +43,7 @@ from .hypergraph import (
     link_intersection,
     skeleton,
 )
-from .rng import mix64, trial_masks
+from .rng import trial_masks
 
 PYRAMID_ONLY = "pyramid-only"
 EXHAUSTIVE_SMALL = "exhaustive-small"
@@ -162,46 +162,69 @@ def pyramid_disk(v: int, vp: int, path: Sequence[int]) -> TwoComplex:
 
 
 # ---------------------------------------------------------------------------
-# bitmask path events
+# bitmask path search
 
 
-def _mask_path_event(adj: dict[int, int], a: int, b: int, interior: int) -> bool:
-    """Is there a length >= 2 path a..b with internal vertices in `interior`?
+def path_layers(adj: dict[int, int], a: int, b: int,
+                interior: int) -> list[int] | None:
+    """BFS layers of a length >= 2 path a..b through `interior`, or None.
 
-    Equivalent to a-b connectivity in the graph induced on
-    interior + {a, b} with the direct edge ab removed; a shortest walk
-    there is a simple path with at least one internal vertex.
+    Breadth-first search over bitmask adjacency rows with the direct
+    edge ab removed and internal vertices confined to the `interior`
+    mask (a and b are never internal). Layer i is the mask of interior
+    vertices at distance i + 1 from a, up to the first layer adjacent
+    to b; None means no such path exists. `least_path` turns the layers
+    into the lexicographically smallest shortest path.
     """
     if a not in adj or b not in adj:
-        return False
-    abit, bbit = 1 << a, 1 << b
-    allowed = interior | abit | bbit
-    reached = abit
-    frontier = abit
+        return None
+    bbit = 1 << b
+    interior &= ~((1 << a) | bbit)
+    frontier = adj[a] & interior
+    seen = frontier
+    layers = []
     while frontier:
+        layers.append(frontier)
         step = 0
         f = frontier
         while f:
             low = f & -f
             f ^= low
-            vtx = low.bit_length() - 1
-            row = adj[vtx]
-            if vtx == a:
-                row &= ~bbit
-            elif vtx == b:
-                row &= ~abit
-            step |= row
-        frontier = step & allowed & ~reached
-        if frontier & bbit:
-            return True
-        reached |= frontier
-    return False
+            step |= adj[low.bit_length() - 1]
+        if step & bbit:
+            return layers
+        frontier = step & interior & ~seen
+        seen |= frontier
+    return None
 
 
-def _li_event(li: SkeletonGraph, a: int, b: int, umask: int) -> bool:
-    """Pyramid event: path a..b in a link intersection, internals in U."""
-    interior = umask & li.vertex_mask() & ~((1 << a) | (1 << b))
-    return _mask_path_event(li.adj_mask, a, b, interior)
+def least_path(adj: dict[int, int], a: int, b: int,
+               layers: list[int]) -> list[int]:
+    """The lexicographically smallest shortest path a..b through `layers`.
+
+    `layers` must come from `path_layers(adj, a, b, ...)`. A backward
+    pass keeps the vertices of each layer that still reach b; the
+    forward pass then takes the smallest kept neighbour of the previous
+    vertex, layer by layer.
+    """
+    kept = []
+    target = 1 << b
+    for layer in reversed(layers):
+        keep = 0
+        f = layer
+        while f:
+            low = f & -f
+            f ^= low
+            if adj[low.bit_length() - 1] & target:
+                keep |= low
+        kept.append(keep)
+        target = keep
+    path = [a]
+    for keep in reversed(kept):
+        cand = keep & adj[path[-1]]
+        path.append((cand & -cand).bit_length() - 1)
+    path.append(b)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +299,7 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
                         params.trials, width, params.p)
     hits = 0
     for m in masks:
-        if _mask_path_event(G.adj_mask, w, wp, m & umask_all):
+        if path_layers(G.adj_mask, w, wp, m & umask_all) is not None:
             hits += 1
     return CoverabilityEstimate.from_counts(hits, params.trials, params.epsilon)
 
@@ -290,7 +313,7 @@ def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     universe = _admissible_universe(G, w, u, wp)
 
     def event(mask: int) -> bool:
-        return _mask_path_event(G.adj_mask, w, wp, mask)
+        return path_layers(G.adj_mask, w, wp, mask) is not None
 
     return _monotone_probability(universe, event, p)
 
@@ -447,8 +470,8 @@ def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
     li_side = link_intersection(H, w, wp)
 
     def pyramid_event(umask: int) -> bool:
-        return (_li_event(li_apex, w, wp, umask)
-                or _li_event(li_side, v, vp, umask))
+        return (path_layers(li_apex.adj_mask, w, wp, umask) is not None
+                or path_layers(li_side.adj_mask, v, vp, umask) is not None)
 
     if strategy == PYRAMID_ONLY:
         return pyramid_event
@@ -593,39 +616,46 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
 # pair and triple statistics
 
 
+def _count_uncoverable(H: Hypergraph3, skel: SkeletonGraph, v: int, vp: int,
+                       pairs: Iterable[tuple[int, int]],
+                       params: EstimatorParams) -> int:
+    """How many 4-cycles v w v' w' over the given pairs fail the test.
+
+    A 4-cycle with an edge missing from S(H) counts as non-coverable
+    outright (no disk of H can have that boundary).
+    """
+    bad = 0
+    for w, wp in pairs:
+        cyc = (v, w, vp, wp)
+        if not (all(skel.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+                and sample_disk_coverability(H, cyc, params,
+                                             skel=skel).decided_coverable):
+            bad += 1
+    return bad
+
+
 def pair_psi(H: Hypergraph3, G: SkeletonGraph, v: int, vp: int,
              params: EstimatorParams) -> PairStats:
     """xi and psi = xi/codeg for a vertex pair of G against H.
 
     Runs the coverability test for every unordered pair {w, w'} of
-    common neighbours; a 4-cycle with an edge missing from S(H) counts
-    as non-coverable outright (no disk of H can have that boundary).
+    common neighbours.
     """
     if v == vp:
         raise ValueError("pair statistics need two distinct vertices")
-    skel = skeleton(H)
     common = sorted(common_neighborhood(G, (v, vp)))
-    xi = 0
-    for w, wp in combinations(common, 2):
-        cyc = (v, w, vp, wp)
-        ok_edges = all(skel.has_edge(a, b)
-                       for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-        if not ok_edges:
-            xi += 1
-            continue
-        est = sample_disk_coverability(H, cyc, params, skel=skel)
-        if not est.decided_coverable:
-            xi += 1
+    xi = _count_uncoverable(H, skeleton(H), v, vp, combinations(common, 2),
+                            params)
     codeg = len(common)
     psi = Fraction(xi, codeg) if codeg else Fraction(0)
     return PairStats(xi, codeg, psi)
 
 
-def triple_phi(s12: PairStats, s13: PairStats, s23: PairStats,
+def triple_phi(psi12: Fraction, psi13: Fraction, psi23: Fraction,
                codeg3: int) -> Fraction:
     """phi of a triple: (psi12 + psi13 + psi23) / codeg3, or 0 when codeg3 = 0."""
     if codeg3 < 0:
         raise ValueError("triple codegree cannot be negative")
     if codeg3 == 0:
         return Fraction(0)
-    return (s12.psi + s13.psi + s23.psi) / codeg3
+    return (psi12 + psi13 + psi23) / codeg3

@@ -12,19 +12,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Iterator
 
-from .certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TORUS,
-                           HomeomorphCertificate)
+from .certificates import HomeomorphCertificate
 from .coverability import (as_fraction, inadmissible_p2_audit,
                            admissibility_probabilities,
                            weighted_inadmissibility_audit)
 from .generators import random_hypergraph
 from .hypergraph import SkeletonGraph
 from .rng import mix64
-from .search import (SearchParams, find_k_t_homeomorph,
-                     find_projective_plane, find_sphere, find_torus)
+from .search import FINDERS, SearchParams
 
 __all__ = [
     "SweepRow",
@@ -37,13 +35,6 @@ __all__ = [
 
 SWEEP_HEADER = "n,c,p,trial,target,found,stage,seconds"
 AUDIT_HEADER = "graph_id,n,p,epsilon,weighted_sum,bound,holds"
-
-_FINDERS = {
-    KTT: find_k_t_homeomorph,
-    TORUS: find_torus,
-    PROJECTIVE_PLANE: find_projective_plane,
-    SPHERE: find_sphere,
-}
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,7 @@ def _sweep_cell(args) -> SweepRow:
     hseed = mix64(seed, n, trial)
     H = random_hypergraph(n, p, seed=hseed)
     t0 = time.perf_counter() if timing else 0.0
-    result = _FINDERS[target](H, replace(params, seed=hseed))
+    result = FINDERS[target](H, replace(params, seed=hseed))
     secs = time.perf_counter() - t0 if timing else 0.0
     found = isinstance(result, HomeomorphCertificate)
     stage = "done" if found else result.stage
@@ -92,18 +83,22 @@ def threshold_sweep(target: str, n_values: Iterable[int],
     Each cell draws `trials` independent hypergraphs at density
     c/sqrt(n) and records whether the finder succeeded. Rows come back
     sorted by (n, c, trial) regardless of execution order; with
-    jobs > 1 cells run in worker processes.
+    jobs > 1 cells run in worker processes. Raises ValueError for an
+    unknown target, trials < 1, any n < 1 or any non-finite c.
     """
-    if target not in _FINDERS:
+    if target not in FINDERS:
         raise ValueError(f"unknown sweep target {target!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    ns, cs = sorted(set(n_values)), sorted(set(c_values))
+    if any(n < 1 for n in ns):
+        raise ValueError("sweep vertex counts must be positive")
+    if not all(isfinite(c) for c in cs):
+        raise ValueError("sweep density coefficients must be finite")
     if params is None:
         params = SearchParams()
     tasks = [(target, n, c, trial, seed, timing, params)
-             for n in sorted(set(n_values))
-             for c in sorted(set(c_values))
-             for trial in range(trials)]
+             for n in ns for c in cs for trial in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(_sweep_cell, tasks, chunksize=1))

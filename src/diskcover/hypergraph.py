@@ -33,7 +33,7 @@ def _canon_pair(e: Iterable[int]) -> tuple[int, int]:
 class Hypergraph3:
     """An immutable 3-uniform hypergraph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels", "_adjacent_pairs")
+    __slots__ = ("n", "edges", "labels")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]],
                  labels: tuple[str, ...] | None = None):
@@ -52,7 +52,6 @@ class Hypergraph3:
         self.n = n
         self.edges = edges
         self.labels = labels
-        self._adjacent_pairs = None
 
     @property
     def vertices(self) -> range:
@@ -129,12 +128,6 @@ class SkeletonGraph:
     def __repr__(self) -> str:
         return f"SkeletonGraph(n={self.n}, edges={len(self.edges)})"
 
-    def vertex_mask(self) -> int:
-        m = 0
-        for v in self.vertices:
-            m |= 1 << v
-        return m
-
 
 def skeleton(H: Hypergraph3) -> SkeletonGraph:
     """The graph on V(H) whose edges are the pairs covered by some triple."""
@@ -196,26 +189,6 @@ def common_neighborhood(G: SkeletonGraph, vs: Iterable[int]) -> set[int]:
 
 def codegree(G: SkeletonGraph, vs: Iterable[int]) -> int:
     return len(common_neighborhood(G, vs))
-
-
-def connected_components(G: SkeletonGraph) -> list[set[int]]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(G.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in G.adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 
 def complete_hypergraph(n: int) -> Hypergraph3:

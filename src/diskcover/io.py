@@ -17,7 +17,6 @@ Complexes serialize their triangle lists in the ".h3" line format.
 
 from __future__ import annotations
 
-import json
 from typing import IO, Iterable
 
 from .complexes import Classification, TwoComplex
@@ -112,10 +111,6 @@ def classification_dict(c: Classification) -> dict:
         "orientable": c.orientable,
         "boundary_components": c.boundary_components,
     }
-
-
-def classification_json(c: Classification) -> str:
-    return json.dumps(classification_dict(c), indent=2) + "\n"
 
 
 def read_text(path_or_file: str | IO[str]) -> str:

@@ -32,9 +32,13 @@ from .coverability import (
     PYRAMID_ONLY,
     EstimatorParams,
     _check_four_cycle,
+    _count_uncoverable,
+    least_path,
+    path_layers,
     pyramid_disk,
     sample_admissibility,
     sample_disk_coverability,
+    triple_phi,
 )
 from .gamma import gamma, role_name
 from .hypergraph import (
@@ -132,56 +136,15 @@ class GlueFailure:
     detail: str
 
 
-def _mask_shortest_path(adj: dict[int, int], a: int, b: int,
-                        interior: int) -> list[int] | None:
-    """Shortest a..b path of length >= 2 with internal vertices in the mask.
-
-    Breadth-first over bitmask adjacency with the direct edge ab
-    removed; frontier vertices expand in ascending order so the chosen
-    path is deterministic.
-    """
-    if a not in adj or b not in adj:
-        return None
-    abit, bbit = 1 << a, 1 << b
-    allowed = (interior & ~abit & ~bbit) | bbit
-    parent: dict[int, int] = {a: -1}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            row = adj[v]
-            if v == a:
-                row &= ~bbit
-            row &= allowed
-            f = row
-            while f:
-                low = f & -f
-                f ^= low
-                w = low.bit_length() - 1
-                if w in parent:
-                    continue
-                parent[w] = v
-                if w == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
-def _cycle_pyramid(H: Hypergraph3, cyc: tuple[int, int, int, int],
+def _cycle_pyramid(cyc: tuple[int, int, int, int],
                    lis: tuple[SkeletonGraph, SkeletonGraph],
                    part_mask: int) -> TwoComplex | None:
     """A pyramid disk over one 4-cycle with interior inside the part mask."""
     a, b, c, d = cyc
     for (v, vp, w, wp), li in zip(((a, c, b, d), (b, d, a, c)), lis):
-        interior = part_mask & li.vertex_mask()
-        path = _mask_shortest_path(li.adj_mask, w, wp, interior)
-        if path is not None:
-            return pyramid_disk(v, vp, path)
+        layers = path_layers(li.adj_mask, w, wp, part_mask)
+        if layers is not None:
+            return pyramid_disk(v, vp, least_path(li.adj_mask, w, wp, layers))
     return None
 
 
@@ -191,8 +154,10 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
 
     Each attempt shuffles the vertices outside all cycles and splits
     them into len(cycles) nearly equal parts, then looks for a pyramid
-    path per cycle with interior confined to its own part (both
-    opposite-apex options are tried). Parts are disjoint and avoid
+    path per cycle with interior confined to its own part. For a cycle
+    a b c d the apexes a, c are tried before b, d, and the path taken is
+    the lexicographically smallest shortest path between the other two
+    vertices in the apexes' link intersection. Parts are disjoint and avoid
     every cycle vertex, which is what the verifier's intersection check
     needs. Attempts are keyed by (seed, attempt index) and the first
     success by index wins, independent of execution order.
@@ -213,7 +178,7 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
     for v in free:
         free_mask |= 1 << v
     hopeless = [i for i in range(k)
-                if _cycle_pyramid(H, cycs[i], lis[i], free_mask) is None]
+                if _cycle_pyramid(cycs[i], lis[i], free_mask) is None]
     if hopeless:
         counts = tuple(1 if i in hopeless else 0 for i in range(k))
         return GlueFailure(
@@ -239,7 +204,7 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
             for v in order[pos:pos + size]:
                 part_mask |= 1 << v
             pos += size
-            disk = _cycle_pyramid(H, cycs[i], lis[i], part_mask)
+            disk = _cycle_pyramid(cycs[i], lis[i], part_mask)
             if disk is None:
                 failed = i
                 break
@@ -274,16 +239,8 @@ def _sampled_psi(H: Hypergraph3, skel: SkeletonGraph, G: SkeletonGraph,
     if len(pairs) > budget:
         idx = gen.permutation(len(pairs))[:budget]
         pairs = [pairs[i] for i in sorted(idx)]
-    bad = 0
-    for w, wp in pairs:
-        cyc = (v, w, vp, wp)
-        if not all(skel.has_edge(x, y) for x, y in zip(cyc, cyc[1:] + cyc[:1])):
-            bad += 1
-            continue
-        if not sample_disk_coverability(H, cyc, est, skel=skel).decided_coverable:
-            bad += 1
-    xi_hat = Fraction(bad, len(pairs)) * comb(codeg, 2)
-    return xi_hat / codeg
+    bad = _count_uncoverable(H, skel, v, vp, pairs, est)
+    return Fraction(bad, len(pairs)) * comb(codeg, 2) / codeg
 
 
 def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
@@ -339,13 +296,10 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
                                           params.pair_sample, gen)
             for pair in combinations(vs, 2)
         }
-        phi_sum = Fraction(0)
-        for i, j, k in combinations(range(t), 3):
-            c3 = codegree(G, (vs[i], vs[j], vs[k]))
-            trio = (psis[frozenset((vs[i], vs[j]))]
-                    + psis[frozenset((vs[i], vs[k]))]
-                    + psis[frozenset((vs[j], vs[k]))])
-            phi_sum += trio / c3 if c3 else Fraction(0)
+        phi_sum = sum(
+            (triple_phi(psis[frozenset((x, y))], psis[frozenset((x, z))],
+                        psis[frozenset((y, z))], codegree(G, (x, y, z)))
+             for x, y, z in combinations(vs, 3)), Fraction(0))
         if phi_sum < Fraction(params.phi_threshold):
             core = vs
             break
@@ -576,3 +530,11 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
             return cert
         stage, detail = "verify", "verifier rejected the glued pair"
     return SearchFailure(SPHERE, stage, detail, params.max_retries)
+
+
+FINDERS = {
+    KTT: find_k_t_homeomorph,
+    TORUS: find_torus,
+    PROJECTIVE_PLANE: find_projective_plane,
+    SPHERE: find_sphere,
+}

@@ -32,9 +32,6 @@ from .complexes import (
     TwoComplex,
     boundary,
     classify,
-    complex_intersection,
-    cycle_complex,
-    intersect_subcomplexes,
     is_boundary_inducing,
 )
 from .gamma import gamma, role_name
@@ -112,12 +109,15 @@ def _check_disks(cert) -> CheckResult:
 
 def _check_intersections(cert) -> CheckResult:
     k = len(cert.disks)
+    verts = [frozenset(c) for c in cert.cycles]
+    edges = [_cycle_edge_set(c) for c in cert.cycles]
     for i in range(k):
-        ci = cycle_complex(cert.cycles[i])
+        di = cert.disks[i]
         for j in range(i + 1, k):
-            expected = intersect_subcomplexes(ci, cycle_complex(cert.cycles[j]))
-            actual = complex_intersection(cert.disks[i], cert.disks[j])
-            if actual != expected:
+            dj = cert.disks[j]
+            if (di.triangles & dj.triangles
+                    or di.vertices & dj.vertices != verts[i] & verts[j]
+                    or di.edges & dj.edges != edges[i] & edges[j]):
                 return CheckResult(
                     "pairwise-intersections", False,
                     f"disks {i},{j} intersect beyond their shared boundary")

@@ -72,8 +72,8 @@ def _li_pairs(triples, v, vp):
     return out
 
 
-def _simple_paths_interior_in(pairs, src, dst, allowed_interior):
-    """Yield interiors of simple src..dst paths of length >= 2 by DFS."""
+def simple_paths(pairs, src, dst, allowed_interior):
+    """Yield simple src..dst paths of length >= 2 (vertex tuples) by DFS."""
     adj = _adj_from_pairs(pairs)
     stack = [(src, (src,))]
     while stack:
@@ -83,10 +83,16 @@ def _simple_paths_interior_in(pairs, src, dst, allowed_interior):
                 continue
             if y == dst:
                 if len(path) >= 2:
-                    yield frozenset(path[1:])
+                    yield path + (dst,)
                 continue
             if y in allowed_interior:
                 stack.append((y, path + (y,)))
+
+
+def _simple_paths_interior_in(pairs, src, dst, allowed_interior):
+    """Yield interiors of simple src..dst paths of length >= 2 by DFS."""
+    for path in simple_paths(pairs, src, dst, allowed_interior):
+        yield frozenset(path[1:-1])
 
 
 def pyramid_event(triples, cycle, U) -> bool:

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from diskcover.certificates import (CERT_VERSION, SPHERE, TORUS,
-                                    HomeomorphCertificate, cycle_vertices,
-                                    parse_certificate, serialize_certificate)
+                                    HomeomorphCertificate, parse_certificate,
+                                    serialize_certificate)
 from diskcover.coverability import pyramid_disk
 
 
@@ -71,7 +71,3 @@ def test_parse_rejects_non_object_and_bad_json():
         parse_certificate("[1, 2]")
     with pytest.raises(ValueError):
         parse_certificate("{nope")
-
-
-def test_cycle_vertices():
-    assert cycle_vertices(((0, 2, 1, 3), (0, 4, 1, 5))) == frozenset(range(6))

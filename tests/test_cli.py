@@ -181,3 +181,12 @@ def test_sweep_csv_output(capsys, tmp_path):
                  "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out2.read_text() == text
+
+
+@pytest.mark.parametrize("n, c", [("0", "1"), ("12", "nan"), ("12", "inf")])
+def test_sweep_bad_grid_is_usage_error(capsys, n, c):
+    code, out, err = run(capsys, "sweep", "--target", "sphere", "--n", n,
+                         "--c", c, "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from diskcover.complexes import (CLOSED_SURFACE, DISK, OTHER,
-                                 SURFACE_WITH_BOUNDARY, SubComplex,
-                                 TwoComplex, boundary, classify,
-                                 complex_intersection, cycle_complex,
-                                 euler_characteristic, intersect_subcomplexes,
+                                 SURFACE_WITH_BOUNDARY, TwoComplex, boundary,
+                                 classify, euler_characteristic,
                                  is_boundary_inducing, orientability)
 from diskcover.coverability import pyramid_disk
 
@@ -139,43 +137,6 @@ def test_boundary_inducing_cases():
 def test_interior_vertices():
     X = pyramid_disk(0, 1, (2, 3, 4, 5))
     assert X.interior_vertices() == frozenset({3, 4})
-
-
-def test_complex_intersection_identity_and_disjoint():
-    X = TwoComplex(PYRAMID4)
-    full = complex_intersection(X, X)
-    assert full.triangles == X.triangles
-    assert full.edges == X.edges
-    other = TwoComplex([(7, 8, 9)])
-    assert complex_intersection(X, other).is_empty()
-
-
-def test_complex_intersection_shared_boundary_cycle():
-    # two pyramid disks over the same 4-cycle 0 2 1 3 with disjoint interiors
-    d1 = pyramid_disk(0, 1, (2, 4, 3))
-    d2 = pyramid_disk(0, 1, (2, 5, 3))
-    got = complex_intersection(d1, d2)
-    want = cycle_complex((0, 2, 1, 3))
-    assert got.vertices == want.vertices
-    assert got.edges == want.edges
-    assert not got.triangles
-
-
-def test_cycle_complex_validation():
-    c = cycle_complex((0, 1, 2, 3))
-    assert c.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
-    with pytest.raises(ValueError):
-        cycle_complex((0, 1))
-    with pytest.raises(ValueError):
-        cycle_complex((0, 1, 1, 2))
-
-
-def test_intersect_subcomplexes():
-    a = cycle_complex((0, 1, 2, 3))
-    b = cycle_complex((0, 1, 5, 6))
-    both = intersect_subcomplexes(a, b)
-    assert both.vertices == frozenset({0, 1})
-    assert both.edges == frozenset({(0, 1)})
 
 
 def test_classify_invariant_under_relabeling():

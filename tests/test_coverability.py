@@ -3,17 +3,20 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     CoverabilityEstimate, EstimatorParams,
-                                    PairStats, admissibility_probabilities,
-                                    as_fraction, exact_admissibility,
+                                    admissibility_probabilities, as_fraction,
+                                    exact_admissibility,
                                     exact_disk_coverability,
                                     find_boundary_inducing_disk,
-                                    inadmissible_p2_audit, pair_psi,
-                                    pyramid_disk, sample_admissibility,
+                                    inadmissible_p2_audit, least_path,
+                                    pair_psi, path_layers, pyramid_disk,
+                                    sample_admissibility,
                                     sample_disk_coverability, triple_phi,
                                     weighted_inadmissibility_audit)
 from diskcover.generators import random_graph
@@ -95,6 +98,34 @@ def test_pyramid_disk_k1_not_inducing():
 def test_pyramid_disk_k3_counts():
     X = pyramid_disk(8, 9, (0, 1, 2, 3))
     assert len(X) == 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 11), min_size=2, max_size=12, unique=True),
+       st.data())
+def test_path_rule_matches_brute_force(verts, data):
+    """path_layers decides the path event; least_path is the least shortest path.
+
+    Vertex sets have gaps, as in link intersections, and the interior
+    mask may name non-members and the endpoints themselves.
+    """
+    pairs = data.draw(st.lists(st.sampled_from(list(combinations(verts, 2))),
+                               max_size=20, unique=True))
+    a, b = data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2,
+                              unique=True))
+    interior = data.draw(st.integers(0, (1 << 12) - 1))
+    adj = SkeletonGraph(verts, pairs).adj_mask
+    allowed = {x for x in verts if (interior >> x) & 1}
+    layers = path_layers(adj, a, b, interior)
+    found = next(bf._simple_paths_interior_in(pairs, a, b, allowed), None)
+    assert (layers is None) == (found is None)
+    if layers is None:
+        return
+    paths = list(bf.simple_paths(pairs, a, b, allowed))
+    shortest = min(len(p) for p in paths)
+    assert len(layers) == shortest - 2
+    assert tuple(least_path(adj, a, b, layers)) == min(
+        p for p in paths if len(p) == shortest)
 
 
 def test_pyramid_disk_validation():
@@ -448,8 +479,7 @@ def test_pair_psi_missing_skeleton_edge_counts():
 
 
 def test_triple_phi():
-    half = PairStats(1, 2, HALF)
-    zero = PairStats(0, 3, Fraction(0))
+    half, zero = HALF, Fraction(0)
     assert triple_phi(half, zero, zero, 2) == Fraction(1, 4)
     assert triple_phi(zero, zero, zero, 5) == 0
     assert triple_phi(half, half, half, 0) == 0

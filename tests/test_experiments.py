@@ -55,6 +55,17 @@ def test_sweep_unknown_target():
         threshold_sweep("klein-bottle", [10], [1.0], trials=1, seed=0)
 
 
+@pytest.mark.parametrize("n_values, c_values", [
+    ([0], [1.0]),
+    ([12], [float("nan")]),
+    ([12], [1.0, float("inf")]),
+], ids=["n-zero", "c-nan", "c-inf"])
+def test_sweep_rejects_bad_grid(n_values, c_values):
+    with pytest.raises(ValueError):
+        threshold_sweep(SPHERE, n_values, c_values, trials=1, seed=0,
+                        params=FAST)
+
+
 def test_sweep_hypergraphs_nested_across_c():
     """The cell seed ignores c, so found never flips off as c grows."""
     rows = threshold_sweep(SPHERE, [20], [0.5, 1.5, 3.0], trials=6, seed=2,

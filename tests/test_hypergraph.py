@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, codegree,
                                   common_neighborhood, complete_hypergraph,
-                                  connected_components, iter_p2s, link,
-                                  link_intersection, skeleton)
+                                  iter_p2s, link, link_intersection, skeleton)
 
 
 def test_hypergraph_rejects_bad_triples():
@@ -97,12 +96,6 @@ def test_codegree_matches_neighborhood():
     assert codegree(G, [2, 4]) == 4
     for v in G.vertices:
         assert codegree(G, [v]) == G.degree(v)
-
-
-def test_connected_components():
-    G = SkeletonGraph(range(5), [(0, 1), (2, 3)])
-    comps = connected_components(G)
-    assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
 
 
 def test_iter_p2s_unlabeled_once():

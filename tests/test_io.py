@@ -1,13 +1,12 @@
 import io
-import json
 
 import pytest
 
 from diskcover.complexes import TwoComplex, classify
 from diskcover.hypergraph import Hypergraph3, SkeletonGraph
-from diskcover.io import (classification_dict, classification_json,
-                          parse_complex, parse_graph, parse_h3, read_text,
-                          serialize_complex, serialize_graph, serialize_h3)
+from diskcover.io import (classification_dict, parse_complex, parse_graph,
+                          parse_h3, read_text, serialize_complex,
+                          serialize_graph, serialize_h3)
 
 
 def test_parse_h3_basic():
@@ -80,8 +79,6 @@ def test_classification_serialization():
     assert d["kind"] == "ClosedSurface"
     assert d["euler"] == 2
     assert d["orientable"] is True
-    parsed = json.loads(classification_json(c))
-    assert parsed == d
 
 
 def test_read_text_path_and_file(tmp_path):

@@ -1,13 +1,14 @@
 import pytest
 
-from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TORUS,
-                                    HomeomorphCertificate,
+from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TARGETS,
+                                    TORUS, HomeomorphCertificate,
                                     serialize_certificate)
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.hypergraph import Hypergraph3, complete_hypergraph
-from diskcover.search import (GlueFailure, SearchFailure, SearchParams,
-                              find_k_t_homeomorph, find_projective_plane,
-                              find_sphere, find_torus, glue_disks)
+from diskcover.search import (FINDERS, GlueFailure, SearchFailure,
+                              SearchParams, find_k_t_homeomorph,
+                              find_projective_plane, find_sphere, find_torus,
+                              glue_disks)
 from diskcover.verify import verify_certificate
 
 DESK = SearchParams(p=0.5, epsilon=0.1)
@@ -35,6 +36,10 @@ def test_search_params_validation_and_defaults():
     assert eps == pytest.approx(1 / 163)
     est = DESK.estimator(TORUS)
     assert (est.p, est.epsilon) == (0.5, 0.1)
+
+
+def test_finder_registry_covers_targets():
+    assert set(FINDERS) == set(TARGETS)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,35 @@ def test_disks_sharing_interior_vertex_fail_check_c():
     assert by_name["pairwise-intersections"] is False
 
 
+def _check_c(cycles, disks):
+    H = Hypergraph3(10, [t for d in disks for t in d.triangles])
+    cert = HomeomorphCertificate(SPHERE, None, {}, tuple(cycles),
+                                 tuple(disks), 0, 0)
+    by_name = {c.name: c.passed for c in verify_certificate(H, cert).checks}
+    return by_name["pairwise-intersections"]
+
+
+def test_check_c_disks_sharing_a_cycle_edge_pass():
+    # the cycles 0 2 1 3 and 0 2 5 6 share the vertices {0, 2} and the
+    # edge 0-2, and the disks meet in exactly that
+    d1 = pyramid_disk(0, 1, (2, 4, 3))
+    d2 = pyramid_disk(0, 5, (2, 7, 6))
+    assert _check_c([(0, 2, 1, 3), (0, 2, 5, 6)], [d1, d2])
+
+
+def test_check_c_shared_triangle_fails():
+    d = pyramid_disk(0, 1, (2, 4, 3))
+    assert not _check_c([(0, 2, 1, 3), (0, 2, 1, 3)], [d, d])
+
+
+def test_check_c_shared_edge_off_cycles_fails():
+    # the disks meet only in the common cycle vertices {0, 2}, but both
+    # contain the edge 0-2, which lies on one cycle and is a chord of the other
+    d1 = pyramid_disk(0, 1, (2, 4, 3))
+    d2 = TwoComplex([(0, 2, 5), (0, 2, 6)])
+    assert not _check_c([(0, 2, 1, 3), (0, 5, 2, 6)], [d1, d2])
+
+
 def test_check_c_symmetric_in_disk_order():
     cycle = (0, 2, 1, 3)
     d1 = pyramid_disk(0, 1, (2, 4, 3))
@@ -93,9 +122,9 @@ def test_malformed_certificates_raise():
     H, cert = hand_built_sphere()
     with pytest.raises(CertificateError):
         verify_certificate(H, replace(cert, cycles=(), disks=()))
-    with pytest.raises(CertificateError):
-        verify_certificate(H, replace(cert, cycles=(cert.cycles[0],
-                                                    (0, 1, 2, 99))))
+    for bad in ((0, 1, 2, 99), (0, 1, 1, 2), (0, 1, 2)):
+        with pytest.raises(CertificateError):
+            verify_certificate(H, replace(cert, cycles=(cert.cycles[0], bad)))
 
 
 def test_ktt_certificate_checks():
