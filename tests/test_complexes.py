@@ -7,7 +7,11 @@ from diskcover.complexes import (CLOSED_SURFACE, DISK, OTHER,
                                  SURFACE_WITH_BOUNDARY, TwoComplex, boundary,
                                  classify, euler_characteristic,
                                  is_boundary_inducing, orientability)
+from diskcover.certificates import SPHERE, HomeomorphCertificate
 from diskcover.coverability import pyramid_disk
+from diskcover.hypergraph import Hypergraph3
+from diskcover.verify import (CertificateError, _cycle_edge_set,
+                              verify_certificate)
 
 TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 OCTA = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
@@ -137,6 +141,39 @@ def test_boundary_inducing_cases():
 def test_interior_vertices():
     X = pyramid_disk(0, 1, (2, 3, 4, 5))
     assert X.interior_vertices() == frozenset({3, 4})
+
+
+def _two_pyramid_sphere(cycles):
+    """Pyramids over 0 2 1 3 with interiors {4} and {5}, and the given cycles."""
+    d1 = pyramid_disk(0, 1, (2, 4, 3))
+    d2 = pyramid_disk(0, 1, (2, 5, 3))
+    H = Hypergraph3(6, list(d1.triangles | d2.triangles))
+    cert = HomeomorphCertificate(SPHERE, None, {}, tuple(cycles), (d1, d2),
+                                 0, 0)
+    return H, cert
+
+
+def test_complex_intersection_shared_boundary_cycle():
+    # two pyramid disks over the same 4-cycle 0 2 1 3 with disjoint interiors
+    # meet in exactly that cycle, and the verifier's check c accepts them
+    cycle = (0, 2, 1, 3)
+    H, cert = _two_pyramid_sphere((cycle, cycle))
+    d1, d2 = cert.disks
+    assert d1.vertices & d2.vertices == frozenset(cycle)
+    assert d1.edges & d2.edges == _cycle_edge_set(cycle)
+    assert not d1.triangles & d2.triangles
+    by_name = {c.name: c.passed for c in verify_certificate(H, cert).checks}
+    assert by_name["pairwise-intersections"] is True
+
+
+def test_cycle_complex_validation():
+    assert _cycle_edge_set((0, 1, 2, 3)) == \
+        frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    good = (0, 2, 1, 3)
+    for bad in ((0, 1), (0, 1, 1, 2)):
+        H, cert = _two_pyramid_sphere((good, bad))
+        with pytest.raises(CertificateError):
+            verify_certificate(H, cert)
 
 
 def test_classify_invariant_under_relabeling():
