@@ -9,7 +9,8 @@ search state is referenced.
 The JSON document is versioned ("cert_version": 1). Triangles and
 cycles are stored as vertex-id lists; the embedding maps pattern labels
 (strings) to vertex ids. A verifier report may ride along under
-"report" but is ignored when parsing back to a certificate.
+"report" but is ignored when parsing back to a certificate. Parsing
+checks every field's type, so malformed input raises only ValueError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ SPHERE = "sphere"
 TARGETS = (KTT, TORUS, PROJECTIVE_PLANE, SPHERE)
 
 CERT_VERSION = 1
+
+# Boundary 4-cycles of each surface target over its embedding labels, in
+# order; the projective plane's six quads share each of their 12 edges twice.
+SURFACE_CYCLES = {
+    TORUS: ("u' w1 v w5", "u w1 u' w2", "u' w2 v w3", "u w3 v w5",
+            "u w3 u' w4", "u w1 v w4", "u w5 u' w6", "u' w4 v w6",
+            "u w2 v w6"),
+    PROJECTIVE_PLANE: ("u w1 v w3", "u' w2 v w3", "u w3 u' w4",
+                       "u w1 u' w2", "u w2 v w4", "u' w1 v w4"),
+    SPHERE: ("a b c d", "a b c d"),
+}
+
+
+def surface_cycles(target: str, embedding: Mapping[str, int]):
+    """The boundary cycles a surface embedding prescribes, in order."""
+    return tuple(tuple(embedding[lab] for lab in quad.split())
+                 for quad in SURFACE_CYCLES[target])
 
 
 @dataclass(frozen=True)
@@ -66,6 +84,18 @@ def serialize_certificate(cert: HomeomorphCertificate,
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _typed(x, kind: type, what: str):
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise ValueError(f"{what} must be of type {kind.__name__}, got {x!r}")
+    return x
+
+
+def _vertices(x, size: int, what: str) -> tuple[int, ...]:
+    if len(_typed(x, list, what)) != size:
+        raise ValueError(f"{what} {x!r} does not have {size} vertices")
+    return tuple(_typed(v, int, what) for v in x)
+
+
 def parse_certificate(text: str) -> HomeomorphCertificate:
     try:
         doc = json.loads(text)
@@ -80,19 +110,19 @@ def parse_certificate(text: str) -> HomeomorphCertificate:
                            "seed", "retries") if k not in doc]
     if missing:
         raise ValueError(f"certificate missing fields: {', '.join(missing)}")
-    cycles = []
-    for c in doc["cycles"]:
-        if len(c) != 4:
-            raise ValueError(f"cycle {c!r} does not have four vertices")
-        cycles.append(tuple(int(x) for x in c))
-    disks = tuple(TwoComplex(d) for d in doc["disks"])
-    embedding = {str(k): int(v) for k, v in doc["embedding"].items()}
+    t = doc.get("t")
+    embedding = {k: _typed(v, int, f"embedding value of {k!r}")
+                 for k, v in _typed(doc["embedding"], dict, "embedding").items()}
+    disks = tuple(
+        TwoComplex(_vertices(tri, 3, "triangle") for tri in _typed(d, list, "disk"))
+        for d in _typed(doc["disks"], list, "disks"))
     return HomeomorphCertificate(
-        target=doc["target"],
-        t=doc.get("t"),
+        target=_typed(doc["target"], str, "target"),
+        t=None if t is None else _typed(t, int, "t"),
         embedding=embedding,
-        cycles=tuple(cycles),
+        cycles=tuple(_vertices(c, 4, "cycle")
+                     for c in _typed(doc["cycles"], list, "cycles")),
         disks=disks,
-        seed=int(doc["seed"]),
-        retries=int(doc["retries"]),
+        seed=_typed(doc["seed"], int, "seed"),
+        retries=_typed(doc["retries"], int, "retries"),
     )

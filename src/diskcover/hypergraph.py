@@ -3,9 +3,10 @@
 A :class:`Hypergraph3` is a vertex set {0..n-1} plus a set of unordered
 vertex triples. A :class:`SkeletonGraph` is a plain simple graph; it is
 used for 1-skeletons, link graphs, and link intersections. Both types
-are immutable after construction and safe to share across concurrent
-tasks: derived structures (adjacency tables, bitmask rows) are built
-once in the constructor.
+are immutable and safe to share across concurrent tasks. Derived views
+are built on first use and kept: ``H.rows[u][w]``, the bitmask of w' with
+uww' in H, which link, link intersection (O(n)) and skeleton AND or OR
+together; and a graph's ``edges`` and ``adj``, derived from ``adj_mask``.
 
 Vertex identifiers are dense non-negative integers; external labels are
 mapped at the I/O boundary (see :mod:`diskcover.io`).
@@ -13,7 +14,12 @@ mapped at the I/O boundary (see :mod:`diskcover.io`).
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain, islice, permutations
+from operator import or_
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 def _canon_triple(t: Iterable[int]) -> tuple[int, int, int]:
@@ -30,10 +36,29 @@ def _canon_pair(e: Iterable[int]) -> tuple[int, int]:
     return (a, b)
 
 
+def _bits(m: int) -> list[int]:
+    """Positions of the set bits of m >= 0, ascending."""
+    return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
+
+
+def _row_table(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """rows[u][w] = mask of w' with uww' in edges, via an n^3 boolean cube that
+    every orientation of every triple is scattered into, 2^15 triples a step."""
+    cube = np.zeros((n, n, n), dtype=bool)
+    flat = chain.from_iterable(edges)
+    while (tri := np.fromiter(islice(flat, 3 << 15), np.intp)).size:
+        for i, j, k in permutations(range(3)):
+            cube[tri[i::3], tri[j::3], tri[k::3]] = True
+    packed = np.packbits(cube, axis=2, bitorder="little")
+    del cube
+    ints = [int.from_bytes(r, "little") for r in packed.reshape(n * n, (n + 7) // 8)]
+    return tuple(tuple(ints[u * n:(u + 1) * n]) for u in range(n))
+
+
 class Hypergraph3:
     """An immutable 3-uniform hypergraph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels")
+    __slots__ = ("n", "edges", "labels", "rows")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]],
                  labels: tuple[str, ...] | None = None):
@@ -52,6 +77,13 @@ class Hypergraph3:
         self.n = n
         self.edges = edges
         self.labels = labels
+
+    def __getattr__(self, name: str):
+        # only reached while the `rows` slot is unset: build it once
+        if name != "rows":
+            raise AttributeError(name)
+        self.rows = _row_table(self.n, self.edges)
+        return self.rows
 
     @property
     def vertices(self) -> range:
@@ -78,52 +110,61 @@ class SkeletonGraph:
     """An immutable simple graph on integer vertices.
 
     The vertex set need not be dense: links and link intersections keep
-    the ambient hypergraph's identifiers. Adjacency is exposed both as
-    per-vertex frozensets and as bitmask rows (`adj_mask`) for the
-    flood-fill path searches used by the coverability estimators.
+    the ambient hypergraph's identifiers. Adjacency is stored as bitmask
+    rows (`adj_mask`), which the flood-fill path searches read; the edge
+    set and per-vertex neighbour sets (`adj`) are derived on first use.
     """
 
     __slots__ = ("vertices", "edges", "adj", "adj_mask")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Iterable[int]]):
         vset = frozenset(vertices)
-        eset = frozenset(_canon_pair(e) for e in edges)
-        adj: dict[int, set[int]] = {v: set() for v in sorted(vset)}
-        for a, b in eset:
+        masks = dict.fromkeys(sorted(vset), 0)
+        for e in edges:
+            a, b = _canon_pair(e)
             if a not in vset or b not in vset:
                 raise ValueError(f"edge ({a},{b}) touches a vertex outside the graph")
-            adj[a].add(b)
-            adj[b].add(a)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
         self.vertices = vset
-        self.edges = eset
-        self.adj = {v: frozenset(ns) for v, ns in adj.items()}
-        masks: dict[int, int] = {}
-        for v, ns in self.adj.items():
-            m = 0
-            for w in ns:
-                m |= 1 << w
-            masks[v] = m
         self.adj_mask = masks
+
+    @classmethod
+    def _from_masks(cls, masks: dict[int, int]) -> SkeletonGraph:
+        """The graph on the keys of masks, which ascend, with these rows."""
+        G = cls.__new__(cls)
+        G.vertices, G.adj_mask = frozenset(masks), masks
+        return G
+
+    def __getattr__(self, name: str):
+        # only reached while a derived slot is unset: fill it once
+        if name == "edges":
+            value = frozenset((a, b) for a, m in self.adj_mask.items()
+                              for b in _bits(m >> (a + 1) << (a + 1)))
+        elif name == "adj":
+            value = {v: frozenset(_bits(m)) for v, m in self.adj_mask.items()}
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def has_edge(self, a: int, b: int) -> bool:
-        return _canon_pair((a, b)) in self.edges
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        a, b = _canon_pair((a, b))
+        return a in self.adj_mask and (self.adj_mask[a] >> b) & 1 == 1
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SkeletonGraph)
-                and self.vertices == other.vertices and self.edges == other.edges)
+        # adj_mask is keyed by the vertex set, so it decides equality alone
+        return isinstance(other, SkeletonGraph) and self.adj_mask == other.adj_mask
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash(frozenset(self.adj_mask.items()))
 
     def __repr__(self) -> str:
         return f"SkeletonGraph(n={self.n}, edges={len(self.edges)})"
@@ -131,23 +172,16 @@ class SkeletonGraph:
 
 def skeleton(H: Hypergraph3) -> SkeletonGraph:
     """The graph on V(H) whose edges are the pairs covered by some triple."""
-    pairs = set()
-    for a, b, c in H.edges:
-        pairs.add((a, b))
-        pairs.add((a, c))
-        pairs.add((b, c))
-    return SkeletonGraph(H.vertices, pairs)
+    return SkeletonGraph._from_masks({u: reduce(or_, r, 0)
+                                      for u, r in enumerate(H.rows)})
 
 
 def link(H: Hypergraph3, u: int) -> SkeletonGraph:
     """The link graph of u: edges vw with uvw a triple of H, on V(H) minus u."""
     if not 0 <= u < H.n:
         raise ValueError(f"vertex {u} not in hypergraph")
-    pairs = []
-    for t in H.edges:
-        if u in t:
-            pairs.append(tuple(x for x in t if x != u))
-    return SkeletonGraph((v for v in H.vertices if v != u), pairs)
+    row = H.rows[u]
+    return SkeletonGraph._from_masks({w: row[w] for w in H.vertices if w != u})
 
 
 def link_intersection(H: Hypergraph3, v: int, vp: int) -> SkeletonGraph:
@@ -162,13 +196,9 @@ def link_intersection(H: Hypergraph3, v: int, vp: int) -> SkeletonGraph:
     for x in (v, vp):
         if not 0 <= x < H.n:
             raise ValueError(f"vertex {x} not in hypergraph")
-    pairs = []
-    for t in H.edges:
-        if v in t and vp not in t:
-            w, wp = (x for x in t if x != v)
-            if _canon_triple((vp, w, wp)) in H.edges:
-                pairs.append((w, wp))
-    return SkeletonGraph((x for x in H.vertices if x not in (v, vp)), pairs)
+    rv, rvp = H.rows[v], H.rows[vp]
+    return SkeletonGraph._from_masks(
+        {w: rv[w] & rvp[w] for w in H.vertices if w != v and w != vp})
 
 
 def common_neighborhood(G: SkeletonGraph, vs: Iterable[int]) -> set[int]:
@@ -181,10 +211,10 @@ def common_neighborhood(G: SkeletonGraph, vs: Iterable[int]) -> set[int]:
             raise ValueError(f"vertex {v} not in graph")
     if not vlist:
         return set(G.vertices)
-    common = set(G.adj[vlist[0]])
+    common = G.adj_mask[vlist[0]]
     for v in vlist[1:]:
-        common &= G.adj[v]
-    return common
+        common &= G.adj_mask[v]
+    return set(_bits(common))
 
 
 def codegree(G: SkeletonGraph, vs: Iterable[int]) -> int:

@@ -26,6 +26,7 @@ from .certificates import (
     SPHERE,
     TORUS,
     HomeomorphCertificate,
+    surface_cycles,
 )
 from .complexes import TwoComplex
 from .coverability import (
@@ -369,43 +370,10 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
 # surface builders
 
 
-def _torus_cycles(u, up, v, w):
-    w1, w2, w3, w4, w5, w6 = w
-    return (
-        (up, w1, v, w5),
-        (u, w1, up, w2),
-        (up, w2, v, w3),
-        (u, w3, v, w5),
-        (u, w3, up, w4),
-        (u, w1, v, w4),
-        (u, w5, up, w6),
-        (up, w4, v, w6),
-        (u, w2, v, w6),
-    )
-
-
-def _rp2_cycles(u, up, v, w):
-    # quadrangulation of the projective plane: six quads on u, u', v,
-    # w1..w4, each of the twelve edges shared by exactly two of them
-    w1, w2, w3, w4 = w
-    return (
-        (u, w1, v, w3),
-        (up, w2, v, w3),
-        (u, w3, up, w4),
-        (u, w1, up, w2),
-        (u, w2, v, w4),
-        (up, w1, v, w4),
-    )
-
-
-_SURFACE_RECIPES = {
-    TORUS: (6, ((0, 1), (2, 3), (4, 5)), _torus_cycles),
-    PROJECTIVE_PLANE: (4, ((0, 1), (2, 3)), _rp2_cycles),
-}
-
-
 def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
-    hub_degree, hub_paths, cycle_fn = _SURFACE_RECIPES[target]
+    # the hub's spokes pair up (w1, w2), (w3, w4), ... for admissibility
+    hub_degree = 6 if target == TORUS else 4
+    hub_paths = ((0, 1), (2, 3), (4, 5))[:hub_degree // 2]
     est = params.estimator(target)
 
     # stage 1: apex pair maximizing the common-link edge count
@@ -453,15 +421,15 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     v, ws = hub
 
     # stages 3-4: assemble the fixed cycle list and glue
-    cycles = cycle_fn(u, up, v, ws)
+    embedding = {"u": u, "u'": up, "v": v}
+    embedding.update({f"w{i + 1}": ws[i] for i in range(hub_degree)})
+    cycles = surface_cycles(target, embedding)
     glued = glue_disks(H, cycles, params)
     if isinstance(glued, GlueFailure):
         return SearchFailure(target, "glue", glued.detail, glued.retries)
 
-    embedding = {"u": u, "u'": up, "v": v}
-    embedding.update({f"w{i + 1}": ws[i] for i in range(hub_degree)})
     cert = HomeomorphCertificate(target=target, t=None, embedding=embedding,
-                                 cycles=tuple(cycles), disks=tuple(glued),
+                                 cycles=cycles, disks=tuple(glued),
                                  seed=params.seed, retries=used_retries)
     report = verify_certificate(H, cert)
     if not report.passed:

@@ -1,8 +1,8 @@
 """Independent certificate verification.
 
 Re-checks a homeomorph certificate from first principles using only the
-hypergraph core and the complex classifier; nothing from the search
-modules is consulted. Checks run in a fixed order:
+triples of H and the complex classifier; neither the search modules nor
+the hypergraph row table are consulted. Checks run in a fixed order:
 
 a. every disk triangle is an edge of H;
 b. every disk classifies as a boundary-inducing disk whose boundary is
@@ -13,8 +13,10 @@ c. any two disks intersect exactly in the 1-complex shared by their
 d. the target pattern: for a complete-hypergraph target the embedding
    must be injective, carry the pattern edges into the skeleton, and
    the cycle list must be the image of the pattern's special 4-cycles
-   in order; for surface targets the union of all disks must classify
-   as the right closed surface by (Euler characteristic, orientability).
+   in order; for surface targets the embedding must map exactly the
+   target's labels injectively into V(H), the cycles must be the recipe
+   applied to it, and the union of all disks must classify as the right
+   closed surface by (Euler characteristic, orientability).
 
 A malformed certificate (wrong counts, missing embedding labels) raises
 :class:`CertificateError` instead of producing a failed report.
@@ -23,9 +25,11 @@ A malformed certificate (wrong counts, missing embedding labels) raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
-from .certificates import KTT, PROJECTIVE_PLANE, SPHERE, TORUS, HomeomorphCertificate
+from .certificates import (KTT, PROJECTIVE_PLANE, SPHERE, SURFACE_CYCLES, TORUS,
+                           HomeomorphCertificate, surface_cycles)
 from .complexes import (
     CLOSED_SURFACE,
     DISK,
@@ -35,7 +39,7 @@ from .complexes import (
     is_boundary_inducing,
 )
 from .gamma import gamma, role_name
-from .hypergraph import Hypergraph3, skeleton
+from .hypergraph import Hypergraph3
 
 
 class CertificateError(ValueError):
@@ -136,9 +140,10 @@ def _check_ktt_pattern(H: Hypergraph3, cert) -> CheckResult:
     image = [cert.embedding[lab] for lab in labels]
     if len(set(image)) != len(image):
         return CheckResult(name, False, "embedding is not injective")
-    skel = skeleton(H)
+    # a pattern edge lies in the skeleton iff some triple holds both ends
+    covered = {pair for t in H.edges for pair in combinations(t, 2)}
     for a, b in sorted(pattern.edges):
-        if not skel.has_edge(image[a], image[b]):
+        if tuple(sorted((image[a], image[b]))) not in covered:
             return CheckResult(
                 name, False,
                 f"pattern edge {labels[a]}-{labels[b]} missing from skeleton")
@@ -154,8 +159,15 @@ def _check_ktt_pattern(H: Hypergraph3, cert) -> CheckResult:
         f"{len(expected_cycles)} special cycles matched")
 
 
-def _check_surface(cert) -> CheckResult:
+def _check_surface(H: Hypergraph3, cert) -> CheckResult:
     name = f"pattern-{cert.target}"
+    labels = {lab for quad in SURFACE_CYCLES[cert.target] for lab in quad.split()}
+    image = set(cert.embedding.values())
+    if (set(cert.embedding) != labels or len(image) != len(labels)
+            or not image <= set(H.vertices)
+            or cert.cycles != surface_cycles(cert.target, cert.embedding)):
+        return CheckResult(name, False, "cycles are not the recipe applied to "
+                           f"an injective map of {', '.join(sorted(labels))} into V(H)")
     union = TwoComplex(t for d in cert.disks for t in d.triangles)
     cls = classify(union)
     want_euler, want_orient = _SURFACE_SIGNATURE[cert.target]
@@ -195,7 +207,7 @@ def verify_certificate(H: Hypergraph3,
     if cert.target == KTT:
         pattern_check = _check_ktt_pattern(H, cert)
     else:
-        pattern_check = _check_surface(cert)
+        pattern_check = _check_surface(H, cert)
     checks.append(pattern_check)
     passed = all(c.passed for c in checks)
     return VerificationReport(passed, tuple(checks), pattern_check.passed)

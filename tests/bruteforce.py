@@ -72,6 +72,16 @@ def _li_pairs(triples, v, vp):
     return out
 
 
+def skeleton_pairs(triples):
+    """Pairs (a, b), a < b, lying in some triple."""
+    return {pair for t in triples for pair in combinations(sorted(t), 2)}
+
+
+def link_pairs(triples, u):
+    """Pairs (w, w'), w < w', such that u w w' is a triple."""
+    return {tuple(sorted(set(t) - {u})) for t in triples if u in t}
+
+
 def simple_paths(pairs, src, dst, allowed_interior):
     """Yield simple src..dst paths of length >= 2 (vertex tuples) by DFS."""
     adj = _adj_from_pairs(pairs)

@@ -1,11 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskcover.certificates import (CERT_VERSION, SPHERE, TORUS,
                                     HomeomorphCertificate, parse_certificate,
                                     serialize_certificate)
 from diskcover.coverability import pyramid_disk
+from diskcover.hypergraph import complete_hypergraph
+from diskcover.verify import verify_certificate
 
 
 def _sphere_cert():
@@ -71,3 +75,51 @@ def test_parse_rejects_non_object_and_bad_json():
         parse_certificate("[1, 2]")
     with pytest.raises(ValueError):
         parse_certificate("{nope")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+
+# places in a certificate document a fuzzed value may land
+_PATHS = [("cert_version",), ("target",), ("t",), ("embedding",),
+          ("embedding", "a"), ("cycles",), ("cycles", 0), ("cycles", 0, 1),
+          ("disks",), ("disks", 0), ("disks", 0, 0), ("disks", 0, 0, 2),
+          ("seed",), ("retries",)]
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _JSON.map(lambda v: ("whole", v)),
+    st.lists(st.tuples(st.sampled_from(_PATHS), _JSON),
+             min_size=1, max_size=3).map(lambda edits: ("edits", edits))))
+def test_parse_is_total(case):
+    """Any JSON value either parses or raises ValueError, never another
+    exception; a parsed certificate verifies or raises ValueError."""
+    kind, payload = case
+    if kind == "whole":
+        doc = payload
+    else:
+        doc = json.loads(serialize_certificate(_sphere_cert()))
+        for path, value in payload:
+            try:
+                _put(doc, path, value)
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier edit replaced a container on this path
+    try:
+        cert = parse_certificate(json.dumps(doc))
+    except ValueError:
+        return
+    try:
+        verify_certificate(complete_hypergraph(6), cert)
+    except ValueError:
+        pass

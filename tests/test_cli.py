@@ -190,3 +190,40 @@ def test_sweep_bad_grid_is_usage_error(capsys, n, c):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _set_cycle_int(doc):
+    doc["cycles"][0] = 7
+
+
+def _set_embedding_list(doc):
+    doc["embedding"] = [1, 2]
+
+
+def _set_ktt_string_t(doc):
+    doc["target"], doc["t"] = "ktt", "4"
+
+
+def _nest_triangle(doc):
+    doc["disks"][0][0] = [[0, 1], 2, 3]
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_cycle_int, _set_embedding_list, _set_ktt_string_t, _nest_triangle,
+], ids=["cycle-int", "embedding-list", "t-string", "nested-triangle"])
+def test_verify_mistyped_certificate_is_usage_error(capsys, tmp_path, mutate):
+    h = tmp_path / "k12.h3"
+    h.write_text(serialize_h3(complete_hypergraph(12)))
+    cert_path = tmp_path / "cert.json"
+    assert main(["find", str(h), "--target", "sphere", "--p", "0.5",
+                 "--epsilon", "0.1", "--seed", "3",
+                 "--out", str(cert_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cert_path.read_text())
+    mutate(doc)
+    cert_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(h), str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed certificate:")
+    assert err.count("\n") == 1

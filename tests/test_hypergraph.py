@@ -1,9 +1,10 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, codegree,
                                   common_neighborhood, complete_hypergraph,
                                   iter_p2s, link, link_intersection, skeleton)
@@ -136,3 +137,57 @@ def test_link_intersection_is_link_meet(n, raw):
     assert set(LI.edges) == meet
     for e in LI.edges:
         assert e in set(skeleton(H).edges)
+
+
+@st.composite
+def _hypergraph_and_pair(draw):
+    """(n, triples, v, v') with n <= 12; v, v' are None when n < 2, and
+    some triples may contain both query vertices."""
+    n = draw(st.integers(0, 12))
+    vertex = st.integers(0, max(n - 1, 0))
+    triples = []
+    if n >= 3:
+        triples = draw(st.lists(st.tuples(vertex, vertex, vertex).filter(
+            lambda t: len(set(t)) == 3), max_size=30))
+    if n < 2:
+        return n, triples, None, None
+    v, vp = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    others = [w for w in range(n) if w not in (v, vp)]
+    if others:
+        triples += [(v, vp, w) for w in draw(st.lists(st.sampled_from(others)))]
+    return n, triples, v, vp
+
+
+def _assert_graph(G, vertices, pairs):
+    """Every view of G equals the one defined by the vertex and pair sets."""
+    nbrs = {x: frozenset(y for e in pairs if x in e for y in e if y != x)
+            for x in vertices}
+    for a in vertices:
+        for b in vertices:
+            if a != b:
+                assert G.has_edge(a, b) == (tuple(sorted((a, b))) in pairs)
+    assert G.adj_mask == {x: sum(1 << y for y in nbrs[x]) for x in vertices}
+    assert G.vertices == frozenset(vertices)
+    assert G.edges == frozenset(pairs)
+    assert G.adj == nbrs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hypergraph_and_pair())
+@example((0, [], None, None))
+@example((1, [], None, None))
+@example((2, [], 0, 1))
+@example((6, [], 4, 1))
+@example((5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4)], 0, 1))
+def test_row_core_matches_definitions(case):
+    n, triples, v, vp = case
+    H = Hypergraph3(n, triples)
+    edges = list(H.edges)
+    _assert_graph(skeleton(H), range(n), bf.skeleton_pairs(edges))
+    for u in range(n):
+        _assert_graph(link(H, u), [x for x in range(n) if x != u],
+                      bf.link_pairs(edges, u))
+    if v is not None:
+        _assert_graph(link_intersection(H, v, vp),
+                      [x for x in range(n) if x not in (v, vp)],
+                      set(bf._li_pairs(edges, v, vp)))

@@ -19,7 +19,8 @@ def hand_built_sphere():
     d1 = pyramid_disk(0, 1, (2, 4, 3))
     d2 = pyramid_disk(0, 1, (2, 5, 3))
     H = Hypergraph3(6, list(d1.triangles | d2.triangles))
-    cert = HomeomorphCertificate(target=SPHERE, t=None, embedding={},
+    cert = HomeomorphCertificate(target=SPHERE, t=None,
+                                 embedding={"a": 0, "b": 2, "c": 1, "d": 3},
                                  cycles=(cycle, cycle), disks=(d1, d2),
                                  seed=0, retries=0)
     return H, cert
@@ -170,3 +171,62 @@ def test_mutation_fuzz_small():
         disks[i] = TwoComplex(mutated)
         report = verify_certificate(H, replace(cert, disks=tuple(disks)))
         assert not report.passed
+
+
+def _no_row_table(self):
+    raise AssertionError("the verifier read the link row table")
+
+
+def test_verifier_never_reads_the_row_table(monkeypatch):
+    cert = find_k_t_homeomorph(complete_hypergraph(12),
+                               SearchParams(t=3, p=0.5, epsilon=0.1))
+    assert isinstance(cert, HomeomorphCertificate)
+    monkeypatch.setattr(Hypergraph3, "rows", property(_no_row_table))
+    H = complete_hypergraph(12)
+    assert verify_certificate(H, cert).passed
+
+    # drop every triple over one pattern edge: the pattern check fails
+    a, b = cert.embedding["v0"], cert.embedding["v0.1"]
+    thinned = Hypergraph3(12, [t for t in H.edges if not {a, b} <= set(t)])
+    report = verify_certificate(thinned, cert)
+    assert not report.passed
+    assert report.checks[-1].name == "pattern-ktt"
+    assert not report.checks[-1].passed
+
+    # swap one disk triangle for another triple: a disk check fails
+    disks = list(cert.disks)
+    victim = min(disks[0].triangles)
+    other = next(t for t in sorted(H.edges) if t not in disks[0].triangles)
+    disks[0] = TwoComplex((disks[0].triangles - {victim}) | {other})
+    assert not verify_certificate(H, replace(cert, disks=tuple(disks))).passed
+
+
+def _pattern_check(H, cert):
+    report = verify_certificate(H, cert)
+    assert report.checks[-1].name == f"pattern-{cert.target}"
+    return report.passed, report.checks[-1].passed
+
+
+def test_surface_certificate_embedding_is_checked():
+    H = complete_hypergraph(20)
+    cert = find_torus(H, DESK)
+    assert isinstance(cert, HomeomorphCertificate)
+    assert _pattern_check(H, cert) == (True, True)
+    emb = dict(cert.embedding)
+    swapped = dict(emb, w1=emb["w2"], w2=emb["w1"])
+    bad_embeddings = [
+        {"u": 999, "zzz": -4},                 # wrong labels, out of range
+        dict(emb, extra=0),                    # a label too many
+        dict(emb, w6=H.n),                     # out of range
+        dict(emb, w6=emb["w5"]),               # not injective
+        swapped,                               # cycles differ from the recipe
+    ]
+    for bad in bad_embeddings:
+        assert _pattern_check(H, replace(cert, embedding=bad)) == (False, False)
+
+    # a sphere's embedding must name its one cycle a b c d
+    H, cert = hand_built_sphere()
+    assert _pattern_check(H, cert) == (True, True)
+    for bad in ({}, {"a": 0, "b": 3, "c": 1, "d": 2},
+                {"a": 0, "b": 2, "c": 1, "d": 6}):
+        assert _pattern_check(H, replace(cert, embedding=bad)) == (False, False)
