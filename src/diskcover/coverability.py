@@ -361,13 +361,10 @@ class _DiskSearcher:
         self.cycle_set = frozenset(self.cycle)
         self.cycle_edges = frozenset(
             tuple(sorted(e)) for e in ((a, b), (b, c), (c, d), (d, a)))
-        opposite = ({a, c}, {b, d})
-        cands = []
-        for t in sorted(H.edges):
-            on_cycle = self.cycle_set.intersection(t)
-            if len(on_cycle) > 2 or on_cycle in opposite:
-                continue
-            cands.append(t)
+        tris = H.triples()
+        on = [(tris == x).any(axis=1) for x in self.cycle]
+        skip = (sum(on) > 2) | (on[0] & on[2]) | (on[1] & on[3])
+        cands = zip(*tris[~skip].T.tolist())
         self.by_edge: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for t in cands:
             x, y, z = t

@@ -5,7 +5,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, isqrt
 
-from .hypergraph import Hypergraph3, SkeletonGraph, complete_hypergraph
+import numpy as np
+
+from .hypergraph import Hypergraph3, SkeletonGraph, code_blocks, complete_hypergraph
 from .rng import generator
 
 __all__ = [
@@ -32,10 +34,11 @@ def random_hypergraph(n: int, p: float, seed: int) -> Hypergraph3:
         raise ValueError("triple probability must lie in [0, 1]")
     if p == 0:
         return Hypergraph3(n, ())
-    draws = generator(seed, _S_GNP3, n).random(comb(n, 3))
-    keep = draws < p
-    edges = [t for t, k in zip(combinations(range(n), 3), keep) if k]
-    return Hypergraph3(n, edges)
+    # one draw per triple in lexicographic order, taken a block at a time:
+    # the same stream as one draw of C(n, 3) floats
+    gen = generator(seed, _S_GNP3, n)
+    kept = [base + bc[gen.random(bc.size) < p] for base, bc in code_blocks(n)]
+    return Hypergraph3._from_codes(n, np.concatenate((np.empty(0, np.int64), *kept)))
 
 
 def random_graph(n: int, p: float, seed: int) -> SkeletonGraph:

@@ -1,12 +1,21 @@
 """Core 3-uniform hypergraph and graph types.
 
 A :class:`Hypergraph3` is a vertex set {0..n-1} plus a set of unordered
-vertex triples. A :class:`SkeletonGraph` is a plain simple graph; it is
-used for 1-skeletons, link graphs, and link intersections. Both types
-are immutable and safe to share across concurrent tasks. Derived views
-are built on first use and kept: ``H.rows[u][w]``, the bitmask of w' with
+vertex triples, stored as one sorted, duplicate-free int64 array
+``H.codes`` of triple codes (a*n + b)*n + c with a < b < c, so the
+codes ascend in the lexicographic order of the triples. A
+:class:`SkeletonGraph` is a plain simple graph; it is used for
+1-skeletons, link graphs, and link intersections. Both types are
+immutable and safe to share across concurrent tasks. Derived views are
+built on first use and kept: ``H.rows[u][w]``, the bitmask of w' with
 uww' in H, which link, link intersection (O(n)) and skeleton AND or OR
-together; and a graph's ``edges`` and ``adj``, derived from ``adj_mask``.
+together; ``H.edges``, the frozenset of triples as tuples, which no
+search, sweep or verify path reads (a frozenset of 2 M tuples takes
+seconds to build); and a graph's ``edges`` and ``adj``, derived from
+``adj_mask``. Membership is a binary search in the codes. Pickling and
+copying ship the stored form only (n, codes and labels; a graph's
+``adj_mask``). At n = 800 and c = 2 a host holds 6 M triples: 48 MB of
+codes, and 512 MB for the cube while its row table is built.
 
 Vertex identifiers are dense non-negative integers; external labels are
 mapped at the I/O boundary (see :mod:`diskcover.io`).
@@ -15,11 +24,15 @@ mapped at the I/O boundary (see :mod:`diskcover.io`).
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, islice, permutations
+from itertools import permutations
+from math import comb
 from operator import or_
 from typing import Iterable, Iterator
 
 import numpy as np
+
+# codes stay below n^3, which must fit in an int64
+_MAX_N = 1 << 21
 
 
 def _canon_triple(t: Iterable[int]) -> tuple[int, int, int]:
@@ -41,31 +54,43 @@ def _bits(m: int) -> list[int]:
     return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
 
 
-def _row_table(n: int, edges) -> tuple[tuple[int, ...], ...]:
-    """rows[u][w] = mask of w' with uww' in edges, via an n^3 boolean cube that
-    every orientation of every triple is scattered into, 2^15 triples a step."""
-    cube = np.zeros((n, n, n), dtype=bool)
-    flat = chain.from_iterable(edges)
-    while (tri := np.fromiter(islice(flat, 3 << 15), np.intp)).size:
-        for i, j, k in permutations(range(3)):
-            cube[tri[i::3], tri[j::3], tri[k::3]] = True
-    packed = np.packbits(cube, axis=2, bitorder="little")
+def code_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """For each first vertex a, the pair (a*n^2, codes b*n + c of all b, c with
+    a < b < c): the C(n-a-1, 2) triples of block a in lexicographic order."""
+    b, c = np.triu_indices(n, 1)
+    bc = b * n + c
+    for a in range(n - 2):
+        yield a * n * n, bc[bc.size - comb(n - a - 1, 2):]
+
+
+def _row_table(n: int, codes: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """rows[u][w] = mask of w' with uww' in H. A code is the flat index of its
+    triple in an n^3 boolean cube; every orientation of every triple is
+    scattered into the cube, 2^16 triples a step."""
+    cube = np.zeros(n ** 3, dtype=bool)
+    for s in range(0, codes.size, 1 << 16):
+        a, bc = np.divmod(codes[s:s + (1 << 16)], n * n)
+        for i, j, k in permutations((a, *np.divmod(bc, n))):
+            cube[(i * n + j) * n + k] = True
+    packed = np.packbits(cube.reshape(n * n, n), axis=1, bitorder="little")
     del cube
-    ints = [int.from_bytes(r, "little") for r in packed.reshape(n * n, (n + 7) // 8)]
+    ints = [int.from_bytes(r, "little") for r in packed]
     return tuple(tuple(ints[u * n:(u + 1) * n]) for u in range(n))
 
 
 class Hypergraph3:
     """An immutable 3-uniform hypergraph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels", "rows")
+    __slots__ = ("n", "codes", "labels", "edges", "rows")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]],
                  labels: tuple[str, ...] | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = frozenset(_canon_triple(t) for t in triples)
-        for t in edges:
+        if n >= _MAX_N:
+            raise ValueError(f"vertex count must be below {_MAX_N}")
+        tris = [_canon_triple(t) for t in triples]
+        for t in tris:
             if t[0] < 0 or t[2] >= n:
                 raise ValueError(f"triple {t} outside vertex range 0..{n - 1}")
         if labels is not None:
@@ -74,33 +99,68 @@ class Hypergraph3:
                 raise ValueError("label count must equal vertex count")
             if len(set(labels)) != n:
                 raise ValueError("labels must be distinct")
-        self.n = n
-        self.edges = edges
-        self.labels = labels
+        codes = np.array([(a * n + b) * n + c for a, b, c in tris], dtype=np.int64)
+        self._set(n, np.unique(codes), labels)
+
+    @classmethod
+    def _from_codes(cls, n: int, codes: np.ndarray,
+                    labels: tuple[str, ...] | None = None) -> Hypergraph3:
+        """The hypergraph with these codes, which must be sorted and distinct."""
+        H = cls.__new__(cls)
+        H._set(n, codes, labels)
+        return H
+
+    def _set(self, n: int, codes: np.ndarray, labels) -> None:
+        codes.flags.writeable = False
+        self.n, self.codes, self.labels = n, codes, labels
+
+    def __reduce__(self):
+        # ship the codes only, never the derived slots
+        return (Hypergraph3._from_codes, (self.n, self.codes, self.labels))
 
     def __getattr__(self, name: str):
-        # only reached while the `rows` slot is unset: build it once
-        if name != "rows":
+        # only reached while a derived slot is unset: fill it once
+        if name == "rows":
+            value = _row_table(self.n, self.codes)
+        elif name == "edges":
+            value = frozenset(zip(*self.triples().T.tolist()))
+        else:
             raise AttributeError(name)
-        self.rows = _row_table(self.n, self.edges)
-        return self.rows
+        setattr(self, name, value)
+        return value
 
     @property
     def vertices(self) -> range:
         return range(self.n)
 
+    def triples(self) -> np.ndarray:
+        """The triples as rows a < b < c of an int64 array, lexicographically."""
+        a, bc = np.divmod(self.codes, self.n * self.n)
+        return np.stack((a, *np.divmod(bc, self.n)), axis=1)
+
+    def has_triples(self, triples: Iterable[Iterable[int]]) -> np.ndarray:
+        """Whether each triple, its vertices in any order, is one of H: a bool
+        array from one batched binary search in the codes."""
+        n = self.n
+        want = np.array([(a * n + b) * n + c if 0 <= a < b < c < n else -1
+                         for a, b, c in map(sorted, triples)], dtype=np.int64)
+        if not self.codes.size:
+            return np.zeros(want.size, dtype=bool)
+        at = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
+        return self.codes[at] == want
+
     def __contains__(self, triple: Iterable[int]) -> bool:
-        return _canon_triple(triple) in self.edges
+        return bool(self.has_triples((_canon_triple(triple),))[0])
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Hypergraph3)
-                and self.n == other.n and self.edges == other.edges)
+        return (isinstance(other, Hypergraph3) and self.n == other.n
+                and np.array_equal(self.codes, other.codes))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.codes.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Hypergraph3(n={self.n}, edges={len(self.edges)})"
+        return f"Hypergraph3(n={self.n}, edges={self.codes.size})"
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -135,6 +195,10 @@ class SkeletonGraph:
         G = cls.__new__(cls)
         G.vertices, G.adj_mask = frozenset(masks), masks
         return G
+
+    def __reduce__(self):
+        # ship the masks only, never the derived slots
+        return (SkeletonGraph._from_masks, (self.adj_mask,))
 
     def __getattr__(self, name: str):
         # only reached while a derived slot is unset: fill it once
@@ -223,8 +287,8 @@ def codegree(G: SkeletonGraph, vs: Iterable[int]) -> int:
 
 def complete_hypergraph(n: int) -> Hypergraph3:
     """All C(n,3) triples on n vertices."""
-    from itertools import combinations
-    return Hypergraph3(n, combinations(range(n), 3))
+    blocks = [base + bc for base, bc in code_blocks(n)]
+    return Hypergraph3._from_codes(n, np.concatenate((np.empty(0, np.int64), *blocks)))
 
 
 def iter_p2s(G: SkeletonGraph) -> Iterator[tuple[int, int, int]]:

@@ -65,7 +65,7 @@ def serialize_h3(H: Hypergraph3) -> str:
     # Header always written: it pins isolated vertices and the label->id order,
     # making parse -> serialize -> parse the identity.
     lines = [_VERTEX_HEADER + " " + " ".join(H.label_of(v) for v in H.vertices)]
-    for t in sorted(H.edges):
+    for t in H.triples().tolist():
         lines.append(" ".join(H.label_of(v) for v in t))
     return "\n".join(lines) + "\n"
 

@@ -261,7 +261,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     pattern = gamma(t)
 
     # stage 1: link selection over a sample of candidate vertices
-    if H.n == 0 or not H.edges:
+    if H.n == 0 or not H.codes.size:
         return SearchFailure(KTT, "link-selection", "hypergraph has no edges", 0)
     gen = generator(params.seed, _S_LINK)
     cand = sorted({int(x) for x in gen.integers(0, H.n, size=params.link_sample)})
@@ -377,7 +377,7 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     est = params.estimator(target)
 
     # stage 1: apex pair maximizing the common-link edge count
-    if H.n < hub_degree + 3 or not H.edges:
+    if H.n < hub_degree + 3 or not H.codes.size:
         return SearchFailure(target, "apex-selection",
                              "hypergraph too small or empty", 0)
     gen = generator(params.seed, _S_LINK)

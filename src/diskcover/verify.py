@@ -11,7 +11,8 @@ c. any two disks intersect exactly in the 1-complex shared by their
    boundary cycles (common vertices and common edges, no triangles),
    which forces pairwise disjoint interiors avoiding all cycles;
 d. the target pattern: for a complete-hypergraph target the embedding
-   must be injective, carry the pattern edges into the skeleton, and
+   must map exactly the pattern's labels injectively, carry the pattern
+   edges into the skeleton (some triple of H holds both ends), and
    the cycle list must be the image of the pattern's special 4-cycles
    in order; for surface targets the embedding must map exactly the
    target's labels injectively into V(H), the cycles must be the recipe
@@ -25,7 +26,6 @@ A malformed certificate (wrong counts, missing embedding labels) raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .certificates import (KTT, PROJECTIVE_PLANE, SPHERE, SURFACE_CYCLES, TORUS,
@@ -83,9 +83,8 @@ def _cycle_edge_set(cycle) -> frozenset[tuple[int, int]]:
 
 
 def _check_triangles(H: Hypergraph3, cert) -> CheckResult:
-    stray = [
-        t for d in cert.disks for t in sorted(d.triangles) if t not in H.edges
-    ]
+    tris = [t for d in cert.disks for t in sorted(d.triangles)]
+    stray = [t for t, ok in zip(tris, H.has_triples(tris)) if not ok]
     if stray:
         return CheckResult(
             "disk-triangles-in-hypergraph", False,
@@ -137,13 +136,17 @@ def _check_ktt_pattern(H: Hypergraph3, cert) -> CheckResult:
     if missing:
         raise CertificateError(
             f"embedding missing pattern labels: {', '.join(missing[:4])}")
+    if set(cert.embedding) != set(labels):
+        return CheckResult(name, False, "embedding has labels outside the pattern")
     image = [cert.embedding[lab] for lab in labels]
     if len(set(image)) != len(image):
         return CheckResult(name, False, "embedding is not injective")
-    # a pattern edge lies in the skeleton iff some triple holds both ends
-    covered = {pair for t in H.edges for pair in combinations(t, 2)}
-    for a, b in sorted(pattern.edges):
-        if tuple(sorted((image[a], image[b]))) not in covered:
+    # a pattern edge xy lies in the skeleton iff some triple xyw is in H
+    edges = sorted(pattern.edges)
+    present = H.has_triples((image[a], image[b], w)
+                            for a, b in edges for w in range(H.n))
+    for (a, b), covered in zip(edges, present.reshape(len(edges), H.n).any(axis=1)):
+        if not covered:
             return CheckResult(
                 name, False,
                 f"pattern edge {labels[a]}-{labels[b]} missing from skeleton")

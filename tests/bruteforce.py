@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 
 def subsets(pool):
@@ -224,3 +225,13 @@ def surface_conditions(triangles):
         "boundary_edges": [e for e in edges if inc[e] == 1],
         "links_ok": all(link_ok(v) for v in verts),
     }
+
+
+def random_triples(draw_floats, n, p):
+    """The binomial 3-graph as first defined: one draw of C(n, 3) floats from
+    draw_floats(k), zipped with the triples in combinations order; a triple
+    is kept when its float is below p. p = 0 draws nothing."""
+    if p == 0:
+        return []
+    draws = draw_floats(comb(n, 3))
+    return [t for t, x in zip(combinations(range(n), 3), draws) if x < p]

@@ -1,9 +1,15 @@
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diskcover.generators import (clique_pendant_graph, random_graph,
+import bruteforce as bf
+from diskcover.generators import (_S_GNP3, clique_pendant_graph, random_graph,
                                   random_graph_corpus, random_hypergraph)
+from diskcover.hypergraph import Hypergraph3, complete_hypergraph
+from diskcover.rng import generator
 
 
 def test_random_hypergraph_deterministic():
@@ -28,6 +34,29 @@ def test_random_hypergraph_extremes():
     assert len(empty.edges) == 0
     full = random_hypergraph(10, 1.0, seed=1)
     assert len(full.edges) == comb(10, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 14),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+       st.integers(0, 2 ** 40))
+@example(0, 0.5, 1)
+@example(1, 0.5, 1)
+@example(2, 1.0, 1)
+@example(3, 1.0, 1)
+@example(3, 0.0, 1)
+@example(14, 0.3, 7)
+def test_random_hypergraph_matches_one_shot_definition(n, p, seed):
+    want = bf.random_triples(generator(seed, _S_GNP3, n).random, n, p)
+    H = random_hypergraph(n, p, seed)
+    assert H.triples().tolist() == [list(t) for t in want]
+    assert H.edges == frozenset(want)
+    for t in combinations(range(n), 3):
+        assert (t in H) == (t in H.edges)
+    built = Hypergraph3(n, want)
+    assert built == H and hash(built) == hash(H)
+    if p == 1:
+        assert complete_hypergraph(n) == H
 
 
 def test_random_hypergraph_validation():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, codegree,
                                   common_neighborhood, complete_hypergraph,
                                   iter_p2s, link, link_intersection, skeleton)
@@ -15,6 +18,8 @@ def test_hypergraph_rejects_bad_triples():
         Hypergraph3(4, [(0, 1, 1)])
     with pytest.raises(ValueError):
         Hypergraph3(3, [(0, 1, 5)])
+    with pytest.raises(ValueError):  # a triple code would overflow int64
+        Hypergraph3(1 << 21, [])
 
 
 def test_hypergraph_dedups_triples():
@@ -191,3 +196,28 @@ def test_row_core_matches_definitions(case):
         _assert_graph(link_intersection(H, v, vp),
                       [x for x in range(n) if x not in (v, vp)],
                       set(bf._li_pairs(edges, v, vp)))
+
+
+def _unset(obj, slot):
+    """True while a lazily filled slot has not been built."""
+    try:
+        getattr(type(obj), slot).__get__(obj)
+    except AttributeError:
+        return True
+    return False
+
+
+def test_pickling_ships_no_derived_view():
+    H = random_hypergraph(12, 0.4, seed=5)
+    labelled = Hypergraph3(4, [(0, 1, 2), (1, 2, 3)], labels=("a", "b", "c", "d"))
+    G = SkeletonGraph(range(5), [(0, 1), (1, 4)])
+    for x, lazy in ((H, ("rows", "edges")), (labelled, ("rows", "edges")),
+                    (G, ("edges", "adj"))):
+        copies = [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+        for y in [x] + copies:
+            assert all(_unset(y, slot) for slot in lazy)
+        for y in copies:
+            assert y == x and hash(y) == hash(x)
+    for y in (pickle.loads(pickle.dumps(labelled)), copy.deepcopy(labelled)):
+        assert y.labels == labelled.labels
+        assert y.edges == labelled.edges and y.rows == labelled.rows

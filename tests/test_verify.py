@@ -6,8 +6,11 @@ import pytest
 from diskcover.certificates import (SPHERE, HomeomorphCertificate)
 from diskcover.complexes import TwoComplex
 from diskcover.coverability import pyramid_disk
+from diskcover.experiments import threshold_sweep
+from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import Hypergraph3, complete_hypergraph
-from diskcover.search import SearchParams, find_k_t_homeomorph, find_torus
+from diskcover.search import (SearchParams, find_k_t_homeomorph, find_sphere,
+                              find_torus)
 from diskcover.verify import CertificateError, verify_certificate
 
 DESK = SearchParams(p=0.5, epsilon=0.1)
@@ -147,6 +150,11 @@ def test_ktt_certificate_checks():
     report = verify_certificate(H, replace(cert, embedding=squashed))
     assert not report.passed
 
+    # labels beyond the pattern's fail the pattern check
+    for extra in ({"zzz": -4}, {"extra": 0}):
+        bad = replace(cert, embedding=dict(cert.embedding, **extra))
+        assert _pattern_check(H, bad) == (False, False)
+
     # wrong cycle count for the target is malformed
     with pytest.raises(CertificateError):
         verify_certificate(H, replace(cert, cycles=cert.cycles[:2],
@@ -199,6 +207,29 @@ def test_verifier_never_reads_the_row_table(monkeypatch):
     other = next(t for t in sorted(H.edges) if t not in disks[0].triangles)
     disks[0] = TwoComplex((disks[0].triangles - {victim}) | {other})
     assert not verify_certificate(H, replace(cert, disks=tuple(disks))).passed
+
+
+def _no_edge_set(self):
+    raise AssertionError("the frozenset of triples was built")
+
+
+def test_sphere_search_and_verify_never_build_the_edge_set(monkeypatch):
+    monkeypatch.setattr(Hypergraph3, "edges", property(_no_edge_set))
+    H = random_hypergraph(16, 0.4, seed=0)
+    cert = find_sphere(H, DESK)
+    assert isinstance(cert, HomeomorphCertificate)
+    assert verify_certificate(H, cert).passed
+
+    # swap one disk triangle for another triple of H: a disk check fails
+    disks = list(cert.disks)
+    victim = min(disks[0].triangles)
+    other = next(t for t in map(tuple, H.triples().tolist())
+                 if t not in disks[0].triangles)
+    disks[0] = TwoComplex((disks[0].triangles - {victim}) | {other})
+    assert not verify_certificate(H, replace(cert, disks=tuple(disks))).passed
+
+    rows = threshold_sweep(SPHERE, [16, 24], [1.0, 4.0], 1, seed=2)
+    assert any(row.found for row in rows)
 
 
 def _pattern_check(H, cert):
