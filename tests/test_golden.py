@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of certificate JSON and sweep CSV at fixed seeds.
+"""Golden outputs: sha256 of certificate JSON, sweep and audit CSV at fixed seeds.
 
 Refactors of the search, coverability and verifier code must keep these
 bytes identical. A digest changes only when the output format or a
@@ -7,11 +7,13 @@ purpose; update the digest in the same change and say why.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from diskcover.certificates import SPHERE, serialize_certificate
-from diskcover.experiments import sweep_csv, threshold_sweep
+from diskcover.experiments import audit_corpus, sweep_csv, threshold_sweep
+from diskcover.generators import random_graph
 from diskcover.hypergraph import complete_hypergraph
 from diskcover.search import (SearchParams, find_k_t_homeomorph,
                               find_projective_plane, find_sphere, find_torus)
@@ -45,3 +47,15 @@ def test_sphere_sweep_digest():
                            params=SearchParams(p=0.5, epsilon=0.1, trials=64))
     assert _sha(sweep_csv(rows)) == (
         "9384a2d8037fe407f5db9e6b9e4948a100395de87e713c4b33b79fd2a31bd524")
+
+
+def test_audit_corpus_digest():
+    # the 3 x 3 (p, epsilon) grid plus a p whose denominator is not decimal
+    graphs = [(f"g{n}-{q}", random_graph(n, q, seed=7 * n + int(10 * q)))
+              for n, q in ((8, 0.3), (10, 0.35), (12, 0.3))]
+    grid = [(Fraction(p, 10), Fraction(e, 10))
+            for p in (3, 5, 8) for e in (1, 2, 5)]
+    grid.append((Fraction(2, 7), Fraction(1, 3)))
+    text = "\n".join(audit_corpus(graphs, grid)) + "\n"
+    assert _sha(text) == (
+        "4a3105363b0d032994ba9c8b46e70e5838aa52aa5c126674f553772c85a23818")
