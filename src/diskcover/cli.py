@@ -21,7 +21,7 @@ from .coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY, EstimatorParams,
                            as_fraction, exact_admissibility,
                            exact_disk_coverability,
                            find_boundary_inducing_disk, sample_admissibility,
-                           sample_disk_coverability)
+                           sample_disk_coverability, unit_fraction)
 from .generators import (clique_pendant_graph, complete_hypergraph,
                          random_hypergraph)
 from .hypergraph import link, skeleton
@@ -140,7 +140,7 @@ def _cmd_coverability(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     strategy = EXHAUSTIVE_SMALL if args.exhaustive else PYRAMID_ONLY
-    eps = as_fraction(args.epsilon)
+    eps = unit_fraction(args.epsilon, "epsilon")
     if args.exact:
         prob = exact_disk_coverability(H, cycle, as_fraction(args.p),
                                        strategy=strategy,
@@ -166,7 +166,7 @@ def _cmd_admissibility(args) -> int:
         w, u, wp = _resolve(args.p2, _label_index(labels), 3)
     except ValueError as exc:
         return _fail(str(exc))
-    eps = as_fraction(args.epsilon)
+    eps = unit_fraction(args.epsilon, "epsilon")
     if args.exact:
         prob = exact_admissibility(G, w, u, wp, as_fraction(args.p))
         decided = prob >= 1 - eps

@@ -16,10 +16,12 @@ Both events are monotone in U, which the exact oracles exploit: they
 walk the subset lattice once, branching vertex by vertex, and prune a
 branch as soon as the event is decided with the vertices chosen so far
 (success with only the included ones, or failure even if every
-undecided vertex were included). Probabilities and the audited weighted
-sums are kept in exact `fractions.Fraction` arithmetic; the inequalities
-they feed are strict and must not be flipped by rounding. Monte Carlo
-estimates are ordinary floats.
+undecided vertex were included). The walk does not depend on p: it
+counts success leaves N[a, b] by vertices included and excluded, and
+Pr(p) = sum N[a, b] p^a (1 - p)^b (the two-terminal reliability
+polynomial) is evaluated in integers, giving one exact `Fraction` per
+p. The inequalities these feed are strict and must not be flipped by
+rounding. Monte Carlo estimates are ordinary floats.
 
 Pair statistics: psi(v, v') is the fraction of common-neighbour pairs
 {w, w'} whose 4-cycle v w v' w' fails the coverability test (0 when the
@@ -29,6 +31,7 @@ by the triple codegree, with the same 0 convention.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -58,13 +61,20 @@ _EXACT_LIMIT = 25
 
 def as_fraction(x) -> Fraction:
     """Exact Fraction from int, float, str, or Fraction input."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
+    if not isinstance(x, (int, str, float, Fraction)):
+        raise TypeError(f"cannot interpret {x!r} as a fraction")
+    try:
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a fraction")
+    except (ZeroDivisionError, OverflowError):  # "1/0", float("inf")
+        raise ValueError(f"cannot interpret {x!r} as a fraction") from None
+
+
+def unit_fraction(x, name: str, zero: bool = True) -> Fraction:
+    """as_fraction(x), which must lie in [0, 1], or in (0, 1] without zero."""
+    f = as_fraction(x)
+    if not (0 <= f <= 1 if zero else 0 < f <= 1):
+        raise ValueError(f"{name} must lie in {'[' if zero else '('}0, 1]")
+    return f
 
 
 @dataclass(frozen=True)
@@ -231,33 +241,48 @@ def least_path(adj: dict[int, int], a: int, b: int,
 # exact probabilities for monotone events
 
 
-def _monotone_probability(universe: Sequence[int],
-                          event: Callable[[int], bool],
-                          p) -> Fraction:
-    """Pr[event(U)] for U a p-random subset of `universe`.
+def _leaf_counts(universe: Sequence[int],
+                 event: Callable[[int], bool]) -> Counter:
+    """Success leaves {(a, b): count} of a pruned walk of the subset lattice.
 
-    `event` takes an inclusion bitmask and must be monotone (adding
-    vertices never destroys it). Branches the subset lattice one vertex
-    at a time, closing a branch as soon as the event is decided.
+    `event` takes an inclusion bitmask and must be monotone. The walk
+    branches on the vertices in ascending order; at a branching node the
+    included set fails and the included plus undecided set holds, so the
+    include child asks only its lower bound and the exclude child only
+    its upper one: at most one event call per node. A success leaf with
+    a vertices included and b excluded has weight p^a (1 - p)^b.
     """
-    pf = as_fraction(p)
-    qf = 1 - pf
     order = sorted(universe)
-    full = 0
-    for v in order:
-        full |= 1 << v
+    leaves: Counter = Counter()
 
-    def rec(idx: int, included: int, undecided: int, weight: Fraction) -> Fraction:
-        if event(included):
-            return weight
-        if not event(included | undecided):
-            return Fraction(0)
+    def walk(idx: int, inc: int, rest: int, a: int) -> None:
+        # event(inc | rest) holds; event(inc) fails, or is not asked yet
+        # on the branch that excludes everything
         bit = 1 << order[idx]
-        rest = undecided & ~bit
-        return (rec(idx + 1, included | bit, rest, weight * pf)
-                + rec(idx + 1, included, rest, weight * qf))
+        rest ^= bit
+        if not rest or event(inc | bit):
+            leaves[a + 1, idx - a] += 1
+        else:
+            walk(idx + 1, inc | bit, rest, a + 1)
+        if rest:
+            if event(inc | rest):
+                walk(idx + 1, inc, rest, a)
+        elif not inc and event(0):
+            leaves[0, idx + 1] += 1
 
-    return rec(0, 0, full, Fraction(1))
+    full = sum(1 << v for v in order)
+    if order and event(full):
+        walk(0, 0, full, 0)
+    elif not order and event(0):
+        leaves[0, 0] = 1
+    return leaves
+
+
+def _reliability(leaves: Counter, k: int, p: Fraction) -> Fraction:
+    """sum N[a, b] p^a (1 - p)^b at p = P/D, as one integer over D^k."""
+    P, D = p.numerator, p.denominator
+    return Fraction(sum(c * P ** a * (D - P) ** b * D ** (k - a - b)
+                        for (a, b), c in leaves.items()), D ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -304,28 +329,38 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     return CoverabilityEstimate.from_counts(hits, params.trials, params.epsilon)
 
 
+def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
+                          wp: int) -> Counter:
+    adj = G.adj_mask
+    return _leaf_counts(_admissible_universe(G, w, u, wp),
+                        lambda mask: path_layers(adj, w, wp, mask) is not None)
+
+
 def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
                         p) -> Fraction:
     """Exact probability of the admissibility event, by lattice walk."""
+    pf = unit_fraction(p, "p")
     _check_p2(G, w, u, wp)
     if G.n > _EXACT_LIMIT:
         raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
-    universe = _admissible_universe(G, w, u, wp)
+    return _reliability(_admissibility_leaves(G, w, u, wp), G.n - 3, pf)
 
-    def event(mask: int) -> bool:
-        return path_layers(G.adj_mask, w, wp, mask) is not None
 
-    return _monotone_probability(universe, event, p)
+def admissibility_tables(G: SkeletonGraph, ps: Iterable
+                         ) -> dict[Fraction, dict[tuple[int, int, int], Fraction]]:
+    """`admissibility_probabilities(G, p)` for every p, walking each path once."""
+    pfs = [unit_fraction(p, "p") for p in ps]
+    if G.n > _EXACT_LIMIT:
+        raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
+    walks = {path: _admissibility_leaves(G, *path) for path in iter_p2s(G)}
+    return {pf: {path: _reliability(leaves, G.n - 3, pf)
+                 for path, leaves in walks.items()} for pf in pfs}
 
 
 def admissibility_probabilities(G: SkeletonGraph, p) -> dict[tuple[int, int, int], Fraction]:
     """Exact admissibility probability for every unlabeled length-2 path."""
-    if G.n > _EXACT_LIMIT:
-        raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for x, y, z in iter_p2s(G):
-        out[(x, y, z)] = exact_admissibility(G, x, y, z, p)
-    return out
+    [table] = admissibility_tables(G, [p]).values()
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -507,79 +542,29 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
     """Exact coverability probability by monotone lattice walk (n <= 25)."""
     if H.n > _EXACT_LIMIT:
         raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
+    pf = unit_fraction(p, "p")
     cyc = _check_four_cycle(skeleton(H), cycle)
     event = _coverability_event(H, cyc, strategy, max_interior)
     universe = [x for x in H.vertices if x not in cyc]
-    return _monotone_probability(universe, event, p)
+    return _reliability(_leaf_counts(universe, event), len(universe), pf)
 
 
 # ---------------------------------------------------------------------------
 # weighted inadmissibility audits
 
 
-def _components_and_bridges(G: SkeletonGraph, drop: int):
-    """Component ids and bridge edges of G minus one vertex."""
-    comp: dict[int, int] = {}
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: set[tuple[int, int]] = set()
-    timer = 0
-    cid = 0
-    verts = [v for v in sorted(G.vertices) if v != drop]
-    for root in verts:
-        if root in disc:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        comp[root] = cid
-        stack = [(root, -1, iter(sorted(G.adj[root])))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == drop:
-                    continue
-                if w not in disc:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    comp[w] = cid
-                    stack.append((w, v, iter(sorted(G.adj[w]))))
-                    advanced = True
-                    break
-                if w != parent:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        bridges.add((min(pv, v), max(pv, v)))
-        cid += 1
-    return comp, bridges
-
-
 def inadmissible_p2_audit(G: SkeletonGraph) -> P2Audit:
     """Audit the p = 1 inadmissibility bound: sum of 1/deg(y) < 3n/2.
 
     A length-2 path x y z is inadmissible here when x and z are not
-    joined by any path of length >= 2 avoiding y, i.e. they are
-    disconnected in G - y once the direct edge xz is removed. That holds
-    exactly when they sit in different components of G - y, or the edge
-    xz exists and is a bridge of G - y.
+    joined by any path of length >= 2 avoiding y: the path search from
+    x to z with every vertex but y allowed inside finds nothing.
     """
-    bad: list[tuple[int, int, int]] = []
-    total = Fraction(0)
-    for y in sorted(G.vertices):
-        ns = sorted(G.adj[y])
-        if len(ns) < 2:
-            continue
-        comp, bridges = _components_and_bridges(G, y)
-        w = Fraction(1, G.degree(y))
-        for x, z in combinations(ns, 2):
-            if comp[x] != comp[z] or (x, z) in bridges:
-                bad.append((x, y, z))
-                total += w
+    adj = G.adj_mask
+    full = sum(1 << v for v in adj)
+    bad = [(x, y, z) for x, y, z in iter_p2s(G)
+           if path_layers(adj, x, z, full & ~(1 << y)) is None]
+    total = sum((Fraction(1, G.degree(y)) for _, y, _ in bad), Fraction(0))
     bound = Fraction(3 * G.n, 2)
     return P2Audit(total, bound, total < bound, tuple(sorted(bad)))
 
@@ -594,8 +579,8 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
     """
     if G.n > _EXACT_LIMIT:
         raise ValueError(f"exact audit limited to {_EXACT_LIMIT} vertices")
-    pf = as_fraction(p)
-    ef = as_fraction(epsilon)
+    pf = unit_fraction(p, "p", zero=False)
+    ef = unit_fraction(epsilon, "epsilon", zero=False)
     if probabilities is None:
         probabilities = admissibility_probabilities(G, pf)
     threshold = 1 - ef

@@ -16,9 +16,8 @@ from math import isfinite, sqrt
 from typing import Iterable, Iterator
 
 from .certificates import HomeomorphCertificate
-from .coverability import (as_fraction, inadmissible_p2_audit,
-                           admissibility_probabilities,
-                           weighted_inadmissibility_audit)
+from .coverability import (admissibility_tables, inadmissible_p2_audit,
+                           unit_fraction, weighted_inadmissibility_audit)
 from .generators import random_hypergraph
 from .hypergraph import SkeletonGraph
 from .rng import mix64
@@ -136,12 +135,15 @@ def audit_corpus(graphs: Iterable[tuple[str, SkeletonGraph | None]],
     3n/2 for the sum of 1/deg(y) over inadmissible P2s, reported as the
     (p, epsilon) = (1, 1) edge of the general bound. Graphs with
     n <= 14 additionally get one weighted row per (p, epsilon) grid
-    point, computed with exact rational arithmetic. A graph paired
-    with None (e.g. an unreadable file) yields an error row.
+    point, computed with exact rational arithmetic: each length-2 path
+    is walked once and its probability evaluated at every grid p. A
+    graph paired with None (e.g. an unreadable file) yields an error
+    row. Raises ValueError unless every grid p and epsilon is in (0, 1].
     """
     if grid is None:
         grid = ((Fraction(1, 2), Fraction(1, 10)),)
-    pts = [(as_fraction(p), as_fraction(e)) for p, e in grid]
+    pts = [(unit_fraction(p, "p", zero=False),
+            unit_fraction(e, "epsilon", zero=False)) for p, e in grid]
     by_p: dict[Fraction, list[Fraction]] = {}
     for p, e in pts:
         by_p.setdefault(p, []).append(e)
@@ -159,11 +161,11 @@ def audit_corpus(graphs: Iterable[tuple[str, SkeletonGraph | None]],
                         "true" if audit.holds else "false"))
         if G.n > _WEIGHTED_LIMIT:
             continue
+        tables = admissibility_tables(G, by_p)
         for p, eps_list in by_p.items():
-            probs = admissibility_probabilities(G, p)
             for eps in eps_list:
                 w = weighted_inadmissibility_audit(G, p, eps,
-                                                   probabilities=probs)
+                                                   probabilities=tables[p])
                 yield ",".join((gid, str(G.n), _frac_str(p),
                                 _frac_str(eps), _frac_str(w.weighted_sum),
                                 _frac_str(w.bound),

@@ -294,7 +294,7 @@ def complete_hypergraph(n: int) -> Hypergraph3:
 def iter_p2s(G: SkeletonGraph) -> Iterator[tuple[int, int, int]]:
     """Unlabeled length-2 paths (x, y, z) with x < z, each emitted once."""
     for y in sorted(G.vertices):
-        ns = sorted(G.adj[y])
+        ns = _bits(G.adj_mask[y])
         for i in range(len(ns)):
             for j in range(i + 1, len(ns)):
                 yield (ns[i], y, ns[j])

@@ -92,6 +92,25 @@ def test_audit_exit_and_error_rows(capsys, tmp_path):
     assert any(l.endswith(",error") for l in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("argv", [
+    ("admissibility", "--p2", "0,1,2", "--exact", "--p", "2"),
+    ("admissibility", "--p2", "0,1,2", "--exact", "--p", "1/2",
+     "--epsilon", "3"),
+    ("admissibility", "--p2", "0,1,2", "--exact", "--p", "1/0"),
+    ("audit", "--p", "0"),
+    ("audit", "--epsilon", "0"),
+    ("audit", "--p", "2"),
+], ids=["adm-p2", "adm-eps3", "adm-p1over0", "audit-p0", "audit-eps0",
+        "audit-p2"])
+def test_probability_out_of_range_is_usage_error(capsys, tmp_path, argv):
+    g = tmp_path / "tri.graph"
+    g.write_text("0 1\n1 2\n0 2\n0 3\n2 3\n")
+    code, out, err = run(capsys, argv[0], str(g), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_find_verify_round_trip(capsys, tmp_path):
     h = tmp_path / "k12.h3"
     h.write_text(serialize_h3(complete_hypergraph(12)))

@@ -3,14 +3,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     CoverabilityEstimate, EstimatorParams,
-                                    admissibility_probabilities, as_fraction,
+                                    _leaf_counts, _reliability,
+                                    admissibility_probabilities,
+                                    admissibility_tables, as_fraction,
                                     exact_admissibility,
                                     exact_disk_coverability,
                                     find_boundary_inducing_disk,
@@ -57,6 +59,26 @@ def test_as_fraction():
     assert as_fraction(0.5) == HALF
     with pytest.raises(TypeError):
         as_fraction(object())
+    for bad in ("1/0", "3/0", float("inf"), "nan"):
+        with pytest.raises(ValueError):
+            as_fraction(bad)
+
+
+def test_exact_oracles_reject_p_outside_unit_interval():
+    G = four_cycle()
+    H = complete_hypergraph(6)
+    for p in (Fraction(-1, 10), 2, "11/10"):
+        with pytest.raises(ValueError):
+            exact_admissibility(G, 0, 1, 2, p)
+        with pytest.raises(ValueError):
+            admissibility_probabilities(G, p)
+        with pytest.raises(ValueError):
+            exact_disk_coverability(H, (0, 1, 2, 3), p)
+    for p, eps in ((0, HALF), (HALF, 0), (2, HALF), (HALF, 3), ("1/0", HALF)):
+        with pytest.raises(ValueError):
+            weighted_inadmissibility_audit(G, p, eps)
+    assert exact_admissibility(G, 0, 1, 2, 0) == 0
+    assert exact_admissibility(G, 0, 1, 2, 1) == 1
 
 
 def test_estimator_params_validation():
@@ -198,6 +220,68 @@ def test_admissibility_probabilities_table():
     assert set(table) == set(iter_p2s(G))
     for (x, y, z), prob in table.items():
         assert prob == exact_admissibility(G, x, y, z, HALF)
+
+
+ORACLE_PS = (Fraction(0), Fraction(1, 4), Fraction(2, 7), HALF, Fraction(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=comb(n, 2),
+                         max_size=comb(n, 2)))), st.data())
+def test_count_polynomial_matches_brute_force(graph, data):
+    n, keep = graph
+    edges = [e for e, k in zip(combinations(range(n), 2), keep) if k]
+    G = SkeletonGraph(range(n), edges)
+    p2s = list(iter_p2s(G))
+    assume(p2s)
+    x, y, z = data.draw(st.sampled_from(p2s))
+    tables = admissibility_tables(G, ORACLE_PS)
+    for p in ORACLE_PS:
+        want = bf.exact_admissibility(edges, n, x, y, z, p)
+        assert exact_admissibility(G, x, y, z, p) == want
+        assert tables[p][x, y, z] == want
+
+
+def _pruned_nodes(order, event) -> int:
+    """Nodes of the lattice walk that branches while a node's included
+    set fails and its included plus undecided set holds."""
+    def rec(idx, inc, rest):
+        if event(inc) or not event(inc | rest):
+            return 1
+        bit = 1 << order[idx]
+        return 1 + rec(idx + 1, inc | bit, rest ^ bit) + rec(idx + 1, inc, rest ^ bit)
+    return rec(0, 0, sum(1 << v for v in order))
+
+
+def test_lattice_walk_asks_each_node_once():
+    walks = 0
+    for seed in range(4):
+        G = random_graph(9, 0.4, seed=seed)
+        for x, y, z in iter_p2s(G):
+            universe = [v for v in range(9) if v not in (x, y, z)]
+
+            def event(mask, x=x, z=z):
+                return path_layers(G.adj_mask, x, z, mask) is not None
+
+            asked = []
+            _leaf_counts(universe, lambda m: asked.append(m) or event(m))
+            assert len(asked) == len(set(asked))
+            assert len(asked) <= _pruned_nodes(universe, event)
+            walks += 1
+    assert walks > 50
+
+
+def test_lattice_walk_degenerate_events():
+    for p in ORACLE_PS:
+        for universe in ([], [3], [0, 2, 5, 9]):
+            k = len(universe)
+            assert _reliability(_leaf_counts(universe, lambda m: True), k, p) == 1
+            assert _reliability(_leaf_counts(universe, lambda m: False), k, p) == 0
+        # the events {2 in U} and {2, 5 in U}
+        assert _reliability(_leaf_counts([0, 2, 5], lambda m: m >> 2 & 1), 3, p) == p
+        both = _leaf_counts([0, 2, 5], lambda m: m & 0b100100 == 0b100100)
+        assert _reliability(both, 3, p) == p * p
 
 
 def test_sample_admissibility_four_cycle():

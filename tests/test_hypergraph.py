@@ -1,5 +1,6 @@
 import copy
 import pickle
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from diskcover.generators import random_hypergraph
+from diskcover.experiments import audit_corpus
+from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, codegree,
                                   common_neighborhood, complete_hypergraph,
                                   iter_p2s, link, link_intersection, skeleton)
@@ -221,3 +223,13 @@ def test_pickling_ships_no_derived_view():
     for y in (pickle.loads(pickle.dumps(labelled)), copy.deepcopy(labelled)):
         assert y.labels == labelled.labels
         assert y.edges == labelled.edges and y.rows == labelled.rows
+
+
+def test_audit_reads_only_adjacency_masks():
+    # the structural and weighted rows both come from adj_mask alone, so
+    # auditing a graph builds none of its derived views
+    G = random_graph(10, 0.4, seed=7)
+    grid = [(Fraction(1, 2), Fraction(1, 10)), (Fraction(3, 10), Fraction(1, 5))]
+    lines = list(audit_corpus([("g", G)], grid))
+    assert len(lines) == 4
+    assert _unset(G, "adj") and _unset(G, "edges")
