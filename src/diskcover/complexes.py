@@ -2,13 +2,17 @@
 
 A :class:`TwoComplex` is given by its triangle set; vertices and edges
 are derived, so every edge lies in at least one triangle. The
-recognizer in :func:`classify` is combinatorial:
+recognizer in :func:`classify` is combinatorial, and each of its graph
+questions goes to one routine, ``_component_shapes``, which splits a
+graph into connected components and calls each a cycle, a path or
+other:
 
-* a complex is a surface with boundary when it is connected, no edge
-  lies in more than two triangles, and the link of every vertex is a
-  single simple path or a single simple cycle;
-* a disk is such a surface whose boundary is one simple cycle and whose
-  Euler characteristic is 1;
+* a complex is a surface with boundary when no edge lies in more than
+  two triangles, its 1-skeleton is one component, and the link of every
+  vertex (all links are built in one pass over the triangles) is one
+  path or one cycle;
+* a disk is such a surface whose boundary, the edges lying in exactly
+  one triangle, is one cycle and whose Euler characteristic is 1;
 * a closed surface has every edge in exactly two triangles and every
   vertex link a single cycle. Closed surfaces are then identified by
   the pair (Euler characteristic, orientability): (2, True) is the
@@ -70,7 +74,7 @@ class TwoComplex:
 
     def interior_vertices(self) -> frozenset[int]:
         """Vertices not on any boundary edge."""
-        onb = {v for e in boundary(self).edges for v in e}
+        onb = {v for e in _boundary_edges(self) for v in e}
         return self.vertices - onb
 
 
@@ -95,30 +99,32 @@ def euler_characteristic(X: TwoComplex) -> int:
     return len(X.vertices) - len(X.edges) + len(X.triangles)
 
 
-def _trace_cycles(edges: frozenset[tuple[int, int]]):
-    """Split a set of edges into components; report whether each is a simple cycle."""
+def _component_shapes(edges: Iterable[tuple[int, int]]) -> list[str]:
+    """The shape of each connected component of a simple graph given by its
+    edges: "cycle" (every degree 2), "path" (no degree above 2 and two
+    ends) or "other"."""
     adj: dict[int, list[int]] = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     seen: set[int] = set()
-    components = []
-    for start in sorted(adj):
+    shapes = []
+    for start in adj:
         if start in seen:
             continue
-        comp = {start}
+        seen.add(start)
         stack = [start]
+        ends = forks = 0
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
+            nbrs = adj[stack.pop()]
+            ends += len(nbrs) == 1
+            forks += len(nbrs) > 2
+            for w in nbrs:
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-        seen |= comp
-        n_edges = sum(len(adj[v]) for v in comp) // 2
-        is_cycle = all(len(adj[v]) == 2 for v in comp) and n_edges == len(comp)
-        components.append((comp, is_cycle))
-    return components
+        shapes.append("other" if forks else "path" if ends else "cycle")
+    return shapes
 
 
 def _cycle_sequence(edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
@@ -135,62 +141,15 @@ def _cycle_sequence(edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(seq)
 
 
+def _boundary_edges(X: TwoComplex) -> frozenset[tuple[int, int]]:
+    return frozenset(e for e, k in X.edge_incidence.items() if k == 1)
+
+
 def boundary(X: TwoComplex) -> Boundary:
     """All edges in exactly one triangle and whether they form one simple cycle."""
-    edges = frozenset(e for e, k in X.edge_incidence.items() if k == 1)
-    if not edges:
-        return Boundary(edges, False, None)
-    comps = _trace_cycles(edges)
-    single = len(comps) == 1 and comps[0][1]
+    edges = _boundary_edges(X)
+    single = _component_shapes(edges) == ["cycle"]
     return Boundary(edges, single, _cycle_sequence(edges) if single else None)
-
-
-def _vertex_link_shape(X: TwoComplex, v: int) -> str:
-    """'path', 'cycle', or 'other' for the link of v.
-
-    The link graph has an edge for each triangle containing v, joining
-    the triangle's other two vertices.
-    """
-    deg: Counter = Counter()
-    ends = 0
-    for t in X.triangles:
-        if v in t:
-            a, b = (x for x in t if x != v)
-            deg[a] += 1
-            deg[b] += 1
-    if not deg:
-        return "other"
-    if any(d > 2 for d in deg.values()):
-        return "other"
-    link_edges = frozenset(
-        tuple(sorted(x for x in t if x != v)) for t in X.triangles if v in t
-    )
-    comps = _trace_cycles(link_edges)
-    if len(comps) != 1:
-        return "other"
-    ends = sum(1 for d in deg.values() if d == 1)
-    if ends == 0:
-        return "cycle" if comps[0][1] else "other"
-    return "path" if ends == 2 else "other"
-
-
-def _is_connected(X: TwoComplex) -> bool:
-    if not X.vertices:
-        return False
-    adj: dict[int, set[int]] = {v: set() for v in X.vertices}
-    for a, b in X.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    start = next(iter(X.vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(X.vertices)
 
 
 def _orientable(X: TwoComplex) -> bool:
@@ -241,30 +200,40 @@ def _orientable(X: TwoComplex) -> bool:
     return True
 
 
+def _vertex_links(X: TwoComplex) -> dict[int, list[tuple[int, int]]]:
+    """Every vertex link in one pass over the triangles: the link of v has
+    an edge joining the other two vertices of each triangle at v."""
+    links: dict[int, list[tuple[int, int]]] = {v: [] for v in X.vertices}
+    for a, b, c in X.triangles:
+        links[a].append((b, c))
+        links[b].append((a, c))
+        links[c].append((a, b))
+    return links
+
+
 def classify(X: TwoComplex) -> Classification:
     """Recognize disks, closed surfaces, and surfaces with boundary."""
     if not X.triangles:
         raise ValueError("cannot classify an empty complex")
     euler = euler_characteristic(X)
-    bd = boundary(X)
-    bd_comps = _trace_cycles(bd.edges) if bd.edges else []
-    n_bd = len(bd_comps)
-
+    bd_edges = _boundary_edges(X)
+    bd_shapes = _component_shapes(bd_edges)
     surface_like = (
-        _is_connected(X)
-        and all(k <= 2 for k in X.edge_incidence.values())
-        and all(_vertex_link_shape(X, v) in ("path", "cycle") for v in X.vertices)
+        all(k <= 2 for k in X.edge_incidence.values())
+        and len(_component_shapes(X.edges)) == 1
+        and all(_component_shapes(lk) in (["path"], ["cycle"])
+                for lk in _vertex_links(X).values())
     )
     if not surface_like:
-        return Classification(OTHER, euler, None, n_bd)
+        return Classification(OTHER, euler, None, len(bd_shapes))
 
-    if not bd.edges:
+    if not bd_edges:
         # every edge in exactly two triangles, every link a cycle
         return Classification(CLOSED_SURFACE, euler, _orientable(X), 0)
 
-    if bd.is_single_cycle and euler == 1:
+    if bd_shapes == ["cycle"] and euler == 1:
         return Classification(DISK, euler, None, 1)
-    return Classification(SURFACE_WITH_BOUNDARY, euler, None, n_bd)
+    return Classification(SURFACE_WITH_BOUNDARY, euler, None, len(bd_shapes))
 
 
 def orientability(X: TwoComplex) -> bool:
@@ -285,9 +254,9 @@ def is_boundary_inducing(X: TwoComplex) -> bool:
         raise ValueError("boundary-inducing is defined only for disks")
     if len(X.triangles) < 2:
         return False
-    bd = boundary(X)
-    on_boundary = {v for e in bd.edges for v in e}
+    bd_edges = _boundary_edges(X)
+    on_boundary = {v for e in bd_edges for v in e}
     for e in X.edges:
-        if e[0] in on_boundary and e[1] in on_boundary and e not in bd.edges:
+        if e[0] in on_boundary and e[1] in on_boundary and e not in bd_edges:
             return False
     return True

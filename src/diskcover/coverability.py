@@ -391,6 +391,8 @@ class _DiskSearcher:
     """
 
     def __init__(self, H: Hypergraph3, cycle: Sequence[int], max_interior: int):
+        if max_interior < 1:
+            raise ValueError("max_interior must be at least 1")
         self.cycle = tuple(cycle)
         a, b, c, d = self.cycle
         self.cycle_set = frozenset(self.cycle)
@@ -415,7 +417,7 @@ class _DiskSearcher:
         def rec(used: list, inc: dict, interior: frozenset) -> TwoComplex | None:
             open_edges = [e for e, k in inc.items()
                           if k == 1 and e not in self.cycle_edges]
-            if not open_edges:
+            if used and not open_edges:
                 if any(inc.get(e, 0) != 1 for e in self.cycle_edges):
                     return None
                 X = TwoComplex(used)
@@ -425,11 +427,12 @@ class _DiskSearcher:
                 if boundary(X).edges != self.cycle_edges:
                     return None
                 return X if is_boundary_inducing(X) else None
-            e = min(open_edges)
+            if len(used) >= self.max_tris:
+                return None
+            # the empty complex grows across the least cycle edge
+            e = min(open_edges, default=start)
             for t in self.by_edge.get(e, ()):
                 if t in used:
-                    continue
-                if len(used) + 1 > self.max_tris:
                     continue
                 new_int = [x for x in t
                            if x not in self.cycle_set and x not in interior]
@@ -439,13 +442,9 @@ class _DiskSearcher:
                     continue
                 x, y, z = t
                 edges = ((x, y), (x, z), (y, z))
-                bad = False
-                for f in edges:
-                    k = inc.get(f, 0) + 1
-                    if k > 2 or (f in self.cycle_edges and k > 1):
-                        bad = True
-                        break
-                if bad:
+                # an edge takes two triangles at most, a cycle edge one
+                if any(inc.get(f, 0) >= (1 if f in self.cycle_edges else 2)
+                       for f in edges):
                     continue
                 inc2 = dict(inc)
                 for f in edges:
@@ -455,20 +454,7 @@ class _DiskSearcher:
                     return found
             return None
 
-        for t in self.by_edge.get(start, ()):
-            new_int = [x for x in t if x not in self.cycle_set]
-            if any(not (allowed_interior >> x) & 1 for x in new_int):
-                continue
-            if len(new_int) > self.max_interior:
-                continue
-            x, y, z = t
-            inc = {}
-            for f in ((x, y), (x, z), (y, z)):
-                inc[f] = 1
-            found = rec([t], inc, frozenset(new_int))
-            if found is not None:
-                return found
-        return None
+        return rec([], {}, frozenset())
 
 
 def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],

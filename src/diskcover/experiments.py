@@ -83,12 +83,14 @@ def threshold_sweep(target: str, n_values: Iterable[int],
     c/sqrt(n) and records whether the finder succeeded. Rows come back
     sorted by (n, c, trial) regardless of execution order; with
     jobs > 1 cells run in worker processes. Raises ValueError for an
-    unknown target, trials < 1, any n < 1 or any non-finite c.
+    unknown target, trials < 1, jobs < 1, any n < 1 or any non-finite c.
     """
     if target not in FINDERS:
         raise ValueError(f"unknown sweep target {target!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     ns, cs = sorted(set(n_values)), sorted(set(c_values))
     if any(n < 1 for n in ns):
         raise ValueError("sweep vertex counts must be positive")

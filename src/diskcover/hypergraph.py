@@ -54,9 +54,16 @@ def _bits(m: int) -> list[int]:
     return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n < _MAX_N:
+        raise ValueError(f"vertex count must lie in 0..{_MAX_N - 1}")
+
+
 def code_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
     """For each first vertex a, the pair (a*n^2, codes b*n + c of all b, c with
-    a < b < c): the C(n-a-1, 2) triples of block a in lexicographic order."""
+    a < b < c): the C(n-a-1, 2) triples of block a in lexicographic order.
+    Raises ValueError for an n outside the range a host accepts."""
+    _check_vertex_count(n)
     b, c = np.triu_indices(n, 1)
     bc = b * n + c
     for a in range(n - 2):
@@ -85,10 +92,7 @@ class Hypergraph3:
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]],
                  labels: tuple[str, ...] | None = None):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        if n >= _MAX_N:
-            raise ValueError(f"vertex count must be below {_MAX_N}")
+        _check_vertex_count(n)
         tris = [_canon_triple(t) for t in triples]
         for t in tris:
             if t[0] < 0 or t[2] >= n:

@@ -217,6 +217,25 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
                        "partition budget exhausted")
 
 
+def _certify(H: Hypergraph3, target: str, t: int | None,
+             embedding: dict[str, int], cycles, params: SearchParams,
+             retries: int, skel: SkeletonGraph | None = None):
+    """Glue one disk per cycle into a certificate and return it once the
+    verifier passes it; otherwise the glue or verify SearchFailure."""
+    glued = glue_disks(H, cycles, params, skel=skel)
+    if isinstance(glued, GlueFailure):
+        return SearchFailure(target, "glue", glued.detail, glued.retries)
+    cert = HomeomorphCertificate(target=target, t=t, embedding=embedding,
+                                 cycles=cycles, disks=tuple(glued),
+                                 seed=params.seed, retries=retries)
+    report = verify_certificate(H, cert)
+    if not report.passed:
+        failed = [c.name for c in report.checks if not c.passed]
+        return SearchFailure(target, "verify",
+                             f"verifier rejected: {', '.join(failed)}", retries)
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # complete-pattern search
 
@@ -309,29 +328,19 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
                              "no accepted core draw (codegree floor or phi "
                              "threshold)", params.max_retries)
 
-    # stage 3: pattern vertices for pairs and triples, with coverability
+    # stage 3: pattern vertices for pairs, then triples, with coverability
     embedding: dict[str, int] | None = None
     cycles: tuple[tuple[int, int, int, int], ...] | None = None
     used_retries = 0
     for retry in range(params.pattern_retries):
         gen = generator(params.seed, _S_PATTERN, retry)
         image: dict[tuple[int, ...], int] = {(i,): core[i] for i in range(t)}
-        ok = True
-        for pair in combinations(range(t), 2):
-            pool = sorted(common_neighborhood(G, (core[pair[0]], core[pair[1]])))
+        for role in pattern.roles[t:]:
+            pool = sorted(common_neighborhood(G, [core[i] for i in role]))
             if not pool:
-                ok = False
                 break
-            image[pair] = pool[int(gen.integers(0, len(pool)))]
-        if ok:
-            for trip in combinations(range(t), 3):
-                pool = sorted(common_neighborhood(
-                    G, (core[trip[0]], core[trip[1]], core[trip[2]])))
-                if not pool:
-                    ok = False
-                    break
-                image[trip] = pool[int(gen.integers(0, len(pool)))]
-        if not ok:
+            image[role] = pool[int(gen.integers(0, len(pool)))]
+        if len(image) < len(pattern.roles):  # a pool was empty
             continue
         values = [image[r] for r in pattern.roles]
         if len(set(values)) != len(values):
@@ -351,19 +360,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
                              "coverability test", params.pattern_retries)
 
     # stage 4: glue and verify
-    glued = glue_disks(H, cycles, params, skel=skel)
-    if isinstance(glued, GlueFailure):
-        return SearchFailure(KTT, "glue", glued.detail, glued.retries)
-    cert = HomeomorphCertificate(target=KTT, t=t, embedding=embedding,
-                                 cycles=cycles, disks=tuple(glued),
-                                 seed=params.seed, retries=used_retries)
-    report = verify_certificate(H, cert)
-    if not report.passed:
-        failed = [c.name for c in report.checks if not c.passed]
-        return SearchFailure(KTT, "verify",
-                             f"verifier rejected: {', '.join(failed)}",
-                             used_retries)
-    return cert
+    return _certify(H, KTT, t, embedding, cycles, params, used_retries, skel)
 
 
 # ---------------------------------------------------------------------------
@@ -420,24 +417,11 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
                              "admissible spoke paths", params.max_retries)
     v, ws = hub
 
-    # stages 3-4: assemble the fixed cycle list and glue
+    # stages 3-4: assemble the fixed cycle list, glue and verify
     embedding = {"u": u, "u'": up, "v": v}
     embedding.update({f"w{i + 1}": ws[i] for i in range(hub_degree)})
     cycles = surface_cycles(target, embedding)
-    glued = glue_disks(H, cycles, params)
-    if isinstance(glued, GlueFailure):
-        return SearchFailure(target, "glue", glued.detail, glued.retries)
-
-    cert = HomeomorphCertificate(target=target, t=None, embedding=embedding,
-                                 cycles=cycles, disks=tuple(glued),
-                                 seed=params.seed, retries=used_retries)
-    report = verify_certificate(H, cert)
-    if not report.passed:
-        failed = [c.name for c in report.checks if not c.passed]
-        return SearchFailure(target, "verify",
-                             f"verifier rejected: {', '.join(failed)}",
-                             used_retries)
-    return cert
+    return _certify(H, target, None, embedding, cycles, params, used_retries)
 
 
 def find_torus(H: Hypergraph3, params: SearchParams):
@@ -482,21 +466,11 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
         if bd is None:
             continue
         cycle = (a, bd[0], c, bd[1])
-        stage = "glue"
-        glued = glue_disks(H, [cycle, cycle], params, skel=skel)
-        if isinstance(glued, GlueFailure):
-            detail = glued.detail
-            continue
-        cert = HomeomorphCertificate(
-            target=SPHERE, t=None,
-            embedding={"a": cycle[0], "b": cycle[1], "c": cycle[2],
-                       "d": cycle[3]},
-            cycles=(cycle, cycle), disks=tuple(glued),
-            seed=params.seed, retries=retry)
-        report = verify_certificate(H, cert)
-        if report.passed:
-            return cert
-        stage, detail = "verify", "verifier rejected the glued pair"
+        result = _certify(H, SPHERE, None, dict(zip("abcd", cycle)),
+                          (cycle, cycle), params, retry, skel)
+        if isinstance(result, HomeomorphCertificate):
+            return result
+        stage, detail = result.stage, result.detail
     return SearchFailure(SPHERE, stage, detail, params.max_retries)
 
 

@@ -235,3 +235,30 @@ def random_triples(draw_floats, n, p):
         return []
     draws = draw_floats(comb(n, 3))
     return [t for t, x in zip(combinations(range(n), 3), draws) if x < p]
+
+
+def boundary_inducing_disks(triples, cycle, allowed, max_interior):
+    """Every boundary-inducing disk made of triples, with boundary the 4-cycle
+    and at most max_interior interior vertices, all in `allowed`, as
+    frozensets of triangles.
+
+    A triangulated disk with s interior vertices and a 4-cycle boundary has
+    2s + 2 triangles, so each interior set S fixes the subset size. A
+    triangle holding an opposite pair of the cycle would put a chord into
+    the disk, so such triangles are never candidates.
+    """
+    a, b, c, d = cycle
+    ring = {frozenset(e) for e in ((a, b), (b, c), (c, d), (d, a))}
+    chords = ({a, c}, {b, d})
+    pool = sorted(set(allowed) - set(cycle))
+    for r in range(max_interior + 1):
+        for S in combinations(pool, r):
+            verts = set(cycle) | set(S)
+            cands = [t for t in triples if set(t) <= verts
+                     and not any(ch <= set(t) for ch in chords)]
+            for tris in combinations(cands, 2 * r + 2):
+                cond = surface_conditions(tris)
+                if (cond["connected"] and cond["max_incidence"] <= 2
+                        and cond["links_ok"] and cond["euler"] == 1
+                        and set(map(frozenset, cond["boundary_edges"])) == ring):
+                    yield frozenset(tris)

@@ -177,6 +177,24 @@ def test_gen_models(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--model", "gnp3", "--n", "-1", "--p", "0.1"),
+    ("gen", "--model", "complete", "--n", "-4"),
+    ("sweep", "--target", "sphere", "--n", "10", "--c", "1", "--jobs", "0"),
+    ("sweep", "--target", "sphere", "--n", "10", "--c", "1", "--jobs", "-3"),
+    ("check-disk", "K8", "--cycle", "0,2,1,3", "--max-interior", "-2"),
+    ("check-disk", "K8", "--cycle", "0,2,1,3", "--max-interior", "0"),
+], ids=["gnp3-n-1", "complete-n-4", "sweep-jobs0", "sweep-jobs-3",
+        "check-disk-budget-2", "check-disk-budget0"])
+def test_out_of_range_count_is_usage_error(capsys, tmp_path, k8_file, argv):
+    out_path = tmp_path / "out"
+    argv = [k8_file if a == "K8" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_unreadable_input_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(tmp_path / "nope.h3"))
     assert code == 2

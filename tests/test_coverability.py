@@ -431,6 +431,10 @@ def test_find_boundary_inducing_disk_budget():
     assert found.triangles == frozenset(tuple(sorted(t)) for t in RING_DISK)
     assert find_boundary_inducing_disk(RING_H, RING_CYCLE,
                                        max_interior=2) is None
+    for budget in (0, -2):
+        with pytest.raises(ValueError, match="max_interior"):
+            find_boundary_inducing_disk(RING_H, RING_CYCLE,
+                                        max_interior=budget)
 
 
 def test_find_boundary_inducing_disk_on_complete():
@@ -441,6 +445,33 @@ def test_find_boundary_inducing_disk_on_complete():
     assert c.kind == "Disk"
     assert is_boundary_inducing(disk)
     assert set(boundary(disk).cycle) == {0, 1, 2, 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 3), min_size=comb(n, 3),
+                         max_size=comb(n, 3)))), st.data())
+def test_disk_search_matches_brute_force(host, data):
+    """A disk is found iff one exists, and the one found is one of them.
+
+    Triples are kept with odds 3:1, so that disks are common. The budget
+    stays at most 2: with three interior vertices at n = 7 the brute force
+    would try up to C(25, 8) triangle sets.
+    """
+    n, keep = host
+    triples = [t for t, k in zip(combinations(range(n), 3), keep) if k]
+    cycle = tuple(data.draw(st.permutations(range(n)))[:4])
+    allowed = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
+    max_interior = data.draw(st.integers(1, 2))
+    found = find_boundary_inducing_disk(Hypergraph3(n, triples), cycle,
+                                        allowed, max_interior)
+    pool = range(n) if allowed is None else allowed
+    disks = set(bf.boundary_inducing_disks(triples, cycle, pool, max_interior))
+    assert (found is not None) == bool(disks)
+    if found is not None:
+        # so it is made of triples of H, bounds the cycle, is chord-free and
+        # keeps its interior inside the pool and the budget
+        assert found.triangles in disks
 
 
 def test_positive_probability_implies_disk_exists():

@@ -66,6 +66,13 @@ def test_sweep_rejects_bad_grid(n_values, c_values):
                         params=FAST)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        threshold_sweep(SPHERE, [12], [1.0], trials=1, seed=0, params=FAST,
+                        jobs=jobs)
+
+
 def test_sweep_hypergraphs_nested_across_c():
     """The cell seed ignores c, so found never flips off as c grows."""
     rows = threshold_sweep(SPHERE, [20], [0.5, 1.5, 3.0], trials=6, seed=2,

@@ -66,6 +66,16 @@ def test_random_hypergraph_validation():
         random_hypergraph(10, 1.5, seed=0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: random_hypergraph(-1, 0.1, seed=0),
+    lambda: random_hypergraph(-1, 0, seed=0),
+    lambda: complete_hypergraph(-4),
+], ids=["gnp3", "gnp3-empty", "complete"])
+def test_negative_vertex_count_raises(build):
+    with pytest.raises(ValueError, match="vertex count"):
+        build()
+
+
 def test_random_graph_basic():
     G = random_graph(20, 0.4, seed=11)
     assert G.n == 20

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from diskcover import search
 from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TARGETS,
                                     TORUS, HomeomorphCertificate,
                                     serialize_certificate)
@@ -205,3 +208,28 @@ def test_find_ktt_deterministic_failure_stage():
     b = find_k_t_homeomorph(H, SearchParams(t=4, seed=2, p=0.5, epsilon=0.1))
     assert isinstance(a, SearchFailure)
     assert (a.stage, a.detail) == (b.stage, b.detail)
+
+
+# ---------------------------------------------------------------------------
+# the shared glue and verify tail
+
+
+@pytest.mark.parametrize("target, n, params", [
+    (SPHERE, 8, DESK),
+    (PROJECTIVE_PLANE, 15, DESK),
+    (KTT, 12, SearchParams(t=3, p=0.5, epsilon=0.1)),
+])
+def test_finders_report_verifier_rejection(monkeypatch, target, n, params):
+    """Every finder turns a rejected certificate into a "verify" failure
+    that names the failed checks."""
+    def reject(H, cert):
+        report = verify_certificate(H, cert)
+        checks = tuple(replace(c, passed=c.name != "pairwise-intersections")
+                       for c in report.checks)
+        return replace(report, passed=False, checks=checks)
+
+    monkeypatch.setattr(search, "verify_certificate", reject)
+    res = FINDERS[target](complete_hypergraph(n), params)
+    assert isinstance(res, SearchFailure)
+    assert (res.stage, res.detail) == (
+        "verify", "verifier rejected: pairwise-intersections")
