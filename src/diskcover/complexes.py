@@ -249,14 +249,15 @@ def is_boundary_inducing(X: TwoComplex) -> bool:
     Chord-free means every skeleton edge joining two boundary vertices
     is itself a boundary edge.
     """
-    c = classify(X)
-    if c.kind != DISK:
+    if classify(X).kind != DISK:
         raise ValueError("boundary-inducing is defined only for disks")
+    return _chord_free(X, _boundary_edges(X))
+
+
+def _chord_free(X: TwoComplex, bd_edges: frozenset[tuple[int, int]]) -> bool:
+    """For a disk X with these boundary edges: >= 2 triangles and no chord."""
     if len(X.triangles) < 2:
         return False
-    bd_edges = _boundary_edges(X)
     on_boundary = {v for e in bd_edges for v in e}
-    for e in X.edges:
-        if e[0] in on_boundary and e[1] in on_boundary and e not in bd_edges:
-            return False
-    return True
+    return not any(a in on_boundary and b in on_boundary and (a, b) not in bd_edges
+                   for a, b in X.edges)

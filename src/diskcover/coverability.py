@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .complexes import DISK, TwoComplex, boundary, classify, is_boundary_inducing
+from .complexes import DISK, TwoComplex, _boundary_edges, _chord_free, classify
 from .hypergraph import (
     Hypergraph3,
     SkeletonGraph,
@@ -77,6 +77,11 @@ def unit_fraction(x, name: str, zero: bool = True) -> Fraction:
     return f
 
 
+def _check_max_interior(max_interior: int) -> None:
+    if max_interior < 1:
+        raise ValueError("max_interior must be at least 1")
+
+
 @dataclass(frozen=True)
 class EstimatorParams:
     """Sampling parameters shared by the Monte Carlo estimators."""
@@ -97,8 +102,7 @@ class EstimatorParams:
             raise ValueError("trials must be positive")
         if self.strategy not in (PYRAMID_ONLY, EXHAUSTIVE_SMALL):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_interior < 1:
-            raise ValueError("max_interior must be at least 1")
+        _check_max_interior(self.max_interior)
 
 
 @dataclass(frozen=True)
@@ -391,8 +395,7 @@ class _DiskSearcher:
     """
 
     def __init__(self, H: Hypergraph3, cycle: Sequence[int], max_interior: int):
-        if max_interior < 1:
-            raise ValueError("max_interior must be at least 1")
+        _check_max_interior(max_interior)
         self.cycle = tuple(cycle)
         a, b, c, d = self.cycle
         self.cycle_set = frozenset(self.cycle)
@@ -421,12 +424,12 @@ class _DiskSearcher:
                 if any(inc.get(e, 0) != 1 for e in self.cycle_edges):
                     return None
                 X = TwoComplex(used)
-                cls = classify(X)
-                if cls.kind != DISK:
+                if classify(X).kind != DISK:
                     return None
-                if boundary(X).edges != self.cycle_edges:
+                bd_edges = _boundary_edges(X)
+                if bd_edges != self.cycle_edges:
                     return None
-                return X if is_boundary_inducing(X) else None
+                return X if _chord_free(X, bd_edges) else None
             if len(used) >= self.max_tris:
                 return None
             # the empty complex grows across the least cycle edge
@@ -526,6 +529,7 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
                             strategy: str = PYRAMID_ONLY,
                             max_interior: int = 3) -> Fraction:
     """Exact coverability probability by monotone lattice walk (n <= 25)."""
+    _check_max_interior(max_interior)
     if H.n > _EXACT_LIMIT:
         raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
     pf = unit_fraction(p, "p")

@@ -6,16 +6,18 @@ vertex triples, stored as one sorted, duplicate-free int64 array
 codes ascend in the lexicographic order of the triples. A
 :class:`SkeletonGraph` is a plain simple graph; it is used for
 1-skeletons, link graphs, and link intersections. Both types are
-immutable and safe to share across concurrent tasks. Derived views are
-built on first use and kept: ``H.rows[u][w]``, the bitmask of w' with
-uww' in H, which link, link intersection (O(n)) and skeleton AND or OR
-together; ``H.edges``, the frozenset of triples as tuples, which no
-search, sweep or verify path reads (a frozenset of 2 M tuples takes
-seconds to build); and a graph's ``edges`` and ``adj``, derived from
-``adj_mask``. Membership is a binary search in the codes. Pickling and
+immutable and safe to share across concurrent tasks. Membership is a
+binary search in the codes, and the skeleton one scatter of the pairs
+of every code into an n x n bool array. Derived views are built on first
+use and kept: ``H.row(u)``, whose entry w is the bitmask of w' with uww'
+in H, built from the triples through u alone, which link and link
+intersection read (O(n) once built); ``H.edges``, the frozenset of
+triples as tuples, which no search, sweep or verify path reads; and a
+graph's ``edges`` and ``adj``, derived from ``adj_mask``. Pickling and
 copying ship the stored form only (n, codes and labels; a graph's
 ``adj_mask``). At n = 800 and c = 2 a host holds 6 M triples: 48 MB of
-codes, and 512 MB for the cube while its row table is built.
+codes, 12 MB of compact last vertices once a row is read, and 0.6 MB
+for the n x n array of a skeleton or row while it is scattered.
 
 Vertex identifiers are dense non-negative integers; external labels are
 mapped at the I/O boundary (see :mod:`diskcover.io`).
@@ -23,16 +25,16 @@ mapped at the I/O boundary (see :mod:`diskcover.io`).
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import permutations
 from math import comb
-from operator import or_
+from operator import and_
 from typing import Iterable, Iterator
 
 import numpy as np
 
 # codes stay below n^3, which must fit in an int64
 _MAX_N = 1 << 21
+# codes scattered per numpy step, so temporaries stay a few MB
+_CHUNK = 1 << 16
 
 
 def _canon_triple(t: Iterable[int]) -> tuple[int, int, int]:
@@ -70,25 +72,47 @@ def code_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield a * n * n, bc[bc.size - comb(n - a - 1, 2):]
 
 
-def _row_table(n: int, codes: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """rows[u][w] = mask of w' with uww' in H. A code is the flat index of its
-    triple in an n^3 boolean cube; every orientation of every triple is
-    scattered into the cube, 2^16 triples a step."""
-    cube = np.zeros(n ** 3, dtype=bool)
-    for s in range(0, codes.size, 1 << 16):
-        a, bc = np.divmod(codes[s:s + (1 << 16)], n * n)
-        for i, j, k in permutations((a, *np.divmod(bc, n))):
-            cube[(i * n + j) * n + k] = True
-    packed = np.packbits(cube.reshape(n * n, n), axis=1, bitorder="little")
-    del cube
-    ints = [int.from_bytes(r, "little") for r in packed]
-    return tuple(tuple(ints[u * n:(u + 1) * n]) for u in range(n))
+def _last_vertices(n: int, codes: np.ndarray) -> np.ndarray:
+    """The last vertex c of every code, as int16 while every vertex fits."""
+    last = np.empty(codes.size, dtype=np.int16 if n <= 1 << 15 else np.int32)
+    for s in range(0, codes.size, _CHUNK):
+        last[s:s + _CHUNK] = codes[s:s + _CHUNK] % n
+    return last
+
+
+def _bitmask_rows(adj: np.ndarray, n: int) -> list[int]:
+    """Each row i of an n x n bool array, flat or not, as the int with bit j =
+    adj[i, j]."""
+    w = (n + 7) // 8
+    packed = np.packbits(adj.reshape(n, n), axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i:i + w], "little") for i in range(0, n * w, w or 1)]
+
+
+def _link_row(n: int, codes: np.ndarray, last: np.ndarray, u: int) -> tuple[int, ...]:
+    """Entry w is the mask of w' with uww' in H. Triples with u first are one
+    run of codes, with u second one run per smaller first vertex, and with
+    u last are found by a scan of the last vertices before the first run."""
+    nn = n * n
+    lo, hi = np.searchsorted(codes, (u * nn, (u + 1) * nn))
+    base = np.arange(u, dtype=np.int64) * nn + u * n
+    start, stop = np.searchsorted(codes, base), np.searchsorted(codes, base + n)
+    runs = stop - start
+    # the positions of every second-vertex run, one after another
+    mid = codes[np.repeat(start - np.cumsum(runs) + runs, runs) + np.arange(runs.sum())]
+    # the flat index x*n + y, x < y, of the other two vertices of each triple
+    pairs = np.concatenate((codes[lo:hi] - u * nn,
+                            mid // nn * n + mid % n,
+                            codes[np.flatnonzero(last[:lo] == u)] // n))
+    adj = np.zeros(nn, dtype=bool)
+    adj[pairs] = True
+    adj[pairs % n * n + pairs // n] = True
+    return tuple(_bitmask_rows(adj, n))
 
 
 class Hypergraph3:
     """An immutable 3-uniform hypergraph on vertices 0..n-1."""
 
-    __slots__ = ("n", "codes", "labels", "edges", "rows")
+    __slots__ = ("n", "codes", "labels", "edges", "_rows", "_last")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]],
                  labels: tuple[str, ...] | None = None):
@@ -124,8 +148,10 @@ class Hypergraph3:
 
     def __getattr__(self, name: str):
         # only reached while a derived slot is unset: fill it once
-        if name == "rows":
-            value = _row_table(self.n, self.codes)
+        if name == "_rows":
+            value = {}
+        elif name == "_last":
+            value = _last_vertices(self.n, self.codes)
         elif name == "edges":
             value = frozenset(zip(*self.triples().T.tolist()))
         else:
@@ -136,6 +162,16 @@ class Hypergraph3:
     @property
     def vertices(self) -> range:
         return range(self.n)
+
+    def row(self, u: int) -> tuple[int, ...]:
+        """Entry w is the bitmask of the w' with uww' a triple of H. Built
+        from the codes on the first read of u, then kept on the host."""
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} not in hypergraph")
+        r = self._rows.get(u)
+        if r is None:
+            r = self._rows[u] = _link_row(self.n, self.codes, self._last, int(u))
+        return r
 
     def triples(self) -> np.ndarray:
         """The triples as rows a < b < c of an int64 array, lexicographically."""
@@ -223,6 +259,10 @@ class SkeletonGraph:
     def degree(self, v: int) -> int:
         return self.adj_mask[v].bit_count()
 
+    def edge_count(self) -> int:
+        """The number of edges, counted from the rows without building them."""
+        return sum(m.bit_count() for m in self.adj_mask.values()) // 2
+
     def has_edge(self, a: int, b: int) -> bool:
         a, b = _canon_pair((a, b))
         return a in self.adj_mask and (self.adj_mask[a] >> b) & 1 == 1
@@ -235,21 +275,31 @@ class SkeletonGraph:
         return hash(frozenset(self.adj_mask.items()))
 
     def __repr__(self) -> str:
-        return f"SkeletonGraph(n={self.n}, edges={len(self.edges)})"
+        return f"SkeletonGraph(n={self.n}, edges={self.edge_count()})"
 
 
 def skeleton(H: Hypergraph3) -> SkeletonGraph:
     """The graph on V(H) whose edges are the pairs covered by some triple."""
-    return SkeletonGraph._from_masks({u: reduce(or_, r, 0)
-                                      for u, r in enumerate(H.rows)})
+    n, nn = H.n, H.n * H.n
+    adj = np.zeros(nn, dtype=bool)
+    for s in range(0, H.codes.size, _CHUNK):
+        code = H.codes[s:s + _CHUNK]
+        ab = code // n
+        a = ab // n
+        # the flat indices a*n + b, b*n + c and a*n + c
+        adj[ab] = True
+        adj[code - a * nn] = True
+        adj[a * n + code - ab * n] = True
+    adj = adj.reshape(n, n)
+    adj |= adj.T
+    return SkeletonGraph._from_masks(dict(enumerate(_bitmask_rows(adj, n))))
 
 
 def link(H: Hypergraph3, u: int) -> SkeletonGraph:
     """The link graph of u: edges vw with uvw a triple of H, on V(H) minus u."""
-    if not 0 <= u < H.n:
-        raise ValueError(f"vertex {u} not in hypergraph")
-    row = H.rows[u]
-    return SkeletonGraph._from_masks({w: row[w] for w in H.vertices if w != u})
+    masks = dict(enumerate(H.row(u)))
+    del masks[u]
+    return SkeletonGraph._from_masks(masks)
 
 
 def link_intersection(H: Hypergraph3, v: int, vp: int) -> SkeletonGraph:
@@ -261,12 +311,9 @@ def link_intersection(H: Hypergraph3, v: int, vp: int) -> SkeletonGraph:
     """
     if v == vp:
         raise ValueError("link intersection requires two distinct vertices")
-    for x in (v, vp):
-        if not 0 <= x < H.n:
-            raise ValueError(f"vertex {x} not in hypergraph")
-    rv, rvp = H.rows[v], H.rows[vp]
-    return SkeletonGraph._from_masks(
-        {w: rv[w] & rvp[w] for w in H.vertices if w != v and w != vp})
+    masks = dict(enumerate(map(and_, H.row(v), H.row(vp))))
+    del masks[v], masks[vp]
+    return SkeletonGraph._from_masks(masks)
 
 
 def common_neighborhood(G: SkeletonGraph, vs: Iterable[int]) -> set[int]:

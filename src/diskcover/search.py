@@ -287,8 +287,9 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     best_u, best_G, best_e = -1, None, -1
     for u in cand:
         Gu = link(H, u)
-        if len(Gu.edges) > best_e:
-            best_u, best_G, best_e = u, Gu, len(Gu.edges)
+        e = Gu.edge_count()
+        if e > best_e:
+            best_u, best_G, best_e = u, Gu, e
     if best_e <= 0:
         return SearchFailure(KTT, "link-selection",
                              "every sampled link graph is empty",
@@ -386,8 +387,9 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     best, best_e = None, -1
     for a, b in sorted(pairs):
         li = link_intersection(H, a, b)
-        if len(li.edges) > best_e:
-            best, best_e = (a, b, li), len(li.edges)
+        e = li.edge_count()
+        if e > best_e:
+            best, best_e = (a, b, li), e
     if best is None or best_e <= 0:
         return SearchFailure(target, "apex-selection",
                              "no sampled apex pair has a common link edge",

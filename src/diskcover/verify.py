@@ -2,7 +2,7 @@
 
 Re-checks a homeomorph certificate from first principles using only the
 triples of H and the complex classifier; neither the search modules nor
-the hypergraph row table are consulted. Checks run in a fixed order:
+the hypergraph's link rows are consulted. Checks run in a fixed order:
 
 a. every disk triangle is an edge of H;
 b. every disk classifies as a boundary-inducing disk whose boundary is
@@ -34,9 +34,9 @@ from .complexes import (
     CLOSED_SURFACE,
     DISK,
     TwoComplex,
-    boundary,
+    _boundary_edges,
+    _chord_free,
     classify,
-    is_boundary_inducing,
 )
 from .gamma import gamma, role_name
 from .hypergraph import Hypergraph3
@@ -99,10 +99,11 @@ def _check_disks(cert) -> CheckResult:
         if cls.kind != DISK:
             return CheckResult("disks-bound-cycles", False,
                                f"disk {i} classifies as {cls.kind}")
-        if boundary(disk).edges != _cycle_edge_set(cyc):
+        bd_edges = _boundary_edges(disk)
+        if bd_edges != _cycle_edge_set(cyc):
             return CheckResult("disks-bound-cycles", False,
                                f"disk {i} boundary differs from cycle {cyc}")
-        if not is_boundary_inducing(disk):
+        if not _chord_free(disk, bd_edges):
             return CheckResult("disks-bound-cycles", False,
                                f"disk {i} is not boundary-inducing")
     return CheckResult("disks-bound-cycles", True,

@@ -83,6 +83,13 @@ def link_pairs(triples, u):
     return {tuple(sorted(set(t) - {u})) for t in triples if u in t}
 
 
+def link_row(triples, u, n):
+    """Entry w is the sum of 2^w' over the w' with {u, w, w'} a triple."""
+    ts = {frozenset(t) for t in triples}
+    return tuple(sum(1 << y for y in range(n) if frozenset((u, w, y)) in ts)
+                 for w in range(n))
+
+
 def simple_paths(pairs, src, dst, allowed_interior):
     """Yield simple src..dst paths of length >= 2 (vertex tuples) by DFS."""
     adj = _adj_from_pairs(pairs)

@@ -184,8 +184,10 @@ def test_gen_models(capsys, tmp_path):
     ("sweep", "--target", "sphere", "--n", "10", "--c", "1", "--jobs", "-3"),
     ("check-disk", "K8", "--cycle", "0,2,1,3", "--max-interior", "-2"),
     ("check-disk", "K8", "--cycle", "0,2,1,3", "--max-interior", "0"),
+    ("coverability", "K8", "--cycle", "0,2,1,3", "--p", "1/2", "--exact",
+     "--max-interior", "0"),
 ], ids=["gnp3-n-1", "complete-n-4", "sweep-jobs0", "sweep-jobs-3",
-        "check-disk-budget-2", "check-disk-budget0"])
+        "check-disk-budget-2", "check-disk-budget0", "exact-budget0"])
 def test_out_of_range_count_is_usage_error(capsys, tmp_path, k8_file, argv):
     out_path = tmp_path / "out"
     argv = [k8_file if a == "K8" else a for a in argv]

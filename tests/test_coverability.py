@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from diskcover import complexes, coverability
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     CoverabilityEstimate, EstimatorParams,
@@ -435,6 +436,30 @@ def test_find_boundary_inducing_disk_budget():
         with pytest.raises(ValueError, match="max_interior"):
             find_boundary_inducing_disk(RING_H, RING_CYCLE,
                                         max_interior=budget)
+
+
+@pytest.mark.parametrize("strategy", [PYRAMID_ONLY, EXHAUSTIVE_SMALL])
+@pytest.mark.parametrize("budget", [0, -2])
+def test_exact_coverability_rejects_empty_interior_budget(strategy, budget):
+    # the pyramid-only walk builds no disk searcher, so it checks the budget
+    # itself, before the walk
+    with pytest.raises(ValueError, match="max_interior must be at least 1"):
+        exact_disk_coverability(complete_hypergraph(8), (0, 2, 1, 3), HALF,
+                                strategy=strategy, max_interior=budget)
+
+
+def test_disk_search_classifies_each_accepted_leaf_once(monkeypatch):
+    calls = []
+
+    def counting(X):
+        calls.append(X)
+        return classify(X)
+
+    monkeypatch.setattr(coverability, "classify", counting)
+    monkeypatch.setattr(complexes, "classify", counting)
+    disk = find_boundary_inducing_disk(complete_hypergraph(8), (0, 1, 2, 3),
+                                       range(4, 8), 3)
+    assert disk is not None and calls == [disk]
 
 
 def test_find_boundary_inducing_disk_on_complete():

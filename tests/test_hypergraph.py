@@ -3,6 +3,7 @@ import pickle
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -188,12 +189,17 @@ def _assert_graph(G, vertices, pairs):
 @example((5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4)], 0, 1))
 def test_row_core_matches_definitions(case):
     n, triples, v, vp = case
+    edges = list(Hypergraph3(n, triples).edges)
+    skel_pairs = bf.skeleton_pairs(edges)
+    # the skeleton read alone, on a host that has built no row
+    _assert_graph(skeleton(Hypergraph3(n, triples)), range(n), skel_pairs)
+    # every row, then the skeleton of the same host
     H = Hypergraph3(n, triples)
-    edges = list(H.edges)
-    _assert_graph(skeleton(H), range(n), bf.skeleton_pairs(edges))
     for u in range(n):
+        assert H.row(u) == bf.link_row(edges, u, n)
         _assert_graph(link(H, u), [x for x in range(n) if x != u],
                       bf.link_pairs(edges, u))
+    _assert_graph(skeleton(H), range(n), skel_pairs)
     if v is not None:
         _assert_graph(link_intersection(H, v, vp),
                       [x for x in range(n) if x not in (v, vp)],
@@ -209,20 +215,49 @@ def _unset(obj, slot):
     return False
 
 
+def _copies(x):
+    return [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+
+
 def test_pickling_ships_no_derived_view():
     H = random_hypergraph(12, 0.4, seed=5)
     labelled = Hypergraph3(4, [(0, 1, 2), (1, 2, 3)], labels=("a", "b", "c", "d"))
     G = SkeletonGraph(range(5), [(0, 1), (1, 4)])
-    for x, lazy in ((H, ("rows", "edges")), (labelled, ("rows", "edges")),
-                    (G, ("edges", "adj"))):
-        copies = [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+    views = ((H, ("_rows", "_last", "edges")),
+             (labelled, ("_rows", "_last", "edges")), (G, ("edges", "adj")))
+    for x, lazy in views:
+        copies = _copies(x)
         for y in [x] + copies:
             assert all(_unset(y, slot) for slot in lazy)
         for y in copies:
             assert y == x and hash(y) == hash(x)
+    # once built on the original, a view still does not travel
+    H.row(3), labelled.row(1), H.edges, labelled.edges, G.edges, G.adj
+    for x, lazy in views:
+        assert not any(_unset(x, slot) for slot in lazy)
+        assert all(_unset(y, slot) for y in _copies(x) for slot in lazy)
     for y in (pickle.loads(pickle.dumps(labelled)), copy.deepcopy(labelled)):
         assert y.labels == labelled.labels
-        assert y.edges == labelled.edges and y.rows == labelled.rows
+        assert y.edges == labelled.edges
+        assert all(y.row(u) == labelled.row(u) for u in range(4))
+
+
+def test_skeleton_builds_no_row():
+    H = random_hypergraph(30, 0.3, seed=1)
+    skeleton(H)
+    assert _unset(H, "_rows") and _unset(H, "_last")
+    H.row(7)
+    assert list(H._rows) == [7]
+
+
+def test_last_vertex_column_widens_past_int16():
+    # a row or skeleton at these n would scatter into an n x n array (1 GB),
+    # so only the compact column that row builds scan is read
+    top = 1 << 15
+    for n, dtype in ((top, np.int16), (top + 1, np.int32)):
+        H = Hypergraph3(n, [(0, 1, n - 1), (2, n - 2, n - 1), (0, 1, 2)])
+        assert H._last.dtype == dtype
+        assert H._last.tolist() == [2, n - 1, n - 1]
 
 
 def test_audit_reads_only_adjacency_masks():

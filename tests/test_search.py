@@ -7,7 +7,9 @@ from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TARGETS,
                                     TORUS, HomeomorphCertificate,
                                     serialize_certificate)
 from diskcover.complexes import boundary, classify, is_boundary_inducing
-from diskcover.hypergraph import Hypergraph3, complete_hypergraph
+from diskcover.generators import random_hypergraph
+from diskcover.hypergraph import (Hypergraph3, complete_hypergraph,
+                                  link_intersection)
 from diskcover.search import (FINDERS, GlueFailure, SearchFailure,
                               SearchParams, find_k_t_homeomorph,
                               find_projective_plane, find_sphere, find_torus,
@@ -119,6 +121,20 @@ def test_find_sphere_deterministic():
     a = find_sphere(H, SearchParams(seed=11, p=0.5, epsilon=0.1))
     b = find_sphere(H, SearchParams(seed=11, p=0.5, epsilon=0.1))
     assert serialize_certificate(a) == serialize_certificate(b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_find_sphere_builds_only_the_rows_it_intersects(monkeypatch, seed):
+    H = random_hypergraph(200, 0.14, seed)
+    asked = set()
+
+    def recording(H, v, vp):
+        asked.update((v, vp))
+        return link_intersection(H, v, vp)
+
+    monkeypatch.setattr(search, "link_intersection", recording)
+    find_sphere(H, replace(DESK, seed=seed))
+    assert asked and set(H._rows) == asked
 
 
 # ---------------------------------------------------------------------------
