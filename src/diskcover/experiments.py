@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 from .certificates import HomeomorphCertificate
 from .coverability import (admissibility_tables, inadmissible_p2_audit,
                            unit_fraction, weighted_inadmissibility_audit)
-from .generators import random_hypergraph
+from .generators import random_hypergraphs
 from .hypergraph import SkeletonGraph
 from .rng import mix64
 from .search import FINDERS, SearchParams
@@ -56,21 +56,33 @@ class SweepRow:
     seconds: float
 
 
-def _sweep_cell(args) -> SweepRow:
-    target, n, c, trial, seed, timing, params = args
-    p = min(1.0, c / sqrt(n))
-    # the cell seed deliberately ignores c: at a fixed (n, trial) the
-    # random hypergraphs are then nested across the c grid (a triple
-    # kept at one density stays kept at every higher density), which
-    # keeps empirical found-rates monotone up to search noise
+def _sweep_group(args) -> list[SweepRow]:
+    """The rows of every c cell at one (n, trial), from one host draw.
+
+    The host seed deliberately ignores c: at a fixed (n, trial) the random
+    hypergraphs are then nested across the c grid (a triple kept at one
+    density stays kept at every higher density), which keeps empirical
+    found-rates monotone up to search noise. So the stream is drawn once,
+    and the cells run from the densest host down, each host thinned from
+    the one before.
+    """
+    target, n, cs, trial, seed, timing, params = args
     hseed = mix64(seed, n, trial)
-    H = random_hypergraph(n, p, seed=hseed)
-    t0 = time.perf_counter() if timing else 0.0
-    result = FINDERS[target](H, replace(params, seed=hseed))
-    secs = time.perf_counter() - t0 if timing else 0.0
-    found = isinstance(result, HomeomorphCertificate)
-    stage = "done" if found else result.stage
-    return SweepRow(n, c, p, trial, target, found, stage, secs)
+    p_of = {c: min(1.0, c / sqrt(n)) for c in cs}
+    rows = []
+    for p, H in random_hypergraphs(n, p_of.values(), hseed):
+        for c in cs:
+            if p_of[c] != p:
+                continue
+            t0 = time.perf_counter() if timing else 0.0
+            result = FINDERS[target](H, replace(params, seed=hseed))
+            secs = time.perf_counter() - t0 if timing else 0.0
+            found = isinstance(result, HomeomorphCertificate)
+            stage = "done" if found else result.stage
+            rows.append(SweepRow(n, c, p, trial, target, found, stage, secs))
+        # keep one host alive at a time: the next is cut from the codes alone
+        del H
+    return rows
 
 
 def threshold_sweep(target: str, n_values: Iterable[int],
@@ -80,10 +92,12 @@ def threshold_sweep(target: str, n_values: Iterable[int],
     """Run a target finder over a (n, c) grid of random hypergraphs.
 
     Each cell draws `trials` independent hypergraphs at density
-    c/sqrt(n) and records whether the finder succeeded. Rows come back
-    sorted by (n, c, trial) regardless of execution order; with
-    jobs > 1 cells run in worker processes. Raises ValueError for an
-    unknown target, trials < 1, jobs < 1, any n < 1 or any non-finite c.
+    c/sqrt(n) and records whether the finder succeeded. The hosts of one
+    (n, trial) are nested in c and come from one draw, so the unit of work
+    is the (n, trial) group of cells: with jobs > 1 groups run in worker
+    processes. Rows come back sorted by (n, c, trial) regardless of
+    execution order. Raises ValueError for an unknown target, trials < 1,
+    jobs < 1, any n < 1 or any non-finite c.
     """
     if target not in FINDERS:
         raise ValueError(f"unknown sweep target {target!r}")
@@ -98,12 +112,15 @@ def threshold_sweep(target: str, n_values: Iterable[int],
         raise ValueError("sweep density coefficients must be finite")
     if params is None:
         params = SearchParams()
-    tasks = [(target, n, c, trial, seed, timing, params)
-             for n in ns for c in cs for trial in range(trials)]
+    tasks = [(target, n, cs, trial, seed, timing, params)
+             for n in ns for trial in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_sweep_cell, tasks, chunksize=1))
-    return [_sweep_cell(t) for t in tasks]
+            groups = list(ex.map(_sweep_group, tasks, chunksize=1))
+    else:
+        groups = [_sweep_group(t) for t in tasks]
+    return sorted((row for rows in groups for row in rows),
+                  key=lambda r: (r.n, r.c, r.trial))
 
 
 def _fmt_float(x: float) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from math import comb
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,6 +70,30 @@ def code_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
     bc = b * n + c
     for a in range(n - 2):
         yield a * n * n, bc[bc.size - comb(n - a - 1, 2):]
+
+
+def code_decoder(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from ascending lexicographic triple indices in 0..C(n, 3)-1 (an
+    int64 array) to their triple codes. Raises ValueError for an n outside
+    the range a host accepts."""
+    _check_vertex_count(n)
+    b, c = np.triu_indices(n, 1)
+    bc = b * n + c
+    a = np.arange(max(n - 2, 0))
+    # block a, the C(n-a-1, 2) triples with first vertex a, ends at ends[a];
+    # its pairs b*n + c are the tail of bc, so index i of block a reads
+    # bc[i + shift[a]]
+    ends = np.cumsum((n - a - 1) * (n - a - 2) // 2)
+    shift = bc.size - ends
+
+    def decode(i: np.ndarray) -> np.ndarray:
+        # the block of each index counts the block ends at or below it, found
+        # by where each end falls among the sorted indices: n binary searches,
+        # not one per index
+        a = np.bincount(np.searchsorted(i, ends), minlength=i.size + 1)[:i.size].cumsum()
+        return a * (n * n) + bc[i + shift[a]]
+
+    return decode
 
 
 def _last_vertices(n: int, codes: np.ndarray) -> np.ndarray:

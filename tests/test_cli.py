@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diskcover.certificates import parse_certificate
+from diskcover.certificates import parse_certificate, serialize_certificate
 from diskcover.cli import main
+from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
 from diskcover.io import serialize_graph, serialize_h3
+from diskcover.search import SearchParams, find_sphere
 
 
 @pytest.fixture
@@ -266,3 +272,138 @@ def test_verify_mistyped_certificate_is_usage_error(capsys, tmp_path, mutate):
     assert out == ""
     assert err.startswith("error: malformed certificate:")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every subcommand over small valid and malformed inputs
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input files by placeholder name; "@MISSING" names no file."""
+    d = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "@K8": serialize_h3(complete_hypergraph(8)),
+        "@K5": serialize_h3(complete_hypergraph(5)),
+        "@R7": serialize_h3(random_hypergraph(7, 0.6, 1)),
+        "@BADH3": "#vertices: a b\na b c\n",
+        "@EMPTY": "",
+        "@G": "0 1\n1 2\n0 2\n0 3\n2 3\n",
+        "@BADG": "0 1 2\nx\n",
+        "@CERTBAD": "{",
+        "@CERTWRONG": json.dumps({"cert_version": 1, "target": "sphere"}),
+    }
+    cert = find_sphere(complete_hypergraph(8), SearchParams(p=0.5, epsilon=0.1))
+    texts["@CERT"] = serialize_certificate(cert)
+    paths = {"@MISSING": str(d / "missing"), "@DIR": str(d),
+             "@OUT": str(d / "out.txt"), "@OUTBAD": str(d / "no" / "out.txt")}
+    for name, text in texts.items():
+        paths[name] = str(d / name[1:])
+        (d / name[1:]).write_text(text)
+    (d / "JUNK").write_bytes(b"\xff\xfe\x00junk")
+    paths["@JUNK"] = str(d / "JUNK")
+    return paths
+
+
+def _mostly(valid, invalid):
+    """Draws from invalid one time in eight, so that whole command lines
+    often get past parsing."""
+    return st.integers(0, 7).flatmap(lambda k: invalid if k == 7 else valid)
+
+
+_BAD = st.sampled_from(["@MISSING", "@DIR", "@EMPTY", "@JUNK", "@BADH3", "@BADG"])
+_H3 = _mostly(st.sampled_from(["@K8", "@K5", "@R7"]), _BAD)
+_GRAPH = _mostly(st.just("@G"), _BAD)
+_CERT = _mostly(st.just("@CERT"), st.sampled_from(["@CERTBAD", "@CERTWRONG"]) | _BAD)
+_NUM = _mostly(st.sampled_from(["1/2", "0.3", "1", "0"]),
+               st.sampled_from(["-1", "2", "1/0", "nan", "inf", "x", ""]))
+_INT = _mostly(st.integers(0, 4).map(str), st.sampled_from(["-2", "x", "1.5", ""]))
+_COUNT = _mostly(st.integers(1, 6).map(str), st.sampled_from(["-1", "0", "x"]))
+_LABEL = _mostly(st.sampled_from(["0", "1", "2", "3", "4"]),
+                 st.sampled_from(["7", "9", "a", "-1", " 2", "\u00b2", ""]))
+_LABELS = _mostly(st.permutations(["0", "1", "2", "3", "4"]).map(lambda p: ",".join(p[:4])),
+                  st.lists(_LABEL, max_size=5).map(",".join))
+_P2 = _mostly(st.permutations(["0", "1", "2", "3"]).map(lambda p: ",".join(p[:3])),
+              _LABELS)
+_T = _mostly(st.sampled_from(["3", "4"]), st.sampled_from(["-1", "0", "2", "x"]))
+_TARGET = _mostly(st.sampled_from(["sphere", "torus", "rp2", "ktt"]), st.just("klein"))
+
+
+def _opt(flag, values):
+    return st.just([]) | values.map(lambda v: [flag, v])
+
+
+def _req(flag, values):
+    """A required option, missing one time in eight."""
+    return _mostly(values.map(lambda v: [flag, v]), st.just([]))
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(*parts):
+    """One argv: each part is a token, a strategy of a token, or a strategy
+    of a token list."""
+    parts = [st.just([p]) if isinstance(p, str) else p for p in parts]
+    return st.tuples(*parts).map(
+        lambda ps: [t for p in ps for t in (p if isinstance(p, list) else [p])])
+
+
+_FMT = _opt("--format", st.sampled_from(["text", "json", "xml"]))
+_OUT = _opt("--out", st.sampled_from(["@OUT", "@OUTBAD"]))
+_BUDGET = _opt("--max-interior", _mostly(st.sampled_from(["1", "2"]),
+                                         st.sampled_from(["-1", "0"])))
+_ESTIMATE = (_opt("--p", _NUM), _opt("--epsilon", _NUM),
+             _opt("--trials", _COUNT), _flag("--exact"),
+             _opt("--seed", _INT))
+_FUZZ_ARGV = st.one_of(
+    _argv("skeleton", _H3, _FMT, _OUT),
+    _argv("link", _H3, _LABEL, _OUT),
+    _argv("classify", _H3, _FMT),
+    _argv("check-disk", _H3, _req("--cycle", _LABELS), _BUDGET, _OUT),
+    _argv("coverability", _H3, _req("--cycle", _LABELS), _BUDGET,
+          _flag("--exhaustive"), *_ESTIMATE, _FMT),
+    _argv("admissibility", _GRAPH, _req("--p2", _P2), *_ESTIMATE, _FMT),
+    _argv("audit", st.lists(_GRAPH, max_size=3), _opt("--p", _NUM),
+          _opt("--epsilon", _NUM), _OUT),
+    _argv("find", _H3, _req("--target", _TARGET),
+          _opt("--t", _T), _opt("--p", _NUM),
+          _opt("--epsilon", _NUM), _opt("--trials", _COUNT),
+          _opt("--retries", _COUNT), _flag("--exhaustive"),
+          _opt("--seed", _INT), _OUT),
+    _argv("verify", _H3, _CERT, _FMT),
+    _argv("gen", _req("--model", st.sampled_from(["gnp3", "complete", "clique-pendant", "x"])),
+          _req("--n", _mostly(st.sampled_from(["0", "4", "9", "12"]),
+                              st.sampled_from(["-1", "x"]))),
+          _opt("--p", _NUM), _opt("--seed", _INT), _OUT),
+    _argv("sweep", _req("--target", _TARGET),
+          _req("--n", st.lists(_mostly(st.sampled_from(["5", "8"]),
+                                       st.sampled_from(["0", "x", ""])),
+                               min_size=1, max_size=2).map(",".join)),
+          _req("--c", st.lists(_mostly(st.sampled_from(["0", "0.5", "2"]),
+                                       st.sampled_from(["-1", "nan", "x"])),
+                               min_size=1, max_size=3).map(",".join)),
+          _opt("--t", _T),
+          _opt("--trials", _mostly(st.sampled_from(["1", "2"]), st.just("0"))),
+          _opt("--seed", _INT),
+          _opt("--jobs", st.just("1")), _flag("--timing"), _OUT),
+    st.lists(_NUM | _TARGET, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FUZZ_ARGV)
+def test_cli_is_total(fuzz_files, argv):
+    """Any argv exits 0, 1 or 2, never raises, and exit 2 prints exactly
+    one error line."""
+    argv = [fuzz_files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        lines = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(lines) == 1, (argv, err.getvalue())

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import diskcover.generators as generators
 from diskcover.certificates import SPHERE
 from diskcover.experiments import (AUDIT_HEADER, SWEEP_HEADER, audit_corpus,
                                    sweep_csv, threshold_sweep)
-from diskcover.generators import clique_pendant_graph, random_graph
+from diskcover.generators import _S_GNP3, clique_pendant_graph, random_graph
 from diskcover.search import SearchParams
 
 FAST = SearchParams(p=0.5, epsilon=0.1, trials=64)
@@ -48,6 +49,26 @@ def test_sweep_parallel_matches_serial():
     parallel = threshold_sweep(SPHERE, [10, 12], [0.5, 2.0], trials=3, seed=9,
                                params=FAST, jobs=2)
     assert sweep_csv(serial) == sweep_csv(parallel)
+
+
+def test_sweep_draws_each_host_stream_once(monkeypatch):
+    """One host stream per (n, trial), shared by its c cells, at any jobs."""
+    streams = []
+    real = generators.generator
+
+    def counting(seed, *stream):
+        streams.append(stream)
+        return real(seed, *stream)
+
+    monkeypatch.setattr(generators, "generator", counting)
+    serial = threshold_sweep(SPHERE, [10, 12], [0.5, 1, 2], trials=2, seed=5,
+                             params=FAST)
+    assert [s[0] == _S_GNP3 for s in streams].count(True) == 4
+    assert [(r.n, r.c, r.trial) for r in serial] == [
+        (n, c, t) for n in (10, 12) for c in (0.5, 1, 2) for t in (0, 1)]
+    parallel = threshold_sweep(SPHERE, [10, 12], [0.5, 1, 2], trials=2,
+                               seed=5, params=FAST, jobs=2)
+    assert sweep_csv(parallel) == sweep_csv(serial)
 
 
 def test_sweep_unknown_target():

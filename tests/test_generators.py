@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import diskcover.generators as generators
 from diskcover.generators import (_S_GNP3, clique_pendant_graph, random_graph,
-                                  random_graph_corpus, random_hypergraph)
+                                  random_graph_corpus, random_hypergraph,
+                                  random_hypergraphs)
 from diskcover.hypergraph import Hypergraph3, complete_hypergraph
 from diskcover.rng import generator
 
@@ -59,6 +61,37 @@ def test_random_hypergraph_matches_one_shot_definition(n, p, seed):
         assert complete_hypergraph(n) == H
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14),
+       st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+                min_size=1, max_size=5),
+       st.integers(0, 2 ** 40), st.booleans(), st.booleans())
+@example(0, [0.5, 0.0], 1, False, False)
+@example(1, [1.0], 1, False, False)
+@example(2, [0.3, 1.0], 1, False, False)
+@example(3, [0.5, 1.0, 0.5, 0.0], 1, False, False)
+@example(14, [0.2, 0.9, 0.2, 0.6], 7, False, True)
+@example(14, [0.4, 0.1], 3, True, True)
+# C(75, 3) = 67525 floats cross the first 2^16-float chunk boundary
+@example(75, [0.02, 0.3, 0.02], 5, False, False)
+def test_random_hypergraphs_yield_the_one_density_hosts(n, ps, seed, tiny_chunks,
+                                                        overflow):
+    """Every host the nested draw yields is the one-density host at its p,
+    highest p first, whatever the chunking or the starting buffer size."""
+    with pytest.MonkeyPatch.context() as mp:
+        if tiny_chunks:
+            mp.setattr(generators, "_DRAW_CHUNK", 7)
+        if overflow:
+            # a buffer far below the kept count: every chunk may regrow it
+            mp.setattr(generators, "_SIGMAS", -1e6)
+        hosts = list(random_hypergraphs(n, ps, seed))
+    assert [p for p, _ in hosts] == sorted(set(ps), reverse=True)
+    for p, H in hosts:
+        want = bf.random_triples(generator(seed, _S_GNP3, n).random, n, p)
+        assert H.triples().tolist() == [list(t) for t in want]
+        assert H == random_hypergraph(n, p, seed)
+
+
 def test_random_hypergraph_validation():
     with pytest.raises(ValueError):
         random_hypergraph(10, -0.1, seed=0)
@@ -69,8 +102,9 @@ def test_random_hypergraph_validation():
 @pytest.mark.parametrize("build", [
     lambda: random_hypergraph(-1, 0.1, seed=0),
     lambda: random_hypergraph(-1, 0, seed=0),
+    lambda: list(random_hypergraphs(-1, [0.1, 0.5], seed=0)),
     lambda: complete_hypergraph(-4),
-], ids=["gnp3", "gnp3-empty", "complete"])
+], ids=["gnp3", "gnp3-empty", "gnp3-nested", "complete"])
 def test_negative_vertex_count_raises(build):
     with pytest.raises(ValueError, match="vertex count"):
         build()
