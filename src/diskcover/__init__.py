@@ -13,7 +13,7 @@ plumbing behind the CLI.
 from .complexes import (Boundary, Classification, TwoComplex, boundary,
                         classify, euler_characteristic,
                         is_boundary_inducing, orientability)
-from .coverability import (CoverabilityEstimate, EstimatorParams, P2Audit,
+from .coverability import (CoverabilityEstimate, EstimatorParams,
                            PairStats, WeightedAudit,
                            admissibility_probabilities, as_fraction,
                            exact_admissibility, exact_disk_coverability,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Boundary", "Classification", "TwoComplex", "boundary", "classify",
     "euler_characteristic", "is_boundary_inducing", "orientability",
-    "CoverabilityEstimate", "EstimatorParams", "P2Audit", "PairStats",
+    "CoverabilityEstimate", "EstimatorParams", "PairStats",
     "WeightedAudit", "admissibility_probabilities", "as_fraction",
     "exact_admissibility", "exact_disk_coverability",
     "find_boundary_inducing_disk", "inadmissible_p2_audit", "pair_psi",

@@ -32,7 +32,7 @@ by the triple codegree, with the same 0 convention.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -44,7 +44,6 @@ from .hypergraph import (
     common_neighborhood,
     iter_p2s,
     link_intersection,
-    skeleton,
 )
 from .rng import trial_masks
 
@@ -129,23 +128,13 @@ class PairStats:
 
 
 @dataclass(frozen=True)
-class P2Audit:
-    """Weighted count of length-2 paths not lying on any cycle >= 4."""
-
-    weighted_sum: Fraction
-    bound: Fraction
-    holds: bool
-    inadmissible: tuple[tuple[int, int, int], ...]
-
-
-@dataclass(frozen=True)
 class WeightedAudit:
     """Weighted count of (p, epsilon)-inadmissible length-2 paths."""
 
     weighted_sum: Fraction
     bound: Fraction
     holds: bool
-    inadmissible: tuple[tuple[int, int, int], ...] = field(default=())
+    inadmissible: tuple[tuple[int, int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +360,17 @@ def admissibility_probabilities(G: SkeletonGraph, p) -> dict[tuple[int, int, int
 # disk coverability
 
 
-def _check_four_cycle(skel: SkeletonGraph, cycle: Sequence[int]) -> tuple[int, int, int, int]:
+def _check_four_cycle(H: Hypergraph3, cycle: Sequence[int]) -> tuple[int, int, int, int]:
+    """The cycle as a tuple, once every edge ab of it lies in some triple
+    of H, read as a set bit b in the link row of a."""
     cyc = tuple(cycle)
     if len(cyc) != 4 or len(set(cyc)) != 4:
         raise ValueError("boundary cycle must list four distinct vertices")
     for x in cyc:
-        if x not in skel.vertices:
+        if x not in H.vertices:
             raise ValueError(f"vertex {x} not in the skeleton")
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        if not skel.has_edge(a, b):
+        if not H.row(a)[b]:
             raise ValueError(f"cycle edge {a}-{b} missing from the skeleton")
     return cyc
 
@@ -507,8 +498,7 @@ def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
 
 
 def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
-                             params: EstimatorParams,
-                             skel: SkeletonGraph | None = None) -> CoverabilityEstimate:
+                             params: EstimatorParams) -> CoverabilityEstimate:
     """Monte Carlo test that the 4-cycle is (p, epsilon)-disk-coverable.
 
     Per trial a p-random U of V(H) is drawn and the trial succeeds when
@@ -516,8 +506,7 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     inside U. The search family is set by params.strategy. Deterministic
     in (seed, trials, cycle labels); independent of evaluation order.
     """
-    skel = skel if skel is not None else skeleton(H)
-    cyc = _check_four_cycle(skel, cycle)
+    cyc = _check_four_cycle(H, cycle)
     event = _coverability_event(H, cyc, params.strategy, params.max_interior)
     masks = trial_masks(params.seed, (_STREAM_COVER, *cyc),
                         params.trials, max(H.n, 1), params.p)
@@ -533,7 +522,7 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
     if H.n > _EXACT_LIMIT:
         raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
     pf = unit_fraction(p, "p")
-    cyc = _check_four_cycle(skeleton(H), cycle)
+    cyc = _check_four_cycle(H, cycle)
     event = _coverability_event(H, cyc, strategy, max_interior)
     universe = [x for x in H.vertices if x not in cyc]
     return _reliability(_leaf_counts(universe, event), len(universe), pf)
@@ -543,8 +532,18 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
 # weighted inadmissibility audits
 
 
-def inadmissible_p2_audit(G: SkeletonGraph) -> P2Audit:
-    """Audit the p = 1 inadmissibility bound: sum of 1/deg(y) < 3n/2.
+def _audit(G: SkeletonGraph, bad: list[tuple[int, int, int]],
+           bound: Fraction) -> WeightedAudit:
+    """The sum of 1/deg(y) over the bad paths x y z, against the bound; one
+    Fraction per degree class, not one per path."""
+    per_degree = Counter(G.degree(y) for _, y, _ in bad)
+    total = sum((Fraction(k, d) for d, k in per_degree.items()), Fraction(0))
+    return WeightedAudit(total, bound, total < bound, tuple(sorted(bad)))
+
+
+def inadmissible_p2_audit(G: SkeletonGraph) -> WeightedAudit:
+    """Audit the p = 1 inadmissibility bound: sum of 1/deg(y) < 3n/2, the
+    weighted bound at p = epsilon = 1.
 
     A length-2 path x y z is inadmissible here when x and z are not
     joined by any path of length >= 2 avoiding y: the path search from
@@ -554,9 +553,7 @@ def inadmissible_p2_audit(G: SkeletonGraph) -> P2Audit:
     full = sum(1 << v for v in adj)
     bad = [(x, y, z) for x, y, z in iter_p2s(G)
            if path_layers(adj, x, z, full & ~(1 << y)) is None]
-    total = sum((Fraction(1, G.degree(y)) for _, y, _ in bad), Fraction(0))
-    bound = Fraction(3 * G.n, 2)
-    return P2Audit(total, bound, total < bound, tuple(sorted(bad)))
+    return _audit(G, bad, Fraction(3 * G.n, 2))
 
 
 def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
@@ -574,34 +571,31 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
     if probabilities is None:
         probabilities = admissibility_probabilities(G, pf)
     threshold = 1 - ef
-    total = Fraction(0)
-    bad = []
-    for (x, y, z), prob in probabilities.items():
-        if prob < threshold:
-            bad.append((x, y, z))
-            total += Fraction(1, G.degree(y))
-    bound = Fraction(3 * G.n) / (2 * pf * pf * ef)
-    return WeightedAudit(total, bound, total < bound, tuple(sorted(bad)))
+    bad = [path for path, prob in probabilities.items() if prob < threshold]
+    return _audit(G, bad, Fraction(3 * G.n) / (2 * pf * pf * ef))
 
 
 # ---------------------------------------------------------------------------
 # pair and triple statistics
 
 
-def _count_uncoverable(H: Hypergraph3, skel: SkeletonGraph, v: int, vp: int,
+def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
                        pairs: Iterable[tuple[int, int]],
                        params: EstimatorParams) -> int:
     """How many 4-cycles v w v' w' over the given pairs fail the test.
 
-    A 4-cycle with an edge missing from S(H) counts as non-coverable
-    outright (no disk of H can have that boundary).
+    A 4-cycle with a vertex outside H or an edge missing from S(H)
+    counts as non-coverable outright (no disk of H can have that
+    boundary).
     """
     bad = 0
     for w, wp in pairs:
-        cyc = (v, w, vp, wp)
-        if not (all(skel.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
-                and sample_disk_coverability(H, cyc, params,
-                                             skel=skel).decided_coverable):
+        try:
+            cyc = _check_four_cycle(H, (v, w, vp, wp))
+        except ValueError:
+            bad += 1
+            continue
+        if not sample_disk_coverability(H, cyc, params).decided_coverable:
             bad += 1
     return bad
 
@@ -616,8 +610,7 @@ def pair_psi(H: Hypergraph3, G: SkeletonGraph, v: int, vp: int,
     if v == vp:
         raise ValueError("pair statistics need two distinct vertices")
     common = sorted(common_neighborhood(G, (v, vp)))
-    xi = _count_uncoverable(H, skeleton(H), v, vp, combinations(common, 2),
-                            params)
+    xi = _count_uncoverable(H, v, vp, combinations(common, 2), params)
     codeg = len(common)
     psi = Fraction(xi, codeg) if codeg else Fraction(0)
     return PairStats(xi, codeg, psi)

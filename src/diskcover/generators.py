@@ -23,6 +23,9 @@ __all__ = [
 _S_GNP3 = 0x33
 _S_GNP2 = 0x32
 _S_CORPUS = 0x3C
+# vertex-count range and density multipliers of the audit corpus
+_CORPUS_N = (10, 200)
+_CORPUS_C = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 # floats drawn per numpy step; any chunking reads the same stream
 _DRAW_CHUNK = 1 << 16
@@ -146,22 +149,19 @@ def clique_pendant_graph(n: int) -> SkeletonGraph:
     return SkeletonGraph(range(n), edges)
 
 
-def random_graph_corpus(count: int, seed: int,
-                        n_range: tuple[int, int] = (10, 200),
-                        c_choices: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0)):
+def random_graph_corpus(count: int, seed: int):
     """Seeded corpus of binomial graphs spanning sparse to moderately dense.
 
-    Yields (graph_id, graph) pairs. Edge probability is c/n for a c
-    drawn from c_choices, capped at 0.8, so large instances stay
-    affordable for the audit loops while small ones get dense.
+    Yields (graph_id, graph) pairs. The vertex count is drawn from
+    _CORPUS_N and the edge probability is c/n for a c drawn from
+    _CORPUS_C, capped at 0.8, so large instances stay affordable for the
+    audit loops while small ones get dense.
     """
-    lo, hi = n_range
-    if lo < 2 or hi < lo:
-        raise ValueError("need 2 <= lo <= hi")
+    lo, hi = _CORPUS_N
     for i in range(count):
         gen = generator(seed, _S_CORPUS, i)
         n = int(gen.integers(lo, hi + 1))
-        c = c_choices[int(gen.integers(0, len(c_choices)))]
+        c = _CORPUS_C[int(gen.integers(0, len(_CORPUS_C)))]
         p = min(0.8, c / n)
         gid = f"gnp-{i:04d}-n{n}"
         yield gid, random_graph(n, p, seed=int(gen.integers(0, 2 ** 62)))

@@ -64,43 +64,42 @@ _S_GLUE = 0x56
 _SURFACE_P = 1 / 18
 _SURFACE_EPS = 1 / 163
 
+# Proof constants: core triples need codegree above _R and a phi sum,
+# sampled from at most _PAIR_SAMPLE pairs each, below _PHI. Pattern
+# redraws cost almost nothing, so their budget is far above max_retries.
+_R = 2
+_PHI = Fraction(1, 2)
+_PAIR_SAMPLE = 20
+_LINK_SAMPLE = 16
+_PATTERN_RETRIES = 200
+_GLUE_RETRIES = 256
+
 
 @dataclass(frozen=True)
 class SearchParams:
     """Knobs for the homeomorph searches.
 
-    p and epsilon default per target when left None: t^-3 and 2 t^-6
-    for the complete-pattern search, 1/18 and 1/163 for the surface
-    builders. Those defaults are calibrated for asymptotic inputs;
-    desk-scale instances usually want larger values. max_retries is the
-    per-stage budget for the expensive stages; pattern_retries bounds
-    the whole-assignment redraw loop, whose collision rejections cost
-    almost nothing, so it is much larger; glue_retries is the inner
-    budget of fresh random partitions inside a single gluing call.
+    t is the pattern size of the complete-pattern search. p and epsilon
+    default per target when left None: t^-3 and 2 t^-6 for the
+    complete-pattern search, 1/18 and 1/163 for the surface builders.
+    Those defaults are calibrated for asymptotic inputs; desk-scale
+    instances usually want larger values. trials and strategy go to the
+    coverability estimator, seed keys every random draw, and max_retries
+    is the per-stage budget for the expensive stages.
     """
 
     t: int = 4
     p: float | None = None
     epsilon: float | None = None
-    r: int = 2
     trials: int = 64
     seed: int = 0
     max_retries: int = 10
-    pattern_retries: int = 200
-    link_sample: int = 16
-    pair_sample: int = 20
-    phi_threshold: float = 0.5
-    glue_retries: int = 256
     strategy: str = PYRAMID_ONLY
-    max_interior: int = 3
 
     def __post_init__(self):
         if self.t < 3:
             raise ValueError("target clique size must be at least 3")
-        if self.r < 0:
-            raise ValueError("codegree floor r cannot be negative")
-        if (self.max_retries < 1 or self.glue_retries < 1
-                or self.pattern_retries < 1):
+        if self.max_retries < 1:
             raise ValueError("retry budgets must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
@@ -116,8 +115,7 @@ class SearchParams:
     def estimator(self, target: str) -> EstimatorParams:
         p, eps = self.resolved(target)
         return EstimatorParams(p=p, epsilon=eps, trials=self.trials,
-                               seed=self.seed, strategy=self.strategy,
-                               max_interior=self.max_interior)
+                               seed=self.seed, strategy=self.strategy)
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,7 @@ def _cycle_pyramid(cyc: tuple[int, int, int, int],
     return None
 
 
-def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
-               skel: SkeletonGraph | None = None):
+def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
     """One interior-disjoint pyramid disk per cycle, or a GlueFailure.
 
     Each attempt shuffles the vertices outside all cycles and splits
@@ -163,8 +160,7 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
     needs. Attempts are keyed by (seed, attempt index) and the first
     success by index wins, independent of execution order.
     """
-    skel = skel if skel is not None else skeleton(H)
-    cycs = [_check_four_cycle(skel, c) for c in cycles]
+    cycs = [_check_four_cycle(H, c) for c in cycles]
     if not cycs:
         return []
     k = len(cycs)
@@ -193,7 +189,7 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
 
     fail_counts = [0] * k
     base, extra = divmod(len(free), k)
-    for attempt in range(params.glue_retries):
+    for attempt in range(_GLUE_RETRIES):
         gen = generator(params.seed, _S_GLUE, attempt)
         order = [free[i] for i in gen.permutation(len(free))]
         disks: list[TwoComplex] = []
@@ -213,16 +209,16 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams,
         if failed < 0:
             return disks
         fail_counts[failed] += 1
-    return GlueFailure(params.glue_retries, tuple(fail_counts),
+    return GlueFailure(_GLUE_RETRIES, tuple(fail_counts),
                        "partition budget exhausted")
 
 
 def _certify(H: Hypergraph3, target: str, t: int | None,
              embedding: dict[str, int], cycles, params: SearchParams,
-             retries: int, skel: SkeletonGraph | None = None):
+             retries: int):
     """Glue one disk per cycle into a certificate and return it once the
     verifier passes it; otherwise the glue or verify SearchFailure."""
-    glued = glue_disks(H, cycles, params, skel=skel)
+    glued = glue_disks(H, cycles, params)
     if isinstance(glued, GlueFailure):
         return SearchFailure(target, "glue", glued.detail, glued.retries)
     cert = HomeomorphCertificate(target=target, t=t, embedding=embedding,
@@ -247,19 +243,18 @@ def _pick_distinct(gen, pool: list[int], count: int) -> list[int] | None:
     return [pool[i] for i in idx]
 
 
-def _sampled_psi(H: Hypergraph3, skel: SkeletonGraph, G: SkeletonGraph,
-                 v: int, vp: int, est: EstimatorParams,
-                 budget: int, gen) -> Fraction:
+def _sampled_psi(H: Hypergraph3, G: SkeletonGraph, v: int, vp: int,
+                 est: EstimatorParams, gen) -> Fraction:
     """Estimate of psi(v, v') from a bounded sample of common-neighbour pairs."""
     common = sorted(common_neighborhood(G, (v, vp)))
     codeg = len(common)
     if codeg < 2:
         return Fraction(0)
     pairs = list(combinations(common, 2))
-    if len(pairs) > budget:
-        idx = gen.permutation(len(pairs))[:budget]
+    if len(pairs) > _PAIR_SAMPLE:
+        idx = gen.permutation(len(pairs))[:_PAIR_SAMPLE]
         pairs = [pairs[i] for i in sorted(idx)]
-    bad = _count_uncoverable(H, skel, v, vp, pairs, est)
+    bad = _count_uncoverable(H, v, vp, pairs, est)
     return Fraction(bad, len(pairs)) * comb(codeg, 2) / codeg
 
 
@@ -283,7 +278,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     if H.n == 0 or not H.codes.size:
         return SearchFailure(KTT, "link-selection", "hypergraph has no edges", 0)
     gen = generator(params.seed, _S_LINK)
-    cand = sorted({int(x) for x in gen.integers(0, H.n, size=params.link_sample)})
+    cand = sorted({int(x) for x in gen.integers(0, H.n, size=_LINK_SAMPLE)})
     best_u, best_G, best_e = -1, None, -1
     for u in cand:
         Gu = link(H, u)
@@ -293,9 +288,8 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     if best_e <= 0:
         return SearchFailure(KTT, "link-selection",
                              "every sampled link graph is empty",
-                             params.link_sample)
+                             _LINK_SAMPLE)
     u, G = best_u, best_G
-    skel = skeleton(H)
 
     # stage 2: dependent random choice of the t core vertices
     core: list[int] | None = None
@@ -305,23 +299,22 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
         if not candidates:
             break
         w0 = candidates[int(gen.integers(0, len(candidates)))]
-        W = sorted(G.adj[w0])
+        W = sorted(common_neighborhood(G, (w0,)))
         vs = _pick_distinct(gen, W, t)
         if vs is None:
             continue
-        if any(codegree(G, triple) <= params.r
+        if any(codegree(G, triple) <= _R
                for triple in combinations(vs, 3)):
             continue
         psis = {
-            frozenset(pair): _sampled_psi(H, skel, G, pair[0], pair[1], est,
-                                          params.pair_sample, gen)
+            frozenset(pair): _sampled_psi(H, G, pair[0], pair[1], est, gen)
             for pair in combinations(vs, 2)
         }
         phi_sum = sum(
             (triple_phi(psis[frozenset((x, y))], psis[frozenset((x, z))],
                         psis[frozenset((y, z))], codegree(G, (x, y, z)))
              for x, y, z in combinations(vs, 3)), Fraction(0))
-        if phi_sum < Fraction(params.phi_threshold):
+        if phi_sum < _PHI:
             core = vs
             break
     if core is None:
@@ -333,7 +326,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     embedding: dict[str, int] | None = None
     cycles: tuple[tuple[int, int, int, int], ...] | None = None
     used_retries = 0
-    for retry in range(params.pattern_retries):
+    for retry in range(_PATTERN_RETRIES):
         gen = generator(params.seed, _S_PATTERN, retry)
         image: dict[tuple[int, ...], int] = {(i,): core[i] for i in range(t)}
         for role in pattern.roles[t:]:
@@ -349,7 +342,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
         cand_cycles = tuple(
             (values[a], values[b], values[c], values[d])
             for a, b, c, d in pattern.special_cycles)
-        if all(sample_disk_coverability(H, cyc, est, skel=skel).decided_coverable
+        if all(sample_disk_coverability(H, cyc, est).decided_coverable
                for cyc in cand_cycles):
             embedding = {role_name(r): image[r] for r in pattern.roles}
             cycles = cand_cycles
@@ -358,10 +351,10 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     if embedding is None or cycles is None:
         return SearchFailure(KTT, "pattern-vertices",
                              "pattern draws kept colliding or failing the "
-                             "coverability test", params.pattern_retries)
+                             "coverability test", _PATTERN_RETRIES)
 
     # stage 4: glue and verify
-    return _certify(H, KTT, t, embedding, cycles, params, used_retries, skel)
+    return _certify(H, KTT, t, embedding, cycles, params, used_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +373,7 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
                              "hypergraph too small or empty", 0)
     gen = generator(params.seed, _S_LINK)
     pairs = set()
-    draws = gen.integers(0, H.n, size=(params.link_sample, 2))
+    draws = gen.integers(0, H.n, size=(_LINK_SAMPLE, 2))
     for a, b in draws:
         if a != b:
             pairs.add((min(int(a), int(b)), max(int(a), int(b))))
@@ -393,7 +386,7 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     if best is None or best_e <= 0:
         return SearchFailure(target, "apex-selection",
                              "no sampled apex pair has a common link edge",
-                             params.link_sample)
+                             _LINK_SAMPLE)
     u, up, G = best
 
     # stage 2: hub vertex with admissible spoke paths
@@ -405,7 +398,7 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
             break
         gen = generator(params.seed, _S_HUB, retry)
         v = candidates[int(gen.integers(0, len(candidates)))]
-        ws = _pick_distinct(gen, sorted(G.adj[v]), hub_degree)
+        ws = _pick_distinct(gen, sorted(common_neighborhood(G, (v,))), hub_degree)
         if ws is None:
             continue
         if all(sample_admissibility(G, ws[i], v, ws[j], est).decided_coverable
@@ -451,7 +444,7 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
     detail = "no 4-cycle with two spare common neighbours"
     for retry in range(params.max_retries):
         gen = generator(params.seed, _S_SPHERE, retry)
-        draws = gen.integers(0, H.n, size=(params.link_sample, 2))
+        draws = gen.integers(0, H.n, size=(_LINK_SAMPLE, 2))
         best = None
         best_c = 1
         for a, c in draws:
@@ -469,7 +462,7 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
             continue
         cycle = (a, bd[0], c, bd[1])
         result = _certify(H, SPHERE, None, dict(zip("abcd", cycle)),
-                          (cycle, cycle), params, retry, skel)
+                          (cycle, cycle), params, retry)
         if isinstance(result, HomeomorphCertificate):
             return result
         stage, detail = result.stage, result.detail

@@ -383,6 +383,35 @@ def test_coverability_invalid_cycle():
         sample_disk_coverability(sparse, (0, 1, 2, 3), est_params())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=comb(n, 3),
+                         max_size=comb(n, 3)))), st.data())
+def test_coverability_rejects_exactly_the_invalid_cycles(host, data):
+    """The cycle check raises, with its message, exactly when the cycle
+    repeats a vertex, leaves V(H) or misses a skeleton edge."""
+    n, keep = host
+    triples = [t for t, k in zip(combinations(range(n), 3), keep) if k]
+    vertex = st.integers(0, n - 1) | st.integers(-2, n + 1)
+    cycle = tuple(data.draw(st.lists(vertex, min_size=4, max_size=4)))
+    pairs = bf.skeleton_pairs(triples)
+    if len(set(cycle)) != 4:
+        want = "boundary cycle must list four distinct vertices"
+    elif any(not 0 <= x < n for x in cycle):
+        want = f"vertex {next(x for x in cycle if not 0 <= x < n)} not in the skeleton"
+    else:
+        want = next((f"cycle edge {a}-{b} missing from the skeleton"
+                     for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                     if tuple(sorted((a, b))) not in pairs), None)
+    H = Hypergraph3(n, triples)
+    if want is None:
+        sample_disk_coverability(H, cycle, est_params(trials=4))
+    else:
+        with pytest.raises(ValueError) as err:
+            sample_disk_coverability(H, cycle, est_params(trials=4))
+        assert str(err.value) == want
+
+
 def test_coverability_deterministic_and_seeded():
     H = complete_hypergraph(8)
     a = sample_disk_coverability(H, (0, 1, 2, 3), est_params(seed=5))
@@ -616,6 +645,9 @@ def test_pair_psi_missing_skeleton_edge_counts():
     assert stats.codeg == 2
     assert stats.xi == 1  # only the pair {2, 3} exists; cycle edges missing
     assert stats.psi == Fraction(1, 2)
+    # a common neighbour outside V(H) closes no 4-cycle of H either
+    G = SkeletonGraph(range(6), [(0, 2), (1, 2), (0, 5), (1, 5)])
+    assert pair_psi(H, G, 0, 1, est_params()).xi == 1
 
 
 def test_triple_phi():

@@ -1,14 +1,16 @@
+import sys
 from dataclasses import replace
 
 import pytest
 
-from diskcover import search
+from diskcover import hypergraph, search
 from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TARGETS,
                                     TORUS, HomeomorphCertificate,
                                     serialize_certificate)
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.generators import random_hypergraph
-from diskcover.hypergraph import (Hypergraph3, complete_hypergraph,
+from diskcover.coverability import EstimatorParams, pair_psi
+from diskcover.hypergraph import (Hypergraph3, complete_hypergraph, link,
                                   link_intersection)
 from diskcover.search import (FINDERS, GlueFailure, SearchFailure,
                               SearchParams, find_k_t_homeomorph,
@@ -31,8 +33,6 @@ def test_search_params_validation_and_defaults():
         SearchParams(t=2)
     with pytest.raises(ValueError):
         SearchParams(max_retries=0)
-    with pytest.raises(ValueError):
-        SearchParams(r=-1)
     p, eps = SearchParams(t=4).resolved(KTT)
     assert p == pytest.approx(4 ** -3)
     assert eps == pytest.approx(2 * 4 ** -6)
@@ -216,6 +216,29 @@ def test_find_ktt_t4_k30():
     assert len(cert.disks) == 12
     assert len(cert.embedding) == 14
     assert verify_certificate(H, cert).passed
+
+
+def test_ktt_search_and_pair_psi_build_no_skeleton(monkeypatch):
+    # 4-cycle edges are read from the host's link rows, so neither path
+    # needs the skeleton of the whole host
+    calls = []
+    real = hypergraph.skeleton
+
+    def counting(H):
+        calls.append(H)
+        return real(H)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "diskcover"
+                and getattr(mod, "skeleton", None) is real):
+            monkeypatch.setattr(mod, "skeleton", counting)
+    H = complete_hypergraph(12)
+    cert = find_k_t_homeomorph(H, SearchParams(t=3, p=0.5, epsilon=0.1))
+    assert isinstance(cert, HomeomorphCertificate)
+    stats = pair_psi(H, link(H, 0), 1, 2,
+                     EstimatorParams(p=0.5, epsilon=0.1, trials=16))
+    assert stats.codeg == 9
+    assert calls == []
 
 
 def test_find_ktt_deterministic_failure_stage():
