@@ -41,21 +41,27 @@ def _canon_triangle(t: Iterable[int]) -> tuple[int, int, int]:
 class TwoComplex:
     """An immutable pure 2-complex described by its triangles."""
 
-    __slots__ = ("triangles", "vertices", "edges", "edge_incidence")
+    __slots__ = ("triangles", "edge_incidence")
 
     def __init__(self, triangles: Iterable[Iterable[int]]):
         tris = frozenset(_canon_triangle(t) for t in triangles)
         incidence: Counter = Counter()
-        verts = set()
         for a, b, c in tris:
-            verts.update((a, b, c))
             incidence[(a, b)] += 1
             incidence[(a, c)] += 1
             incidence[(b, c)] += 1
         self.triangles = tris
-        self.vertices = frozenset(verts)
-        self.edges = frozenset(incidence)
         self.edge_incidence = dict(incidence)
+
+    # vertices and edges are derived on each read, not stored: a search
+    # keeps many small disks alive at once
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(v for t in self.triangles for v in t)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edge_incidence)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TwoComplex) and self.triangles == other.triangles
@@ -96,7 +102,7 @@ class Classification:
 
 
 def euler_characteristic(X: TwoComplex) -> int:
-    return len(X.vertices) - len(X.edges) + len(X.triangles)
+    return len(X.vertices) - len(X.edge_incidence) + len(X.triangles)
 
 
 def _component_shapes(edges: Iterable[tuple[int, int]]) -> list[str]:
@@ -220,7 +226,7 @@ def classify(X: TwoComplex) -> Classification:
     bd_shapes = _component_shapes(bd_edges)
     surface_like = (
         all(k <= 2 for k in X.edge_incidence.values())
-        and len(_component_shapes(X.edges)) == 1
+        and len(_component_shapes(X.edge_incidence)) == 1
         and all(_component_shapes(lk) in (["path"], ["cycle"])
                 for lk in _vertex_links(X).values())
     )
@@ -260,4 +266,4 @@ def _chord_free(X: TwoComplex, bd_edges: frozenset[tuple[int, int]]) -> bool:
         return False
     on_boundary = {v for e in bd_edges for v in e}
     return not any(a in on_boundary and b in on_boundary and (a, b) not in bd_edges
-                   for a, b in X.edges)
+                   for a, b in X.edge_incidence)

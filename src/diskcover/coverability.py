@@ -178,24 +178,28 @@ def path_layers(adj: dict[int, int], a: int, b: int,
     vertices at distance i + 1 from a, up to the first layer adjacent
     to b; None means no such path exists. `least_path` turns the layers
     into the lexicographically smallest shortest path.
+
+    `adj` must be symmetric (bit y of adj[x] set iff bit x of adj[y]
+    is): each new layer is tested against adj[b] before it is expanded,
+    so the layer that reaches b is never expanded.
     """
     if a not in adj or b not in adj:
         return None
-    bbit = 1 << b
-    interior &= ~((1 << a) | bbit)
+    near_b = adj[b]
+    interior &= ~((1 << a) | (1 << b))
     frontier = adj[a] & interior
     seen = frontier
     layers = []
     while frontier:
         layers.append(frontier)
+        if frontier & near_b:
+            return layers
         step = 0
         f = frontier
         while f:
             low = f & -f
             f ^= low
             step |= adj[low.bit_length() - 1]
-        if step & bbit:
-            return layers
         frontier = step & interior & ~seen
         seen |= frontier
     return None
@@ -279,6 +283,50 @@ def _reliability(leaves: Counter, k: int, p: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo trials
+
+
+def _least_hits(trials: int, epsilon: float) -> int:
+    """The least h with h / trials >= 1 - epsilon: the decision rule of
+    `CoverabilityEstimate.from_counts`, in the same float expression.
+    The floor of (1 - epsilon) trials is at most one below it."""
+    h = int((1 - epsilon) * trials)
+    while h / trials < 1 - epsilon:
+        h += 1
+    return h
+
+
+def _trial_hits(event: Callable[[int], bool], masks: list[int],
+                need: int | None = None) -> int:
+    """How many masks satisfy the event, asked in mask order.
+
+    Given `need`, the loop stops as soon as whether hits >= need is
+    fixed: at the need-th hit, or at the miss that leaves too few masks
+    to reach need. The count is then partial, but that decision is the
+    one the full count gives.
+    """
+    hits = misses = 0
+    spare = len(masks) if need is None else len(masks) - need
+    for m in masks:
+        if event(m):
+            hits += 1
+            if hits == need:
+                break
+        else:
+            misses += 1
+            if misses > spare:
+                break
+    return hits
+
+
+def _decided(event: Callable[[int], bool], masks: list[int],
+             epsilon: float) -> bool:
+    """Whether the hit rate over the masks reaches 1 - epsilon."""
+    need = _least_hits(len(masks), epsilon)
+    return _trial_hits(event, masks, need) >= need
+
+
+# ---------------------------------------------------------------------------
 # admissibility of length-2 paths
 
 
@@ -298,6 +346,20 @@ def _admissible_universe(G: SkeletonGraph, w: int, u: int, wp: int) -> list[int]
     return [x for x in G.vertices if x not in (u, w, wp)]
 
 
+def _admissibility_trials(G: SkeletonGraph, w: int, u: int, wp: int,
+                          params: EstimatorParams):
+    """The per-trial event and the trial masks of the admissibility test."""
+    _check_p2(G, w, u, wp)
+    umask_all = 0
+    for x in _admissible_universe(G, w, u, wp):
+        umask_all |= 1 << x
+    width = max(G.vertices) + 1
+    masks = trial_masks(params.seed, (_STREAM_ADMISSIBLE, w, u, wp),
+                        params.trials, width, params.p)
+    adj = G.adj_mask
+    return (lambda m: path_layers(adj, w, wp, m & umask_all) is not None), masks
+
+
 def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
                          params: EstimatorParams) -> CoverabilityEstimate:
     """Monte Carlo estimate that the path w u w' is (p, epsilon)-admissible.
@@ -307,19 +369,16 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     vertices inside U. Deterministic in (params.seed, trials) and in the
     path's vertex labels; trials may be evaluated in any order.
     """
-    _check_p2(G, w, u, wp)
-    universe = _admissible_universe(G, w, u, wp)
-    umask_all = 0
-    for x in universe:
-        umask_all |= 1 << x
-    width = max(G.vertices) + 1
-    masks = trial_masks(params.seed, (_STREAM_ADMISSIBLE, w, u, wp),
-                        params.trials, width, params.p)
-    hits = 0
-    for m in masks:
-        if path_layers(G.adj_mask, w, wp, m & umask_all) is not None:
-            hits += 1
-    return CoverabilityEstimate.from_counts(hits, params.trials, params.epsilon)
+    event, masks = _admissibility_trials(G, w, u, wp, params)
+    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
+                                            params.trials, params.epsilon)
+
+
+def _admissible(G: SkeletonGraph, w: int, u: int, wp: int,
+                params: EstimatorParams) -> bool:
+    """`sample_admissibility(...).decided_coverable`, stopping the trials
+    once the decision is fixed."""
+    return _decided(*_admissibility_trials(G, w, u, wp, params), params.epsilon)
 
 
 def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
@@ -471,14 +530,18 @@ def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],
 
 
 def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
-                        strategy: str, max_interior: int) -> Callable[[int], bool]:
+                        strategy: str, max_interior: int,
+                        li_apex: SkeletonGraph | None = None) -> Callable[[int], bool]:
     """Build the per-sample success predicate for one boundary cycle.
 
     PyramidOnly tries both opposite-apex choices of the 4-cycle; the
-    exhaustive strategy additionally searches all small disks.
+    exhaustive strategy additionally searches all small disks. A caller
+    testing many cycles over one apex pair v, v' may pass their link
+    intersection.
     """
     v, w, vp, wp = cycle
-    li_apex = link_intersection(H, v, vp)
+    if li_apex is None:
+        li_apex = link_intersection(H, v, vp)
     li_side = link_intersection(H, w, wp)
 
     def pyramid_event(umask: int) -> bool:
@@ -497,6 +560,18 @@ def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
     return exhaustive_event
 
 
+def _coverability_trials(H: Hypergraph3, cyc: tuple[int, int, int, int],
+                         params: EstimatorParams,
+                         li_apex: SkeletonGraph | None = None):
+    """The per-trial event and the trial masks of the coverability test
+    of a checked cycle."""
+    event = _coverability_event(H, cyc, params.strategy, params.max_interior,
+                                li_apex)
+    masks = trial_masks(params.seed, (_STREAM_COVER, *cyc),
+                        params.trials, max(H.n, 1), params.p)
+    return event, masks
+
+
 def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
                              params: EstimatorParams) -> CoverabilityEstimate:
     """Monte Carlo test that the 4-cycle is (p, epsilon)-disk-coverable.
@@ -506,12 +581,18 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     inside U. The search family is set by params.strategy. Deterministic
     in (seed, trials, cycle labels); independent of evaluation order.
     """
-    cyc = _check_four_cycle(H, cycle)
-    event = _coverability_event(H, cyc, params.strategy, params.max_interior)
-    masks = trial_masks(params.seed, (_STREAM_COVER, *cyc),
-                        params.trials, max(H.n, 1), params.p)
-    hits = sum(1 for m in masks if event(m))
-    return CoverabilityEstimate.from_counts(hits, params.trials, params.epsilon)
+    event, masks = _coverability_trials(H, _check_four_cycle(H, cycle), params)
+    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
+                                            params.trials, params.epsilon)
+
+
+def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
+               params: EstimatorParams,
+               li_apex: SkeletonGraph | None = None) -> bool:
+    """`sample_disk_coverability(H, cyc, params).decided_coverable` for a
+    checked cycle, stopping the trials once the decision is fixed."""
+    return _decided(*_coverability_trials(H, cyc, params, li_apex),
+                    params.epsilon)
 
 
 def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
@@ -570,8 +651,10 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
     ef = unit_fraction(epsilon, "epsilon", zero=False)
     if probabilities is None:
         probabilities = admissibility_probabilities(G, pf)
-    threshold = 1 - ef
-    bad = [path for path, prob in probabilities.items() if prob < threshold]
+    # prob < 1 - epsilon, in integers: no Fraction per path
+    en, ed = ef.numerator, ef.denominator
+    bad = [path for path, prob in probabilities.items()
+           if prob.numerator * ed < (ed - en) * prob.denominator]
     return _audit(G, bad, Fraction(3 * G.n) / (2 * pf * pf * ef))
 
 
@@ -586,16 +669,20 @@ def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
 
     A 4-cycle with a vertex outside H or an edge missing from S(H)
     counts as non-coverable outright (no disk of H can have that
-    boundary).
+    boundary). The link intersection of v and v' is built once, at the
+    first valid cycle, and shared by all of them.
     """
     bad = 0
+    li_apex = None
     for w, wp in pairs:
         try:
             cyc = _check_four_cycle(H, (v, w, vp, wp))
         except ValueError:
             bad += 1
             continue
-        if not sample_disk_coverability(H, cyc, params).decided_coverable:
+        if li_apex is None:
+            li_apex = link_intersection(H, v, vp)
+        if not _coverable(H, cyc, params, li_apex):
             bad += 1
     return bad
 

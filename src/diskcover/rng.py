@@ -44,7 +44,17 @@ def trial_matrix(seed: int, stream: tuple[int, ...], trials: int, width: int,
 
 def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,
                 p: float) -> list[int]:
-    """Per-trial inclusion samples as integer bitmasks (bit v = vertex v)."""
-    rows = trial_matrix(seed, stream, trials, width, p)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    """Per-trial inclusion samples as integer bitmasks (bit v = vertex v).
+
+    Each row is packed little-endian into whole 64-bit words; word j of
+    every row is read as one Python int column and ORed in at bit 64 j.
+    """
+    packed = np.packbits(trial_matrix(seed, stream, trials, width, p),
+                         axis=1, bitorder="little")
+    words = np.zeros((trials, max(1, -(-width // 64)) * 8), np.uint8)
+    words[:, :packed.shape[1]] = packed
+    cols = words.view("<u8").T.tolist()
+    masks = cols[0]
+    for j, col in enumerate(cols[1:], 1):
+        masks = [m | x << 64 * j for m, x in zip(masks, col)]
+    return masks

@@ -32,13 +32,13 @@ from .complexes import TwoComplex
 from .coverability import (
     PYRAMID_ONLY,
     EstimatorParams,
+    _admissible,
     _check_four_cycle,
     _count_uncoverable,
+    _coverable,
     least_path,
     path_layers,
     pyramid_disk,
-    sample_admissibility,
-    sample_disk_coverability,
     triple_phi,
 )
 from .gamma import gamma, role_name
@@ -342,7 +342,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
         cand_cycles = tuple(
             (values[a], values[b], values[c], values[d])
             for a, b, c, d in pattern.special_cycles)
-        if all(sample_disk_coverability(H, cyc, est).decided_coverable
+        if all(_coverable(H, _check_four_cycle(H, cyc), est)
                for cyc in cand_cycles):
             embedding = {role_name(r): image[r] for r in pattern.roles}
             cycles = cand_cycles
@@ -401,8 +401,7 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
         ws = _pick_distinct(gen, sorted(common_neighborhood(G, (v,))), hub_degree)
         if ws is None:
             continue
-        if all(sample_admissibility(G, ws[i], v, ws[j], est).decided_coverable
-               for i, j in hub_paths):
+        if all(_admissible(G, ws[i], v, ws[j], est) for i, j in hub_paths):
             hub = (v, ws)
             used_retries = retry
             break

@@ -115,13 +115,15 @@ def _check_intersections(cert) -> CheckResult:
     k = len(cert.disks)
     verts = [frozenset(c) for c in cert.cycles]
     edges = [_cycle_edge_set(c) for c in cert.cycles]
+    disk_verts = [d.vertices for d in cert.disks]
     for i in range(k):
         di = cert.disks[i]
         for j in range(i + 1, k):
             dj = cert.disks[j]
             if (di.triangles & dj.triangles
-                    or di.vertices & dj.vertices != verts[i] & verts[j]
-                    or di.edges & dj.edges != edges[i] & edges[j]):
+                    or disk_verts[i] & disk_verts[j] != verts[i] & verts[j]
+                    or (di.edge_incidence.keys() & dj.edge_incidence.keys()
+                        != edges[i] & edges[j])):
                 return CheckResult(
                     "pairwise-intersections", False,
                     f"disks {i},{j} intersect beyond their shared boundary")

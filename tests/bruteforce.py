@@ -177,6 +177,17 @@ def orientable_by_enumeration(triangles) -> bool:
     return False
 
 
+def complex_vertices(triangles):
+    """The vertices of a 2-complex: every vertex of some triangle."""
+    return {v for t in triangles for v in t}
+
+
+def complex_edges(triangles):
+    """The edges of a 2-complex: every vertex pair of some triangle, as
+    sorted tuples."""
+    return {e for t in triangles for e in combinations(sorted(t), 2)}
+
+
 def surface_conditions(triangles):
     """Independent re-check of the surface conditions; returns a dict."""
     tris = [frozenset(t) for t in triangles]

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -24,7 +25,8 @@ from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     weighted_inadmissibility_audit)
 from diskcover.generators import random_graph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
-                                  complete_hypergraph, iter_p2s, skeleton)
+                                  complete_hypergraph, iter_p2s, link,
+                                  skeleton)
 
 HALF = Fraction(1, 2)
 
@@ -149,6 +151,26 @@ def test_path_rule_matches_brute_force(verts, data):
     assert len(layers) == shortest - 2
     assert tuple(least_path(adj, a, b, layers)) == min(
         p for p in paths if len(p) == shortest)
+
+
+class _CountingAdj(dict):
+    """An adjacency dict that counts the rows read through []."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = []
+
+    def __getitem__(self, v):
+        self.reads.append(v)
+        return super().__getitem__(v)
+
+
+def test_path_layers_distance_one_reads_only_the_ends():
+    # in the link of 8 in K_9 (a K_8) every vertex but 0 and 1 joins them
+    adj = _CountingAdj(link(complete_hypergraph(9), 8).adj_mask)
+    middle = sum(1 << x for x in range(2, 8))
+    assert path_layers(adj, 0, 1, (1 << 9) - 1) == [middle]
+    assert sorted(adj.reads) == [0, 1]
 
 
 def test_pyramid_disk_validation():
@@ -410,6 +432,103 @@ def test_coverability_rejects_exactly_the_invalid_cycles(host, data):
         with pytest.raises(ValueError) as err:
             sample_disk_coverability(H, cycle, est_params(trials=4))
         assert str(err.value) == want
+
+
+@pytest.mark.parametrize("trials, epsilon, need", [
+    (10, 0.1, 9), (10, 0.7, 4), (1, 0.9, 1), (7, 0.5, 4), (64, 0.1, 58),
+    (65, 0.1, 59), (3, 1 / 3, 3)])
+def test_least_hits_float_edges(trials, epsilon, need):
+    # in floats 1 - 0.7 is 0.30000000000000004, above 3 / 10, and 1 - 1/3
+    # is 0.6666666666666667, above 2 / 3
+    assert coverability._least_hits(trials, epsilon) == need
+    est = CoverabilityEstimate.from_counts
+    assert est(need, trials, epsilon).decided_coverable
+    assert not est(need - 1, trials, epsilon).decided_coverable
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.floats(0, 1, exclude_min=True,
+                                     exclude_max=True))
+def test_least_hits_is_the_decision_rule(trials, epsilon):
+    need = coverability._least_hits(trials, epsilon)
+    assert need == min(h for h in range(trials + 1)
+                       if h / trials >= 1 - epsilon)
+
+
+def _check_decision_path(event, masks, epsilon, decided) -> None:
+    """The stopping loop gives the full count's decision after exactly the
+    trials it takes to fix it, asking the event once per trial."""
+    trials = len(masks)
+    outcomes = [event(m) for m in masks]
+    need = min(h for h in range(trials + 1) if h / trials >= 1 - epsilon)
+    assert (sum(outcomes) >= need) == decided
+    hits = 0
+    for fixed_at, hit in enumerate(outcomes, 1):
+        hits += hit
+        if hits >= need or hits + trials - fixed_at < need:
+            break
+    asked = []
+
+    def counting(m):
+        asked.append(m)
+        return event(m)
+
+    assert coverability._decided(counting, masks, epsilon) == decided
+    assert asked == masks[:fixed_at]
+    assert coverability._trial_hits(event, masks) == sum(outcomes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 8), st.sampled_from([0.5, 0.8, 1.0]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 7, 10, 64, 65]),
+       st.sampled_from([0.1, 0.25, 0.5, 0.7, 0.9]),
+       st.sampled_from([0.2, 0.5, 0.8]),
+       st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
+def test_decision_path_matches_samplers(n, density, host_seed, trials,
+                                        epsilon, p, strategy, data):
+    """The stopping decision equals `.decided_coverable` of both samplers."""
+    rng = random.Random(host_seed)
+    triples = [t for t in combinations(range(n), 3) if rng.random() < density]
+    H = Hypergraph3(n, triples)
+    params = est_params(p=p, epsilon=epsilon, trials=trials,
+                        seed=host_seed % 97, strategy=strategy)
+    pairs = bf.skeleton_pairs(triples)
+    cycles = [c for c in permutations(range(n), 4)
+              if all(tuple(sorted(e)) in pairs
+                     for e in zip(c, c[1:] + c[:1]))]
+    assume(cycles)
+    cyc = data.draw(st.sampled_from(cycles))
+    full = sample_disk_coverability(H, cyc, params)
+    assert coverability._coverable(H, cyc, params) == full.decided_coverable
+    _check_decision_path(*coverability._coverability_trials(H, cyc, params),
+                         epsilon, full.decided_coverable)
+
+    G = skeleton(H)
+    w, u, wp = data.draw(st.sampled_from(list(iter_p2s(G))))
+    full = sample_admissibility(G, w, u, wp, params)
+    assert coverability._admissible(G, w, u, wp, params) == full.decided_coverable
+    _check_decision_path(
+        *coverability._admissibility_trials(G, w, u, wp, params), epsilon,
+        full.decided_coverable)
+
+
+def test_decision_path_stops_once_fixed():
+    # at 1 - 0.1 over 64 trials the decision is fixed at the 58th hit or
+    # at the 7th miss; on K_10 a trial misses with probability 1/64, on
+    # the LI path instance with probability 1/2
+    params = est_params(trials=64)
+    for H, cyc, coverable, stop in (
+            (complete_hypergraph(10), (0, 1, 2, 3), True, (58, True)),
+            (LI_PATH_H, LI_PATH_CYCLE, False, (7, False))):
+        event, masks = coverability._coverability_trials(H, cyc, params)
+        asked = []
+        assert coverability._decided(
+            lambda m: asked.append(m) or event(m), masks,
+            params.epsilon) == coverable
+        count, outcome = stop
+        assert [event(m) for m in asked].count(outcome) == count
+        assert event(asked[-1]) == outcome
+        assert len(asked) < 64
 
 
 def test_coverability_deterministic_and_seeded():

@@ -1,8 +1,11 @@
+import gc
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+import bruteforce as bf
 from diskcover import hypergraph, search
 from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TARGETS,
                                     TORUS, HomeomorphCertificate,
@@ -216,6 +219,32 @@ def test_find_ktt_t4_k30():
     assert len(cert.disks) == 12
     assert len(cert.embedding) == 14
     assert verify_certificate(H, cert).passed
+
+
+def test_ktt_certificates_stay_small():
+    """A K_4 certificate on K_30 retains under 24 KB: its disks keep their
+    triangles and edge incidences, and derive edges and vertices on read."""
+    H = complete_hypergraph(30)
+    for u in H.vertices:  # link rows are kept on the host; build them first
+        H.row(u)
+    params = SearchParams(t=4, p=0.5, epsilon=0.1)
+    find_k_t_homeomorph(H, params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = [find_k_t_homeomorph(H, replace(params, seed=s))
+                 for s in range(1, 11)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(c, HomeomorphCertificate) for c in certs)
+    assert retained / len(certs) < 24 * 1024
+    for disk in (d for c in certs for d in c.disks):
+        assert disk.vertices == bf.complex_vertices(disk.triangles)
+        assert disk.edges == bf.complex_edges(disk.triangles)
+        assert disk.edges == frozenset(disk.edge_incidence)
 
 
 def test_ktt_search_and_pair_psi_build_no_skeleton(monkeypatch):
