@@ -168,6 +168,41 @@ def pyramid_disk(v: int, vp: int, path: Sequence[int]) -> TwoComplex:
 # bitmask path search
 
 
+def path_exists(adj: dict[int, int], a: int, b: int, interior: int) -> bool:
+    """Whether a path a..b of length >= 2 runs through `interior`.
+
+    The decision-only form of `path_layers`: the same event, with the
+    direct edge ab removed and the internal vertices confined to the
+    `interior` mask. It grows one breadth-first frontier from a and one
+    from b, always expanding the smaller, and succeeds as soon as the
+    two reached sets meet; it fails when either frontier empties. Two
+    half-depth searches read fewer rows than one search from a, but
+    they do not give the layers `least_path` needs.
+
+    `adj` must be symmetric, since the search from b follows rows
+    backwards.
+    """
+    if a not in adj or b not in adj:
+        return False
+    interior &= ~((1 << a) | (1 << b))
+    front_a = seen_a = adj[a] & interior
+    front_b = seen_b = adj[b] & interior
+    while front_a and front_b:
+        if seen_a & seen_b:
+            return True
+        if front_a.bit_count() > front_b.bit_count():
+            front_a, seen_a, front_b, seen_b = front_b, seen_b, front_a, seen_a
+        step = 0
+        f = front_a
+        while f:
+            low = f & -f
+            f ^= low
+            step |= adj[low.bit_length() - 1]
+        front_a = step & interior & ~seen_a
+        seen_a |= front_a
+    return False
+
+
 def path_layers(adj: dict[int, int], a: int, b: int,
                 interior: int) -> list[int] | None:
     """BFS layers of a length >= 2 path a..b through `interior`, or None.
@@ -296,17 +331,17 @@ def _least_hits(trials: int, epsilon: float) -> int:
     return h
 
 
-def _trial_hits(event: Callable[[int], bool], masks: list[int],
-                need: int | None = None) -> int:
-    """How many masks satisfy the event, asked in mask order.
+def _trial_hits(event: Callable[[int], bool], masks: Iterable[int],
+                trials: int, need: int | None = None) -> int:
+    """How many of the `trials` masks satisfy the event, asked in mask order.
 
     Given `need`, the loop stops as soon as whether hits >= need is
     fixed: at the need-th hit, or at the miss that leaves too few masks
     to reach need. The count is then partial, but that decision is the
-    one the full count gives.
+    one the full count gives, and the masks after it are never read.
     """
     hits = misses = 0
-    spare = len(masks) if need is None else len(masks) - need
+    spare = trials if need is None else trials - need
     for m in masks:
         if event(m):
             hits += 1
@@ -319,11 +354,11 @@ def _trial_hits(event: Callable[[int], bool], masks: list[int],
     return hits
 
 
-def _decided(event: Callable[[int], bool], masks: list[int],
+def _decided(event: Callable[[int], bool], masks: Iterable[int], trials: int,
              epsilon: float) -> bool:
-    """Whether the hit rate over the masks reaches 1 - epsilon."""
-    need = _least_hits(len(masks), epsilon)
-    return _trial_hits(event, masks, need) >= need
+    """Whether the hit rate over the `trials` masks reaches 1 - epsilon."""
+    need = _least_hits(trials, epsilon)
+    return _trial_hits(event, masks, trials, need) >= need
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +392,7 @@ def _admissibility_trials(G: SkeletonGraph, w: int, u: int, wp: int,
     masks = trial_masks(params.seed, (_STREAM_ADMISSIBLE, w, u, wp),
                         params.trials, width, params.p)
     adj = G.adj_mask
-    return (lambda m: path_layers(adj, w, wp, m & umask_all) is not None), masks
+    return (lambda m: path_exists(adj, w, wp, m & umask_all)), masks
 
 
 def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
@@ -370,22 +405,24 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     path's vertex labels; trials may be evaluated in any order.
     """
     event, masks = _admissibility_trials(G, w, u, wp, params)
-    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
-                                            params.trials, params.epsilon)
+    return CoverabilityEstimate.from_counts(
+        _trial_hits(event, masks, params.trials), params.trials,
+        params.epsilon)
 
 
 def _admissible(G: SkeletonGraph, w: int, u: int, wp: int,
                 params: EstimatorParams) -> bool:
     """`sample_admissibility(...).decided_coverable`, stopping the trials
     once the decision is fixed."""
-    return _decided(*_admissibility_trials(G, w, u, wp, params), params.epsilon)
+    return _decided(*_admissibility_trials(G, w, u, wp, params),
+                    params.trials, params.epsilon)
 
 
 def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
                           wp: int) -> Counter:
     adj = G.adj_mask
     return _leaf_counts(_admissible_universe(G, w, u, wp),
-                        lambda mask: path_layers(adj, w, wp, mask) is not None)
+                        lambda mask: path_exists(adj, w, wp, mask))
 
 
 def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
@@ -545,8 +582,8 @@ def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
     li_side = link_intersection(H, w, wp)
 
     def pyramid_event(umask: int) -> bool:
-        return (path_layers(li_apex.adj_mask, w, wp, umask) is not None
-                or path_layers(li_side.adj_mask, v, vp, umask) is not None)
+        return (path_exists(li_apex.adj_mask, w, wp, umask)
+                or path_exists(li_side.adj_mask, v, vp, umask))
 
     if strategy == PYRAMID_ONLY:
         return pyramid_event
@@ -582,8 +619,9 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     in (seed, trials, cycle labels); independent of evaluation order.
     """
     event, masks = _coverability_trials(H, _check_four_cycle(H, cycle), params)
-    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
-                                            params.trials, params.epsilon)
+    return CoverabilityEstimate.from_counts(
+        _trial_hits(event, masks, params.trials), params.trials,
+        params.epsilon)
 
 
 def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
@@ -592,7 +630,7 @@ def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
     """`sample_disk_coverability(H, cyc, params).decided_coverable` for a
     checked cycle, stopping the trials once the decision is fixed."""
     return _decided(*_coverability_trials(H, cyc, params, li_apex),
-                    params.epsilon)
+                    params.trials, params.epsilon)
 
 
 def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
@@ -633,7 +671,7 @@ def inadmissible_p2_audit(G: SkeletonGraph) -> WeightedAudit:
     adj = G.adj_mask
     full = sum(1 << v for v in adj)
     bad = [(x, y, z) for x, y, z in iter_p2s(G)
-           if path_layers(adj, x, z, full & ~(1 << y)) is None]
+           if not path_exists(adj, x, z, full & ~(1 << y))]
     return _audit(G, bad, Fraction(3 * G.n, 2))
 
 

@@ -19,7 +19,8 @@ from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     exact_disk_coverability,
                                     find_boundary_inducing_disk,
                                     inadmissible_p2_audit, least_path,
-                                    pair_psi, path_layers, pyramid_disk,
+                                    pair_psi, path_exists, path_layers,
+                                    pyramid_disk,
                                     sample_admissibility,
                                     sample_disk_coverability, triple_phi,
                                     weighted_inadmissibility_audit)
@@ -129,7 +130,8 @@ def test_pyramid_disk_k3_counts():
 @given(st.lists(st.integers(0, 11), min_size=2, max_size=12, unique=True),
        st.data())
 def test_path_rule_matches_brute_force(verts, data):
-    """path_layers decides the path event; least_path is the least shortest path.
+    """path_layers and path_exists decide the path event; least_path is the
+    least shortest path.
 
     Vertex sets have gaps, as in link intersections, and the interior
     mask may name non-members and the endpoints themselves.
@@ -144,6 +146,7 @@ def test_path_rule_matches_brute_force(verts, data):
     layers = path_layers(adj, a, b, interior)
     found = next(bf._simple_paths_interior_in(pairs, a, b, allowed), None)
     assert (layers is None) == (found is None)
+    assert path_exists(adj, a, b, interior) == (found is not None)
     if layers is None:
         return
     paths = list(bf.simple_paths(pairs, a, b, allowed))
@@ -170,6 +173,14 @@ def test_path_layers_distance_one_reads_only_the_ends():
     adj = _CountingAdj(link(complete_hypergraph(9), 8).adj_mask)
     middle = sum(1 << x for x in range(2, 8))
     assert path_layers(adj, 0, 1, (1 << 9) - 1) == [middle]
+    assert sorted(adj.reads) == [0, 1]
+
+
+def test_path_exists_distance_two_reads_only_the_ends():
+    # the two frontiers from 0 and 1 in the K_8 link of 8 in K_9 meet at
+    # once, before either is expanded
+    adj = _CountingAdj(link(complete_hypergraph(9), 8).adj_mask)
+    assert path_exists(adj, 0, 1, (1 << 9) - 1)
     assert sorted(adj.reads) == [0, 1]
 
 
@@ -458,6 +469,7 @@ def test_least_hits_is_the_decision_rule(trials, epsilon):
 def _check_decision_path(event, masks, epsilon, decided) -> None:
     """The stopping loop gives the full count's decision after exactly the
     trials it takes to fix it, asking the event once per trial."""
+    masks = list(masks)
     trials = len(masks)
     outcomes = [event(m) for m in masks]
     need = min(h for h in range(trials + 1) if h / trials >= 1 - epsilon)
@@ -473,9 +485,10 @@ def _check_decision_path(event, masks, epsilon, decided) -> None:
         asked.append(m)
         return event(m)
 
-    assert coverability._decided(counting, masks, epsilon) == decided
+    assert coverability._decided(counting, iter(masks), trials,
+                                 epsilon) == decided
     assert asked == masks[:fixed_at]
-    assert coverability._trial_hits(event, masks) == sum(outcomes)
+    assert coverability._trial_hits(event, iter(masks), trials) == sum(outcomes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -523,7 +536,7 @@ def test_decision_path_stops_once_fixed():
         event, masks = coverability._coverability_trials(H, cyc, params)
         asked = []
         assert coverability._decided(
-            lambda m: asked.append(m) or event(m), masks,
+            lambda m: asked.append(m) or event(m), masks, params.trials,
             params.epsilon) == coverable
         count, outcome = stop
         assert [event(m) for m in asked].count(outcome) == count
