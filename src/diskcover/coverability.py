@@ -331,17 +331,17 @@ def _least_hits(trials: int, epsilon: float) -> int:
     return h
 
 
-def _trial_hits(event: Callable[[int], bool], masks: Iterable[int],
-                trials: int, need: int | None = None) -> int:
-    """How many of the `trials` masks satisfy the event, asked in mask order.
+def _trial_hits(event: Callable[[int], bool], masks: list[int],
+                need: int | None = None) -> int:
+    """How many masks satisfy the event, asked in mask order.
 
     Given `need`, the loop stops as soon as whether hits >= need is
     fixed: at the need-th hit, or at the miss that leaves too few masks
     to reach need. The count is then partial, but that decision is the
-    one the full count gives, and the masks after it are never read.
+    one the full count gives.
     """
     hits = misses = 0
-    spare = trials if need is None else trials - need
+    spare = len(masks) if need is None else len(masks) - need
     for m in masks:
         if event(m):
             hits += 1
@@ -354,11 +354,11 @@ def _trial_hits(event: Callable[[int], bool], masks: Iterable[int],
     return hits
 
 
-def _decided(event: Callable[[int], bool], masks: Iterable[int], trials: int,
+def _decided(event: Callable[[int], bool], masks: list[int],
              epsilon: float) -> bool:
-    """Whether the hit rate over the `trials` masks reaches 1 - epsilon."""
-    need = _least_hits(trials, epsilon)
-    return _trial_hits(event, masks, trials, need) >= need
+    """Whether the hit rate over the masks reaches 1 - epsilon."""
+    need = _least_hits(len(masks), epsilon)
+    return _trial_hits(event, masks, need) >= need
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +405,15 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     path's vertex labels; trials may be evaluated in any order.
     """
     event, masks = _admissibility_trials(G, w, u, wp, params)
-    return CoverabilityEstimate.from_counts(
-        _trial_hits(event, masks, params.trials), params.trials,
-        params.epsilon)
+    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
+                                            params.trials, params.epsilon)
 
 
 def _admissible(G: SkeletonGraph, w: int, u: int, wp: int,
                 params: EstimatorParams) -> bool:
     """`sample_admissibility(...).decided_coverable`, stopping the trials
     once the decision is fixed."""
-    return _decided(*_admissibility_trials(G, w, u, wp, params),
-                    params.trials, params.epsilon)
+    return _decided(*_admissibility_trials(G, w, u, wp, params), params.epsilon)
 
 
 def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
@@ -619,9 +617,8 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     in (seed, trials, cycle labels); independent of evaluation order.
     """
     event, masks = _coverability_trials(H, _check_four_cycle(H, cycle), params)
-    return CoverabilityEstimate.from_counts(
-        _trial_hits(event, masks, params.trials), params.trials,
-        params.epsilon)
+    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
+                                            params.trials, params.epsilon)
 
 
 def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
@@ -630,7 +627,7 @@ def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
     """`sample_disk_coverability(H, cyc, params).decided_coverable` for a
     checked cycle, stopping the trials once the decision is fixed."""
     return _decided(*_coverability_trials(H, cyc, params, li_apex),
-                    params.trials, params.epsilon)
+                    params.epsilon)
 
 
 def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,

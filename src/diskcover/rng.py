@@ -9,20 +9,14 @@ work is split across workers.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Rows `trial_masks` draws before its first read. A multiple of 4: Philox
-# makes its words in blocks of four, so the head ends on a block boundary.
-_HEAD_ROWS = 16
-
 # One bit generator for every trial draw. Building a Philox from a key
 # also seeds an unused SeedSequence from the OS, at several times the
-# cost of setting the state. Each chunk sets the whole state before it
+# cost of setting the state. Each call sets the whole state before it
 # draws, so no draw depends on an earlier one; the package draws from
 # one thread per process, and two threads would need a generator each.
 _PHILOX = np.random.Philox(key=0)
@@ -71,56 +65,31 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0 ** 53) << 11
 
 
-def _mask_rows(key: int, block: int, rows: int, width: int,
-               threshold: int) -> list[int]:
-    """Rows of the stream keyed by `key`, from Philox block `block` on,
-    packed as bitmasks.
+def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,
+                p: float) -> list[int]:
+    """Per-trial inclusion samples as integer bitmasks (bit v = vertex v).
 
-    Each row is packed little-endian into whole 64-bit words; word j of
-    every row is read as one Python int column and ORed in at bit 64 j.
+    The rows of `trial_matrix(seed, stream, trials, width, p)`, bit for
+    bit, drawn by comparing raw Philox words with `_threshold(p)`. Each
+    row is packed little-endian into whole 64-bit words; word j of every
+    row is read as one Python int column and ORed in at bit 64 j.
     """
+    threshold = _threshold(p)
     if threshold >> 64:
-        return [(1 << width) - 1] * rows
+        return [(1 << width) - 1] * trials
     _PHILOX.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.array([block, 0, 0, 0], np.uint64),
-                  "key": np.array([key, 0], np.uint64)},
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([mix64(seed, *stream), 0], np.uint64)},
         "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0}
-    raw = _PHILOX.random_raw(rows * width).reshape(rows, width)
+    raw = _PHILOX.random_raw(trials * width).reshape(trials, width)
     packed = np.packbits(raw < np.uint64(threshold), axis=1,
                          bitorder="little")
-    words = np.zeros((rows, max(1, -(-width // 64)) * 8), np.uint8)
+    words = np.zeros((trials, max(1, -(-width // 64)) * 8), np.uint8)
     words[:, :packed.shape[1]] = packed
     cols = words.view("<u8").T.tolist()
     masks = cols[0]
     for j, col in enumerate(cols[1:], 1):
         masks = [m | x << 64 * j for m, x in zip(masks, col)]
     return masks
-
-
-def _chunks(head: list[int], key: int, block: int, rows: int, width: int,
-            threshold: int) -> Iterator[list[int]]:
-    yield head
-    yield _mask_rows(key, block, rows, width, threshold)
-
-
-def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,
-                p: float) -> Iterator[int]:
-    """Per-trial inclusion samples as integer bitmasks (bit v = vertex v).
-
-    Yields the rows of `trial_matrix(seed, stream, trials, width, p)` in
-    order, bit for bit, comparing raw Philox words with `_threshold(p)`.
-    The call draws the first `_HEAD_ROWS` rows; the rest are drawn at
-    the first read past them, from the Philox block the head ended on,
-    so a decision fixed early draws no more, and iterators may be
-    interleaved.
-    """
-    key = mix64(seed, *stream)
-    threshold = _threshold(p)
-    head = min(trials, _HEAD_ROWS)
-    masks = _mask_rows(key, 0, head, width, threshold)
-    if head == trials:
-        return iter(masks)
-    return chain.from_iterable(_chunks(masks, key, head * width // 4,
-                                       trials - head, width, threshold))

@@ -469,7 +469,6 @@ def test_least_hits_is_the_decision_rule(trials, epsilon):
 def _check_decision_path(event, masks, epsilon, decided) -> None:
     """The stopping loop gives the full count's decision after exactly the
     trials it takes to fix it, asking the event once per trial."""
-    masks = list(masks)
     trials = len(masks)
     outcomes = [event(m) for m in masks]
     need = min(h for h in range(trials + 1) if h / trials >= 1 - epsilon)
@@ -485,10 +484,9 @@ def _check_decision_path(event, masks, epsilon, decided) -> None:
         asked.append(m)
         return event(m)
 
-    assert coverability._decided(counting, iter(masks), trials,
-                                 epsilon) == decided
+    assert coverability._decided(counting, masks, epsilon) == decided
     assert asked == masks[:fixed_at]
-    assert coverability._trial_hits(event, iter(masks), trials) == sum(outcomes)
+    assert coverability._trial_hits(event, masks) == sum(outcomes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,7 +534,7 @@ def test_decision_path_stops_once_fixed():
         event, masks = coverability._coverability_trials(H, cyc, params)
         asked = []
         assert coverability._decided(
-            lambda m: asked.append(m) or event(m), masks, params.trials,
+            lambda m: asked.append(m) or event(m), masks,
             params.epsilon) == coverable
         count, outcome = stop
         assert [event(m) for m in asked].count(outcome) == count

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from diskcover import rng
-from diskcover.coverability import _decided
 from diskcover.rng import generator, mix64, trial_masks, trial_matrix
 
 
@@ -30,7 +28,7 @@ def test_trial_matrix_deterministic():
 
 def test_trial_masks_match_matrix():
     rows = trial_matrix(5, (1, 2), 12, 20, 0.5)
-    masks = list(trial_masks(5, (1, 2), 12, 20, 0.5))
+    masks = trial_masks(5, (1, 2), 12, 20, 0.5)
     assert len(masks) == 12
     for row, mask in zip(rows, masks):
         for v in range(20):
@@ -43,42 +41,14 @@ def _packed(rows) -> list[int]:
 
 @pytest.mark.parametrize("p", [0.0, 2.0 ** -60, 3 * 2.0 ** -53, 0.5, 1.0])
 def test_trial_masks_are_the_matrix_rows(p):
-    # widths around whole 64-bit words, trial counts around the 16-row
-    # head; 3 2^-53 keeps words with r >> 11 in {0, 1, 2}, 2^-60 only 0
+    # widths around whole 64-bit words, trial counts around a multiple of
+    # Philox's 4-word block; 3 2^-53 keeps words with r >> 11 in {0, 1, 2},
+    # 2^-60 only 0
     for width in (1, 63, 64, 65, 130):
         for trials in (1, 15, 16, 17, 65):
             stream = (width, trials)
-            assert list(trial_masks(7, stream, trials, width, p)) == _packed(
+            assert trial_masks(7, stream, trials, width, p) == _packed(
                 trial_matrix(7, stream, trials, width, p))
-
-
-def test_interleaved_trial_masks():
-    first = trial_masks(1, (3,), 40, 50, 0.5)
-    second = trial_masks(2, (3,), 40, 50, 0.5)
-    got_first, got_second = [], []
-    for _ in range(40):
-        got_second.append(next(second))
-        got_first.append(next(first))
-    assert got_first == _packed(trial_matrix(1, (3,), 40, 50, 0.5))
-    assert got_second == _packed(trial_matrix(2, (3,), 40, 50, 0.5))
-    assert next(first, None) is None
-
-
-def test_trial_masks_draw_the_tail_only_when_read(monkeypatch):
-    drawn = []
-    mask_rows = rng._mask_rows
-
-    def counting(key, block, rows, width, threshold):
-        drawn.append(rows)
-        return mask_rows(key, block, rows, width, threshold)
-
-    monkeypatch.setattr(rng, "_mask_rows", counting)
-    # 16 hits of 17 trials reach 1 - 0.1, so the 16th mask settles it
-    assert _decided(lambda m: True, trial_masks(0, (4,), 17, 30, 0.5), 17,
-                    0.1)
-    assert drawn == [16]
-    assert len(list(trial_masks(0, (4,), 17, 30, 0.5))) == 17
-    assert drawn == [16, 16, 1]
 
 
 def test_trial_masks_extreme_p():
