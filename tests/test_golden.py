@@ -13,7 +13,7 @@ import pytest
 
 from diskcover.certificates import SPHERE, serialize_certificate
 from diskcover.experiments import audit_corpus, sweep_csv, threshold_sweep
-from diskcover.generators import random_graph
+from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
 from diskcover.search import (SearchParams, find_k_t_homeomorph,
                               find_projective_plane, find_sphere, find_torus)
@@ -39,6 +39,20 @@ def _sha(text: str) -> str:
 ], ids=["ktt3-k12", "ktt4-k30", "torus-k20", "rp2-k15", "sphere-k8"])
 def test_certificate_digest(finder, n, params, digest):
     cert = finder(complete_hypergraph(n), params)
+    assert _sha(serialize_certificate(cert)) == digest
+
+
+@pytest.mark.parametrize("n, q, digest", [
+    (40, 0.25,
+     "f94b37eba91af37e1e19069714a757708d4eb23350c98f412e526e468b36e35f"),
+    (60, 0.2,
+     "db97429ee50cf5c0c472d2054476b34934b245d9859c30a646001e16f4f9e6e9"),
+], ids=["sphere-g40", "sphere-g60"])
+def test_sparse_sphere_digest(n, q, digest):
+    # on the sparse hosts the glued paths are longer than 2 edges (two of
+    # 6 on g40, one of 2 and one of 8 on g60), which pins the least
+    # shortest path rule beyond distance 2
+    cert = find_sphere(random_hypergraph(n, q, 0), DESK)
     assert _sha(serialize_certificate(cert)) == digest
 
 
