@@ -56,12 +56,9 @@ def _resolve(names: str, index: dict[str, int], count: int) -> list[int]:
     out = []
     for lab in parts:
         lab = lab.strip()
-        if lab in index:
-            out.append(index[lab])
-        elif lab.isdigit() and int(lab) < len(index):
-            out.append(int(lab))
-        else:
+        if lab not in index:
             raise ValueError(f"unknown vertex {lab!r}")
+        out.append(index[lab])
     return out
 
 
@@ -133,6 +130,27 @@ def _cmd_check_disk(args) -> int:
     return 0
 
 
+def _report(args, decided_key: str, exact, sample) -> int:
+    """Print the exact probability `exact(p)` under --exact, else the
+    estimate `sample()`, as text or JSON; exit 0 when decided, else 1."""
+    eps = unit_fraction(args.epsilon, "epsilon")
+    if args.exact:
+        prob = exact(as_fraction(args.p))
+        decided = prob >= 1 - eps
+        doc = {"probability": f"{prob.numerator}/{prob.denominator}"}
+    else:
+        est = sample()
+        decided = est.decided_coverable
+        doc = {"estimate": est.estimate, "successes": est.successes,
+               "trials": est.trials}
+    doc[decided_key] = decided
+    if args.format == "json":
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    else:
+        _emit("".join(f"{k}: {v}\n" for k, v in doc.items()), args.out)
+    return 0 if decided else 1
+
+
 def _cmd_coverability(args) -> int:
     H = parse_h3(read_text(args.file))
     try:
@@ -140,24 +158,11 @@ def _cmd_coverability(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     strategy = EXHAUSTIVE_SMALL if args.exhaustive else PYRAMID_ONLY
-    eps = unit_fraction(args.epsilon, "epsilon")
-    if args.exact:
-        prob = exact_disk_coverability(H, cycle, as_fraction(args.p),
-                                       strategy=strategy,
-                                       max_interior=args.max_interior)
-        decided = prob >= 1 - eps
-        doc = {"probability": f"{prob.numerator}/{prob.denominator}",
-               "decided_coverable": decided}
-    else:
-        est = sample_disk_coverability(H, cycle, _estimator(args, strategy))
-        decided = est.decided_coverable
-        doc = {"estimate": est.estimate, "successes": est.successes,
-               "trials": est.trials, "decided_coverable": decided}
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        _emit("".join(f"{k}: {v}\n" for k, v in doc.items()), args.out)
-    return 0 if decided else 1
+    return _report(
+        args, "decided_coverable",
+        lambda p: exact_disk_coverability(H, cycle, p, strategy=strategy,
+                                          max_interior=args.max_interior),
+        lambda: sample_disk_coverability(H, cycle, _estimator(args, strategy)))
 
 
 def _cmd_admissibility(args) -> int:
@@ -166,22 +171,9 @@ def _cmd_admissibility(args) -> int:
         w, u, wp = _resolve(args.p2, _label_index(labels), 3)
     except ValueError as exc:
         return _fail(str(exc))
-    eps = unit_fraction(args.epsilon, "epsilon")
-    if args.exact:
-        prob = exact_admissibility(G, w, u, wp, as_fraction(args.p))
-        decided = prob >= 1 - eps
-        doc = {"probability": f"{prob.numerator}/{prob.denominator}",
-               "decided_admissible": decided}
-    else:
-        est = sample_admissibility(G, w, u, wp, _estimator(args))
-        decided = est.decided_coverable
-        doc = {"estimate": est.estimate, "successes": est.successes,
-               "trials": est.trials, "decided_admissible": decided}
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        _emit("".join(f"{k}: {v}\n" for k, v in doc.items()), args.out)
-    return 0 if decided else 1
+    return _report(args, "decided_admissible",
+                   lambda p: exact_admissibility(G, w, u, wp, p),
+                   lambda: sample_admissibility(G, w, u, wp, _estimator(args)))
 
 
 def _cmd_audit(args) -> int:

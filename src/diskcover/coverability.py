@@ -168,30 +168,40 @@ def pyramid_disk(v: int, vp: int, path: Sequence[int]) -> TwoComplex:
 # bitmask path search
 
 
-def path_exists(adj: dict[int, int], a: int, b: int, interior: int) -> bool:
+def path_exists(adj: dict[int, int], a: int, b: int, interior: int,
+                layers: list[list[int]] | None = None) -> bool:
     """Whether a path a..b of length >= 2 runs through `interior`.
 
-    The decision-only form of `path_layers`: the same event, with the
-    direct edge ab removed and the internal vertices confined to the
-    `interior` mask. It grows one breadth-first frontier from a and one
-    from b, always expanding the smaller, and succeeds as soon as the
-    two reached sets meet; it fails when either frontier empties. Two
-    half-depth searches read fewer rows than one search from a, but
-    they do not give the layers `least_path` needs.
+    The direct edge ab is left out and the internal vertices are
+    confined to the `interior` mask (a and b are never internal). The
+    search grows one breadth-first frontier from a and one from b,
+    always expanding the smaller, and succeeds as soon as the two
+    reached sets meet; it fails when either frontier empties.
 
-    `adj` must be symmetric, since the search from b follows rows
-    backwards.
+    Given `layers = [from_a, from_b]`, it appends each frontier to its
+    own side's list, so from_a[i] is the mask of interior vertices at
+    distance i + 1 from a, and from_b[j] the same from b; `least_path`
+    reads the path off them. The outer list is reversed whenever the
+    two sides swap, so read the two lists, not `layers`, afterwards.
+
+    `adj` must be symmetric (bit y of adj[x] set iff bit x of adj[y]
+    is), since the search from b follows rows backwards.
     """
     if a not in adj or b not in adj:
         return False
     interior &= ~((1 << a) | (1 << b))
     front_a = seen_a = adj[a] & interior
     front_b = seen_b = adj[b] & interior
+    if layers is not None:
+        layers[0].append(front_a)
+        layers[1].append(front_b)
     while front_a and front_b:
         if seen_a & seen_b:
             return True
         if front_a.bit_count() > front_b.bit_count():
             front_a, seen_a, front_b, seen_b = front_b, seen_b, front_a, seen_a
+            if layers is not None:
+                layers.reverse()
         step = 0
         f = front_a
         while f:
@@ -200,58 +210,33 @@ def path_exists(adj: dict[int, int], a: int, b: int, interior: int) -> bool:
             step |= adj[low.bit_length() - 1]
         front_a = step & interior & ~seen_a
         seen_a |= front_a
+        if layers is not None:
+            layers[0].append(front_a)
     return False
 
 
-def path_layers(adj: dict[int, int], a: int, b: int,
-                interior: int) -> list[int] | None:
-    """BFS layers of a length >= 2 path a..b through `interior`, or None.
-
-    Breadth-first search over bitmask adjacency rows with the direct
-    edge ab removed and internal vertices confined to the `interior`
-    mask (a and b are never internal). Layer i is the mask of interior
-    vertices at distance i + 1 from a, up to the first layer adjacent
-    to b; None means no such path exists. `least_path` turns the layers
-    into the lexicographically smallest shortest path.
-
-    `adj` must be symmetric (bit y of adj[x] set iff bit x of adj[y]
-    is): each new layer is tested against adj[b] before it is expanded,
-    so the layer that reaches b is never expanded.
-    """
-    if a not in adj or b not in adj:
-        return None
-    near_b = adj[b]
-    interior &= ~((1 << a) | (1 << b))
-    frontier = adj[a] & interior
-    seen = frontier
-    layers = []
-    while frontier:
-        layers.append(frontier)
-        if frontier & near_b:
-            return layers
-        step = 0
-        f = frontier
-        while f:
-            low = f & -f
-            f ^= low
-            step |= adj[low.bit_length() - 1]
-        frontier = step & interior & ~seen
-        seen |= frontier
-    return None
-
-
 def least_path(adj: dict[int, int], a: int, b: int,
-               layers: list[int]) -> list[int]:
-    """The lexicographically smallest shortest path a..b through `layers`.
+               interior: int) -> list[int] | None:
+    """The lexicographically smallest shortest path a..b of length >= 2
+    through `interior`, or None when `path_exists` finds none.
 
-    `layers` must come from `path_layers(adj, a, b, ...)`. A backward
-    pass keeps the vertices of each layer that still reach b; the
-    forward pass then takes the smallest kept neighbour of the previous
-    vertex, layer by layer.
+    It reads the layers `path_exists` records. That search stops at the
+    first check where the two reached sets meet, and the check before it
+    failed, so when from_a and from_b end at indices p and q a shortest
+    path has p + q + 2 edges and its (p + 1)-th internal vertex lies in
+    from_a[p] & from_b[q]. A backward pass keeps the vertices of each
+    earlier layer of from_a that reach that meeting set; the forward
+    pass then takes the smallest kept neighbour of the previous vertex
+    at each step. Past the meeting set every neighbour in the next layer
+    of from_b lies on a shortest path, so those layers need no pruning.
     """
-    kept = []
-    target = 1 << b
-    for layer in reversed(layers):
+    from_a: list[int] = []
+    from_b: list[int] = []
+    if not path_exists(adj, a, b, interior, [from_a, from_b]):
+        return None
+    target = from_a[-1] & from_b[-1]
+    kept = [target]
+    for layer in reversed(from_a[:-1]):
         keep = 0
         f = layer
         while f:
@@ -262,8 +247,8 @@ def least_path(adj: dict[int, int], a: int, b: int,
         kept.append(keep)
         target = keep
     path = [a]
-    for keep in reversed(kept):
-        cand = keep & adj[path[-1]]
+    for layer in kept[::-1] + from_b[:-1][::-1]:
+        cand = layer & adj[path[-1]]
         path.append((cand & -cand).bit_length() - 1)
     path.append(b)
     return path
@@ -366,8 +351,8 @@ def _decided(event: Callable[[int], bool], masks: list[int],
 
 
 def _check_p2(G: SkeletonGraph, w: int, u: int, wp: int) -> None:
-    if w == wp:
-        raise ValueError("endpoints of the length-2 path must differ")
+    if len({w, u, wp}) != 3:
+        raise ValueError("the length-2 path must have three distinct vertices")
     for x in (w, u, wp):
         if x not in G.vertices:
             raise ValueError(f"vertex {x} not in graph")

@@ -37,7 +37,6 @@ from .coverability import (
     _count_uncoverable,
     _coverable,
     least_path,
-    path_layers,
     pyramid_disk,
     triple_phi,
 )
@@ -141,9 +140,9 @@ def _cycle_pyramid(cyc: tuple[int, int, int, int],
     """A pyramid disk over one 4-cycle with interior inside the part mask."""
     a, b, c, d = cyc
     for (v, vp, w, wp), li in zip(((a, c, b, d), (b, d, a, c)), lis):
-        layers = path_layers(li.adj_mask, w, wp, part_mask)
-        if layers is not None:
-            return pyramid_disk(v, vp, least_path(li.adj_mask, w, wp, layers))
+        path = least_path(li.adj_mask, w, wp, part_mask)
+        if path is not None:
+            return pyramid_disk(v, vp, path)
     return None
 
 

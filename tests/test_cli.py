@@ -83,6 +83,41 @@ def test_admissibility_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+# the exit code (0 decided, 1 not) and the report fields, in order, of
+# each command and mode
+_REPORTS = {
+    ("coverability", "exact"): (0, {"probability": "15/16",
+                                    "decided_coverable": True}),
+    ("coverability", "sampled"): (0, {"estimate": 0.875, "successes": 14,
+                                      "trials": 16,
+                                      "decided_coverable": True}),
+    ("admissibility", "exact"): (1, {"probability": "1/2",
+                                     "decided_admissible": False}),
+    ("admissibility", "sampled"): (1, {"estimate": 0.3125, "successes": 5,
+                                       "trials": 16,
+                                       "decided_admissible": False}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, mode", sorted(_REPORTS))
+def test_probability_reports(capsys, tmp_path, k8_file, command, mode, fmt):
+    g = tmp_path / "tri.graph"
+    g.write_text("0 1\n1 2\n0 2\n0 3\n2 3\n")
+    target = (["coverability", k8_file, "--cycle", "0,2,1,3"]
+              if command == "coverability"
+              else ["admissibility", str(g), "--p2", "0,1,2"])
+    how = ["--exact"] if mode == "exact" else ["--trials", "16"]
+    code, out, err = run(capsys, *target, *how, "--p", "1/2",
+                         "--epsilon", "3/10", "--format", fmt)
+    want_code, doc = _REPORTS[command, mode]
+    assert (code, err) == (want_code, "")
+    if fmt == "json":
+        assert out == json.dumps(doc, indent=2) + "\n"
+    else:
+        assert out == "".join(f"{k}: {v}\n" for k, v in doc.items())
+
+
 def test_audit_exit_and_error_rows(capsys, tmp_path):
     g = tmp_path / "star.graph"
     g.write_text("0 1\n0 2\n0 3\n")
@@ -96,6 +131,32 @@ def test_audit_exit_and_error_rows(capsys, tmp_path):
                        str(tmp_path / "missing.graph"))
     assert code == 1
     assert any(l.endswith(",error") for l in out.strip().splitlines())
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (("link", "1"), "1"),
+    (("check-disk", "--cycle", "10,20,30,3"), "3"),
+    (("coverability", "--cycle", "0,10,20,30"), "0"),
+], ids=["link", "check-disk", "coverability"])
+def test_vertex_names_are_labels_only(capsys, tmp_path, argv, unknown):
+    # names that look like internal ids are not labels of this file
+    h = tmp_path / "h.h3"
+    h.write_text("#vertices: 10 20 30 40\n10 20 30\n10 20 40\n20 30 40\n")
+    code, out, err = run(capsys, argv[0], str(h), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: unknown vertex {unknown!r}"]
+
+
+@pytest.mark.parametrize("p2", ["a,a,c", "a,c,c", "a,c,a"])
+def test_repeated_path_vertex_is_usage_error(capsys, tmp_path, p2):
+    g = tmp_path / "g.graph"
+    g.write_text("a c\nc b\na b\n")
+    code, out, err = run(capsys, "admissibility", str(g), "--p2", p2, "--exact")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the length-2 path must have three distinct vertices"]
 
 
 @pytest.mark.parametrize("argv", [

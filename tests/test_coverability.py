@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     exact_disk_coverability,
                                     find_boundary_inducing_disk,
                                     inadmissible_p2_audit, least_path,
-                                    pair_psi, path_exists, path_layers,
+                                    pair_psi, path_exists,
                                     pyramid_disk,
                                     sample_admissibility,
                                     sample_disk_coverability, triple_phi,
@@ -126,34 +127,57 @@ def test_pyramid_disk_k3_counts():
     assert len(X) == 6
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 11), min_size=2, max_size=12, unique=True),
-       st.data())
-def test_path_rule_matches_brute_force(verts, data):
-    """path_layers and path_exists decide the path event; least_path is the
-    least shortest path.
-
-    Vertex sets have gaps, as in link intersections, and the interior
-    mask may name non-members and the endpoints themselves.
-    """
+def _path_case(verts, data):
+    """Edges over a vertex set with gaps, as in link intersections, two
+    distinct ends and an interior mask that may name non-members and the
+    ends themselves."""
     pairs = data.draw(st.lists(st.sampled_from(list(combinations(verts, 2))),
                                max_size=20, unique=True))
     a, b = data.draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2,
                               unique=True))
     interior = data.draw(st.integers(0, (1 << 12) - 1))
+    return pairs, a, b, interior
+
+
+_VERTS = st.lists(st.integers(0, 11), min_size=2, max_size=12, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VERTS, st.data())
+def test_path_rule_matches_brute_force(verts, data):
+    """path_exists decides the path event; least_path is the least
+    shortest path."""
+    pairs, a, b, interior = _path_case(verts, data)
     adj = SkeletonGraph(verts, pairs).adj_mask
     allowed = {x for x in verts if (interior >> x) & 1}
-    layers = path_layers(adj, a, b, interior)
     found = next(bf._simple_paths_interior_in(pairs, a, b, allowed), None)
-    assert (layers is None) == (found is None)
     assert path_exists(adj, a, b, interior) == (found is not None)
-    if layers is None:
+    path = least_path(adj, a, b, interior)
+    assert (path is None) == (found is None)
+    if path is None:
         return
     paths = list(bf.simple_paths(pairs, a, b, allowed))
     shortest = min(len(p) for p in paths)
-    assert len(layers) == shortest - 2
-    assert tuple(least_path(adj, a, b, layers)) == min(
-        p for p in paths if len(p) == shortest)
+    assert len(path) == shortest
+    assert tuple(path) == min(p for p in paths if len(p) == shortest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VERTS, st.data())
+def test_path_exists_layers_are_distance_layers(verts, data):
+    """Each recorded layer i is the set of interior vertices at distance
+    i + 1 from its own end, in the graph on the interior and that end."""
+    pairs, a, b, interior = _path_case(verts, data)
+    allowed = {x for x in verts if (interior >> x) & 1} - {a, b}
+    from_a, from_b = [], []
+    path_exists(SkeletonGraph(verts, pairs).adj_mask, a, b, interior,
+                [from_a, from_b])
+    for end, recorded in ((a, from_a), (b, from_b)):
+        g = nx.Graph(pairs).subgraph(allowed | {end})
+        dist = nx.single_source_shortest_path_length(g, end) if end in g else {}
+        assert recorded
+        for i, layer in enumerate(recorded):
+            assert layer == sum(1 << x for x, d in dist.items() if d == i + 1)
 
 
 class _CountingAdj(dict):
@@ -168,12 +192,11 @@ class _CountingAdj(dict):
         return super().__getitem__(v)
 
 
-def test_path_layers_distance_one_reads_only_the_ends():
+def test_least_path_distance_two_reads_only_the_ends():
     # in the link of 8 in K_9 (a K_8) every vertex but 0 and 1 joins them
     adj = _CountingAdj(link(complete_hypergraph(9), 8).adj_mask)
-    middle = sum(1 << x for x in range(2, 8))
-    assert path_layers(adj, 0, 1, (1 << 9) - 1) == [middle]
-    assert sorted(adj.reads) == [0, 1]
+    assert least_path(adj, 0, 1, (1 << 9) - 1) == [0, 2, 1]
+    assert set(adj.reads) == {0, 1}
 
 
 def test_path_exists_distance_two_reads_only_the_ends():
@@ -296,7 +319,7 @@ def test_lattice_walk_asks_each_node_once():
             universe = [v for v in range(9) if v not in (x, y, z)]
 
             def event(mask, x=x, z=z):
-                return path_layers(G.adj_mask, x, z, mask) is not None
+                return path_exists(G.adj_mask, x, z, mask)
 
             asked = []
             _leaf_counts(universe, lambda m: asked.append(m) or event(m))
