@@ -18,7 +18,7 @@ from .certificates import (TARGETS, HomeomorphCertificate, parse_certificate,
                            serialize_certificate)
 from .complexes import classify
 from .coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY, EstimatorParams,
-                           as_fraction, exact_admissibility,
+                           _check_p2, as_fraction, exact_admissibility,
                            exact_disk_coverability,
                            find_boundary_inducing_disk, sample_admissibility,
                            sample_disk_coverability, unit_fraction)
@@ -169,6 +169,7 @@ def _cmd_admissibility(args) -> int:
     G, labels = parse_graph(read_text(args.file))
     try:
         w, u, wp = _resolve(args.p2, _label_index(labels), 3)
+        _check_p2(G, w, u, wp, labels)
     except ValueError as exc:
         return _fail(str(exc))
     return _report(args, "decided_admissible",

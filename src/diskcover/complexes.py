@@ -15,8 +15,9 @@ other:
   one triangle, is one cycle and whose Euler characteristic is 1;
 * a closed surface has every edge in exactly two triangles and every
   vertex link a single cycle. Closed surfaces are then identified by
-  the pair (Euler characteristic, orientability): (2, True) is the
-  sphere, (0, True) the torus, (1, False) the projective plane.
+  the pair (Euler characteristic, orientability), orientable meaning
+  that the orientation double cover has two components: (2, True) is
+  the sphere, (0, True) the torus, (1, False) the projective plane.
 """
 
 from __future__ import annotations
@@ -159,51 +160,21 @@ def boundary(X: TwoComplex) -> Boundary:
 
 
 def _orientable(X: TwoComplex) -> bool:
-    """Propagate triangle orientations across shared edges; check consistency.
+    """Whether a connected closed surface, every edge in exactly two
+    triangles, is orientable: exactly when its orientation double cover
+    has two components (Hatcher, Algebraic Topology, 2002, section 3.3).
 
-    Assumes every edge lies in at most two triangles and the complex is
-    connected through triangle adjacencies.
+    Triangle i > 0, a < b < c, has cover vertices +i, running ab and bc
+    forward and ac backward, and -i, running them the other way. Each
+    edge lists the sides x, y of its two triangles that run it forward;
+    the cover joins x to -y and -x to y, the sides that run it oppositely.
     """
-    tris = sorted(X.triangles)
-    index = {t: i for i, t in enumerate(tris)}
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for t in tris:
-        a, b, c = t
-        for e in ((a, b), (a, c), (b, c)):
-            by_edge.setdefault(e, []).append(index[t])
-
-    # orientation[i] is a cyclic vertex order for triangle i
-    orientation: dict[int, tuple[int, int, int]] = {}
-
-    def directed_edges(order):
-        a, b, c = order
-        return {(a, b), (b, c), (c, a)}
-
-    for seed in range(len(tris)):
-        if seed in orientation:
-            continue
-        orientation[seed] = tris[seed]
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            dir_i = directed_edges(orientation[i])
-            a, b, c = tris[i]
-            for e in ((a, b), (a, c), (b, c)):
-                for j in by_edge[e]:
-                    if j == i:
-                        continue
-                    u, w = e
-                    # i traverses e one way; j must traverse it the other way
-                    need = (w, u) if (u, w) in dir_i else (u, w)
-                    x = next(x for x in tris[j] if x not in e)
-                    want = (need[0], need[1], x)
-                    if j in orientation:
-                        if need not in directed_edges(orientation[j]):
-                            return False
-                    else:
-                        orientation[j] = want
-                        stack.append(j)
-    return True
+    runs: dict[tuple[int, int], list[int]] = {}
+    for i, (a, b, c) in enumerate(X.triangles, start=1):
+        for e, side in (((a, b), i), ((b, c), i), ((a, c), -i)):
+            runs.setdefault(e, []).append(side)
+    cover = [edge for x, y in runs.values() for edge in ((x, -y), (-x, y))]
+    return len(_component_shapes(cover)) == 2
 
 
 def _vertex_links(X: TwoComplex) -> dict[int, list[tuple[int, int]]]:

@@ -58,6 +58,11 @@ _STREAM_COVER = 0xC0
 _EXACT_LIMIT = 25
 
 
+def _check_exact_size(n: int) -> None:
+    if n > _EXACT_LIMIT:
+        raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
+
+
 def as_fraction(x) -> Fraction:
     """Exact Fraction from int, float, str, or Fraction input."""
     if not isinstance(x, (int, str, float, Fraction)):
@@ -350,13 +355,16 @@ def _decided(event: Callable[[int], bool], masks: list[int],
 # admissibility of length-2 paths
 
 
-def _check_p2(G: SkeletonGraph, w: int, u: int, wp: int) -> None:
+def _check_p2(G: SkeletonGraph, w: int, u: int, wp: int,
+              labels: Sequence[str] | None = None) -> None:
+    """Raise unless w u w' is a path of G; errors name vertices by any labels."""
     if len({w, u, wp}) != 3:
         raise ValueError("the length-2 path must have three distinct vertices")
     for x in (w, u, wp):
         if x not in G.vertices:
             raise ValueError(f"vertex {x} not in graph")
     if not (G.has_edge(w, u) and G.has_edge(u, wp)):
+        w, u, wp = (x if labels is None else labels[x] for x in (w, u, wp))
         raise ValueError(f"{w}-{u}-{wp} is not a path in the graph")
 
 
@@ -413,8 +421,7 @@ def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     """Exact probability of the admissibility event, by lattice walk."""
     pf = unit_fraction(p, "p")
     _check_p2(G, w, u, wp)
-    if G.n > _EXACT_LIMIT:
-        raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
+    _check_exact_size(G.n)
     return _reliability(_admissibility_leaves(G, w, u, wp), G.n - 3, pf)
 
 
@@ -422,8 +429,7 @@ def admissibility_tables(G: SkeletonGraph, ps: Iterable
                          ) -> dict[Fraction, dict[tuple[int, int, int], Fraction]]:
     """`admissibility_probabilities(G, p)` for every p, walking each path once."""
     pfs = [unit_fraction(p, "p") for p in ps]
-    if G.n > _EXACT_LIMIT:
-        raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
+    _check_exact_size(G.n)
     walks = {path: _admissibility_leaves(G, *path) for path in iter_p2s(G)}
     return {pf: {path: _reliability(leaves, G.n - 3, pf)
                  for path, leaves in walks.items()} for pf in pfs}
@@ -439,18 +445,25 @@ def admissibility_probabilities(G: SkeletonGraph, p) -> dict[tuple[int, int, int
 # disk coverability
 
 
-def _check_four_cycle(H: Hypergraph3, cycle: Sequence[int]) -> tuple[int, int, int, int]:
-    """The cycle as a tuple, once every edge ab of it lies in some triple
-    of H, read as a set bit b in the link row of a."""
+def _check_four_vertices(H: Hypergraph3, cycle: Sequence[int]) -> tuple[int, int, int, int]:
+    """The cycle as a tuple, once it lists four distinct vertices of H."""
     cyc = tuple(cycle)
     if len(cyc) != 4 or len(set(cyc)) != 4:
         raise ValueError("boundary cycle must list four distinct vertices")
     for x in cyc:
         if x not in H.vertices:
             raise ValueError(f"vertex {x} not in the skeleton")
+    return cyc
+
+
+def _check_four_cycle(H: Hypergraph3, cycle: Sequence[int]) -> tuple[int, int, int, int]:
+    """`_check_four_vertices(H, cycle)`, once every edge ab of the cycle
+    lies in some triple of H, read as a set bit b in the link row of a."""
+    cyc = _check_four_vertices(H, cycle)
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         if not H.row(a)[b]:
-            raise ValueError(f"cycle edge {a}-{b} missing from the skeleton")
+            raise ValueError(f"cycle edge {H.label_of(a)}-{H.label_of(b)} "
+                             "missing from the skeleton")
     return cyc
 
 
@@ -537,9 +550,10 @@ def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],
 
     Searches exhaustively over disks with at most `max_interior` interior
     vertices, optionally restricted to a pool of allowed interior
-    vertices. Intended as a small-instance oracle.
+    vertices. Intended as a small-instance oracle. Raises ValueError
+    unless the cycle lists four distinct vertices of H.
     """
-    searcher = _DiskSearcher(H, cycle, max_interior)
+    searcher = _DiskSearcher(H, _check_four_vertices(H, cycle), max_interior)
     if allowed_interior is None:
         mask = (1 << H.n) - 1
     else:
@@ -620,8 +634,7 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
                             max_interior: int = 3) -> Fraction:
     """Exact coverability probability by monotone lattice walk (n <= 25)."""
     _check_max_interior(max_interior)
-    if H.n > _EXACT_LIMIT:
-        raise ValueError(f"exact oracle limited to {_EXACT_LIMIT} vertices")
+    _check_exact_size(H.n)
     pf = unit_fraction(p, "p")
     cyc = _check_four_cycle(H, cycle)
     event = _coverability_event(H, cyc, strategy, max_interior)
@@ -665,8 +678,7 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
     1 - epsilon. Probabilities may be supplied (keyed by (x, y, z) with
     x < z) to share subset-enumeration work across epsilon values.
     """
-    if G.n > _EXACT_LIMIT:
-        raise ValueError(f"exact audit limited to {_EXACT_LIMIT} vertices")
+    _check_exact_size(G.n)
     pf = unit_fraction(p, "p", zero=False)
     ef = unit_fraction(epsilon, "epsilon", zero=False)
     if probabilities is None:

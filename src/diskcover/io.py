@@ -9,7 +9,8 @@ may enumerate vertices explicitly; the vertex set is the union of the
 header labels and all labels appearing in triples, which is how isolated
 vertices are represented. Parsing assigns dense integer identifiers in
 order of first appearance (header first, then triple lines), so a file
-always maps to the same internal ids.
+always maps to the same internal ids. A line that repeats a label is
+rejected with its line number.
 
 Graphs use the same conventions with two labels per line (".g2").
 Complexes serialize their triangle lists in the ".h3" line format.
@@ -25,9 +26,12 @@ from .hypergraph import Hypergraph3, SkeletonGraph
 _VERTEX_HEADER = "#vertices:"
 
 
-def _parse_lines(text: str, arity: int) -> tuple[list[str], list[tuple[str, ...]]]:
+def _parse(text: str, arity: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
+    """The labels of a file, header labels first and then the others in
+    order of first appearance, and its rows of `arity` distinct labels as
+    tuples of label ids."""
     header: list[str] = []
-    rows: list[tuple[str, ...]] = []
+    rows: list[list[str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -39,26 +43,18 @@ def _parse_lines(text: str, arity: int) -> tuple[list[str], list[tuple[str, ...]
         parts = line.split()
         if len(parts) != arity:
             raise ValueError(f"line {lineno}: expected {arity} labels, got {len(parts)}")
-        rows.append(tuple(parts))
-    return header, rows
-
-
-def _index_labels(header: list[str], rows: list[tuple[str, ...]]) -> dict[str, int]:
-    index: dict[str, int] = {}
-    for lab in header:
-        index.setdefault(lab, len(index))
-    for row in rows:
-        for lab in row:
-            index.setdefault(lab, len(index))
-    return index
+        if len(set(parts)) != arity:
+            lab = next(lab for lab in parts if parts.count(lab) > 1)
+            raise ValueError(f"line {lineno}: label {lab!r} repeated")
+        rows.append(parts)
+    labels = tuple(dict.fromkeys(header + [lab for row in rows for lab in row]))
+    index = {lab: i for i, lab in enumerate(labels)}
+    return labels, [tuple(index[lab] for lab in row) for row in rows]
 
 
 def parse_h3(text: str) -> Hypergraph3:
-    header, rows = _parse_lines(text, 3)
-    index = _index_labels(header, rows)
-    triples = [tuple(index[lab] for lab in row) for row in rows]
-    labels = tuple(sorted(index, key=index.__getitem__))
-    return Hypergraph3(len(index), triples, labels=labels)
+    labels, triples = _parse(text, 3)
+    return Hypergraph3(len(labels), triples, labels=labels)
 
 
 def serialize_h3(H: Hypergraph3) -> str:
@@ -72,11 +68,8 @@ def serialize_h3(H: Hypergraph3) -> str:
 
 def parse_graph(text: str) -> tuple[SkeletonGraph, tuple[str, ...]]:
     """Parse a two-label-per-line graph file; returns the graph and its labels."""
-    header, rows = _parse_lines(text, 2)
-    index = _index_labels(header, rows)
-    edges = [tuple(index[lab] for lab in row) for row in rows]
-    labels = tuple(sorted(index, key=index.__getitem__))
-    return SkeletonGraph(range(len(index)), edges), labels
+    labels, edges = _parse(text, 2)
+    return SkeletonGraph(range(len(labels)), edges), labels
 
 
 def serialize_graph(G: SkeletonGraph, labels: Iterable[str] | None = None) -> str:
@@ -90,10 +83,7 @@ def serialize_graph(G: SkeletonGraph, labels: Iterable[str] | None = None) -> st
 
 
 def parse_complex(text: str) -> tuple[TwoComplex, tuple[str, ...]]:
-    header, rows = _parse_lines(text, 3)
-    index = _index_labels(header, rows)
-    triangles = [tuple(index[lab] for lab in row) for row in rows]
-    labels = tuple(sorted(index, key=index.__getitem__))
+    labels, triangles = _parse(text, 3)
     return TwoComplex(triangles), labels
 
 

@@ -159,6 +159,41 @@ def test_repeated_path_vertex_is_usage_error(capsys, tmp_path, p2):
         "error: the length-2 path must have three distinct vertices"]
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("skeleton",), "a b c\np q q\n"),
+    (("classify",), "a b c\np q q\n"),
+    (("admissibility", "--p2", "x,y,q"), "a b\nq q\n"),
+], ids=["h3", "complex", "graph"])
+def test_repeated_label_on_a_line_is_usage_error(capsys, tmp_path, argv, text):
+    f = tmp_path / "bad"
+    f.write_text(text)
+    code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: line 2: label 'q' repeated"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coverability", "h.h3", "--cycle", "10,20,30,50"),
+     "cycle edge 50-10 missing from the skeleton"),
+    (("coverability", "h.h3", "--cycle", "10,20,30,50", "--exact"),
+     "cycle edge 50-10 missing from the skeleton"),
+    (("check-disk", "h.h3", "--cycle", "10,20,10,30"),
+     "boundary cycle must list four distinct vertices"),
+    (("admissibility", "g.graph", "--p2", "a,b,d"),
+     "a-b-d is not a path in the graph"),
+    (("admissibility", "g.graph", "--p2", "a,b,d", "--exact"),
+     "a-b-d is not a path in the graph"),
+], ids=["cover", "cover-exact", "check-disk", "adm", "adm-exact"])
+def test_cycle_and_path_errors_name_labels(capsys, tmp_path, argv, message):
+    (tmp_path / "h.h3").write_text("10 20 30\n10 20 40\n20 30 40\n30 40 50\n")
+    (tmp_path / "g.graph").write_text("a c\nc b\nb d\n")
+    code, out, err = run(capsys, argv[0], str(tmp_path / argv[1]), *argv[2:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("argv", [
     ("admissibility", "--p2", "0,1,2", "--exact", "--p", "2"),
     ("admissibility", "--p2", "0,1,2", "--exact", "--p", "1/2",

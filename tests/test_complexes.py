@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,9 @@ OCTA = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
 # minimal projective plane: 6 vertices, 10 triangles, all edges doubled
 RP2_6 = [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
          (2, 3, 6), (2, 3, 5), (2, 4, 5), (3, 4, 6), (4, 5, 6)]
+# 7-vertex torus: {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + \
+    [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
 MOBIUS = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
 PYRAMID4 = [(0, 2, 3), (1, 2, 3), (0, 3, 4), (1, 3, 4)]  # apexes 0,1 over 2-3-4
 
@@ -124,9 +129,16 @@ def test_orientability_guard():
 
 
 def test_orientability_matches_enumeration_oracle():
-    for tris in (TETRA, OCTA, RP2_6):
-        X = TwoComplex(tris)
-        assert orientability(X) == bf.orientable_by_enumeration(tris)
+    # the double cover reads each triangle in sorted order, so relabel too
+    rng = random.Random(13)
+    for tris in (TETRA, OCTA, RP2_6, TORUS7):
+        verts = sorted({v for t in tris for v in t})
+        relabelled = [tris]
+        for _ in range(50):
+            names = dict(zip(verts, rng.sample(range(40), len(verts))))
+            relabelled.append([tuple(names[v] for v in t) for t in tris])
+        for tr in relabelled:
+            assert orientability(TwoComplex(tr)) == bf.orientable_by_enumeration(tr)
 
 
 def test_boundary_inducing_cases():

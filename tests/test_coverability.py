@@ -253,10 +253,19 @@ def test_exact_admissibility_monotone_in_p():
     assert probs[0] <= probs[1] <= probs[2]
 
 
-def test_exact_admissibility_guard():
+@pytest.mark.parametrize("call", [
+    lambda G, H: exact_admissibility(G, 0, 1, 2, HALF),
+    lambda G, H: admissibility_tables(G, [HALF]),
+    lambda G, H: exact_disk_coverability(H, (0, 1, 2, 3), HALF),
+    lambda G, H: weighted_inadmissibility_audit(G, HALF, HALF),
+], ids=["exact_admissibility", "admissibility_tables",
+        "exact_disk_coverability", "weighted_inadmissibility_audit"])
+def test_exact_size_guard(call):
+    # 26 vertices, one more than the exact routines walk
     G = SkeletonGraph(range(26), [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        exact_admissibility(G, 0, 1, 2, HALF)
+    H = Hypergraph3(26, [(0, 1, 2), (0, 2, 3), (0, 1, 3)])
+    with pytest.raises(ValueError, match="exact oracle limited to 25 vertices"):
+        call(G, H)
 
 
 def test_exact_admissibility_matches_brute_force():
@@ -681,6 +690,17 @@ def test_disk_search_matches_brute_force(host, data):
         assert found.triangles in disks
 
 
+@pytest.mark.parametrize("cycle, message", [
+    ((0, 1, 0, 2), "boundary cycle must list four distinct vertices"),
+    ((0, 1, 2), "boundary cycle must list four distinct vertices"),
+    ((0, 1, 2, 99), "vertex 99 not in the skeleton"),
+], ids=["repeat", "three", "outside"])
+def test_disk_search_rejects_a_cycle_not_of_four_vertices(cycle, message):
+    with pytest.raises(ValueError) as err:
+        find_boundary_inducing_disk(complete_hypergraph(6), cycle)
+    assert str(err.value) == message
+
+
 def test_positive_probability_implies_disk_exists():
     for H, cyc in ((LI_PATH_H, LI_PATH_CYCLE), (complete_hypergraph(7),
                                                 (0, 1, 2, 3))):
@@ -742,12 +762,6 @@ def test_weighted_audit_random_instance_holds():
     audit = weighted_inadmissibility_audit(G, HALF, Fraction(3, 10))
     assert audit.holds
     assert audit.bound == Fraction(3 * 12) / (2 * HALF * HALF * Fraction(3, 10))
-
-
-def test_weighted_audit_guard():
-    G = SkeletonGraph(range(30), [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        weighted_inadmissibility_audit(G, HALF, HALF)
 
 
 def test_weighted_audit_reuses_probability_table():

@@ -20,6 +20,9 @@ def test_parse_h3_header_isolated_vertices():
     H = parse_h3("#vertices: a b c d e\na b c\n")
     assert H.n == 5
     assert len(H.edges) == 1
+    # header labels take the first ids wherever the header line sits
+    H = parse_h3("a b c\n#vertices: e d\nb c f\n")
+    assert H.labels == ("e", "d", "a", "b", "c", "f")
 
 
 def test_parse_h3_comments_and_blank_lines():

@@ -1,0 +1,79 @@
+"""Source checks that need no linter: unused imports and dead private names
+in the package, read with `ast` alone."""
+
+import ast
+from pathlib import Path
+
+import diskcover
+
+SRC = Path(diskcover.__file__).parent
+MODULES = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+           for p in sorted(SRC.glob("*.py"))}
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """The names the module's imports bind, `from __future__` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """Names a statement reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in `__all__`."""
+    return {elt.value for stmt in tree.body if "__all__" in _defined(stmt)
+            for elt in stmt.value.elts}
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export; another module re-exports through __all__
+    unused = {}
+    for name, tree in MODULES.items():
+        if name == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= _exported(tree)
+        if _imported(tree) - read:
+            unused[name] = sorted(_imported(tree) - read)
+    assert unused == {}
+
+
+def test_every_private_name_is_referenced():
+    statements = [(name, stmt) for name, tree in MODULES.items()
+                  for stmt in tree.body]
+    refs = [_referenced(stmt) for _, stmt in statements]
+    dead = []
+    for i, (name, stmt) in enumerate(statements):
+        for private in _defined(stmt):
+            if not private.startswith("_") or private.startswith("__"):
+                continue
+            if not any(private in r for j, r in enumerate(refs) if j != i):
+                dead.append(f"{name}:{private}")
+    assert dead == []
