@@ -215,9 +215,10 @@ def classify(X: TwoComplex) -> Classification:
 
 def orientability(X: TwoComplex) -> bool:
     """Orientability of a closed surface; raises on anything else."""
-    if classify(X).kind != CLOSED_SURFACE:
+    c = classify(X)
+    if c.kind != CLOSED_SURFACE:
         raise ValueError("orientability is defined here only for closed surfaces")
-    return _orientable(X)
+    return c.orientable
 
 
 def is_boundary_inducing(X: TwoComplex) -> bool:

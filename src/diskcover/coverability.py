@@ -41,6 +41,7 @@ from .complexes import DISK, TwoComplex, _boundary_edges, _chord_free, classify
 from .hypergraph import (
     Hypergraph3,
     SkeletonGraph,
+    _bits,
     common_neighborhood,
     iter_p2s,
     link_intersection,
@@ -263,18 +264,18 @@ def least_path(adj: dict[int, int], a: int, b: int,
 # exact probabilities for monotone events
 
 
-def _leaf_counts(universe: Sequence[int],
+def _leaf_counts(order: Sequence[int],
                  event: Callable[[int], bool]) -> Counter:
     """Success leaves {(a, b): count} of a pruned walk of the subset lattice.
 
     `event` takes an inclusion bitmask and must be monotone. The walk
-    branches on the vertices in ascending order; at a branching node the
+    branches on the vertices in the order given; at a branching node the
     included set fails and the included plus undecided set holds, so the
     include child asks only its lower bound and the exclude child only
     its upper one: at most one event call per node. A success leaf with
-    a vertices included and b excluded has weight p^a (1 - p)^b.
+    a vertices included and b excluded has weight p^a (1 - p)^b, so the
+    probability does not depend on the order, only the number of nodes.
     """
-    order = sorted(universe)
     leaves: Counter = Counter()
 
     def walk(idx: int, inc: int, rest: int, a: int) -> None:
@@ -411,9 +412,28 @@ def _admissible(G: SkeletonGraph, w: int, u: int, wp: int,
 
 def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
                           wp: int) -> Counter:
+    """The lattice walk of the admissibility event, branching first on the
+    vertices x nearest both ends, by (dist(w, x) + dist(x, w'), dist(w, x), x)
+    in G - u through the universe. A vertex an end cannot reach lies on no
+    w..w' path; it goes last, where the walk is decided and never branches."""
     adj = G.adj_mask
-    return _leaf_counts(_admissible_universe(G, w, u, wp),
-                        lambda mask: path_exists(adj, w, wp, mask))
+    universe = _admissible_universe(G, w, u, wp)
+    umask = sum(1 << x for x in universe)
+    far = 2 * len(universe) + 1  # above any sum of two distances
+    dist = {}
+    for end in (w, wp):
+        d = dist[end] = dict.fromkeys(universe, far)
+        front, seen, k = adj[end] & umask, 0, 1
+        while front:
+            seen |= front
+            step = 0
+            for x in _bits(front):
+                d[x] = k
+                step |= adj[x]
+            front, k = step & umask & ~seen, k + 1
+    dw, dwp = dist[w], dist[wp]
+    order = sorted(universe, key=lambda x: (dw[x] + dwp[x], dw[x], x))
+    return _leaf_counts(order, lambda mask: path_exists(adj, w, wp, mask))
 
 
 def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,

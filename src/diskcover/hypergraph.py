@@ -13,11 +13,12 @@ use and kept: ``H.row(u)``, whose entry w is the bitmask of w' with uww'
 in H, built from the triples through u alone, which link and link
 intersection read (O(n) once built); ``H.edges``, the frozenset of
 triples as tuples, which no search, sweep or verify path reads; and a
-graph's ``edges`` and ``adj``, derived from ``adj_mask``. Pickling and
-copying ship the stored form only (n, codes and labels; a graph's
-``adj_mask``). At n = 800 and c = 2 a host holds 6 M triples: 48 MB of
-codes, 12 MB of compact last vertices once a row is read, and 0.6 MB
-for the n x n array of a skeleton or row while it is scattered.
+graph's ``edges`` and ``adj``, derived from ``adj_mask``. A graph's
+``vertices`` is a view of the keys of ``adj_mask``, not a stored set.
+Pickling and copying ship the stored form only (n, codes and labels; a
+graph's ``adj_mask``). At n = 800 and c = 2 a host holds 6 M triples:
+48 MB of codes, 12 MB of compact last vertices once a row is read, and
+0.6 MB for the n x n array of a skeleton or row while it is scattered.
 
 Vertex identifiers are dense non-negative integers; external labels are
 mapped at the I/O boundary (see :mod:`diskcover.io`).
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from math import comb
 from operator import and_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, KeysView
 
 import numpy as np
 
@@ -235,29 +236,29 @@ class SkeletonGraph:
 
     The vertex set need not be dense: links and link intersections keep
     the ambient hypergraph's identifiers. Adjacency is stored as bitmask
-    rows (`adj_mask`), which the flood-fill path searches read; the edge
-    set and per-vertex neighbour sets (`adj`) are derived on first use.
+    rows (`adj_mask`, keyed by the vertices in ascending order), which
+    the flood-fill path searches read; `vertices` is a view of its keys,
+    and the edge set and per-vertex neighbour sets (`adj`) are derived
+    on first use.
     """
 
-    __slots__ = ("vertices", "edges", "adj", "adj_mask")
+    __slots__ = ("edges", "adj", "adj_mask")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Iterable[int]]):
-        vset = frozenset(vertices)
-        masks = dict.fromkeys(sorted(vset), 0)
+        masks = dict.fromkeys(sorted(set(vertices)), 0)
         for e in edges:
             a, b = _canon_pair(e)
-            if a not in vset or b not in vset:
+            if a not in masks or b not in masks:
                 raise ValueError(f"edge ({a},{b}) touches a vertex outside the graph")
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        self.vertices = vset
         self.adj_mask = masks
 
     @classmethod
     def _from_masks(cls, masks: dict[int, int]) -> SkeletonGraph:
         """The graph on the keys of masks, which ascend, with these rows."""
         G = cls.__new__(cls)
-        G.vertices, G.adj_mask = frozenset(masks), masks
+        G.adj_mask = masks
         return G
 
     def __reduce__(self):
@@ -277,8 +278,13 @@ class SkeletonGraph:
         return value
 
     @property
+    def vertices(self) -> KeysView[int]:
+        """The vertex set, ascending: a read-only view of the keys of adj_mask."""
+        return self.adj_mask.keys()
+
+    @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.adj_mask)
 
     def degree(self, v: int) -> int:
         return self.adj_mask[v].bit_count()

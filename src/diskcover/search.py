@@ -445,17 +445,17 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
         draws = gen.integers(0, H.n, size=(_LINK_SAMPLE, 2))
         best = None
         best_c = 1
-        for a, c in draws:
-            a, c = int(a), int(c)
+        # rank the draws by codegree; only the winner's neighbours are listed
+        for a, c in draws.tolist():
             if a == c:
                 continue
-            common = common_neighborhood(skel, (a, c))
-            if len(common) > best_c:
-                best, best_c = (a, c, sorted(common)), len(common)
+            k = (skel.adj_mask[a] & skel.adj_mask[c]).bit_count()
+            if k > best_c:
+                best, best_c = (a, c), k
         if best is None:
             continue
-        a, c, common = best
-        bd = _pick_distinct(gen, common, 2)
+        a, c = best
+        bd = _pick_distinct(gen, sorted(common_neighborhood(skel, best)), 2)
         if bd is None:
             continue
         cycle = (a, bd[0], c, bd[1])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from diskcover import complexes
 from diskcover.complexes import (CLOSED_SURFACE, DISK, OTHER,
                                  SURFACE_WITH_BOUNDARY, TwoComplex, boundary,
                                  classify, euler_characteristic,
@@ -125,6 +126,19 @@ def test_orientability_guard():
     assert orientability(TwoComplex(TETRA)) is True
     assert orientability(TwoComplex(RP2_6)) is False
     with pytest.raises(ValueError):
+        orientability(TwoComplex(PYRAMID4))
+
+
+def test_orientability_builds_the_double_cover_once(monkeypatch):
+    calls = []
+    real = complexes._orientable
+    monkeypatch.setattr(complexes, "_orientable",
+                        lambda X: calls.append(X) or real(X))
+    for tris, want in ((TORUS7, True), (RP2_6, False)):
+        calls.clear()
+        assert orientability(TwoComplex(tris)) is want
+        assert len(calls) == 1
+    with pytest.raises(ValueError, match="only for closed surfaces"):
         orientability(TwoComplex(PYRAMID4))
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import networkx as nx
@@ -291,17 +291,27 @@ def test_admissibility_probabilities_table():
 ORACLE_PS = (Fraction(0), Fraction(1, 4), Fraction(2, 7), HALF, Fraction(1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+# a graph on 3..8 vertices, as n and one keep flag per vertex pair
+SMALL_GRAPHS = st.integers(3, 8).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.booleans(), min_size=comb(n, 2),
-                         max_size=comb(n, 2)))), st.data())
-def test_count_polynomial_matches_brute_force(graph, data):
+                         max_size=comb(n, 2))))
+
+
+def _graph_and_p2(graph, data):
+    """The graph, its edge pairs and one drawn length-2 path."""
     n, keep = graph
     edges = [e for e, k in zip(combinations(range(n), 2), keep) if k]
     G = SkeletonGraph(range(n), edges)
     p2s = list(iter_p2s(G))
     assume(p2s)
-    x, y, z = data.draw(st.sampled_from(p2s))
+    return G, edges, data.draw(st.sampled_from(p2s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GRAPHS, st.data())
+def test_count_polynomial_matches_brute_force(graph, data):
+    G, edges, (x, y, z) = _graph_and_p2(graph, data)
+    n = G.n
     tables = admissibility_tables(G, ORACLE_PS)
     for p in ORACLE_PS:
         want = bf.exact_admissibility(edges, n, x, y, z, p)
@@ -336,6 +346,43 @@ def test_lattice_walk_asks_each_node_once():
             assert len(asked) <= _pruned_nodes(universe, event)
             walks += 1
     assert walks > 50
+
+
+def _ascending_walk(G, x, y, z):
+    """The admissibility walk over the universe in ascending vertex order."""
+    universe = [v for v in G.vertices if v not in (x, y, z)]
+    return _leaf_counts(universe,
+                        lambda m: coverability.path_exists(G.adj_mask, x, z, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GRAPHS, st.data())
+def test_ordered_walk_matches_ascending_walk(graph, data):
+    G, edges, (x, y, z) = _graph_and_p2(graph, data)
+    ordered = coverability._admissibility_leaves(G, x, y, z)
+    ascending = _ascending_walk(G, x, y, z)
+    for p in ORACLE_PS:
+        want = bf.exact_admissibility(edges, G.n, x, y, z, p)
+        assert _reliability(ordered, G.n - 3, p) == want
+        assert _reliability(ascending, G.n - 3, p) == want
+
+
+def test_ordered_walk_asks_a_third_of_the_ascending_walk(monkeypatch):
+    asked = []
+    monkeypatch.setattr(coverability, "path_exists",
+                        lambda *args: asked.append(args) or path_exists(*args))
+    ordered = ascending = 0
+    for n, q, seed in product(range(9, 13), (0.25, 0.4), range(4)):
+        G = random_graph(n, q, seed=seed)
+        for x, y, z in iter_p2s(G):
+            asked.clear()
+            walk = coverability._admissibility_leaves(G, x, y, z)
+            ordered += len(asked)
+            asked.clear()
+            base = _ascending_walk(G, x, y, z)
+            ascending += len(asked)
+            assert _reliability(walk, n - 3, HALF) == _reliability(base, n - 3, HALF)
+    assert 3 * ordered <= ascending, (ordered, ascending)
 
 
 def test_lattice_walk_degenerate_events():

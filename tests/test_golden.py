@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from diskcover.certificates import SPHERE, serialize_certificate
+from diskcover.coverability import admissibility_tables
 from diskcover.experiments import audit_corpus, sweep_csv, threshold_sweep
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
@@ -73,3 +74,19 @@ def test_audit_corpus_digest():
     text = "\n".join(audit_corpus(graphs, grid)) + "\n"
     assert _sha(text) == (
         "4a3105363b0d032994ba9c8b46e70e5838aa52aa5c126674f553772c85a23818")
+
+
+def test_admissibility_tables_digest():
+    # exact values on graphs past the sizes the brute-force oracle covers;
+    # recorded before the lattice walk's branching order changed
+    lines = []
+    for n, q, seed in ((14, 0.25, 1), (16, 0.4, 2)):
+        G = random_graph(n, q, seed=seed)
+        tables = admissibility_tables(G, (Fraction(3, 10), Fraction(1, 2)))
+        for p, table in tables.items():
+            for (x, y, z), prob in sorted(table.items()):
+                lines.append(f"{n},{q},{seed},{p},{x},{y},{z},"
+                             f"{prob.numerator}/{prob.denominator}")
+    assert len(lines) == 562
+    assert _sha("\n".join(lines) + "\n") == (
+        "3c29434df3c524f0a490dc06c04910529f49bd0f784497ae387609f1d58cd91f")

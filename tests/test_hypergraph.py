@@ -242,6 +242,23 @@ def test_pickling_ships_no_derived_view():
         assert all(y.row(u) == labelled.row(u) for u in range(4))
 
 
+def test_vertex_set_is_a_view_of_the_rows():
+    # isolated vertices 7 and 2 are kept; ids need not be dense
+    G = SkeletonGraph([9, 7, 4, 2, 0], [(0, 4), (4, 9)])
+    assert "vertices" not in SkeletonGraph.__slots__
+    for H in [G] + _copies(G):
+        assert H.vertices == frozenset({0, 2, 4, 7, 9})
+        assert list(H.vertices) == [0, 2, 4, 7, 9]
+        assert len(H.vertices) == H.n == 5
+        assert 7 in H.vertices and 2 in H.vertices and 3 not in H.vertices
+        assert H.degree(7) == 0 and H.adj_mask[2] == 0
+    LI = link_intersection(complete_hypergraph(6), 3, 1)
+    assert list(LI.vertices) == [0, 2, 4, 5]
+    assert LI.vertices == frozenset(LI.adj_mask)
+    with pytest.raises(AttributeError):
+        G.vertices = frozenset()
+
+
 def test_skeleton_builds_no_row():
     H = random_hypergraph(30, 0.3, seed=1)
     skeleton(H)
