@@ -1,11 +1,11 @@
 """Pure 2-dimensional simplicial complexes and surface recognition.
 
-A :class:`TwoComplex` is given by its triangle set; vertices and edges
-are derived, so every edge lies in at least one triangle. The
-recognizer in :func:`classify` is combinatorial, and each of its graph
-questions goes to one routine, ``_component_shapes``, which splits a
-graph into connected components and calls each a cycle, a path or
-other:
+A :class:`TwoComplex` stores only its triangle set; vertices, edges and
+edge incidences are derived on each read, so every edge lies in at
+least one triangle. The recognizer in :func:`classify` is
+combinatorial, and each of its graph questions goes to one routine,
+``_component_shapes``, which splits a graph into connected components
+and calls each a cycle, a path or other:
 
 * a complex is a surface with boundary when no edge lies in more than
   two triangles, its 1-skeleton is one component, and the link of every
@@ -42,23 +42,22 @@ def _canon_triangle(t: Iterable[int]) -> tuple[int, int, int]:
 class TwoComplex:
     """An immutable pure 2-complex described by its triangles."""
 
-    __slots__ = ("triangles", "edge_incidence")
+    __slots__ = ("triangles",)
 
     def __init__(self, triangles: Iterable[Iterable[int]]):
-        tris = frozenset(_canon_triangle(t) for t in triangles)
-        incidence: Counter = Counter()
-        for a, b, c in tris:
-            incidence[(a, b)] += 1
-            incidence[(a, c)] += 1
-            incidence[(b, c)] += 1
-        self.triangles = tris
-        self.edge_incidence = dict(incidence)
+        self.triangles = frozenset(_canon_triangle(t) for t in triangles)
 
-    # vertices and edges are derived on each read, not stored: a search
-    # keeps many small disks alive at once
+    # everything else is derived on each read, not stored: a search keeps
+    # many small disks alive at once, and a benchmark every certificate
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(v for t in self.triangles for v in t)
+
+    @property
+    def edge_incidence(self) -> Counter:
+        """Edge (a, b), a < b, to the number of triangles holding it."""
+        return Counter(e for a, b, c in self.triangles
+                       for e in ((a, b), (a, c), (b, c)))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -148,8 +147,11 @@ def _cycle_sequence(edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _boundary_edges(X: TwoComplex) -> frozenset[tuple[int, int]]:
-    return frozenset(e for e, k in X.edge_incidence.items() if k == 1)
+def _boundary_edges(X: TwoComplex, incidence: Counter | None = None
+                    ) -> frozenset[tuple[int, int]]:
+    """The edges in exactly one triangle, from X's incidence if given."""
+    incidence = X.edge_incidence if incidence is None else incidence
+    return frozenset(e for e, k in incidence.items() if k == 1)
 
 
 def boundary(X: TwoComplex) -> Boundary:
@@ -192,12 +194,13 @@ def classify(X: TwoComplex) -> Classification:
     """Recognize disks, closed surfaces, and surfaces with boundary."""
     if not X.triangles:
         raise ValueError("cannot classify an empty complex")
-    euler = euler_characteristic(X)
-    bd_edges = _boundary_edges(X)
+    incidence = X.edge_incidence
+    euler = len(X.vertices) - len(incidence) + len(X.triangles)
+    bd_edges = _boundary_edges(X, incidence)
     bd_shapes = _component_shapes(bd_edges)
     surface_like = (
-        all(k <= 2 for k in X.edge_incidence.values())
-        and len(_component_shapes(X.edge_incidence)) == 1
+        all(k <= 2 for k in incidence.values())
+        and len(_component_shapes(incidence)) == 1
         and all(_component_shapes(lk) in (["path"], ["cycle"])
                 for lk in _vertex_links(X).values())
     )

@@ -352,6 +352,39 @@ def _decided(event: Callable[[int], bool], masks: list[int],
     return _trial_hits(event, masks, need) >= need
 
 
+def _ends(adj: dict[int, int], a: int, b: int,
+          interior: int = -1) -> tuple[int, int]:
+    """The first frontiers of `path_exists(adj, a, b, interior & m)` before
+    m cuts them: the neighbours of a and of b in interior, but a and b."""
+    interior &= ~((1 << a) | (1 << b))
+    return adj[a] & interior, adj[b] & interior
+
+
+def _screened(event: Callable[[int], bool], masks: list[int], epsilon: float,
+              first: tuple[int, int], second: tuple[int, int] = (0, 0),
+              misses: bool = True) -> bool:
+    """`_decided(event, masks, epsilon)`, asking the event only of the
+    masks that two screens leave open.
+
+    `first` and `second` are the `_ends` of the one or two path searches
+    the event runs. A vertex in both masks of a pair is a path of one
+    interior vertex, so a mask that meets it is a hit. A mask that misses
+    one mask of each pair leaves every search an empty frontier, so it is
+    a miss, unless the event can hold without them (misses=False).
+    """
+    (a1, b1), (a2, b2) = first, second
+    hit = a1 & b1 | a2 & b2
+    rest = [m for m in masks if not m & hit]
+    need = _least_hits(len(masks), epsilon) - (len(masks) - len(rest))
+    if need <= 0:
+        return True
+    if misses:
+        rest = [m for m in rest if m & a1 and m & b1 or m & a2 and m & b2]
+    if len(rest) == len(masks):  # no mask was screened
+        return _decided(event, masks, epsilon)
+    return need <= len(rest) and _trial_hits(event, rest, need) >= need
+
+
 # ---------------------------------------------------------------------------
 # admissibility of length-2 paths
 
@@ -405,9 +438,10 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
 
 def _admissible(G: SkeletonGraph, w: int, u: int, wp: int,
                 params: EstimatorParams) -> bool:
-    """`sample_admissibility(...).decided_coverable`, stopping the trials
-    once the decision is fixed."""
-    return _decided(*_admissibility_trials(G, w, u, wp, params), params.epsilon)
+    """`sample_admissibility(...).decided_coverable`, screening the trials
+    and stopping them once the decision is fixed."""
+    return _screened(*_admissibility_trials(G, w, u, wp, params),
+                     params.epsilon, _ends(G.adj_mask, w, wp, ~(1 << u)))
 
 
 def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
@@ -583,24 +617,32 @@ def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],
     return searcher.find(mask)
 
 
-def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
-                        strategy: str, max_interior: int,
-                        li_apex: SkeletonGraph | None = None) -> Callable[[int], bool]:
-    """Build the per-sample success predicate for one boundary cycle.
-
-    PyramidOnly tries both opposite-apex choices of the 4-cycle; the
-    exhaustive strategy additionally searches all small disks. A caller
-    testing many cycles over one apex pair v, v' may pass their link
-    intersection.
-    """
+def _pyramid_sides(H: Hypergraph3, cycle: tuple[int, int, int, int],
+                   li_apex: SkeletonGraph | None = None):
+    """The pyramid event's path searches (adj, a, b) over the 4-cycle
+    v w v' w': w..w' in LI(v, v') and v..v' in LI(w, w'). A caller with
+    many cycles over one apex pair may pass LI(v, v')."""
     v, w, vp, wp = cycle
     if li_apex is None:
         li_apex = link_intersection(H, v, vp)
-    li_side = link_intersection(H, w, wp)
+    return ((li_apex.adj_mask, w, wp),
+            (link_intersection(H, w, wp).adj_mask, v, vp))
+
+
+def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
+                        strategy: str, max_interior: int,
+                        sides=None) -> Callable[[int], bool]:
+    """Build the per-sample success predicate for one boundary cycle.
+
+    PyramidOnly tries both opposite-apex choices of the 4-cycle, the
+    searches `sides` (by default `_pyramid_sides(H, cycle)`); the
+    exhaustive strategy additionally searches all small disks.
+    """
+    (adj1, w, wp), (adj2, v, vp) = sides or _pyramid_sides(H, cycle)
 
     def pyramid_event(umask: int) -> bool:
-        return (path_exists(li_apex.adj_mask, w, wp, umask)
-                or path_exists(li_side.adj_mask, v, vp, umask))
+        return (path_exists(adj1, w, wp, umask)
+                or path_exists(adj2, v, vp, umask))
 
     if strategy == PYRAMID_ONLY:
         return pyramid_event
@@ -615,12 +657,11 @@ def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
 
 
 def _coverability_trials(H: Hypergraph3, cyc: tuple[int, int, int, int],
-                         params: EstimatorParams,
-                         li_apex: SkeletonGraph | None = None):
+                         params: EstimatorParams, sides=None):
     """The per-trial event and the trial masks of the coverability test
-    of a checked cycle."""
+    of a checked cycle, whose pyramid searches may be given."""
     event = _coverability_event(H, cyc, params.strategy, params.max_interior,
-                                li_apex)
+                                sides)
     masks = trial_masks(params.seed, (_STREAM_COVER, *cyc),
                         params.trials, max(H.n, 1), params.p)
     return event, masks
@@ -644,9 +685,13 @@ def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
                params: EstimatorParams,
                li_apex: SkeletonGraph | None = None) -> bool:
     """`sample_disk_coverability(H, cyc, params).decided_coverable` for a
-    checked cycle, stopping the trials once the decision is fixed."""
-    return _decided(*_coverability_trials(H, cyc, params, li_apex),
-                    params.epsilon)
+    checked cycle, screening the trials and stopping them once the
+    decision is fixed. The disk search of EXHAUSTIVE_SMALL can hold where
+    no pyramid search starts, so that strategy screens hits only."""
+    sides = _pyramid_sides(H, cyc, li_apex)
+    return _screened(*_coverability_trials(H, cyc, params, sides),
+                     params.epsilon, *(_ends(*side) for side in sides),
+                     misses=params.strategy == PYRAMID_ONLY)
 
 
 def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,

@@ -325,16 +325,14 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     embedding: dict[str, int] | None = None
     cycles: tuple[tuple[int, int, int, int], ...] | None = None
     used_retries = 0
-    for retry in range(_PATTERN_RETRIES):
+    # the pools depend on the core alone; an empty one fails every draw
+    pools = {role: sorted(common_neighborhood(G, [core[i] for i in role]))
+             for role in pattern.roles[t:]}
+    for retry in range(_PATTERN_RETRIES if all(pools.values()) else 0):
         gen = generator(params.seed, _S_PATTERN, retry)
         image: dict[tuple[int, ...], int] = {(i,): core[i] for i in range(t)}
-        for role in pattern.roles[t:]:
-            pool = sorted(common_neighborhood(G, [core[i] for i in role]))
-            if not pool:
-                break
+        for role, pool in pools.items():
             image[role] = pool[int(gen.integers(0, len(pool)))]
-        if len(image) < len(pattern.roles):  # a pool was empty
-            continue
         values = [image[r] for r in pattern.roles]
         if len(set(values)) != len(values):
             continue

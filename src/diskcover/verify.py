@@ -116,14 +116,14 @@ def _check_intersections(cert) -> CheckResult:
     verts = [frozenset(c) for c in cert.cycles]
     edges = [_cycle_edge_set(c) for c in cert.cycles]
     disk_verts = [d.vertices for d in cert.disks]
+    disk_edges = [d.edges for d in cert.disks]
     for i in range(k):
         di = cert.disks[i]
         for j in range(i + 1, k):
             dj = cert.disks[j]
             if (di.triangles & dj.triangles
                     or disk_verts[i] & disk_verts[j] != verts[i] & verts[j]
-                    or (di.edge_incidence.keys() & dj.edge_incidence.keys()
-                        != edges[i] & edges[j])):
+                    or disk_edges[i] & disk_edges[j] != edges[i] & edges[j]):
                 return CheckResult(
                     "pairwise-intersections", False,
                     f"disks {i},{j} intersect beyond their shared boundary")

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +51,27 @@ def test_two_complex_derives_and_dedups():
     assert X.edge_incidence[(1, 2)] == 2
     with pytest.raises(ValueError):
         TwoComplex([(0, 0, 1)])
+
+
+def test_two_complex_stores_only_its_triangles():
+    assert TwoComplex.__slots__ == ("triangles",)
+    X = TwoComplex(RP2_6)
+    for Y in (pickle.loads(pickle.dumps(X)), copy.copy(X), copy.deepcopy(X)):
+        assert Y == X and hash(Y) == hash(X)
+        assert Y.edge_incidence == X.edge_incidence
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                         st.integers(0, 7)), max_size=12))
+def test_edge_incidence_recounts_the_triangles(raw):
+    X = TwoComplex(t for t in raw if len(set(t)) == 3)
+    recount = {}
+    for t in X.triangles:
+        for e in combinations(t, 2):
+            recount[e] = recount.get(e, 0) + 1
+    assert X.edge_incidence == recount
+    assert X.edges == frozenset(recount)
 
 
 def test_boundary_single_triangle():

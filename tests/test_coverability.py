@@ -621,6 +621,97 @@ def test_decision_path_stops_once_fixed():
         assert len(asked) < 64
 
 
+def _screen_case(n, density, host_seed, data):
+    """A random host on n vertices, one of its 4-cycles and one of the
+    length-2 paths of its skeleton."""
+    rng = random.Random(host_seed)
+    triples = [t for t in combinations(range(n), 3) if rng.random() < density]
+    pairs = bf.skeleton_pairs(triples)
+    cycles = [c for c in permutations(range(n), 4)
+              if all(tuple(sorted(e)) in pairs
+                     for e in zip(c, c[1:] + c[:1]))]
+    assume(cycles)
+    H = Hypergraph3(n, triples)
+    G = skeleton(H)
+    return (H, data.draw(st.sampled_from(cycles)), G,
+            data.draw(st.sampled_from(list(iter_p2s(G)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 8), st.sampled_from([0.4, 0.7, 1.0]),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
+def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
+    """A mask meeting a vertex joined to both ends of a search is a hit; one
+    that misses an end neighbourhood of every search is a miss, which only
+    PYRAMID_ONLY may conclude from the pyramid searches alone."""
+    H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
+    sides = coverability._pyramid_sides(H, cyc)
+    params = est_params(trials=8, strategy=strategy)
+    cases = [
+        (coverability._coverability_event(H, cyc, strategy, 3, sides),
+         [coverability._ends(*side) for side in sides],
+         strategy == PYRAMID_ONLY),
+        (coverability._admissibility_trials(G, w, u, wp, params)[0],
+         [coverability._ends(G.adj_mask, w, wp, ~(1 << u))], True)]
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
+    for event, ends, misses in cases:
+        for m in masks:
+            if any(m & a & b for a, b in ends):
+                assert event(m)
+            if misses and not any(m & a and m & b for a, b in ends):
+                assert not event(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 8), st.sampled_from([0.4, 0.7, 1.0]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([8, 16, 64]),
+       st.sampled_from([0.1, 0.5, 0.9]), st.sampled_from([0.2, 0.5, 0.8]),
+       st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
+def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
+                                           epsilon, p, strategy, data):
+    """`_coverable` and `_admissible` ask the event of the masks the screens
+    leave open, in order, and of none when the screened ones decide; under
+    EXHAUSTIVE_SMALL only the hit screen applies."""
+    H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
+    params = est_params(p=p, epsilon=epsilon, trials=trials,
+                        seed=host_seed % 97, strategy=strategy)
+    sides = coverability._pyramid_sides(H, cyc)
+    need = coverability._least_hits(trials, epsilon)
+    for decide, masks, ends, misses in (
+            (lambda: coverability._coverable(H, cyc, params),
+             coverability._coverability_trials(H, cyc, params)[1],
+             [coverability._ends(*side) for side in sides],
+             strategy == PYRAMID_ONLY),
+            (lambda: coverability._admissible(G, w, u, wp, params),
+             coverability._admissibility_trials(G, w, u, wp, params)[1],
+             [coverability._ends(G.adj_mask, w, wp, ~(1 << u))], True)):
+        hit = [m for m in masks if any(m & a & b for a, b in ends)]
+        open_ = [m for m in masks if m not in hit and (
+            not misses or any(m & a and m & b for a, b in ends))]
+        asked = []
+        real = coverability._trial_hits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coverability, "_trial_hits",
+                       lambda event, ms, k=None: asked.append(ms)
+                       or real(event, ms, k))
+            decide()
+        left = need - len(hit)
+        assert asked == ([open_] if 0 < left <= len(open_) else [])
+
+
+def test_screens_decide_complete_host_without_a_path_search(monkeypatch):
+    # on K_10 every vertex off the cycle joins both ends of each search, so
+    # a mask holding one is a sure hit and a mask holding none a sure miss
+    calls = []
+    real = coverability.path_exists
+    monkeypatch.setattr(coverability, "path_exists",
+                        lambda *a: calls.append(a) or real(*a))
+    assert coverability._coverable(complete_hypergraph(10), (0, 1, 2, 3),
+                                   est_params(trials=64))
+    assert calls == []
+
+
 def test_coverability_deterministic_and_seeded():
     H = complete_hypergraph(8)
     a = sample_disk_coverability(H, (0, 1, 2, 3), est_params(seed=5))

@@ -223,7 +223,7 @@ def test_find_ktt_t4_k30():
 
 def test_ktt_certificates_stay_small():
     """A K_4 certificate on K_30 retains under 24 KB: its disks keep their
-    triangles and edge incidences, and derive edges and vertices on read."""
+    triangles, and derive edge incidences, edges and vertices on read."""
     H = complete_hypergraph(30)
     for u in H.vertices:  # link rows are kept on the host; build them first
         H.row(u)
@@ -245,6 +245,42 @@ def test_ktt_certificates_stay_small():
         assert disk.vertices == bf.complex_vertices(disk.triangles)
         assert disk.edges == bf.complex_edges(disk.triangles)
         assert disk.edges == frozenset(disk.edge_incidence)
+
+
+def test_ktt_certificates_retain_at_most_12_kb():
+    """Twenty K_4 certificates on K_30 kept alive retain at most 12 KB each:
+    their disks store triangles only."""
+    H = complete_hypergraph(30)
+    for u in H.vertices:  # link rows are kept on the host; build them first
+        H.row(u)
+    params = SearchParams(t=4, p=0.5, epsilon=0.1)
+    find_k_t_homeomorph(H, params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = [find_k_t_homeomorph(H, replace(params, seed=s))
+                 for s in range(1, 21)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(c, HomeomorphCertificate) for c in certs)
+    assert retained / len(certs) <= 12 * 1024
+
+
+def test_ktt_pattern_pools_are_built_once_per_core(monkeypatch):
+    # one core draw lists N(w) and the six pairs' common neighbourhoods;
+    # stage 3 then lists the ten pair and triple pools once, though it
+    # draws nine times at seed 0
+    calls = []
+    real = search.common_neighborhood
+    monkeypatch.setattr(search, "common_neighborhood",
+                        lambda G, vs: calls.append(len(vs)) or real(G, vs))
+    cert = find_k_t_homeomorph(complete_hypergraph(30),
+                               SearchParams(t=4, p=0.5, epsilon=0.1))
+    assert isinstance(cert, HomeomorphCertificate) and cert.retries == 8
+    assert calls == [1] + [2] * 6 + [2] * 6 + [3] * 4
 
 
 def test_ktt_search_and_pair_psi_build_no_skeleton(monkeypatch):
