@@ -355,7 +355,8 @@ def _decided(event: Callable[[int], bool], masks: list[int],
 def _ends(adj: dict[int, int], a: int, b: int,
           interior: int = -1) -> tuple[int, int]:
     """The first frontiers of `path_exists(adj, a, b, interior & m)` before
-    m cuts them: the neighbours of a and of b in interior, but a and b."""
+    m cuts them: the neighbours of a and of b inside interior, other than
+    a and b."""
     interior &= ~((1 << a) | (1 << b))
     return adj[a] & interior, adj[b] & interior
 
