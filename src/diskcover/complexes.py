@@ -80,7 +80,7 @@ class TwoComplex:
 
     def interior_vertices(self) -> frozenset[int]:
         """Vertices not on any boundary edge."""
-        onb = {v for e in _boundary_edges(self) for v in e}
+        onb = {v for e in _boundary_edges(self.edge_incidence) for v in e}
         return self.vertices - onb
 
 
@@ -101,8 +101,11 @@ class Classification:
     boundary_components: int
 
 
-def euler_characteristic(X: TwoComplex) -> int:
-    return len(X.vertices) - len(X.edge_incidence) + len(X.triangles)
+def euler_characteristic(X: TwoComplex, incidence: Counter | None = None) -> int:
+    """V - E + F, counting E from X's edge incidence if the caller has it."""
+    if incidence is None:
+        incidence = X.edge_incidence
+    return len(X.vertices) - len(incidence) + len(X.triangles)
 
 
 def _component_shapes(edges: Iterable[tuple[int, int]]) -> list[str]:
@@ -147,16 +150,15 @@ def _cycle_sequence(edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _boundary_edges(X: TwoComplex, incidence: Counter | None = None
+def _boundary_edges(incidence: dict[tuple[int, int], int]
                     ) -> frozenset[tuple[int, int]]:
-    """The edges in exactly one triangle, from X's incidence if given."""
-    incidence = X.edge_incidence if incidence is None else incidence
+    """The edges in exactly one triangle, given a complex's edge incidence."""
     return frozenset(e for e, k in incidence.items() if k == 1)
 
 
 def boundary(X: TwoComplex) -> Boundary:
     """All edges in exactly one triangle and whether they form one simple cycle."""
-    edges = _boundary_edges(X)
+    edges = _boundary_edges(X.edge_incidence)
     single = _component_shapes(edges) == ["cycle"]
     return Boundary(edges, single, _cycle_sequence(edges) if single else None)
 
@@ -195,8 +197,8 @@ def classify(X: TwoComplex) -> Classification:
     if not X.triangles:
         raise ValueError("cannot classify an empty complex")
     incidence = X.edge_incidence
-    euler = len(X.vertices) - len(incidence) + len(X.triangles)
-    bd_edges = _boundary_edges(X, incidence)
+    euler = euler_characteristic(X, incidence)
+    bd_edges = _boundary_edges(incidence)
     bd_shapes = _component_shapes(bd_edges)
     surface_like = (
         all(k <= 2 for k in incidence.values())
@@ -232,13 +234,16 @@ def is_boundary_inducing(X: TwoComplex) -> bool:
     """
     if classify(X).kind != DISK:
         raise ValueError("boundary-inducing is defined only for disks")
-    return _chord_free(X, _boundary_edges(X))
+    incidence = X.edge_incidence
+    return _chord_free(X, _boundary_edges(incidence), incidence)
 
 
-def _chord_free(X: TwoComplex, bd_edges: frozenset[tuple[int, int]]) -> bool:
-    """For a disk X with these boundary edges: >= 2 triangles and no chord."""
+def _chord_free(X: TwoComplex, bd_edges: frozenset[tuple[int, int]],
+                incidence: dict[tuple[int, int], int]) -> bool:
+    """For a disk X with this edge incidence and these boundary edges:
+    >= 2 triangles and no chord."""
     if len(X.triangles) < 2:
         return False
     on_boundary = {v for e in bd_edges for v in e}
     return not any(a in on_boundary and b in on_boundary and (a, b) not in bd_edges
-                   for a, b in X.edge_incidence)
+                   for a, b in incidence)

@@ -345,11 +345,15 @@ def _trial_hits(event: Callable[[int], bool], masks: list[int],
     return hits
 
 
-def _decided(event: Callable[[int], bool], masks: list[int],
-             epsilon: float) -> bool:
-    """Whether the hit rate over the masks reaches 1 - epsilon."""
-    need = _least_hits(len(masks), epsilon)
-    return _trial_hits(event, masks, need) >= need
+def _decided(event: Callable[[int], bool], masks: list[int], epsilon: float,
+             known_hits: int = 0, known_misses: int = 0) -> bool:
+    """Whether the hit rate reaches 1 - epsilon over the masks and over
+    known_hits and known_misses further trials already settled, asking
+    the event only until the decision is fixed."""
+    need = _least_hits(len(masks) + known_hits + known_misses,
+                       epsilon) - known_hits
+    return need <= 0 or (need <= len(masks)
+                         and _trial_hits(event, masks, need) >= need)
 
 
 def _ends(adj: dict[int, int], a: int, b: int,
@@ -376,14 +380,10 @@ def _screened(event: Callable[[int], bool], masks: list[int], epsilon: float,
     (a1, b1), (a2, b2) = first, second
     hit = a1 & b1 | a2 & b2
     rest = [m for m in masks if not m & hit]
-    need = _least_hits(len(masks), epsilon) - (len(masks) - len(rest))
-    if need <= 0:
-        return True
-    if misses:
-        rest = [m for m in rest if m & a1 and m & b1 or m & a2 and m & b2]
-    if len(rest) == len(masks):  # no mask was screened
-        return _decided(event, masks, epsilon)
-    return need <= len(rest) and _trial_hits(event, rest, need) >= need
+    open_ = rest if not misses else [
+        m for m in rest if m & a1 and m & b1 or m & a2 and m & b2]
+    return _decided(event, open_, epsilon, len(masks) - len(rest),
+                    len(rest) - len(open_))
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +564,11 @@ class _DiskSearcher:
                 X = TwoComplex(used)
                 if classify(X).kind != DISK:
                     return None
-                bd_edges = _boundary_edges(X)
+                # inc is X's edge incidence, counted as the disk grew
+                bd_edges = _boundary_edges(inc)
                 if bd_edges != self.cycle_edges:
                     return None
-                return X if _chord_free(X, bd_edges) else None
+                return X if _chord_free(X, bd_edges, inc) else None
             if len(used) >= self.max_tris:
                 return None
             # the empty complex grows across the least cycle edge

@@ -99,11 +99,12 @@ def _check_disks(cert) -> CheckResult:
         if cls.kind != DISK:
             return CheckResult("disks-bound-cycles", False,
                                f"disk {i} classifies as {cls.kind}")
-        bd_edges = _boundary_edges(disk)
+        incidence = disk.edge_incidence
+        bd_edges = _boundary_edges(incidence)
         if bd_edges != _cycle_edge_set(cyc):
             return CheckResult("disks-bound-cycles", False,
                                f"disk {i} boundary differs from cycle {cyc}")
-        if not _chord_free(disk, bd_edges):
+        if not _chord_free(disk, bd_edges, incidence):
             return CheckResult("disks-bound-cycles", False,
                                f"disk {i} is not boundary-inducing")
     return CheckResult("disks-bound-cycles", True,

@@ -222,34 +222,9 @@ def test_find_ktt_t4_k30():
 
 
 def test_ktt_certificates_stay_small():
-    """A K_4 certificate on K_30 retains under 24 KB: its disks keep their
-    triangles, and derive edge incidences, edges and vertices on read."""
-    H = complete_hypergraph(30)
-    for u in H.vertices:  # link rows are kept on the host; build them first
-        H.row(u)
-    params = SearchParams(t=4, p=0.5, epsilon=0.1)
-    find_k_t_homeomorph(H, params)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        certs = [find_k_t_homeomorph(H, replace(params, seed=s))
-                 for s in range(1, 11)]
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert all(isinstance(c, HomeomorphCertificate) for c in certs)
-    assert retained / len(certs) < 24 * 1024
-    for disk in (d for c in certs for d in c.disks):
-        assert disk.vertices == bf.complex_vertices(disk.triangles)
-        assert disk.edges == bf.complex_edges(disk.triangles)
-        assert disk.edges == frozenset(disk.edge_incidence)
-
-
-def test_ktt_certificates_retain_at_most_12_kb():
-    """Twenty K_4 certificates on K_30 kept alive retain at most 12 KB each:
-    their disks store triangles only."""
+    """Twenty K_4 certificates on K_30 kept alive retain at most 12 KB
+    each: their disks keep their triangles, and derive edge incidences,
+    edges and vertices on read."""
     H = complete_hypergraph(30)
     for u in H.vertices:  # link rows are kept on the host; build them first
         H.row(u)
@@ -267,6 +242,10 @@ def test_ktt_certificates_retain_at_most_12_kb():
         tracemalloc.stop()
     assert all(isinstance(c, HomeomorphCertificate) for c in certs)
     assert retained / len(certs) <= 12 * 1024
+    for disk in (d for c in certs for d in c.disks):
+        assert disk.vertices == bf.complex_vertices(disk.triangles)
+        assert disk.edges == bf.complex_edges(disk.triangles)
+        assert disk.edges == frozenset(disk.edge_incidence)
 
 
 def test_ktt_pattern_pools_are_built_once_per_core(monkeypatch):
