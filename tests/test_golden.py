@@ -8,11 +8,14 @@ purpose; update the digest in the same change and say why.
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from diskcover.certificates import SPHERE, serialize_certificate
-from diskcover.coverability import admissibility_tables
+from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
+                                    admissibility_tables,
+                                    exact_disk_coverability)
 from diskcover.experiments import audit_corpus, sweep_csv, threshold_sweep
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
@@ -90,3 +93,23 @@ def test_admissibility_tables_digest():
     assert len(lines) == 562
     assert _sha("\n".join(lines) + "\n") == (
         "3c29434df3c524f0a490dc06c04910529f49bd0f784497ae387609f1d58cd91f")
+
+
+def test_exact_coverability_digest():
+    # recorded while the coverability walk still branched in ascending
+    # vertex order: the order changes the walk, never the probability
+    lines = []
+    for n, q, seed in ((10, 0.7, 0), (12, 0.65, 1), (13, 0.6, 2)):
+        H = random_hypergraph(n, q, seed)
+        cycles = [c for c in combinations(range(n), 4)
+                  if all(H.row(a)[b] for a, b in zip(c, c[1:] + c[:1]))]
+        for cyc in cycles[:4]:
+            for strategy in (PYRAMID_ONLY, EXHAUSTIVE_SMALL):
+                for p in (Fraction(3, 10), Fraction(1, 2)):
+                    prob = exact_disk_coverability(H, cyc, p, strategy)
+                    lines.append(f"{n},{q},{seed},{','.join(map(str, cyc))},"
+                                 f"{strategy},{p},"
+                                 f"{prob.numerator}/{prob.denominator}")
+    assert len(lines) == 48
+    assert _sha("\n".join(lines) + "\n") == (
+        "32948dcc054bcea7904f31092f9e0e03993ccccae639417346c4f95260eba1d8")
