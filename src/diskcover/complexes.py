@@ -238,6 +238,33 @@ def is_boundary_inducing(X: TwoComplex) -> bool:
     return _chord_free(X, _boundary_edges(incidence), incidence)
 
 
+def cycle_edges(cycle) -> frozenset[tuple[int, int]]:
+    """The edges of a cycle listed by its vertices in order, as sorted pairs."""
+    return frozenset(tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def disk_defect(X: TwoComplex, cycle, incidence: dict | None = None) -> str | None:
+    """Why X is not a boundary-inducing disk with boundary the given cycle,
+    or None when it is one.
+
+    X must classify as a disk, its boundary edges must be the cycle's
+    edges, and it must be chord-free with at least two triangles; the
+    first check that fails names the defect. A caller that counted X's
+    edge incidence may pass it.
+    """
+    kind = classify(X).kind
+    if kind != DISK:
+        return f"classifies as {kind}"
+    if incidence is None:
+        incidence = X.edge_incidence
+    bd_edges = _boundary_edges(incidence)
+    if bd_edges != cycle_edges(cycle):
+        return f"boundary differs from cycle {cycle}"
+    if not _chord_free(X, bd_edges, incidence):
+        return "is not boundary-inducing"
+    return None
+
+
 def _chord_free(X: TwoComplex, bd_edges: frozenset[tuple[int, int]],
                 incidence: dict[tuple[int, int], int]) -> bool:
     """For a disk X with this edge incidence and these boundary edges:

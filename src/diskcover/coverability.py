@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .complexes import DISK, TwoComplex, _boundary_edges, _chord_free, classify
+from .complexes import TwoComplex, cycle_edges, disk_defect
 from .hypergraph import (
     Hypergraph3,
     SkeletonGraph,
@@ -309,7 +309,7 @@ def _reliability(leaves: Counter, k: int, p: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo trials
+# events as path searches, and their Monte Carlo trials
 
 
 def _least_hits(trials: int, epsilon: float) -> int:
@@ -345,45 +345,84 @@ def _trial_hits(event: Callable[[int], bool], masks: list[int],
     return hits
 
 
-def _decided(event: Callable[[int], bool], masks: list[int], epsilon: float,
-             known_hits: int = 0, known_misses: int = 0) -> bool:
-    """Whether the hit rate reaches 1 - epsilon over the masks and over
-    known_hits and known_misses further trials already settled, asking
-    the event only until the decision is fixed."""
-    need = _least_hits(len(masks) + known_hits + known_misses,
-                       epsilon) - known_hits
-    return need <= 0 or (need <= len(masks)
-                         and _trial_hits(event, masks, need) >= need)
+def _event(searches, disk: "_DiskSearcher | None") -> Callable[[int], bool]:
+    """The per-mask predicate of an event given by one or two path searches
+    (adj, a, b, interior): it holds on m when some search finds an a..b path
+    of length >= 2 through interior & m, or else the disk searcher (under
+    EXHAUSTIVE_SMALL only) finds a disk inside m."""
+    if len(searches) == 1:
+        [(adj, a, b, interior)] = searches
+        paths = lambda m: path_exists(adj, a, b, interior & m)
+    else:
+        (adj1, a1, b1, in1), (adj2, a2, b2, in2) = searches
+        paths = lambda m: (path_exists(adj1, a1, b1, in1 & m)
+                           or path_exists(adj2, a2, b2, in2 & m))
+    if disk is None:
+        return paths
+    return lambda m: paths(m) or disk.find(m) is not None
 
 
-def _ends(adj: dict[int, int], a: int, b: int,
-          interior: int = -1) -> tuple[int, int]:
-    """The first frontiers of `path_exists(adj, a, b, interior & m)` before
-    m cuts them: the neighbours of a and of b inside interior, other than
-    a and b."""
-    interior &= ~((1 << a) | (1 << b))
-    return adj[a] & interior, adj[b] & interior
+def _screen(searches, disk: "_DiskSearcher | None",
+            masks: list[int]) -> tuple[int, list[int]]:
+    """The count of sure hits and the list of open masks, with no path search.
 
-
-def _screened(event: Callable[[int], bool], masks: list[int], epsilon: float,
-              first: tuple[int, int], second: tuple[int, int] = (0, 0),
-              misses: bool = True) -> bool:
-    """`_decided(event, masks, epsilon)`, asking the event only of the
-    masks that two screens leave open.
-
-    `first` and `second` are the `_ends` of the one or two path searches
-    the event runs. A vertex in both masks of a pair is a path of one
-    interior vertex, so a mask that meets it is a hit. A mask that misses
-    one mask of each pair leaves every search an empty frontier, so it is
-    a miss, unless the event can hold without them (misses=False).
+    The ends of a search, the neighbours of a and of b in its interior
+    other than a and b, are its first frontiers before a mask cuts them.
+    A mask meeting both ends at one vertex holds a one-vertex path, a
+    hit. A mask missing one end of every search is a miss, except with a
+    disk searcher, which can hold where no path search starts.
     """
-    (a1, b1), (a2, b2) = first, second
+    (a1, b1), (a2, b2), *_ = [
+        (adj[a] & interior & ~(1 << b), adj[b] & interior & ~(1 << a))
+        for adj, a, b, interior in searches] + [(0, 0)]
     hit = a1 & b1 | a2 & b2
-    rest = [m for m in masks if not m & hit]
-    open_ = rest if not misses else [
-        m for m in rest if m & a1 and m & b1 or m & a2 and m & b2]
-    return _decided(event, open_, epsilon, len(masks) - len(rest),
-                    len(rest) - len(open_))
+    open_ = [m for m in masks if not m & hit]
+    hits = len(masks) - len(open_)
+    if disk is None:
+        open_ = [m for m in open_ if m & a1 and m & b1 or m & a2 and m & b2]
+    return hits, open_
+
+
+def _decided(searches, disk: "_DiskSearcher | None", masks: list[int],
+             epsilon: float) -> bool:
+    """Whether the event's hit rate over the masks reaches 1 - epsilon,
+    asking it only of the masks the screen leaves open, and only until the
+    decision is fixed."""
+    hits, open_ = _screen(searches, disk, masks)
+    need = _least_hits(len(masks), epsilon) - hits
+    return need <= 0 or (need <= len(open_) and _trial_hits(
+        _event(searches, disk), open_, need) >= need)
+
+
+def _order(searches, universe: list[int]) -> list[int]:
+    """The universe for the lattice walk, nearest both ends first: x goes
+    by the least over the searches of (dist(a, x) + dist(x, b), dist(a, x)),
+    then by x, distances running through the search's interior and the
+    universe. A vertex no search reaches lies on no path; it goes last,
+    where the walk is decided and never branches."""
+    umask = sum(1 << x for x in universe)
+    far = 2 * len(universe) + 1  # above any sum of two distances
+
+    def dist(adj: dict[int, int], end: int, reach: int) -> dict[int, int]:
+        d = dict.fromkeys(universe, far)
+        front, seen, k = adj[end] & reach, 0, 1
+        while front:
+            seen |= front
+            step = 0
+            for x in _bits(front):
+                d[x] = k
+                step |= adj[x]
+            front, k = step & reach & ~seen, k + 1
+        return d
+
+    key: dict[int, tuple[int, int, int]] = {}
+    for adj, a, b, interior in searches:
+        da, db = dist(adj, a, umask & interior), dist(adj, b, umask & interior)
+        for x in universe:
+            k = (da[x] + db[x], da[x], x)
+            if x not in key or k < key[x]:
+                key[x] = k
+    return sorted(universe, key=key.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -403,24 +442,19 @@ def _check_p2(G: SkeletonGraph, w: int, u: int, wp: int,
         raise ValueError(f"{w}-{u}-{wp} is not a path in the graph")
 
 
-def _admissible_universe(G: SkeletonGraph, w: int, u: int, wp: int) -> list[int]:
-    # only vertices that can appear inside a w..w' path matter; u is
-    # excluded from U by definition and w, w' are endpoints either way
-    return [x for x in G.vertices if x not in (u, w, wp)]
+def _admissibility_event(G: SkeletonGraph, w: int, u: int, wp: int):
+    """The admissibility event of w u w': one search, w..w' in G - u, and
+    no disk searcher."""
+    return ((G.adj_mask, w, wp, ~(1 << u)),), None
 
 
-def _admissibility_trials(G: SkeletonGraph, w: int, u: int, wp: int,
-                          params: EstimatorParams):
-    """The per-trial event and the trial masks of the admissibility test."""
+def _sampled_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
+                           params: EstimatorParams):
+    """The event of a path checked here, and its trial masks."""
     _check_p2(G, w, u, wp)
-    umask_all = 0
-    for x in _admissible_universe(G, w, u, wp):
-        umask_all |= 1 << x
-    width = max(G.vertices) + 1
     masks = trial_masks(params.seed, (_STREAM_ADMISSIBLE, w, u, wp),
-                        params.trials, width, params.p)
-    adj = G.adj_mask
-    return (lambda m: path_exists(adj, w, wp, m & umask_all)), masks
+                        params.trials, max(G.vertices) + 1, params.p)
+    return (*_admissibility_event(G, w, u, wp), masks)
 
 
 def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
@@ -432,43 +466,28 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     vertices inside U. Deterministic in (params.seed, trials) and in the
     path's vertex labels; trials may be evaluated in any order.
     """
-    event, masks = _admissibility_trials(G, w, u, wp, params)
-    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
-                                            params.trials, params.epsilon)
+    searches, disk, masks = _sampled_admissibility(G, w, u, wp, params)
+    hits, open_ = _screen(searches, disk, masks)
+    return CoverabilityEstimate.from_counts(
+        hits + _trial_hits(_event(searches, disk), open_), params.trials,
+        params.epsilon)
 
 
 def _admissible(G: SkeletonGraph, w: int, u: int, wp: int,
                 params: EstimatorParams) -> bool:
     """`sample_admissibility(...).decided_coverable`, screening the trials
     and stopping them once the decision is fixed."""
-    return _screened(*_admissibility_trials(G, w, u, wp, params),
-                     params.epsilon, _ends(G.adj_mask, w, wp, ~(1 << u)))
+    return _decided(*_sampled_admissibility(G, w, u, wp, params),
+                    params.epsilon)
 
 
 def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
                           wp: int) -> Counter:
-    """The lattice walk of the admissibility event, branching first on the
-    vertices x nearest both ends, by (dist(w, x) + dist(x, w'), dist(w, x), x)
-    in G - u through the universe. A vertex an end cannot reach lies on no
-    w..w' path; it goes last, where the walk is decided and never branches."""
-    adj = G.adj_mask
-    universe = _admissible_universe(G, w, u, wp)
-    umask = sum(1 << x for x in universe)
-    far = 2 * len(universe) + 1  # above any sum of two distances
-    dist = {}
-    for end in (w, wp):
-        d = dist[end] = dict.fromkeys(universe, far)
-        front, seen, k = adj[end] & umask, 0, 1
-        while front:
-            seen |= front
-            step = 0
-            for x in _bits(front):
-                d[x] = k
-                step |= adj[x]
-            front, k = step & umask & ~seen, k + 1
-    dw, dwp = dist[w], dist[wp]
-    order = sorted(universe, key=lambda x: (dw[x] + dwp[x], dw[x], x))
-    return _leaf_counts(order, lambda mask: path_exists(adj, w, wp, mask))
+    """The lattice walk of the admissibility event over V(G) minus u, w, w',
+    branching first on the vertices nearest both ends."""
+    searches, disk = _admissibility_event(G, w, u, wp)
+    universe = [x for x in G.vertices if x not in (u, w, wp)]
+    return _leaf_counts(_order(searches, universe), _event(searches, disk))
 
 
 def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
@@ -535,10 +554,8 @@ class _DiskSearcher:
     def __init__(self, H: Hypergraph3, cycle: Sequence[int], max_interior: int):
         _check_max_interior(max_interior)
         self.cycle = tuple(cycle)
-        a, b, c, d = self.cycle
         self.cycle_set = frozenset(self.cycle)
-        self.cycle_edges = frozenset(
-            tuple(sorted(e)) for e in ((a, b), (b, c), (c, d), (d, a)))
+        self.cycle_edges = cycle_edges(self.cycle)
         tris = H.triples()
         on = [(tris == x).any(axis=1) for x in self.cycle]
         skip = (sum(on) > 2) | (on[0] & on[2]) | (on[1] & on[3])
@@ -562,13 +579,8 @@ class _DiskSearcher:
                 if any(inc.get(e, 0) != 1 for e in self.cycle_edges):
                     return None
                 X = TwoComplex(used)
-                if classify(X).kind != DISK:
-                    return None
                 # inc is X's edge incidence, counted as the disk grew
-                bd_edges = _boundary_edges(inc)
-                if bd_edges != self.cycle_edges:
-                    return None
-                return X if _chord_free(X, bd_edges, inc) else None
+                return X if disk_defect(X, self.cycle, inc) is None else None
             if len(used) >= self.max_tris:
                 return None
             # the empty complex grows across the least cycle edge
@@ -610,63 +622,34 @@ def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],
     unless the cycle lists four distinct vertices of H.
     """
     searcher = _DiskSearcher(H, _check_four_vertices(H, cycle), max_interior)
-    if allowed_interior is None:
-        mask = (1 << H.n) - 1
-    else:
-        mask = 0
-        for v in allowed_interior:
-            mask |= 1 << v
+    mask = ((1 << H.n) - 1 if allowed_interior is None
+            else sum(1 << v for v in set(allowed_interior)))
     return searcher.find(mask)
 
 
-def _pyramid_sides(H: Hypergraph3, cycle: tuple[int, int, int, int],
-                   li_apex: SkeletonGraph | None = None):
-    """The pyramid event's path searches (adj, a, b) over the 4-cycle
-    v w v' w': w..w' in LI(v, v') and v..v' in LI(w, w'). A caller with
-    many cycles over one apex pair may pass LI(v, v')."""
-    v, w, vp, wp = cycle
+def _coverability_event(H: Hypergraph3, cyc: tuple[int, int, int, int],
+                        strategy: str, max_interior: int,
+                        li_apex: SkeletonGraph | None = None):
+    """The coverability event of a checked 4-cycle v w v' w': the pyramid
+    searches w..w' in LI(v, v') and v..v' in LI(w, w'), and the disk
+    searcher under EXHAUSTIVE_SMALL. A caller may pass LI(v, v')."""
+    v, w, vp, wp = cyc
     if li_apex is None:
         li_apex = link_intersection(H, v, vp)
-    return ((li_apex.adj_mask, w, wp),
-            (link_intersection(H, w, wp).adj_mask, v, vp))
+    searches = ((li_apex.adj_mask, w, wp, -1),
+                (link_intersection(H, w, wp).adj_mask, v, vp, -1))
+    return searches, (None if strategy == PYRAMID_ONLY
+                      else _DiskSearcher(H, cyc, max_interior))
 
 
-def _coverability_event(H: Hypergraph3, cycle: tuple[int, int, int, int],
-                        strategy: str, max_interior: int,
-                        sides=None) -> Callable[[int], bool]:
-    """Build the per-sample success predicate for one boundary cycle.
-
-    PyramidOnly tries both opposite-apex choices of the 4-cycle, the
-    searches `sides` (by default `_pyramid_sides(H, cycle)`); the
-    exhaustive strategy additionally searches all small disks.
-    """
-    (adj1, w, wp), (adj2, v, vp) = sides or _pyramid_sides(H, cycle)
-
-    def pyramid_event(umask: int) -> bool:
-        return (path_exists(adj1, w, wp, umask)
-                or path_exists(adj2, v, vp, umask))
-
-    if strategy == PYRAMID_ONLY:
-        return pyramid_event
-    searcher = _DiskSearcher(H, cycle, max_interior)
-
-    def exhaustive_event(umask: int) -> bool:
-        if pyramid_event(umask):
-            return True
-        return searcher.find(umask) is not None
-
-    return exhaustive_event
-
-
-def _coverability_trials(H: Hypergraph3, cyc: tuple[int, int, int, int],
-                         params: EstimatorParams, sides=None):
-    """The per-trial event and the trial masks of the coverability test
-    of a checked cycle, whose pyramid searches may be given."""
-    event = _coverability_event(H, cyc, params.strategy, params.max_interior,
-                                sides)
+def _sampled_coverability(H: Hypergraph3, cyc: tuple[int, int, int, int],
+                          params: EstimatorParams,
+                          li_apex: SkeletonGraph | None = None):
+    """The event of a checked cycle, and its trial masks."""
     masks = trial_masks(params.seed, (_STREAM_COVER, *cyc),
                         params.trials, max(H.n, 1), params.p)
-    return event, masks
+    return (*_coverability_event(H, cyc, params.strategy, params.max_interior,
+                                 li_apex), masks)
 
 
 def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
@@ -678,9 +661,12 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     inside U. The search family is set by params.strategy. Deterministic
     in (seed, trials, cycle labels); independent of evaluation order.
     """
-    event, masks = _coverability_trials(H, _check_four_cycle(H, cycle), params)
-    return CoverabilityEstimate.from_counts(_trial_hits(event, masks),
-                                            params.trials, params.epsilon)
+    searches, disk, masks = _sampled_coverability(
+        H, _check_four_cycle(H, cycle), params)
+    hits, open_ = _screen(searches, disk, masks)
+    return CoverabilityEstimate.from_counts(
+        hits + _trial_hits(_event(searches, disk), open_), params.trials,
+        params.epsilon)
 
 
 def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
@@ -688,25 +674,24 @@ def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
                li_apex: SkeletonGraph | None = None) -> bool:
     """`sample_disk_coverability(H, cyc, params).decided_coverable` for a
     checked cycle, screening the trials and stopping them once the
-    decision is fixed. The disk search of EXHAUSTIVE_SMALL can hold where
-    no pyramid search starts, so that strategy screens hits only."""
-    sides = _pyramid_sides(H, cyc, li_apex)
-    return _screened(*_coverability_trials(H, cyc, params, sides),
-                     params.epsilon, *(_ends(*side) for side in sides),
-                     misses=params.strategy == PYRAMID_ONLY)
+    decision is fixed."""
+    return _decided(*_sampled_coverability(H, cyc, params, li_apex),
+                    params.epsilon)
 
 
 def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
                             strategy: str = PYRAMID_ONLY,
                             max_interior: int = 3) -> Fraction:
-    """Exact coverability probability by monotone lattice walk (n <= 25)."""
+    """Exact coverability probability by monotone lattice walk (n <= 25),
+    branching first on the vertices nearest both ends of a pyramid search."""
     _check_max_interior(max_interior)
     _check_exact_size(H.n)
     pf = unit_fraction(p, "p")
     cyc = _check_four_cycle(H, cycle)
-    event = _coverability_event(H, cyc, strategy, max_interior)
+    searches, disk = _coverability_event(H, cyc, strategy, max_interior)
     universe = [x for x in H.vertices if x not in cyc]
-    return _reliability(_leaf_counts(universe, event), len(universe), pf)
+    leaves = _leaf_counts(_order(searches, universe), _event(searches, disk))
+    return _reliability(leaves, len(universe), pf)
 
 
 # ---------------------------------------------------------------------------

@@ -39,18 +39,6 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=mix64(seed, *stream)))
 
 
-def trial_matrix(seed: int, stream: tuple[int, ...], trials: int, width: int,
-                 p: float) -> np.ndarray:
-    """Bernoulli(p) samples of shape (trials, width).
-
-    Row i is the vertex-inclusion sample for trial i. The whole matrix is
-    a pure function of (seed, stream, trials, width), so trials may be
-    consumed in any order, or in parallel, with bit-identical results.
-    """
-    gen = generator(seed, *stream)
-    return gen.random((trials, width)) < p
-
-
 def _threshold(p: float) -> int:
     """The least raw Philox word whose double is not below p, in [0, 2^64].
 
@@ -69,10 +57,14 @@ def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,
                 p: float) -> list[int]:
     """Per-trial inclusion samples as integer bitmasks (bit v = vertex v).
 
-    The rows of `trial_matrix(seed, stream, trials, width, p)`, bit for
-    bit, drawn by comparing raw Philox words with `_threshold(p)`. Each
-    row is packed little-endian into whole 64-bit words; word j of every
-    row is read as one Python int column and ORed in at bit 64 j.
+    Bit v of mask i is set when the double `generator(seed, *stream)`
+    draws for row i, column v of a (trials, width) matrix is below p. The
+    masks are a pure function of (seed, stream, trials, width, p), so
+    trials may be consumed in any order with identical results. The bits
+    come from comparing raw Philox words with `_threshold(p)`, with no
+    doubles made; each row is packed little-endian into whole 64-bit
+    words, and word j of every row is read as one Python int column and
+    ORed in at bit 64 j.
     """
     threshold = _threshold(p)
     if threshold >> 64:

@@ -30,14 +30,8 @@ from math import comb
 
 from .certificates import (KTT, PROJECTIVE_PLANE, SPHERE, SURFACE_CYCLES, TORUS,
                            HomeomorphCertificate, surface_cycles)
-from .complexes import (
-    CLOSED_SURFACE,
-    DISK,
-    TwoComplex,
-    _boundary_edges,
-    _chord_free,
-    classify,
-)
+from .complexes import (CLOSED_SURFACE, TwoComplex, classify, cycle_edges,
+                        disk_defect)
 from .gamma import gamma, role_name
 from .hypergraph import Hypergraph3
 
@@ -77,11 +71,6 @@ _SURFACE_SIGNATURE = {
 }
 
 
-def _cycle_edge_set(cycle) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        tuple(sorted((cycle[i], cycle[(i + 1) % 4]))) for i in range(4))
-
-
 def _check_triangles(H: Hypergraph3, cert) -> CheckResult:
     tris = [t for d in cert.disks for t in sorted(d.triangles)]
     stray = [t for t, ok in zip(tris, H.has_triples(tris)) if not ok]
@@ -95,18 +84,9 @@ def _check_triangles(H: Hypergraph3, cert) -> CheckResult:
 
 def _check_disks(cert) -> CheckResult:
     for i, (cyc, disk) in enumerate(zip(cert.cycles, cert.disks)):
-        cls = classify(disk)
-        if cls.kind != DISK:
-            return CheckResult("disks-bound-cycles", False,
-                               f"disk {i} classifies as {cls.kind}")
-        incidence = disk.edge_incidence
-        bd_edges = _boundary_edges(incidence)
-        if bd_edges != _cycle_edge_set(cyc):
-            return CheckResult("disks-bound-cycles", False,
-                               f"disk {i} boundary differs from cycle {cyc}")
-        if not _chord_free(disk, bd_edges, incidence):
-            return CheckResult("disks-bound-cycles", False,
-                               f"disk {i} is not boundary-inducing")
+        defect = disk_defect(disk, cyc)
+        if defect is not None:
+            return CheckResult("disks-bound-cycles", False, f"disk {i} {defect}")
     return CheckResult("disks-bound-cycles", True,
                        f"all {len(cert.disks)} disks boundary-inducing with "
                        "assigned boundaries")
@@ -115,7 +95,7 @@ def _check_disks(cert) -> CheckResult:
 def _check_intersections(cert) -> CheckResult:
     k = len(cert.disks)
     verts = [frozenset(c) for c in cert.cycles]
-    edges = [_cycle_edge_set(c) for c in cert.cycles]
+    edges = [cycle_edges(c) for c in cert.cycles]
     disk_verts = [d.vertices for d in cert.disks]
     disk_edges = [d.edges for d in cert.disks]
     for i in range(k):

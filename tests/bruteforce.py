@@ -2,8 +2,10 @@
 
 Everything here is implemented directly from the definitions, sharing no
 code with the library: subset enumeration for probabilities, DFS path
-enumeration for pyramid events, 2^F orientation search, and so on. Slow
-on purpose; only run on small instances.
+enumeration for pyramid events, 2^F orientation search, and so on. The
+one exception is the trial decoder, which reads the library's Philox
+stream through numpy's own float draws. Slow on purpose; only run on
+small instances.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+
+from diskcover.rng import generator
 
 
 def subsets(pool):
@@ -126,11 +130,20 @@ def pyramid_event(triples, cycle, U) -> bool:
 
 def exact_pyramid_coverability(triples, n, cycle, p) -> Fraction:
     p = Fraction(p)
-    total = Fraction(0)
-    for U in subsets(range(n)):
-        if pyramid_event(triples, cycle, U):
-            total += p ** len(U) * (1 - p) ** (n - len(U))
-    return total
+    return sum((p ** len(U) * (1 - p) ** (n - len(U))
+                for U in coverable_sets(triples, n, cycle)), Fraction(0))
+
+
+def coverable_sets(triples, n, cycle, max_interior=0):
+    """Every U of range(n), as a frozenset, that holds the interior of a
+    pyramid over the 4-cycle or of a boundary-inducing disk with boundary
+    the cycle and at most max_interior interior vertices."""
+    interiors = {frozenset(v for t in disk for v in t) - set(cycle)
+                 for disk in boundary_inducing_disks(triples, cycle, range(n),
+                                                     max_interior)}
+    return [U for U in subsets(range(n))
+            if pyramid_event(triples, cycle, U)
+            or any(inner <= U for inner in interiors)]
 
 
 def p2_inadmissible(G_edges, x, y, z) -> bool:
@@ -280,3 +293,10 @@ def boundary_inducing_disks(triples, cycle, allowed, max_interior):
                         and cond["links_ok"] and cond["euler"] == 1
                         and set(map(frozenset, cond["boundary_edges"])) == ring):
                     yield frozenset(tris)
+
+
+def trial_matrix(seed, stream, trials, width, p):
+    """Bernoulli(p) samples of shape (trials, width), row i the inclusion
+    sample of trial i: numpy's doubles on the (seed, stream) Philox stream,
+    compared with p, the reference that `trial_masks` decodes bit for bit."""
+    return generator(seed, *stream).random((trials, width)) < p

@@ -11,13 +11,12 @@ import bruteforce as bf
 from diskcover import complexes
 from diskcover.complexes import (CLOSED_SURFACE, DISK, OTHER,
                                  SURFACE_WITH_BOUNDARY, TwoComplex, boundary,
-                                 classify, euler_characteristic,
+                                 classify, cycle_edges, euler_characteristic,
                                  is_boundary_inducing, orientability)
 from diskcover.certificates import SPHERE, HomeomorphCertificate
 from diskcover.coverability import pyramid_disk
 from diskcover.hypergraph import Hypergraph3
-from diskcover.verify import (CertificateError, _cycle_edge_set,
-                              verify_certificate)
+from diskcover.verify import CertificateError, verify_certificate
 
 TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 OCTA = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
@@ -210,14 +209,14 @@ def test_complex_intersection_shared_boundary_cycle():
     H, cert = _two_pyramid_sphere((cycle, cycle))
     d1, d2 = cert.disks
     assert d1.vertices & d2.vertices == frozenset(cycle)
-    assert d1.edges & d2.edges == _cycle_edge_set(cycle)
+    assert d1.edges & d2.edges == cycle_edges(cycle)
     assert not d1.triangles & d2.triangles
     by_name = {c.name: c.passed for c in verify_certificate(H, cert).checks}
     assert by_name["pairwise-intersections"] is True
 
 
 def test_cycle_complex_validation():
-    assert _cycle_edge_set((0, 1, 2, 3)) == \
+    assert cycle_edges((0, 1, 2, 3)) == \
         frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
     good = (0, 2, 1, 3)
     for bad in ((0, 1), (0, 1, 1, 2)):

@@ -25,7 +25,7 @@ from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     sample_admissibility,
                                     sample_disk_coverability, triple_phi,
                                     weighted_inadmissibility_audit)
-from diskcover.generators import random_graph
+from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
                                   complete_hypergraph, iter_p2s, link,
                                   skeleton)
@@ -355,9 +355,27 @@ def _ascending_walk(G, x, y, z):
                         lambda m: coverability.path_exists(G.adj_mask, x, z, m))
 
 
+def _ascending_cover_walk(H, cyc, strategy, max_interior):
+    """The coverability walk over V(H) minus the cycle in ascending order."""
+    universe = [v for v in H.vertices if v not in cyc]
+    return _leaf_counts(universe, coverability._event(
+        *coverability._coverability_event(H, cyc, strategy, max_interior)))
+
+
+def _valid_cycles(n, triples):
+    """The 4-cycles v w v' w' whose four edges lie in triples."""
+    pairs = bf.skeleton_pairs(triples)
+    return [c for c in permutations(range(n), 4)
+            if all(tuple(sorted(e)) in pairs for e in zip(c, c[1:] + c[:1]))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(SMALL_GRAPHS, st.data())
 def test_ordered_walk_matches_ascending_walk(graph, data):
+    """Both walks, ordered and ascending, give the brute-force probability:
+    of admissibility, and of coverability on a host drawn alongside, with
+    n <= 9 under PYRAMID_ONLY and n <= 8 under EXHAUSTIVE_SMALL, where the
+    brute force enumerates every disk of up to two interior vertices."""
     G, edges, (x, y, z) = _graph_and_p2(graph, data)
     ordered = coverability._admissibility_leaves(G, x, y, z)
     ascending = _ascending_walk(G, x, y, z)
@@ -365,6 +383,25 @@ def test_ordered_walk_matches_ascending_walk(graph, data):
         want = bf.exact_admissibility(edges, G.n, x, y, z, p)
         assert _reliability(ordered, G.n - 3, p) == want
         assert _reliability(ascending, G.n - 3, p) == want
+
+    strategy = data.draw(st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]))
+    n = data.draw(st.integers(5, 9 if strategy == PYRAMID_ONLY else 8))
+    # triples kept with odds 3:1, so that 4-cycles and disks are common
+    keep = data.draw(st.lists(st.integers(0, 3), min_size=comb(n, 3),
+                              max_size=comb(n, 3)))
+    triples = [t for t, k in zip(combinations(range(n), 3), keep) if k]
+    cycles = _valid_cycles(n, triples)
+    if not cycles:
+        return
+    cyc = data.draw(st.sampled_from(cycles))
+    H = Hypergraph3(n, triples)
+    sets = bf.coverable_sets(triples, n, cyc,
+                             0 if strategy == PYRAMID_ONLY else 2)
+    ascending = _ascending_cover_walk(H, cyc, strategy, 2)
+    for p in ORACLE_PS:
+        want = sum(p ** len(U) * (1 - p) ** (n - len(U)) for U in sets)
+        assert exact_disk_coverability(H, cyc, p, strategy, 2) == want
+        assert _reliability(ascending, n - 4, p) == want
 
 
 def test_ordered_walk_asks_a_third_of_the_ascending_walk(monkeypatch):
@@ -383,6 +420,21 @@ def test_ordered_walk_asks_a_third_of_the_ascending_walk(monkeypatch):
             ascending += len(asked)
             assert _reliability(walk, n - 3, HALF) == _reliability(base, n - 3, HALF)
     assert 3 * ordered <= ascending, (ordered, ascending)
+
+    # the coverability walk, on the first eight 4-cycles of a pinned host
+    H = random_hypergraph(18, 0.4, 2)
+    cycles = [c for c in combinations(range(18), 4)
+              if all(H.row(a)[b] for a, b in zip(c, c[1:] + c[:1]))][:8]
+    ordered = ascending = 0
+    for cyc in cycles:
+        asked.clear()
+        prob = exact_disk_coverability(H, cyc, HALF)
+        ordered += len(asked)
+        asked.clear()
+        base = _ascending_cover_walk(H, cyc, PYRAMID_ONLY, 3)
+        ascending += len(asked)
+        assert prob == _reliability(base, 14, HALF)
+    assert 10 * ordered <= ascending, (ordered, ascending)
 
 
 def test_lattice_walk_degenerate_events():
@@ -545,13 +597,17 @@ def test_least_hits_is_the_decision_rule(trials, epsilon):
                        if h / trials >= 1 - epsilon)
 
 
-def _check_decision_path(event, masks, epsilon, decided) -> None:
+def _members(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _check_decision_path(event, masks, epsilon, outcomes) -> None:
     """The stopping loop gives the full count's decision after exactly the
-    trials it takes to fix it, asking the event once per trial."""
+    trials it takes to fix it, asking the event once per trial; the full
+    loop counts the reference outcomes."""
     trials = len(masks)
-    outcomes = [event(m) for m in masks]
     need = min(h for h in range(trials + 1) if h / trials >= 1 - epsilon)
-    assert (sum(outcomes) >= need) == decided
+    assert need == coverability._least_hits(trials, epsilon)
     hits = 0
     for fixed_at, hit in enumerate(outcomes, 1):
         hits += hit
@@ -563,7 +619,8 @@ def _check_decision_path(event, masks, epsilon, decided) -> None:
         asked.append(m)
         return event(m)
 
-    assert coverability._decided(counting, masks, epsilon) == decided
+    assert (coverability._trial_hits(counting, masks, need) >= need) == (
+        sum(outcomes) >= need)
     assert asked == masks[:fixed_at]
     assert coverability._trial_hits(event, masks) == sum(outcomes)
 
@@ -573,33 +630,49 @@ def _check_decision_path(event, masks, epsilon, decided) -> None:
        st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 7, 10, 64, 65]),
        st.sampled_from([0.1, 0.25, 0.5, 0.7, 0.9]),
        st.sampled_from([0.2, 0.5, 0.8]),
-       st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
+       st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]),
+       st.sampled_from([1, 2]), st.data())
 def test_decision_path_matches_samplers(n, density, host_seed, trials,
-                                        epsilon, p, strategy, data):
-    """The stopping decision equals `.decided_coverable` of both samplers."""
+                                        epsilon, p, strategy, max_interior,
+                                        data):
+    """Both samplers count, over their trial masks, what brute force counts:
+    `bf.pyramid_event`, or a disk of `bf.boundary_inducing_disks` under
+    EXHAUSTIVE_SMALL, and `bf.admissibility_event`. The stopping decisions
+    `_coverable` and `_admissible` agree with that count."""
     rng = random.Random(host_seed)
     triples = [t for t in combinations(range(n), 3) if rng.random() < density]
     H = Hypergraph3(n, triples)
     params = est_params(p=p, epsilon=epsilon, trials=trials,
-                        seed=host_seed % 97, strategy=strategy)
-    pairs = bf.skeleton_pairs(triples)
-    cycles = [c for c in permutations(range(n), 4)
-              if all(tuple(sorted(e)) in pairs
-                     for e in zip(c, c[1:] + c[:1]))]
+                        seed=host_seed % 97, strategy=strategy,
+                        max_interior=max_interior)
+    cycles = _valid_cycles(n, triples)
     assume(cycles)
     cyc = data.draw(st.sampled_from(cycles))
+    interiors = [] if strategy == PYRAMID_ONLY else [
+        frozenset(v for t in disk for v in t) - set(cyc) for disk in
+        bf.boundary_inducing_disks(triples, cyc, range(n), max_interior)]
+    searches, disk, masks = coverability._sampled_coverability(H, cyc, params)
+    outcomes = [bf.pyramid_event(triples, cyc, U)
+                or any(inner <= U for inner in interiors)
+                for U in map(_members, masks)]
     full = sample_disk_coverability(H, cyc, params)
+    assert full.successes == sum(outcomes)
     assert coverability._coverable(H, cyc, params) == full.decided_coverable
-    _check_decision_path(*coverability._coverability_trials(H, cyc, params),
-                         epsilon, full.decided_coverable)
+    _check_decision_path(coverability._event(searches, disk), masks, epsilon,
+                         outcomes)
 
     G = skeleton(H)
     w, u, wp = data.draw(st.sampled_from(list(iter_p2s(G))))
+    searches, disk, masks = coverability._sampled_admissibility(G, w, u, wp,
+                                                                params)
+    edges = bf.skeleton_pairs(triples)
+    outcomes = [bf.admissibility_event(edges, w, u, wp, U)
+                for U in map(_members, masks)]
     full = sample_admissibility(G, w, u, wp, params)
+    assert full.successes == sum(outcomes)
     assert coverability._admissible(G, w, u, wp, params) == full.decided_coverable
-    _check_decision_path(
-        *coverability._admissibility_trials(G, w, u, wp, params), epsilon,
-        full.decided_coverable)
+    _check_decision_path(coverability._event(searches, disk), masks, epsilon,
+                         outcomes)
 
 
 def test_decision_path_stops_once_fixed():
@@ -607,14 +680,20 @@ def test_decision_path_stops_once_fixed():
     # at the 7th miss; on K_10 a trial misses with probability 1/64, on
     # the LI path instance with probability 1/2
     params = est_params(trials=64)
+    need = coverability._least_hits(64, params.epsilon)
+    assert need == 58
     for H, cyc, coverable, stop in (
             (complete_hypergraph(10), (0, 1, 2, 3), True, (58, True)),
             (LI_PATH_H, LI_PATH_CYCLE, False, (7, False))):
-        event, masks = coverability._coverability_trials(H, cyc, params)
+        searches, disk, masks = coverability._sampled_coverability(H, cyc,
+                                                                   params)
+        event = coverability._event(searches, disk)
         asked = []
-        assert coverability._decided(
+        assert (coverability._trial_hits(
             lambda m: asked.append(m) or event(m), masks,
-            params.epsilon) == coverable
+            need) >= need) == coverable
+        assert coverability._decided(searches, disk, masks,
+                                     params.epsilon) == coverable
         count, outcome = stop
         assert [event(m) for m in asked].count(outcome) == count
         assert event(asked[-1]) == outcome
@@ -626,15 +705,19 @@ def _screen_case(n, density, host_seed, data):
     length-2 paths of its skeleton."""
     rng = random.Random(host_seed)
     triples = [t for t in combinations(range(n), 3) if rng.random() < density]
-    pairs = bf.skeleton_pairs(triples)
-    cycles = [c for c in permutations(range(n), 4)
-              if all(tuple(sorted(e)) in pairs
-                     for e in zip(c, c[1:] + c[:1]))]
+    cycles = _valid_cycles(n, triples)
     assume(cycles)
     H = Hypergraph3(n, triples)
     G = skeleton(H)
     return (H, data.draw(st.sampled_from(cycles)), G,
             data.draw(st.sampled_from(list(iter_p2s(G)))))
+
+
+def _ends(searches):
+    """Each search's ends: the neighbours of a and of b in its interior,
+    other than a and b."""
+    return [(adj[a] & interior & ~(1 << b), adj[b] & interior & ~(1 << a))
+            for adj, a, b, interior in searches]
 
 
 @settings(max_examples=60, deadline=None)
@@ -643,24 +726,28 @@ def _screen_case(n, density, host_seed, data):
        st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
 def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
     """A mask meeting a vertex joined to both ends of a search is a hit; one
-    that misses an end neighbourhood of every search is a miss, which only
-    PYRAMID_ONLY may conclude from the pyramid searches alone."""
+    that misses an end neighbourhood of every search is a miss, which the
+    screen concludes only without a disk searcher, under PYRAMID_ONLY and
+    for admissibility. Every other mask stays open."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
-    sides = coverability._pyramid_sides(H, cyc)
-    params = est_params(trials=8, strategy=strategy)
-    cases = [
-        (coverability._coverability_event(H, cyc, strategy, 3, sides),
-         [coverability._ends(*side) for side in sides],
-         strategy == PYRAMID_ONLY),
-        (coverability._admissibility_trials(G, w, u, wp, params)[0],
-         [coverability._ends(G.adj_mask, w, wp, ~(1 << u))], True)]
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
-    for event, ends, misses in cases:
+    for searches, disk in (
+            coverability._coverability_event(H, cyc, strategy, 3),
+            coverability._admissibility_event(G, w, u, wp)):
+        assert (disk is None) == (strategy == PYRAMID_ONLY
+                                  or len(searches) == 1)
+        event = coverability._event(searches, disk)
+        ends = _ends(searches)
         for m in masks:
+            screened = coverability._screen(searches, disk, [m])
             if any(m & a & b for a, b in ends):
                 assert event(m)
-            if misses and not any(m & a and m & b for a, b in ends):
+                assert screened == (1, [])
+            elif disk is None and not any(m & a and m & b for a, b in ends):
                 assert not event(m)
+                assert screened == (0, [])
+            else:
+                assert screened == (0, [m])
 
 
 @settings(max_examples=60, deadline=None)
@@ -670,25 +757,23 @@ def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
        st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
 def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
                                            epsilon, p, strategy, data):
-    """`_coverable` and `_admissible` ask the event of the masks the screens
-    leave open, in order, and of none when the screened ones decide; under
-    EXHAUSTIVE_SMALL only the hit screen applies."""
+    """`_coverable` and `_admissible` ask the event of the masks the screen
+    leaves open, in order, and of none when the screened ones decide; with
+    a disk searcher (EXHAUSTIVE_SMALL) only the hit screen applies."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
     params = est_params(p=p, epsilon=epsilon, trials=trials,
                         seed=host_seed % 97, strategy=strategy)
-    sides = coverability._pyramid_sides(H, cyc)
     need = coverability._least_hits(trials, epsilon)
-    for decide, masks, ends, misses in (
+    for decide, (searches, disk, masks) in (
             (lambda: coverability._coverable(H, cyc, params),
-             coverability._coverability_trials(H, cyc, params)[1],
-             [coverability._ends(*side) for side in sides],
-             strategy == PYRAMID_ONLY),
+             coverability._sampled_coverability(H, cyc, params)),
             (lambda: coverability._admissible(G, w, u, wp, params),
-             coverability._admissibility_trials(G, w, u, wp, params)[1],
-             [coverability._ends(G.adj_mask, w, wp, ~(1 << u))], True)):
+             coverability._sampled_admissibility(G, w, u, wp, params))):
+        ends = _ends(searches)
         hit = [m for m in masks if any(m & a & b for a, b in ends)]
         open_ = [m for m in masks if m not in hit and (
-            not misses or any(m & a and m & b for a, b in ends))]
+            disk is not None or any(m & a and m & b for a, b in ends))]
+        assert coverability._screen(searches, disk, masks) == (len(hit), open_)
         asked = []
         real = coverability._trial_hits
         with pytest.MonkeyPatch.context() as mp:
@@ -784,7 +869,6 @@ def test_disk_search_classifies_each_accepted_leaf_once(monkeypatch):
         calls.append(X)
         return classify(X)
 
-    monkeypatch.setattr(coverability, "classify", counting)
     monkeypatch.setattr(complexes, "classify", counting)
     disk = find_boundary_inducing_disk(complete_hypergraph(8), (0, 1, 2, 3),
                                        range(4, 8), 3)

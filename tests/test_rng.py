@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from diskcover.rng import generator, mix64, trial_masks, trial_matrix
+from bruteforce import trial_matrix
+from diskcover.rng import generator, mix64, trial_masks
 
 
 def test_mix64_stable_and_sensitive():

@@ -1,7 +1,9 @@
 """Source checks that need no linter: unused imports and dead private names
-in the package, read with `ast` alone."""
+in the package, and the functions the benchmark tracer wraps, read with
+`ast` alone."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import diskcover
@@ -77,3 +79,18 @@ def test_every_private_name_is_referenced():
             if not any(private in r for j, r in enumerate(refs) if j != i):
                 dead.append(f"{name}:{private}")
     assert dead == []
+
+
+def test_traced_functions_exist():
+    # the tracer only warns about a traced name it cannot find, so a rename
+    # in the package would silently drop that span from every traced run
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    [traced] = [stmt.value for stmt in tree.body if "TRACED" in _defined(stmt)]
+    names = [tuple(ast.literal_eval(e) for e in entry.elts[:2])
+             for entry in traced.elts]
+    assert len(names) > 10
+    missing = [f"{mod}.{fn}" for mod, fn in names
+               if not callable(getattr(
+                   importlib.import_module(f"diskcover.{mod}"), fn, None))]
+    assert missing == []

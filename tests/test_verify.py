@@ -113,6 +113,24 @@ def test_wrong_boundary_cycle_fails_check_b():
     assert not report.checks[1].passed
 
 
+@pytest.mark.parametrize("cycle, disk, detail", [
+    ((0, 2, 1, 3), TwoComplex([(0, 2, 4), (1, 3, 5)]),
+     "disk 1 classifies as Other"),
+    ((0, 4, 1, 5), pyramid_disk(0, 1, (2, 5, 3)),
+     "disk 1 boundary differs from cycle (0, 4, 1, 5)"),
+    ((0, 2, 1, 3), pyramid_disk(0, 1, (2, 3)),
+     "disk 1 is not boundary-inducing"),
+], ids=["not-a-disk", "other-boundary", "chord"])
+def test_check_b_detail_names_the_defect(cycle, disk, detail):
+    H, cert = hand_built_sphere()
+    H = Hypergraph3(6, list(H.edges | disk.triangles))
+    cert = replace(cert, cycles=(cert.cycles[0], cycle),
+                   disks=(cert.disks[0], disk))
+    check = verify_certificate(H, cert).checks[1]
+    assert (check.name, check.passed, check.detail) == (
+        "disks-bound-cycles", False, detail)
+
+
 def test_surface_signature_mismatch():
     # a valid sphere certificate relabeled as a torus target
     H, cert = hand_built_sphere()
