@@ -4,7 +4,9 @@ One subcommand per operation so every piece is invocable for demos and
 scripted experiments. Exit codes: 0 on success (found/verified/holds),
 1 for negative results (no disk, not coverable, verification failed,
 audit violation), 2 for usage errors including unreadable or malformed
-input files.
+input files. `main` turns every ValueError or OSError into that exit and
+one `error:` line; only `audit` (a bad file is an error row) and
+`verify` (a bad certificate gets its own prefix) catch one themselves.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ def _resolve(names: str, index: dict[str, int], count: int) -> list[int]:
     return out
 
 
-def _h3_index(H) -> dict[str, int]:
-    return {H.label_of(v): v for v in H.vertices}
-
-
 def _estimator(args, strategy: str | None = None) -> EstimatorParams:
     kw = dict(p=float(as_fraction(args.p)),
               epsilon=float(as_fraction(args.epsilon)),
@@ -94,17 +92,14 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_link(args) -> int:
     H = parse_h3(read_text(args.file))
-    try:
-        (u,) = _resolve(args.vertex, _h3_index(H), 1)
-    except ValueError as exc:
-        return _fail(str(exc))
+    (u,) = _resolve(args.vertex, _label_index(map(H.label_of, H.vertices)), 1)
     L = link(H, u)
     _emit(serialize_graph(L, labels=_graph_labels(L, H)), args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    X, labels = parse_complex(read_text(args.file))
+    X, _ = parse_complex(read_text(args.file))
     c = classify(X)
     if args.format == "json":
         _emit(json.dumps(classification_dict(c), indent=2) + "\n", args.out)
@@ -116,10 +111,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check_disk(args) -> int:
     H = parse_h3(read_text(args.file))
-    try:
-        cycle = _resolve(args.cycle, _h3_index(H), 4)
-    except ValueError as exc:
-        return _fail(str(exc))
+    cycle = _resolve(args.cycle, _label_index(map(H.label_of, H.vertices)), 4)
     disk = find_boundary_inducing_disk(H, cycle, max_interior=args.max_interior)
     if disk is None:
         print("no boundary-inducing disk within the interior budget",
@@ -153,10 +145,7 @@ def _report(args, decided_key: str, exact, sample) -> int:
 
 def _cmd_coverability(args) -> int:
     H = parse_h3(read_text(args.file))
-    try:
-        cycle = _resolve(args.cycle, _h3_index(H), 4)
-    except ValueError as exc:
-        return _fail(str(exc))
+    cycle = _resolve(args.cycle, _label_index(map(H.label_of, H.vertices)), 4)
     strategy = EXHAUSTIVE_SMALL if args.exhaustive else PYRAMID_ONLY
     return _report(
         args, "decided_coverable",
@@ -167,11 +156,8 @@ def _cmd_coverability(args) -> int:
 
 def _cmd_admissibility(args) -> int:
     G, labels = parse_graph(read_text(args.file))
-    try:
-        w, u, wp = _resolve(args.p2, _label_index(labels), 3)
-        _check_p2(G, w, u, wp, labels)
-    except ValueError as exc:
-        return _fail(str(exc))
+    w, u, wp = _resolve(args.p2, _label_index(labels), 3)
+    _check_p2(G, w, u, wp, labels)
     return _report(args, "decided_admissible",
                    lambda p: exact_admissibility(G, w, u, wp, p),
                    lambda: sample_admissibility(G, w, u, wp, _estimator(args)))
@@ -187,8 +173,8 @@ def _cmd_audit(args) -> int:
             graphs.append((path, None))
     grid = None
     if args.p is not None or args.epsilon is not None:
-        grid = [(as_fraction(args.p or "1/2"),
-                 as_fraction(args.epsilon or "1/10"))]
+        grid = [(as_fraction("1/2" if args.p is None else args.p),
+                 as_fraction("1/10" if args.epsilon is None else args.epsilon))]
     lines = list(audit_corpus(graphs, grid=grid))
     _emit("\n".join(lines) + "\n", args.out)
     ok = all(line.endswith(",true") for line in lines[1:])
@@ -196,15 +182,14 @@ def _cmd_audit(args) -> int:
 
 
 def _search_params(args) -> SearchParams:
+    # the counts are checked before --p and --epsilon are parsed
     params = SearchParams(t=args.t, trials=args.trials, seed=args.seed,
                           max_retries=args.retries)
-    if args.p is not None:
-        params = replace(params, p=float(as_fraction(args.p)))
-    if args.epsilon is not None:
-        params = replace(params, epsilon=float(as_fraction(args.epsilon)))
-    if args.exhaustive:
-        params = replace(params, strategy=EXHAUSTIVE_SMALL)
-    return params
+    return replace(
+        params,
+        p=None if args.p is None else float(as_fraction(args.p)),
+        epsilon=None if args.epsilon is None else float(as_fraction(args.epsilon)),
+        strategy=EXHAUSTIVE_SMALL if args.exhaustive else PYRAMID_ONLY)
 
 
 def _cmd_find(args) -> int:
@@ -243,26 +228,19 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     if args.model == "gnp3":
         if args.p is None:
-            return _fail("--p is required for model gnp3")
+            raise ValueError("--p is required for model gnp3")
         H = random_hypergraph(args.n, float(as_fraction(args.p)), args.seed)
         _emit(serialize_h3(H), args.out)
     elif args.model == "complete":
         _emit(serialize_h3(complete_hypergraph(args.n)), args.out)
     else:
-        try:
-            G = clique_pendant_graph(args.n)
-        except ValueError as exc:
-            return _fail(str(exc))
-        _emit(serialize_graph(G), args.out)
+        _emit(serialize_graph(clique_pendant_graph(args.n)), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        n_values = [int(x) for x in args.n.split(",")]
-        c_values = [float(x) for x in args.c.split(",")]
-    except ValueError as exc:
-        return _fail(str(exc))
+    n_values = [int(x) for x in args.n.split(",")]
+    c_values = [float(x) for x in args.c.split(",")]
     params = SearchParams(t=args.t)
     rows = threshold_sweep(args.target, n_values, c_values, args.trials,
                            args.seed, params=params, jobs=args.jobs,
@@ -271,19 +249,20 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sp, *, fmt=True, seed=False, estimator=False) -> None:
-    if fmt:
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out", default=None, help="write output to this file")
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
-    if estimator:
-        sp.add_argument("--p", default="0.5",
+# options shared by several subcommands, each declared once
+_OUT = argparse.ArgumentParser(add_help=False)
+_OUT.add_argument("--out", default=None, help="write output to this file")
+_FORMAT = argparse.ArgumentParser(add_help=False)
+_FORMAT.add_argument("--format", choices=("text", "json"), default="text")
+_SEED = argparse.ArgumentParser(add_help=False)
+_SEED.add_argument("--seed", type=int, default=0)
+_ESTIMATOR = argparse.ArgumentParser(add_help=False)
+_ESTIMATOR.add_argument("--p", default="0.5",
                         help="inclusion probability (float or fraction)")
-        sp.add_argument("--epsilon", default="0.1",
+_ESTIMATOR.add_argument("--epsilon", default="0.1",
                         help="failure budget (float or fraction)")
-        sp.add_argument("--trials", type=int, default=256)
-        sp.add_argument("--exact", action="store_true",
+_ESTIMATOR.add_argument("--trials", type=int, default=256)
+_ESTIMATOR.add_argument("--exact", action="store_true",
                         help="exact rational probability instead of sampling")
 
 
@@ -294,56 +273,53 @@ def build_parser() -> argparse.ArgumentParser:
                     "3-uniform hypergraphs.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("skeleton", help="1-skeleton of a hypergraph")
+    sp = sub.add_parser("skeleton", parents=[_FORMAT, _OUT],
+                        help="1-skeleton of a hypergraph")
     sp.add_argument("file")
-    _add_common(sp)
     sp.set_defaults(fn=_cmd_skeleton)
 
-    sp = sub.add_parser("link", help="link graph of one vertex")
+    sp = sub.add_parser("link", parents=[_OUT], help="link graph of one vertex")
     sp.add_argument("file")
     sp.add_argument("vertex")
-    _add_common(sp, fmt=False)
     sp.set_defaults(fn=_cmd_link)
 
-    sp = sub.add_parser("classify", help="classify a triangle complex")
+    sp = sub.add_parser("classify", parents=[_FORMAT, _OUT],
+                        help="classify a triangle complex")
     sp.add_argument("file")
-    _add_common(sp)
     sp.set_defaults(fn=_cmd_classify)
 
-    sp = sub.add_parser("check-disk",
+    sp = sub.add_parser("check-disk", parents=[_OUT],
                         help="search a boundary-inducing disk for a 4-cycle")
     sp.add_argument("file")
     sp.add_argument("--cycle", required=True, help="four labels, comma-separated")
     sp.add_argument("--max-interior", type=int, default=3)
-    _add_common(sp, fmt=False)
     sp.set_defaults(fn=_cmd_check_disk)
 
-    sp = sub.add_parser("coverability",
+    sp = sub.add_parser("coverability", parents=[_FORMAT, _OUT, _SEED, _ESTIMATOR],
                         help="(p, epsilon)-coverability of a 4-cycle")
     sp.add_argument("file")
     sp.add_argument("--cycle", required=True)
     sp.add_argument("--max-interior", type=int, default=3)
     sp.add_argument("--exhaustive", action="store_true",
                     help="search beyond pyramid disks")
-    _add_common(sp, seed=True, estimator=True)
     sp.set_defaults(fn=_cmd_coverability)
 
-    sp = sub.add_parser("admissibility",
+    sp = sub.add_parser("admissibility", parents=[_FORMAT, _OUT, _SEED, _ESTIMATOR],
                         help="(p, epsilon)-admissibility of a length-2 path")
     sp.add_argument("file", help="graph file, two labels per line")
     sp.add_argument("--p2", required=True,
                     help="path w,u,w' as three labels, comma-separated")
-    _add_common(sp, seed=True, estimator=True)
     sp.set_defaults(fn=_cmd_admissibility)
 
-    sp = sub.add_parser("audit", help="inadmissibility audits over graph files")
+    sp = sub.add_parser("audit", parents=[_OUT],
+                        help="inadmissibility audits over graph files")
     sp.add_argument("files", nargs="+")
     sp.add_argument("--p", default=None)
     sp.add_argument("--epsilon", default=None)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_audit)
 
-    sp = sub.add_parser("find", help="search a homeomorph and emit a certificate")
+    sp = sub.add_parser("find", parents=[_OUT, _SEED],
+                        help="search a homeomorph and emit a certificate")
     sp.add_argument("file")
     sp.add_argument("--target", required=True, choices=sorted(TARGETS))
     sp.add_argument("--t", type=int, default=4)
@@ -352,37 +328,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=64)
     sp.add_argument("--retries", type=int, default=10)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_find)
 
-    sp = sub.add_parser("verify", help="re-verify a certificate from scratch")
+    sp = sub.add_parser("verify", parents=[_FORMAT, _OUT],
+                        help="re-verify a certificate from scratch")
     sp.add_argument("hfile")
     sp.add_argument("certfile")
-    _add_common(sp)
     sp.set_defaults(fn=_cmd_verify)
 
-    sp = sub.add_parser("gen", help="write a generated instance")
+    sp = sub.add_parser("gen", parents=[_OUT, _SEED],
+                        help="write a generated instance")
     sp.add_argument("--model", required=True,
                     choices=("gnp3", "clique-pendant", "complete"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_gen)
 
-    sp = sub.add_parser("sweep", help="threshold sweep over (n, c) cells")
+    sp = sub.add_parser("sweep", parents=[_OUT, _SEED],
+                        help="threshold sweep over (n, c) cells")
     sp.add_argument("--target", required=True, choices=sorted(TARGETS))
     sp.add_argument("--n", required=True, help="comma-separated vertex counts")
     sp.add_argument("--c", required=True,
                     help="comma-separated density coefficients (p = c/sqrt(n))")
     sp.add_argument("--t", type=int, default=4)
     sp.add_argument("--trials", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--timing", action="store_true",
                     help="record wall-clock seconds (breaks byte reproducibility)")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_sweep)
 
     return ap

@@ -3,9 +3,10 @@
 Everything here is implemented directly from the definitions, sharing no
 code with the library: subset enumeration for probabilities, DFS path
 enumeration for pyramid events, 2^F orientation search, and so on. The
-one exception is the trial decoder, which reads the library's Philox
-stream through numpy's own float draws. Slow on purpose; only run on
-small instances.
+exceptions are the trial decoder, which reads the library's Philox
+stream through numpy's own float draws, and `lexicographic_disks`, which
+checks each triangle set with the library's `classify`.
+Slow on purpose; only run on small instances.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from diskcover.complexes import DISK, TwoComplex, classify
 from diskcover.rng import generator
 
 
@@ -293,6 +295,62 @@ def boundary_inducing_disks(triples, cycle, allowed, max_interior):
                         and cond["links_ok"] and cond["euler"] == 1
                         and set(map(frozenset, cond["boundary_edges"])) == ring):
                     yield frozenset(tris)
+
+
+def lexicographic_disks(triples, cycle, allowed, max_interior):
+    """The disks of `boundary_inducing_disks`, found another way: for each
+    interior set I, every 2|I| + 2 of the chord-free triangles over the
+    cycle plus I, chosen in lexicographic order by backtracking. A partial
+    set is dropped once a cycle edge lies in two of its triangles or any
+    edge in three, or once an edge it must still cover (a cycle edge in
+    none of its triangles, another edge in one) lies in no later
+    candidate. A full set is kept when its edges in one triangle are the
+    cycle's and `classify` calls it a disk. Unlike the library's disk
+    search, no set is grown across an open edge.
+    """
+    a, b, c, d = cycle
+    ring = frozenset(tuple(sorted(e)) for e in ((a, b), (b, c), (c, d), (d, a)))
+    pool = sorted(set(allowed) - set(cycle))
+    for r in range(max_interior + 1):
+        for S in combinations(pool, r):
+            verts = set(cycle) | set(S)
+            cands = sorted(tuple(sorted(t)) for t in triples
+                           if set(t) <= verts
+                           and not {a, c} <= set(t) and not {b, d} <= set(t))
+            yield from _lexicographic_sets(cands, 2 * r + 2, ring)
+
+
+def _lexicographic_sets(cands, size, ring):
+    """The size-subsets of cands, a sorted list, that `lexicographic_disks`
+    keeps."""
+    last = {e: i for i, t in enumerate(cands) for e in combinations(t, 2)}
+    if not ring <= last.keys():
+        return
+    count = dict.fromkeys(last, 0)
+    chosen = []
+
+    def extend(start):
+        if len(chosen) == size:
+            if ({e for e, k in count.items() if k == 1} == ring
+                    and classify(TwoComplex(chosen)).kind == DISK):
+                yield frozenset(chosen)
+            return
+        if any(last[e] < start for e, k in count.items()
+               if k == (0 if e in ring else 1)):
+            return
+        for i in range(start, len(cands) - (size - len(chosen)) + 1):
+            edges = list(combinations(cands[i], 2))
+            if any(count[e] >= (1 if e in ring else 2) for e in edges):
+                continue
+            for e in edges:
+                count[e] += 1
+            chosen.append(cands[i])
+            yield from extend(i + 1)
+            chosen.pop()
+            for e in edges:
+                count[e] -= 1
+
+    yield from extend(0)
 
 
 def trial_matrix(seed, stream, trials, width, p):

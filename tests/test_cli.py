@@ -202,8 +202,10 @@ def test_cycle_and_path_errors_name_labels(capsys, tmp_path, argv, message):
     ("audit", "--p", "0"),
     ("audit", "--epsilon", "0"),
     ("audit", "--p", "2"),
+    ("audit", "--p", ""),
+    ("audit", "--epsilon", ""),
 ], ids=["adm-p2", "adm-eps3", "adm-p1over0", "audit-p0", "audit-eps0",
-        "audit-p2"])
+        "audit-p2", "audit-p-empty", "audit-eps-empty"])
 def test_probability_out_of_range_is_usage_error(capsys, tmp_path, argv):
     g = tmp_path / "tri.graph"
     g.write_text("0 1\n1 2\n0 2\n0 3\n2 3\n")

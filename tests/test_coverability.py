@@ -894,7 +894,7 @@ def test_disk_search_matches_brute_force(host, data):
 
     Triples are kept with odds 3:1, so that disks are common. The budget
     stays at most 2: with three interior vertices at n = 7 the brute force
-    would try up to C(25, 8) triangle sets.
+    would try up to C(25, 8) triangle sets. The next test reaches 3.
     """
     n, keep = host
     triples = [t for t, k in zip(combinations(range(n), 3), keep) if k]
@@ -910,6 +910,39 @@ def test_disk_search_matches_brute_force(host, data):
         # so it is made of triples of H, bounds the cycle, is chord-free and
         # keeps its interior inside the pool and the budget
         assert found.triangles in disks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 4), min_size=comb(n, 3),
+                         max_size=comb(n, 3)))), st.data())
+def test_exhaustive_small_at_its_default_budget(host, data):
+    """At three interior vertices, the disk search finds a disk inside each
+    allowed-interior set iff `bf.lexicographic_disks` has one there, and
+    the EXHAUSTIVE_SMALL probability is the brute-force sum over the sets
+    that hold a pyramid or one of those interiors.
+
+    Triples are kept with odds 3:2: denser hosts cover nearly every
+    three-vertex interior with a pyramid, so the budget would not matter.
+    """
+    n, keep = host
+    triples = [t for t, k in zip(combinations(range(n), 3), keep) if k >= 2]
+    cycles = _valid_cycles(n, triples)
+    assume(cycles)
+    cyc = data.draw(st.sampled_from(cycles))
+    H = Hypergraph3(n, triples)
+    disks = set(bf.lexicographic_disks(triples, cyc, range(n), 3))
+    interiors = {frozenset(v for t in disk for v in t) - set(cyc)
+                 for disk in disks}
+    for allowed in bf.subsets(set(range(n)) - set(cyc)):
+        found = find_boundary_inducing_disk(H, cyc, allowed, 3)
+        assert (found is not None) == any(inner <= allowed for inner in interiors)
+        assert found is None or found.triangles in disks
+    sets = [U for U in bf.subsets(range(n)) if bf.pyramid_event(triples, cyc, U)
+            or any(inner <= U for inner in interiors)]
+    for p in ORACLE_PS:
+        want = sum(p ** len(U) * (1 - p) ** (n - len(U)) for U in sets)
+        assert exact_disk_coverability(H, cyc, p, EXHAUSTIVE_SMALL, 3) == want
 
 
 @pytest.mark.parametrize("cycle, message", [

@@ -1,6 +1,6 @@
 """Source checks that need no linter: unused imports and dead private names
-in the package, and the functions the benchmark tracer wraps, read with
-`ast` alone."""
+in the package, the functions the benchmark tracer wraps, and the CLI
+functions that may catch ValueError, read with `ast` alone."""
 
 import ast
 import importlib
@@ -94,3 +94,26 @@ def test_traced_functions_exist():
                if not callable(getattr(
                    importlib.import_module(f"diskcover.{mod}"), fn, None))]
     assert missing == []
+
+
+def _catches_value_error(handler: ast.ExceptHandler) -> bool:
+    """Whether an except clause catches ValueError: by name, in a tuple,
+    through a base class, or bare."""
+    if handler.type is None:
+        return True
+    types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+             else [handler.type])
+    return any(isinstance(t, ast.Name)
+               and t.id in ("ValueError", "Exception", "BaseException")
+               for t in types)
+
+
+def test_cli_has_one_usage_error_path():
+    # main turns a ValueError into `error:` and exit 2; audit makes error
+    # rows of bad files, and verify prefixes `malformed certificate:`
+    catchers = {fn.name for fn in MODULES["cli.py"].body
+                if isinstance(fn, ast.FunctionDef)
+                and any(isinstance(node, ast.ExceptHandler)
+                        and _catches_value_error(node)
+                        for node in ast.walk(fn))}
+    assert catchers - {"main", "_cmd_audit", "_cmd_verify"} == set()
