@@ -231,6 +231,8 @@ def _cmd_gen(args) -> int:
             raise ValueError("--p is required for model gnp3")
         H = random_hypergraph(args.n, float(as_fraction(args.p)), args.seed)
         _emit(serialize_h3(H), args.out)
+    elif args.p is not None:
+        raise ValueError(f"--p applies only to model gnp3, not {args.model}")
     elif args.model == "complete":
         _emit(serialize_h3(complete_hypergraph(args.n)), args.out)
     else:

@@ -19,8 +19,10 @@ branch as soon as the event is decided with the vertices chosen so far
 undecided vertex were included). The walk does not depend on p: it
 counts success leaves N[a, b] by vertices included and excluded, and
 Pr(p) = sum N[a, b] p^a (1 - p)^b (the two-terminal reliability
-polynomial) is evaluated in integers, giving one exact `Fraction` per
-p. The inequalities these feed are strict and must not be flipped by
+polynomial) is evaluated in integers, as one numerator over D^k at
+p = P/D for a walk over k vertices. The weighted audits compare those
+numerators directly; the public oracles reduce them to a `Fraction`.
+The inequalities these feed are strict and must not be flipped by
 rounding. Monte Carlo estimates are ordinary floats.
 
 Pair statistics: psi(v, v') is the fraction of common-neighbour pairs
@@ -35,13 +37,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .complexes import TwoComplex, cycle_edges, disk_defect
 from .hypergraph import (
     Hypergraph3,
     SkeletonGraph,
-    _bits,
     common_neighborhood,
     iter_p2s,
     link_intersection,
@@ -301,11 +303,26 @@ def _leaf_counts(order: Sequence[int],
     return leaves
 
 
-def _reliability(leaves: Counter, k: int, p: Fraction) -> Fraction:
-    """sum N[a, b] p^a (1 - p)^b at p = P/D, as one integer over D^k."""
+def _powers(p: Fraction, k: int) -> tuple[list[int], list[int], list[int]]:
+    """P^i, (D - P)^i and D^i for i = 0..k, at p = P/D: built once per
+    (p, k) and shared by every walk over a universe of k vertices."""
     P, D = p.numerator, p.denominator
-    return Fraction(sum(c * P ** a * (D - P) ** b * D ** (k - a - b)
-                        for (a, b), c in leaves.items()), D ** k)
+    return tuple([x ** i for i in range(k + 1)] for x in (P, D - P, D))
+
+
+def _numerator(leaves: Counter, powers) -> int:
+    """D^k sum N[a, b] p^a (1 - p)^b at p = P/D: the reliability as an
+    integer over D^k, for `powers = _powers(p, k)`."""
+    pa, qb, dc = powers
+    k = len(dc) - 1
+    return sum(c * pa[a] * qb[b] * dc[k - a - b]
+               for (a, b), c in leaves.items())
+
+
+def _reliability(leaves: Counter, k: int, p: Fraction) -> Fraction:
+    """sum N[a, b] p^a (1 - p)^b at p = P/D, reduced from its numerator."""
+    powers = _powers(p, k)
+    return Fraction(_numerator(leaves, powers), powers[2][k])
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +421,31 @@ def _order(searches, universe: list[int]) -> list[int]:
     far = 2 * len(universe) + 1  # above any sum of two distances
 
     def dist(adj: dict[int, int], end: int, reach: int) -> dict[int, int]:
-        d = dict.fromkeys(universe, far)
+        """Distances from `end` of the vertices it reaches; the rest are far."""
+        d = {}
         front, seen, k = adj[end] & reach, 0, 1
         while front:
             seen |= front
             step = 0
-            for x in _bits(front):
+            while front:
+                low = front & -front
+                front ^= low
+                x = low.bit_length() - 1
                 d[x] = k
                 step |= adj[x]
             front, k = step & reach & ~seen, k + 1
         return d
 
-    key: dict[int, tuple[int, int, int]] = {}
+    best: list[tuple[int, int, int]] = []
     for adj, a, b, interior in searches:
         da, db = dist(adj, a, umask & interior), dist(adj, b, umask & interior)
+        keys = []
         for x in universe:
-            k = (da[x] + db[x], da[x], x)
-            if x not in key or k < key[x]:
-                key[x] = k
-    return sorted(universe, key=key.__getitem__)
+            xa = da.get(x, far)
+            keys.append((xa + db.get(x, far), xa, x))
+        # both lists run over the universe in one order: least per vertex
+        best = list(map(min, best, keys)) if best else keys
+    return [x for _, _, x in sorted(best)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +522,31 @@ def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     return _reliability(_admissibility_leaves(G, w, u, wp), G.n - 3, pf)
 
 
+def _admissibility_walks(G: SkeletonGraph) -> dict[tuple[int, int, int],
+                                                    Counter]:
+    """The lattice walk of every length-2 path, walked once for every p."""
+    _check_exact_size(G.n)
+    return {path: _admissibility_leaves(G, *path) for path in iter_p2s(G)}
+
+
+def _admissibility_rows(G: SkeletonGraph, walks: dict, p: Fraction) -> list:
+    """A row (numerator, D^k, deg(y), path) per walked path x y z: its
+    admissibility probability at p = P/D as an integer over D^k, k = n - 3,
+    so that no Fraction is made per path."""
+    k = max(G.n - 3, 0)  # below three vertices there is no path, no row
+    powers, adj = _powers(p, k), G.adj_mask
+    den = powers[2][k]
+    return [(_numerator(leaves, powers), den, adj[path[1]].bit_count(), path)
+            for path, leaves in walks.items()]
+
+
 def admissibility_tables(G: SkeletonGraph, ps: Iterable
                          ) -> dict[Fraction, dict[tuple[int, int, int], Fraction]]:
     """`admissibility_probabilities(G, p)` for every p, walking each path once."""
     pfs = [unit_fraction(p, "p") for p in ps]
-    _check_exact_size(G.n)
-    walks = {path: _admissibility_leaves(G, *path) for path in iter_p2s(G)}
-    return {pf: {path: _reliability(leaves, G.n - 3, pf)
-                 for path, leaves in walks.items()} for pf in pfs}
+    walks = _admissibility_walks(G)
+    return {pf: {path: Fraction(num, den) for num, den, _, path
+                 in _admissibility_rows(G, walks, pf)} for pf in pfs}
 
 
 def admissibility_probabilities(G: SkeletonGraph, p) -> dict[tuple[int, int, int], Fraction]:
@@ -698,13 +738,16 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
 # weighted inadmissibility audits
 
 
-def _audit(G: SkeletonGraph, bad: list[tuple[int, int, int]],
+def _audit(bad: list[tuple[int, tuple[int, int, int]]],
            bound: Fraction) -> WeightedAudit:
-    """The sum of 1/deg(y) over the bad paths x y z, against the bound; one
-    Fraction per degree class, not one per path."""
-    per_degree = Counter(G.degree(y) for _, y, _ in bad)
-    total = sum((Fraction(k, d) for d, k in per_degree.items()), Fraction(0))
-    return WeightedAudit(total, bound, total < bound, tuple(sorted(bad)))
+    """The sum of 1/deg(y) over the bad (deg(y), path x y z) pairs, against
+    the bound; one Fraction in all, over the least common multiple of the
+    degrees, not one per path or per degree class."""
+    per_degree = Counter(d for d, _ in bad)
+    den = lcm(*per_degree)
+    total = Fraction(sum(k * (den // d) for d, k in per_degree.items()), den)
+    return WeightedAudit(total, bound, total < bound,
+                         tuple(sorted(path for _, path in bad)))
 
 
 def inadmissible_p2_audit(G: SkeletonGraph) -> WeightedAudit:
@@ -717,9 +760,22 @@ def inadmissible_p2_audit(G: SkeletonGraph) -> WeightedAudit:
     """
     adj = G.adj_mask
     full = sum(1 << v for v in adj)
-    bad = [(x, y, z) for x, y, z in iter_p2s(G)
+    bad = [(adj[y].bit_count(), (x, y, z)) for x, y, z in iter_p2s(G)
            if not path_exists(adj, x, z, full & ~(1 << y))]
-    return _audit(G, bad, Fraction(3 * G.n, 2))
+    return _audit(bad, Fraction(3 * G.n, 2))
+
+
+def _weighted_audit(n: int, rows: list, p: Fraction,
+                    epsilon: Fraction) -> WeightedAudit:
+    """The (p, epsilon) audit of a graph on n vertices from its rows
+    (numerator, denominator, deg(y), path): a path is bad when num/den is
+    below 1 - epsilon, decided in integers as num e_d < (e_d - e_n) den."""
+    en, ed = epsilon.numerator, epsilon.denominator
+    bad = [(d, path) for num, den, d, path in rows
+           if num * ed < (ed - en) * den]
+    # 3n / (2 p^2 epsilon), as one Fraction
+    bound = Fraction(3 * n * p.denominator ** 2 * ed, 2 * p.numerator ** 2 * en)
+    return _audit(bad, bound)
 
 
 def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
@@ -734,12 +790,12 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
     pf = unit_fraction(p, "p", zero=False)
     ef = unit_fraction(epsilon, "epsilon", zero=False)
     if probabilities is None:
-        probabilities = admissibility_probabilities(G, pf)
-    # prob < 1 - epsilon, in integers: no Fraction per path
-    en, ed = ef.numerator, ef.denominator
-    bad = [path for path, prob in probabilities.items()
-           if prob.numerator * ed < (ed - en) * prob.denominator]
-    return _audit(G, bad, Fraction(3 * G.n) / (2 * pf * pf * ef))
+        rows = _admissibility_rows(G, _admissibility_walks(G), pf)
+    else:
+        adj = G.adj_mask
+        rows = [(prob.numerator, prob.denominator, adj[path[1]].bit_count(),
+                 path) for path, prob in probabilities.items()]
+    return _weighted_audit(G.n, rows, pf, ef)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from math import isfinite, sqrt
 from typing import Iterable, Iterator
 
 from .certificates import HomeomorphCertificate
-from .coverability import (admissibility_tables, inadmissible_p2_audit,
-                           unit_fraction, weighted_inadmissibility_audit)
+from .coverability import (_admissibility_rows, _admissibility_walks,
+                           _weighted_audit, inadmissible_p2_audit,
+                           unit_fraction)
 from .generators import random_hypergraphs
 from .hypergraph import SkeletonGraph
 from .rng import mix64
@@ -180,11 +181,11 @@ def audit_corpus(graphs: Iterable[tuple[str, SkeletonGraph | None]],
                         "true" if audit.holds else "false"))
         if G.n > _WEIGHTED_LIMIT:
             continue
-        tables = admissibility_tables(G, by_p)
+        walks = _admissibility_walks(G)
         for p, eps_list in by_p.items():
+            rows = _admissibility_rows(G, walks, p)
             for eps in eps_list:
-                w = weighted_inadmissibility_audit(G, p, eps,
-                                                   probabilities=tables[p])
+                w = _weighted_audit(G.n, rows, p, eps)
                 yield ",".join((gid, str(G.n), _frac_str(p),
                                 _frac_str(eps), _frac_str(w.weighted_sum),
                                 _frac_str(w.bound),

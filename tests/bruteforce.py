@@ -141,8 +141,8 @@ def coverable_sets(triples, n, cycle, max_interior=0):
     pyramid over the 4-cycle or of a boundary-inducing disk with boundary
     the cycle and at most max_interior interior vertices."""
     interiors = {frozenset(v for t in disk for v in t) - set(cycle)
-                 for disk in boundary_inducing_disks(triples, cycle, range(n),
-                                                     max_interior)}
+                 for disk in lexicographic_disks(triples, cycle, range(n),
+                                                 max_interior)}
     return [U for U in subsets(range(n))
             if pyramid_event(triples, cycle, U)
             or any(inner <= U for inner in interiors)]
@@ -270,37 +270,16 @@ def random_triples(draw_floats, n, p):
     return [t for t, x in zip(combinations(range(n), 3), draws) if x < p]
 
 
-def boundary_inducing_disks(triples, cycle, allowed, max_interior):
+def lexicographic_disks(triples, cycle, allowed, max_interior):
     """Every boundary-inducing disk made of triples, with boundary the 4-cycle
     and at most max_interior interior vertices, all in `allowed`, as
     frozensets of triangles.
 
-    A triangulated disk with s interior vertices and a 4-cycle boundary has
-    2s + 2 triangles, so each interior set S fixes the subset size. A
-    triangle holding an opposite pair of the cycle would put a chord into
-    the disk, so such triangles are never candidates.
-    """
-    a, b, c, d = cycle
-    ring = {frozenset(e) for e in ((a, b), (b, c), (c, d), (d, a))}
-    chords = ({a, c}, {b, d})
-    pool = sorted(set(allowed) - set(cycle))
-    for r in range(max_interior + 1):
-        for S in combinations(pool, r):
-            verts = set(cycle) | set(S)
-            cands = [t for t in triples if set(t) <= verts
-                     and not any(ch <= set(t) for ch in chords)]
-            for tris in combinations(cands, 2 * r + 2):
-                cond = surface_conditions(tris)
-                if (cond["connected"] and cond["max_incidence"] <= 2
-                        and cond["links_ok"] and cond["euler"] == 1
-                        and set(map(frozenset, cond["boundary_edges"])) == ring):
-                    yield frozenset(tris)
-
-
-def lexicographic_disks(triples, cycle, allowed, max_interior):
-    """The disks of `boundary_inducing_disks`, found another way: for each
-    interior set I, every 2|I| + 2 of the chord-free triangles over the
-    cycle plus I, chosen in lexicographic order by backtracking. A partial
+    A triangulated disk with s interior vertices and a 4-cycle boundary
+    has 2s + 2 triangles, and a triangle holding an opposite pair of the
+    cycle would put a chord into the disk. So for each interior set I it
+    tries every 2|I| + 2 of the chord-free triangles over the cycle plus
+    I, chosen in lexicographic order by backtracking. A partial
     set is dropped once a cycle edge lies in two of its triangles or any
     edge in three, or once an edge it must still cover (a cycle edge in
     none of its triangles, another edge in one) lies in no later

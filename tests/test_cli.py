@@ -282,6 +282,18 @@ def test_gen_models(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ("gen", "--model", "complete", "--n", "4", "--p", "x"),
+    ("gen", "--model", "clique-pendant", "--n", "16", "--p", "7"),
+], ids=["complete", "clique-pendant"])
+def test_gen_p_outside_gnp3_is_usage_error(capsys, tmp_path, argv):
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err == f"error: --p applies only to model gnp3, not {argv[2]}\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("gen", "--model", "gnp3", "--n", "-1", "--p", "0.1"),
     ("gen", "--model", "complete", "--n", "-4"),
     ("sweep", "--target", "sphere", "--n", "10", "--c", "1", "--jobs", "0"),

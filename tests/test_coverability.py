@@ -375,7 +375,8 @@ def test_ordered_walk_matches_ascending_walk(graph, data):
     """Both walks, ordered and ascending, give the brute-force probability:
     of admissibility, and of coverability on a host drawn alongside, with
     n <= 9 under PYRAMID_ONLY and n <= 8 under EXHAUSTIVE_SMALL, where the
-    brute force enumerates every disk of up to two interior vertices."""
+    brute force enumerates every disk of up to three interior vertices,
+    the default budget."""
     G, edges, (x, y, z) = _graph_and_p2(graph, data)
     ordered = coverability._admissibility_leaves(G, x, y, z)
     ascending = _ascending_walk(G, x, y, z)
@@ -396,11 +397,11 @@ def test_ordered_walk_matches_ascending_walk(graph, data):
     cyc = data.draw(st.sampled_from(cycles))
     H = Hypergraph3(n, triples)
     sets = bf.coverable_sets(triples, n, cyc,
-                             0 if strategy == PYRAMID_ONLY else 2)
-    ascending = _ascending_cover_walk(H, cyc, strategy, 2)
+                             0 if strategy == PYRAMID_ONLY else 3)
+    ascending = _ascending_cover_walk(H, cyc, strategy, 3)
     for p in ORACLE_PS:
         want = sum(p ** len(U) * (1 - p) ** (n - len(U)) for U in sets)
-        assert exact_disk_coverability(H, cyc, p, strategy, 2) == want
+        assert exact_disk_coverability(H, cyc, p, strategy, 3) == want
         assert _reliability(ascending, n - 4, p) == want
 
 
@@ -420,6 +421,8 @@ def test_ordered_walk_asks_a_third_of_the_ascending_walk(monkeypatch):
             ascending += len(asked)
             assert _reliability(walk, n - 3, HALF) == _reliability(base, n - 3, HALF)
     assert 3 * ordered <= ascending, (ordered, ascending)
+    # the exact count pins the walk order, key and tie-break included
+    assert ordered == 24_247
 
     # the coverability walk, on the first eight 4-cycles of a pinned host
     H = random_hypergraph(18, 0.4, 2)
@@ -631,13 +634,14 @@ def _check_decision_path(event, masks, epsilon, outcomes) -> None:
        st.sampled_from([0.1, 0.25, 0.5, 0.7, 0.9]),
        st.sampled_from([0.2, 0.5, 0.8]),
        st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]),
-       st.sampled_from([1, 2]), st.data())
+       st.sampled_from([1, 2, 3]), st.data())
 def test_decision_path_matches_samplers(n, density, host_seed, trials,
                                         epsilon, p, strategy, max_interior,
                                         data):
     """Both samplers count, over their trial masks, what brute force counts:
-    `bf.pyramid_event`, or a disk of `bf.boundary_inducing_disks` under
-    EXHAUSTIVE_SMALL, and `bf.admissibility_event`. The stopping decisions
+    `bf.pyramid_event`, or a disk of `bf.lexicographic_disks` under
+    EXHAUSTIVE_SMALL (budgets up to the default of three interior
+    vertices), and `bf.admissibility_event`. The stopping decisions
     `_coverable` and `_admissible` agree with that count."""
     rng = random.Random(host_seed)
     triples = [t for t in combinations(range(n), 3) if rng.random() < density]
@@ -650,7 +654,7 @@ def test_decision_path_matches_samplers(n, density, host_seed, trials,
     cyc = data.draw(st.sampled_from(cycles))
     interiors = [] if strategy == PYRAMID_ONLY else [
         frozenset(v for t in disk for v in t) - set(cyc) for disk in
-        bf.boundary_inducing_disks(triples, cyc, range(n), max_interior)]
+        bf.lexicographic_disks(triples, cyc, range(n), max_interior)]
     searches, disk, masks = coverability._sampled_coverability(H, cyc, params)
     outcomes = [bf.pyramid_event(triples, cyc, U)
                 or any(inner <= U for inner in interiors)
@@ -892,19 +896,18 @@ def test_find_boundary_inducing_disk_on_complete():
 def test_disk_search_matches_brute_force(host, data):
     """A disk is found iff one exists, and the one found is one of them.
 
-    Triples are kept with odds 3:1, so that disks are common. The budget
-    stays at most 2: with three interior vertices at n = 7 the brute force
-    would try up to C(25, 8) triangle sets. The next test reaches 3.
+    Triples are kept with odds 3:1, so that disks are common, and the
+    budget runs up to the default of three interior vertices.
     """
     n, keep = host
     triples = [t for t, k in zip(combinations(range(n), 3), keep) if k]
     cycle = tuple(data.draw(st.permutations(range(n)))[:4])
     allowed = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
-    max_interior = data.draw(st.integers(1, 2))
+    max_interior = data.draw(st.integers(1, 3))
     found = find_boundary_inducing_disk(Hypergraph3(n, triples), cycle,
                                         allowed, max_interior)
     pool = range(n) if allowed is None else allowed
-    disks = set(bf.boundary_inducing_disks(triples, cycle, pool, max_interior))
+    disks = set(bf.lexicographic_disks(triples, cycle, pool, max_interior))
     assert (found is not None) == bool(disks)
     if found is not None:
         # so it is made of triples of H, bounds the cycle, is chord-free and

@@ -1,12 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bruteforce as bf
 import diskcover.generators as generators
 from diskcover.certificates import SPHERE
 from diskcover.experiments import (AUDIT_HEADER, SWEEP_HEADER, audit_corpus,
                                    sweep_csv, threshold_sweep)
 from diskcover.generators import _S_GNP3, clique_pendant_graph, random_graph
+from diskcover.hypergraph import SkeletonGraph
 from diskcover.search import SearchParams
 
 FAST = SearchParams(p=0.5, epsilon=0.1, trials=64)
@@ -144,3 +150,62 @@ def test_audit_corpus_custom_grid():
     assert len(body) == 3  # structural + two grid cells sharing one p table
     assert body[1].split(",")[2:4] == ["1/3", "1/5"]
     assert body[2].split(",")[2:4] == ["1/3", "1/7"]
+
+
+# (p, epsilon) grid points in (0, 1], from a few values so that a path's
+# probability often equals 1 - epsilon exactly
+_GRID_POINT = st.tuples(
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]),
+    st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=comb(n, 2),
+                         max_size=comb(n, 2)))),
+    st.lists(_GRID_POINT, min_size=1, max_size=3))
+@example((0, []), [(Fraction(1, 2), Fraction(1, 4))])
+@example((2, [True]), [(Fraction(1, 2), Fraction(1, 4))])
+def test_audit_corpus_weighted_rows_match_brute_force(graph, grid):
+    """Every weighted row is the sum of 1/deg(y) over the length-2 paths
+    x y z whose brute-force admissibility probability is below 1 - epsilon,
+    against the bound 3n/(2 p^2 epsilon), also on graphs too small to
+    hold a path. Rows come grouped by p, in the order each p first
+    appears in the grid."""
+    n, keep = graph
+    edges = [e for e, k in zip(combinations(range(n), 2), keep) if k]
+    nbrs = {y: sorted({a for e in edges if y in e for a in e} - {y})
+            for y in range(n)}
+    p2s = [(x, y, z) for y in range(n) for x, z in combinations(nbrs[y], 2)]
+    lines = list(audit_corpus([("g", SkeletonGraph(range(n), edges))], grid))
+    assert len(lines) == 2 + len(grid)
+    probs = {}
+    ps = [p for p, _ in grid]
+    grouped = sorted(grid, key=lambda point: ps.index(point[0]))
+    for line, (p, eps) in zip(lines[2:], grouped):
+        for path in p2s:
+            if (path, p) not in probs:
+                probs[path, p] = bf.exact_admissibility(edges, n, *path, p)
+        want = sum((Fraction(1, len(nbrs[y])) for x, y, z in p2s
+                    if probs[(x, y, z), p] < 1 - eps), Fraction(0))
+        bound = Fraction(3 * n) / (2 * p * p * eps)
+        assert line == ",".join((
+            "g", str(n), f"{p.numerator}/{p.denominator}",
+            f"{eps.numerator}/{eps.denominator}",
+            f"{want.numerator}/{want.denominator}",
+            f"{bound.numerator}/{bound.denominator}",
+            "true" if want < bound else "false"))
+
+
+def test_audit_corpus_does_not_count_a_path_at_one_minus_epsilon():
+    # on the 4-cycle 0 1 2 3 each length-2 path x y z is admissible exactly
+    # when the fourth vertex is in U: probability p = 1/2 = 1 - epsilon at
+    # epsilon = 1/2, which the strict inequality does not count; at
+    # epsilon = 2/5 all four paths count, 1/2 each
+    G = SkeletonGraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    half = Fraction(1, 2)
+    lines = list(audit_corpus([("c4", G)], [(half, half),
+                                            (half, Fraction(2, 5))]))
+    assert lines[2:] == ["c4,4,1/2,1/2,0/1,48/1,true",
+                         "c4,4,1/2,2/5,2/1,60/1,true"]
+
