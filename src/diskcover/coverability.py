@@ -522,37 +522,27 @@ def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     return _reliability(_admissibility_leaves(G, w, u, wp), G.n - 3, pf)
 
 
-def _admissibility_walks(G: SkeletonGraph) -> dict[tuple[int, int, int],
-                                                    Counter]:
-    """The lattice walk of every length-2 path, walked once for every p."""
+def _admissibility_rows(G: SkeletonGraph, ps: Iterable[Fraction]):
+    """Yield (p, rows) for each p, each row (numerator, D^k, deg(y), path)
+    for a length-2 path x y z: its admissibility probability at p = P/D as
+    an integer over D^k, k = n - 3, so that no Fraction is made per path.
+    Every path is walked once, before the first p."""
     _check_exact_size(G.n)
-    return {path: _admissibility_leaves(G, *path) for path in iter_p2s(G)}
-
-
-def _admissibility_rows(G: SkeletonGraph, walks: dict, p: Fraction) -> list:
-    """A row (numerator, D^k, deg(y), path) per walked path x y z: its
-    admissibility probability at p = P/D as an integer over D^k, k = n - 3,
-    so that no Fraction is made per path."""
+    adj = G.adj_mask
+    walks = [(_admissibility_leaves(G, *path), adj[path[1]].bit_count(), path)
+             for path in iter_p2s(G)]
     k = max(G.n - 3, 0)  # below three vertices there is no path, no row
-    powers, adj = _powers(p, k), G.adj_mask
-    den = powers[2][k]
-    return [(_numerator(leaves, powers), den, adj[path[1]].bit_count(), path)
-            for path, leaves in walks.items()]
-
-
-def admissibility_tables(G: SkeletonGraph, ps: Iterable
-                         ) -> dict[Fraction, dict[tuple[int, int, int], Fraction]]:
-    """`admissibility_probabilities(G, p)` for every p, walking each path once."""
-    pfs = [unit_fraction(p, "p") for p in ps]
-    walks = _admissibility_walks(G)
-    return {pf: {path: Fraction(num, den) for num, den, _, path
-                 in _admissibility_rows(G, walks, pf)} for pf in pfs}
+    for p in ps:
+        powers = _powers(p, k)
+        den = powers[2][k]
+        yield p, [(_numerator(leaves, powers), den, d, path)
+                  for leaves, d, path in walks]
 
 
 def admissibility_probabilities(G: SkeletonGraph, p) -> dict[tuple[int, int, int], Fraction]:
     """Exact admissibility probability for every unlabeled length-2 path."""
-    [table] = admissibility_tables(G, [p]).values()
-    return table
+    [(_, rows)] = _admissibility_rows(G, [unit_fraction(p, "p")])
+    return {path: Fraction(num, den) for num, den, _, path in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +736,8 @@ def _audit(bad: list[tuple[int, tuple[int, int, int]]],
     per_degree = Counter(d for d, _ in bad)
     den = lcm(*per_degree)
     total = Fraction(sum(k * (den // d) for d, k in per_degree.items()), den)
-    return WeightedAudit(total, bound, total < bound,
+    # with no bad path the bound holds, even at n = 0, where it is 0 too
+    return WeightedAudit(total, bound, total < bound or not bad,
                          tuple(sorted(path for _, path in bad)))
 
 
@@ -765,37 +756,30 @@ def inadmissible_p2_audit(G: SkeletonGraph) -> WeightedAudit:
     return _audit(bad, Fraction(3 * G.n, 2))
 
 
-def _weighted_audit(n: int, rows: list, p: Fraction,
-                    epsilon: Fraction) -> WeightedAudit:
-    """The (p, epsilon) audit of a graph on n vertices from its rows
-    (numerator, denominator, deg(y), path): a path is bad when num/den is
-    below 1 - epsilon, decided in integers as num e_d < (e_d - e_n) den."""
-    en, ed = epsilon.numerator, epsilon.denominator
-    bad = [(d, path) for num, den, d, path in rows
-           if num * ed < (ed - en) * den]
-    # 3n / (2 p^2 epsilon), as one Fraction
-    bound = Fraction(3 * n * p.denominator ** 2 * ed, 2 * p.numerator ** 2 * en)
-    return _audit(bad, bound)
+def _weighted_audits(G: SkeletonGraph, by_p: dict[Fraction, list[Fraction]]):
+    """Yield (p, epsilon, WeightedAudit) for every epsilon listed under each
+    checked grid p, walking every path once. A path is bad when its
+    probability num/den is below 1 - epsilon, decided in integers as
+    num e_d < (e_d - e_n) den."""
+    for p, rows in _admissibility_rows(G, by_p):
+        for eps in by_p[p]:
+            en, ed = eps.numerator, eps.denominator
+            bad = [(d, path) for num, den, d, path in rows
+                   if num * ed < (ed - en) * den]
+            # 3n / (2 p^2 epsilon), as one Fraction
+            bound = Fraction(3 * G.n * p.denominator ** 2 * ed,
+                             2 * p.numerator ** 2 * en)
+            yield p, eps, _audit(bad, bound)
 
 
-def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon,
-                                   probabilities: dict | None = None) -> WeightedAudit:
-    """Audit the (p, epsilon) bound: sum of 1/deg(y) < 3n/(2 p^2 epsilon).
-
-    A path is counted when its exact admissibility probability is below
-    1 - epsilon. Probabilities may be supplied (keyed by (x, y, z) with
-    x < z) to share subset-enumeration work across epsilon values.
-    """
-    _check_exact_size(G.n)
+def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon) -> WeightedAudit:
+    """Audit the (p, epsilon) bound: sum of 1/deg(y) < 3n/(2 p^2 epsilon),
+    counting a path when its exact admissibility probability is below
+    1 - epsilon."""
     pf = unit_fraction(p, "p", zero=False)
-    ef = unit_fraction(epsilon, "epsilon", zero=False)
-    if probabilities is None:
-        rows = _admissibility_rows(G, _admissibility_walks(G), pf)
-    else:
-        adj = G.adj_mask
-        rows = [(prob.numerator, prob.denominator, adj[path[1]].bit_count(),
-                 path) for path, prob in probabilities.items()]
-    return _weighted_audit(G.n, rows, pf, ef)
+    [(_, _, audit)] = _weighted_audits(
+        G, {pf: [unit_fraction(epsilon, "epsilon", zero=False)]})
+    return audit
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ from math import isfinite, sqrt
 from typing import Iterable, Iterator
 
 from .certificates import HomeomorphCertificate
-from .coverability import (_admissibility_rows, _admissibility_walks,
-                           _weighted_audit, inadmissible_p2_audit,
-                           unit_fraction)
+from .coverability import (WeightedAudit, _weighted_audits,
+                           inadmissible_p2_audit, unit_fraction)
 from .generators import random_hypergraphs
 from .hypergraph import SkeletonGraph
 from .rng import mix64
@@ -146,6 +145,13 @@ def _frac_str(x: Fraction) -> str:
 _WEIGHTED_LIMIT = 14
 
 
+def _audit_row(gid: str, n: int, p: Fraction, eps: Fraction,
+               w: WeightedAudit) -> str:
+    return ",".join((gid, str(n), _frac_str(p), _frac_str(eps),
+                     _frac_str(w.weighted_sum), _frac_str(w.bound),
+                     "true" if w.holds else "false"))
+
+
 def audit_corpus(graphs: Iterable[tuple[str, SkeletonGraph | None]],
                  grid: Iterable[tuple[object, object]] | None = None,
                  ) -> Iterator[str]:
@@ -158,35 +164,23 @@ def audit_corpus(graphs: Iterable[tuple[str, SkeletonGraph | None]],
     point, computed with exact rational arithmetic: each length-2 path
     is walked once and its probability evaluated at every grid p. A
     graph paired with None (e.g. an unreadable file) yields an error
-    row. Raises ValueError unless every grid p and epsilon is in (0, 1].
+    row. Raises ValueError unless every grid p and epsilon is in (0, 1];
+    the grid is checked and grouped by p once per corpus, not per graph.
     """
     if grid is None:
         grid = ((Fraction(1, 2), Fraction(1, 10)),)
-    pts = [(unit_fraction(p, "p", zero=False),
-            unit_fraction(e, "epsilon", zero=False)) for p, e in grid]
     by_p: dict[Fraction, list[Fraction]] = {}
-    for p, e in pts:
-        by_p.setdefault(p, []).append(e)
+    for p, e in grid:
+        by_p.setdefault(unit_fraction(p, "p", zero=False), []).append(
+            unit_fraction(e, "epsilon", zero=False))
 
     yield AUDIT_HEADER
-    one = Fraction(1)
     for gid, G in graphs:
         if G is None:
             yield f"{gid},,,,,,error"
             continue
-        audit = inadmissible_p2_audit(G)
-        yield ",".join((gid, str(G.n), _frac_str(one), _frac_str(one),
-                        _frac_str(audit.weighted_sum),
-                        _frac_str(audit.bound),
-                        "true" if audit.holds else "false"))
-        if G.n > _WEIGHTED_LIMIT:
-            continue
-        walks = _admissibility_walks(G)
-        for p, eps_list in by_p.items():
-            rows = _admissibility_rows(G, walks, p)
-            for eps in eps_list:
-                w = _weighted_audit(G.n, rows, p, eps)
-                yield ",".join((gid, str(G.n), _frac_str(p),
-                                _frac_str(eps), _frac_str(w.weighted_sum),
-                                _frac_str(w.bound),
-                                "true" if w.holds else "false"))
+        yield _audit_row(gid, G.n, Fraction(1), Fraction(1),
+                         inadmissible_p2_audit(G))
+        if G.n <= _WEIGHTED_LIMIT:
+            for p, eps, w in _weighted_audits(G, by_p):
+                yield _audit_row(gid, G.n, p, eps, w)

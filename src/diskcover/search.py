@@ -271,7 +271,6 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     """
     t = params.t
     est = params.estimator(KTT)
-    pattern = gamma(t)
 
     # stage 1: link selection over a sample of candidate vertices
     if H.n == 0 or not H.codes.size:
@@ -322,6 +321,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
                              "threshold)", params.max_retries)
 
     # stage 3: pattern vertices for pairs, then triples, with coverability
+    pattern = gamma(t)  # O(t^3) vertices: built only once a core stands
     embedding: dict[str, int] | None = None
     cycles: tuple[tuple[int, int, int, int], ...] | None = None
     used_retries = 0

@@ -20,11 +20,10 @@ import networkx as nx
 
 from diskcover.certificates import SPHERE, HomeomorphCertificate
 from diskcover.complexes import CLOSED_SURFACE, DISK, TwoComplex, boundary, classify, is_boundary_inducing
-from diskcover.coverability import (EstimatorParams, admissibility_probabilities,
-                                    exact_admissibility, inadmissible_p2_audit,
-                                    pyramid_disk, sample_admissibility,
-                                    weighted_inadmissibility_audit)
-from diskcover.experiments import sweep_csv, threshold_sweep
+from diskcover.coverability import (EstimatorParams, exact_admissibility,
+                                    inadmissible_p2_audit, pyramid_disk,
+                                    sample_admissibility)
+from diskcover.experiments import audit_corpus, sweep_csv, threshold_sweep
 from diskcover.generators import (clique_pendant_graph, random_graph,
                                   random_graph_corpus)
 from diskcover.hypergraph import SkeletonGraph, complete_hypergraph, iter_p2s
@@ -77,18 +76,26 @@ def test_criterion_02_clique_pendant_exact_value():
 def test_criterion_03_weighted_audit_grid():
     start = time.perf_counter()
     rnd = random.Random(31)
-    checked = 0
+    graphs = []
     for i in range(100):
         n = rnd.randrange(8, 15)
-        G = random_graph(n, rnd.choice((0.25, 0.4)), seed=3000 + i)
-        for p in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
-            probs = admissibility_probabilities(G, p)
-            for eps in (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)):
-                audit = weighted_inadmissibility_audit(G, p, eps,
-                                                       probabilities=probs)
-                assert audit.holds
-                assert audit.bound == Fraction(3 * n) / (2 * p * p * eps)
-                checked += 1
+        graphs.append((str(i), random_graph(n, rnd.choice((0.25, 0.4)),
+                                            seed=3000 + i)))
+    grid = [(p, eps) for p in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10))
+            for eps in (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5))]
+    n_of = {gid: G.n for gid, G in graphs}
+    checked = 0
+    # each graph's structural row, at (p, eps) = (1, 1), then its nine grid
+    # rows, all from one walk of each length-2 path
+    for row in list(audit_corpus(graphs, grid))[1:]:
+        gid, n, p, eps, _, bound, holds = row.split(",")
+        assert int(n) == n_of[gid]
+        if (p, eps) == ("1/1", "1/1"):
+            continue
+        p, eps = Fraction(p), Fraction(eps)
+        assert holds == "true"
+        assert Fraction(bound) == Fraction(3 * int(n)) / (2 * p * p * eps)
+        checked += 1
     elapsed = time.perf_counter() - start
     assert checked == 900
     assert elapsed < 600.0

@@ -133,6 +133,16 @@ def test_audit_exit_and_error_rows(capsys, tmp_path):
     assert any(l.endswith(",error") for l in out.strip().splitlines())
 
 
+def test_audit_of_an_empty_graph_holds(capsys, tmp_path):
+    # no vertex, no length-2 path: both bounds are 0, and nothing exceeds them
+    g = tmp_path / "empty.graph"
+    g.write_text("#vertices:\n")
+    code, out, err = run(capsys, "audit", str(g))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"{g},0,1/1,1/1,0/1,0/1,true",
+                                    f"{g},0,1/2,1/10,0/1,0/1,true"]
+
+
 @pytest.mark.parametrize("argv, unknown", [
     (("link", "1"), "1"),
     (("check-disk", "--cycle", "10,20,30,3"), "3"),

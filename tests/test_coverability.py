@@ -14,8 +14,7 @@ from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     CoverabilityEstimate, EstimatorParams,
                                     _leaf_counts, _reliability,
-                                    admissibility_probabilities,
-                                    admissibility_tables, as_fraction,
+                                    admissibility_probabilities, as_fraction,
                                     exact_admissibility,
                                     exact_disk_coverability,
                                     find_boundary_inducing_disk,
@@ -25,6 +24,7 @@ from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     sample_admissibility,
                                     sample_disk_coverability, triple_phi,
                                     weighted_inadmissibility_audit)
+from diskcover.experiments import audit_corpus
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
                                   complete_hypergraph, iter_p2s, link,
@@ -255,7 +255,7 @@ def test_exact_admissibility_monotone_in_p():
 
 @pytest.mark.parametrize("call", [
     lambda G, H: exact_admissibility(G, 0, 1, 2, HALF),
-    lambda G, H: admissibility_tables(G, [HALF]),
+    lambda G, H: admissibility_probabilities(G, HALF),
     lambda G, H: exact_disk_coverability(H, (0, 1, 2, 3), HALF),
     lambda G, H: weighted_inadmissibility_audit(G, HALF, HALF),
 ], ids=["exact_admissibility", "admissibility_tables",
@@ -312,11 +312,10 @@ def _graph_and_p2(graph, data):
 def test_count_polynomial_matches_brute_force(graph, data):
     G, edges, (x, y, z) = _graph_and_p2(graph, data)
     n = G.n
-    tables = admissibility_tables(G, ORACLE_PS)
     for p in ORACLE_PS:
         want = bf.exact_admissibility(edges, n, x, y, z, p)
         assert exact_admissibility(G, x, y, z, p) == want
-        assert tables[p][x, y, z] == want
+        assert admissibility_probabilities(G, p)[x, y, z] == want
 
 
 def _pruned_nodes(order, event) -> int:
@@ -1022,13 +1021,25 @@ def test_weighted_audit_random_instance_holds():
     assert audit.bound == Fraction(3 * 12) / (2 * HALF * HALF * Fraction(3, 10))
 
 
-def test_weighted_audit_reuses_probability_table():
+def test_weighted_audit_matches_audit_corpus_rows():
+    # the corpus groups its grid by p, in the order each p first appears:
+    # (1/2, 1/5) twice, then (1/2, 2/5), then 3/10, which came between
     G = random_graph(10, 0.4, seed=2)
-    table = admissibility_probabilities(G, HALF)
-    a = weighted_inadmissibility_audit(G, HALF, Fraction(2, 10),
-                                       probabilities=table)
-    b = weighted_inadmissibility_audit(G, HALF, Fraction(2, 10))
-    assert a == b
+    half, fifth = HALF, Fraction(1, 5)
+    grid = [(half, fifth), (Fraction(3, 10), fifth), (half, 2 * fifth),
+            (half, fifth)]
+    rows = list(audit_corpus([("g", G)], grid))[2:]
+    grouped = [grid[0], grid[2], grid[3], grid[1]]
+    assert len(rows) == len(grouped)
+    for row, (p, eps) in zip(rows, grouped):
+        w = weighted_inadmissibility_audit(G, p, eps)
+        assert row == ",".join((
+            "g", "10", f"{p.numerator}/{p.denominator}",
+            f"{eps.numerator}/{eps.denominator}",
+            f"{w.weighted_sum.numerator}/{w.weighted_sum.denominator}",
+            f"{w.bound.numerator}/{w.bound.denominator}",
+            "true" if w.holds else "false"))
+    assert rows[-1].split(",")[4] == "17/2"
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ def test_audit_corpus_weighted_rows_match_brute_force(graph, grid):
             f"{eps.numerator}/{eps.denominator}",
             f"{want.numerator}/{want.denominator}",
             f"{bound.numerator}/{bound.denominator}",
-            "true" if want < bound else "false"))
+            # no inadmissible path holds the bound, even 0 at n = 0
+            "true" if want < bound or not want else "false"))
 
 
 def test_audit_corpus_does_not_count_a_path_at_one_minus_epsilon():

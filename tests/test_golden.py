@@ -14,7 +14,7 @@ import pytest
 
 from diskcover.certificates import SPHERE, serialize_certificate
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
-                                    admissibility_tables,
+                                    admissibility_probabilities,
                                     exact_disk_coverability)
 from diskcover.experiments import audit_corpus, sweep_csv, threshold_sweep
 from diskcover.generators import random_graph, random_hypergraph
@@ -85,8 +85,8 @@ def test_admissibility_tables_digest():
     lines = []
     for n, q, seed in ((14, 0.25, 1), (16, 0.4, 2)):
         G = random_graph(n, q, seed=seed)
-        tables = admissibility_tables(G, (Fraction(3, 10), Fraction(1, 2)))
-        for p, table in tables.items():
+        for p in (Fraction(3, 10), Fraction(1, 2)):
+            table = admissibility_probabilities(G, p)
             for (x, y, z), prob in sorted(table.items()):
                 lines.append(f"{n},{q},{seed},{p},{x},{y},{z},"
                              f"{prob.numerator}/{prob.denominator}")

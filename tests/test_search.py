@@ -293,6 +293,17 @@ def test_find_ktt_deterministic_failure_stage():
     assert (a.stage, a.detail) == (b.stage, b.detail)
 
 
+def test_ktt_pattern_is_built_only_for_stage_3(monkeypatch):
+    # gamma(t) has O(t^3) vertices; a search that fails before stage 3,
+    # as every large t does on K_8, must not build it
+    def no_pattern(t):
+        raise AssertionError(f"gamma({t}) built")
+    monkeypatch.setattr(search, "gamma", no_pattern)
+    res = find_k_t_homeomorph(complete_hypergraph(8),
+                              SearchParams(t=60, p=0.5, epsilon=0.1))
+    assert isinstance(res, SearchFailure) and res.stage == "core-vertices"
+
+
 # ---------------------------------------------------------------------------
 # the shared glue and verify tail
 
