@@ -362,18 +362,30 @@ def _trial_hits(event: Callable[[int], bool], masks: list[int],
     return hits
 
 
+def _search(adj: dict[int, int], a: int, b: int, interior: int):
+    """A path search (ends, adj, a, b, interior) over rows at hand. `ends`
+    are the neighbours of a and of b in the interior other than a and b,
+    its first frontiers before a mask cuts them, read here off the rows;
+    `adj()` returns the symmetric rows, which a caller may build later."""
+    return ((adj[a] & interior & ~(1 << b), adj[b] & interior & ~(1 << a)),
+            lambda: adj, a, b, interior)
+
+
 def _event(searches, disk: "_DiskSearcher | None") -> Callable[[int], bool]:
-    """The per-mask predicate of an event given by one or two path searches
-    (adj, a, b, interior): it holds on m when some search finds an a..b path
-    of length >= 2 through interior & m, or else the disk searcher (under
-    EXHAUSTIVE_SMALL only) finds a disk inside m."""
+    """The per-mask predicate of an event given by one or two path searches:
+    it holds on m when some search finds an a..b path of length >= 2
+    through interior & m, or else the disk searcher (under EXHAUSTIVE_SMALL
+    only) finds a disk inside m. The second search's rows are fetched on
+    the first mask where the first search fails."""
     if len(searches) == 1:
-        [(adj, a, b, interior)] = searches
+        [(_, adj, a, b, interior)] = searches
+        adj = adj()
         paths = lambda m: path_exists(adj, a, b, interior & m)
     else:
-        (adj1, a1, b1, in1), (adj2, a2, b2, in2) = searches
+        (_, adj1, a1, b1, in1), (_, adj2, a2, b2, in2) = searches
+        adj1 = adj1()
         paths = lambda m: (path_exists(adj1, a1, b1, in1 & m)
-                           or path_exists(adj2, a2, b2, in2 & m))
+                           or path_exists(adj2(), a2, b2, in2 & m))
     if disk is None:
         return paths
     return lambda m: paths(m) or disk.find(m) is not None
@@ -383,15 +395,12 @@ def _screen(searches, disk: "_DiskSearcher | None",
             masks: list[int]) -> tuple[int, list[int]]:
     """The count of sure hits and the list of open masks, with no path search.
 
-    The ends of a search, the neighbours of a and of b in its interior
-    other than a and b, are its first frontiers before a mask cuts them.
-    A mask meeting both ends at one vertex holds a one-vertex path, a
-    hit. A mask missing one end of every search is a miss, except with a
-    disk searcher, which can hold where no path search starts.
+    A mask meeting both ends of a search at one vertex holds a one-vertex
+    path, a hit. A mask missing one end of every search is a miss, except
+    with a disk searcher, which can hold where no path search starts.
+    Only the ends are read, never the rows.
     """
-    (a1, b1), (a2, b2), *_ = [
-        (adj[a] & interior & ~(1 << b), adj[b] & interior & ~(1 << a))
-        for adj, a, b, interior in searches] + [(0, 0)]
+    (a1, b1), (a2, b2), *_ = [ends for ends, *_ in searches] + [(0, 0)]
     hit = a1 & b1 | a2 & b2
     open_ = [m for m in masks if not m & hit]
     hits = len(masks) - len(open_)
@@ -437,7 +446,8 @@ def _order(searches, universe: list[int]) -> list[int]:
         return d
 
     best: list[tuple[int, int, int]] = []
-    for adj, a, b, interior in searches:
+    for _, adj, a, b, interior in searches:
+        adj = adj()
         da, db = dist(adj, a, umask & interior), dist(adj, b, umask & interior)
         keys = []
         for x in universe:
@@ -468,7 +478,7 @@ def _check_p2(G: SkeletonGraph, w: int, u: int, wp: int,
 def _admissibility_event(G: SkeletonGraph, w: int, u: int, wp: int):
     """The admissibility event of w u w': one search, w..w' in G - u, and
     no disk searcher."""
-    return ((G.adj_mask, w, wp, ~(1 << u)),), None
+    return (_search(G.adj_mask, w, wp, ~(1 << u)),), None
 
 
 def _sampled_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
@@ -554,8 +564,9 @@ def _check_four_vertices(H: Hypergraph3, cycle: Sequence[int]) -> tuple[int, int
     cyc = tuple(cycle)
     if len(cyc) != 4 or len(set(cyc)) != 4:
         raise ValueError("boundary cycle must list four distinct vertices")
+    vertices = H.vertices
     for x in cyc:
-        if x not in H.vertices:
+        if x not in vertices:
             raise ValueError(f"vertex {x} not in the skeleton")
     return cyc
 
@@ -662,12 +673,26 @@ def _coverability_event(H: Hypergraph3, cyc: tuple[int, int, int, int],
                         li_apex: SkeletonGraph | None = None):
     """The coverability event of a checked 4-cycle v w v' w': the pyramid
     searches w..w' in LI(v, v') and v..v' in LI(w, w'), and the disk
-    searcher under EXHAUSTIVE_SMALL. A caller may pass LI(v, v')."""
+    searcher under EXHAUSTIVE_SMALL. A caller may pass LI(v, v').
+
+    The second search's ends are read off the link rows, as LI(w, w')[x]
+    is row(w)[x] & row(w')[x], so its screen needs no LI(w, w'); that is
+    built at most once, when a path search or the walk order first asks
+    for its rows."""
     v, w, vp, wp = cyc
     if li_apex is None:
         li_apex = link_intersection(H, v, vp)
-    searches = ((li_apex.adj_mask, w, wp, -1),
-                (link_intersection(H, w, wp).adj_mask, v, vp, -1))
+    rw, rwp = H.row(w), H.row(wp)
+    built = []
+
+    def second_rows() -> dict[int, int]:
+        if not built:
+            built.append(link_intersection(H, w, wp).adj_mask)
+        return built[0]
+
+    searches = (_search(li_apex.adj_mask, w, wp, -1),
+                ((rw[v] & rwp[v] & ~(1 << vp), rw[vp] & rwp[vp] & ~(1 << v)),
+                 second_rows, v, vp, -1))
     return searches, (None if strategy == PYRAMID_ONLY
                       else _DiskSearcher(H, cyc, max_interior))
 

@@ -190,11 +190,12 @@ class Hypergraph3:
 
     def row(self, u: int) -> tuple[int, ...]:
         """Entry w is the bitmask of the w' with uww' a triple of H. Built
-        from the codes on the first read of u, then kept on the host."""
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} not in hypergraph")
+        from the codes on the first read of u, then kept on the host; only
+        that first read checks that u is a vertex."""
         r = self._rows.get(u)
         if r is None:
+            if not 0 <= u < self.n:
+                raise ValueError(f"vertex {u} not in hypergraph")
             r = self._rows[u] = _link_row(self.n, self.codes, self._last, int(u))
         return r
 
@@ -207,10 +208,16 @@ class Hypergraph3:
         """Whether each triple, its vertices in any order, is one of H: a bool
         array from one batched binary search in the codes."""
         n = self.n
-        want = np.array([(a * n + b) * n + c if 0 <= a < b < c < n else -1
-                         for a, b, c in map(sorted, triples)], dtype=np.int64)
+        return self.has_codes(np.array(
+            [(a * n + b) * n + c if 0 <= a < b < c < n else -1
+             for a, b, c in map(sorted, triples)], dtype=np.int64))
+
+    def has_codes(self, want: np.ndarray) -> np.ndarray:
+        """Whether each entry of an int64 array of codes (a*n + b)*n + c,
+        a < b < c, is a triple of H: a bool array of the same shape, from
+        one batched binary search in the codes."""
         if not self.codes.size:
-            return np.zeros(want.size, dtype=bool)
+            return np.zeros(want.shape, dtype=bool)
         at = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
         return self.codes[at] == want
 

@@ -20,6 +20,13 @@ _MASK64 = (1 << 64) - 1
 # draws, so no draw depends on an earlier one; the package draws from
 # one thread per process, and two threads would need a generator each.
 _PHILOX = np.random.Philox(key=0)
+# Its fresh state (zero counter, empty buffer, key (0, 0)) is the one
+# every call sets, with word 0 of the key written in place first; setting
+# a state copies its arrays.
+_STATE = _PHILOX.state
+_KEY = _STATE["state"]["key"]
+# 2^v for bit v of a 64-bit word
+_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def mix64(*parts: int) -> int:
@@ -62,26 +69,20 @@ def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,
     masks are a pure function of (seed, stream, trials, width, p), so
     trials may be consumed in any order with identical results. The bits
     come from comparing raw Philox words with `_threshold(p)`, with no
-    doubles made; each row is packed little-endian into whole 64-bit
-    words, and word j of every row is read as one Python int column and
-    ORed in at bit 64 j.
+    doubles made. Each run of up to 64 columns becomes one Python int
+    per row through a product with the column weights 2^v, exact in
+    uint64 since the weights are distinct powers of two; wider rows OR
+    their later runs in at bit 64 j.
     """
     threshold = _threshold(p)
     if threshold >> 64:
         return [(1 << width) - 1] * trials
-    _PHILOX.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([mix64(seed, *stream), 0], np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+    _KEY[0] = mix64(seed, *stream)
+    _PHILOX.state = _STATE
     raw = _PHILOX.random_raw(trials * width).reshape(trials, width)
-    packed = np.packbits(raw < np.uint64(threshold), axis=1,
-                         bitorder="little")
-    words = np.zeros((trials, max(1, -(-width // 64)) * 8), np.uint8)
-    words[:, :packed.shape[1]] = packed
-    cols = words.view("<u8").T.tolist()
-    masks = cols[0]
-    for j, col in enumerate(cols[1:], 1):
-        masks = [m | x << 64 * j for m, x in zip(masks, col)]
+    bits = raw < np.uint64(threshold)
+    masks = (bits[:, :64] @ _WEIGHTS[:width]).tolist()
+    for j in range(64, width, 64):
+        run = (bits[:, j:j + 64] @ _WEIGHTS[:width - j]).tolist()
+        masks = [m | x << j for m, x in zip(masks, run)]
     return masks

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .certificates import (KTT, PROJECTIVE_PLANE, SPHERE, SURFACE_CYCLES, TORUS,
                            HomeomorphCertificate, surface_cycles)
 from .complexes import (CLOSED_SURFACE, TwoComplex, classify, cycle_edges,
@@ -125,11 +127,19 @@ def _check_ktt_pattern(H: Hypergraph3, cert) -> CheckResult:
     image = [cert.embedding[lab] for lab in labels]
     if len(set(image)) != len(image):
         return CheckResult(name, False, "embedding is not injective")
-    # a pattern edge xy lies in the skeleton iff some triple xyw is in H
+    # a pattern edge xy lies in the skeleton iff some triple xyw is in H:
+    # one edges x n grid of codes from the min, median and max of x, y, w,
+    # where w at an end, or an end outside V(H), makes no triple
+    n = H.n
     edges = sorted(pattern.edges)
-    present = H.has_triples((image[a], image[b], w)
-                            for a, b in edges for w in range(H.n))
-    for (a, b), covered in zip(edges, present.reshape(len(edges), H.n).any(axis=1)):
+    inside = [x if 0 <= x < n else -1 for x in image]
+    xy = np.sort(np.array([(inside[a], inside[b]) for a, b in edges],
+                          np.int64).reshape(-1, 2), axis=1)
+    x, y, w = xy[:, :1], xy[:, 1:], np.arange(n)
+    lo, hi = np.minimum(x, w), np.maximum(y, w)
+    present = (H.has_codes((lo * n + x + y + w - lo - hi) * n + hi)
+               & (x >= 0) & (w != x) & (w != y))
+    for (a, b), covered in zip(edges, present.any(axis=1)):
         if not covered:
             return CheckResult(
                 name, False,

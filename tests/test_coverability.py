@@ -28,7 +28,7 @@ from diskcover.experiments import audit_corpus
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
                                   complete_hypergraph, iter_p2s, link,
-                                  skeleton)
+                                  link_intersection, skeleton)
 
 HALF = Fraction(1, 2)
 
@@ -718,9 +718,15 @@ def _screen_case(n, density, host_seed, data):
 
 def _ends(searches):
     """Each search's ends: the neighbours of a and of b in its interior,
-    other than a and b."""
-    return [(adj[a] & interior & ~(1 << b), adj[b] & interior & ~(1 << a))
-            for adj, a, b, interior in searches]
+    other than a and b, read off its rows. They are the ends the event
+    description carries, which the screens read."""
+    ends = []
+    for _, adj, a, b, interior in searches:
+        rows = adj()
+        ends.append((rows[a] & interior & ~(1 << b),
+                     rows[b] & interior & ~(1 << a)))
+    assert ends == [carried for carried, *_ in searches]
+    return ends
 
 
 @settings(max_examples=60, deadline=None)
@@ -798,6 +804,92 @@ def test_screens_decide_complete_host_without_a_path_search(monkeypatch):
     assert coverability._coverable(complete_hypergraph(10), (0, 1, 2, 3),
                                    est_params(trials=64))
     assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 9), st.sampled_from([0.3, 0.6, 1.0]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_second_side_ends_read_off_the_rows(n, density, host_seed, data):
+    """The second pyramid search's ends, read as row(w)[x] & row(w')[x]
+    without LI(w, w'), are the ends LI(w, w') gives, for any four distinct
+    vertices, and its rows are LI(w, w')'s."""
+    rng = random.Random(host_seed)
+    triples = [t for t in combinations(range(n), 3) if rng.random() < density]
+    H = Hypergraph3(n, triples)
+    v, w, vp, wp = data.draw(st.permutations(range(n)))[:4]
+    searches, _ = coverability._coverability_event(H, (v, w, vp, wp),
+                                                   PYRAMID_ONLY, 3)
+    ends, adj, a, b, interior = searches[1]
+    rows = link_intersection(H, w, wp).adj_mask
+    assert (a, b, interior) == (v, vp, -1)
+    assert ends == (rows[v] & ~(1 << vp), rows[vp] & ~(1 << v))
+    assert adj() == rows
+
+
+def _count_link_intersections(monkeypatch):
+    """The (v, v') of every link intersection coverability builds."""
+    built = []
+    real = coverability.link_intersection
+    monkeypatch.setattr(coverability, "link_intersection",
+                        lambda H, v, vp: built.append((v, vp)) or real(H, v, vp))
+    return built
+
+
+# On SIDE_TWO_H the 4-cycle 0 1 2 3 has a first pyramid side 1-4 ... 5-3 cut
+# between 4 and 5, and a second side 0-6-7-2: the screens leave a mask
+# holding 4 and 5 open, its first search fails, and the second holds
+# exactly when the mask holds 6 and 7.
+SIDE_TWO_H = Hypergraph3(8, [(0, 1, 4), (1, 2, 4), (0, 3, 5), (2, 3, 5),
+                             (0, 1, 6), (0, 3, 6), (1, 6, 7), (3, 6, 7),
+                             (1, 2, 7), (2, 3, 7)])
+
+
+def test_second_side_link_intersection_only_when_searched(monkeypatch):
+    built = _count_link_intersections(monkeypatch)
+    params = est_params(trials=64)
+    for n in (12, 30):
+        H = complete_hypergraph(n)
+        # the screens settle every mask: LI(v, v') only, then not even that
+        assert coverability._coverable(H, (0, 1, 2, 3), params)
+        assert built == [(0, 2)]
+        li_apex = link_intersection(H, 0, 2)
+        del built[:]
+        assert coverability._coverable(H, (0, 1, 2, 3), params, li_apex)
+        assert built == []
+    # an open mask reaches the second search: LI(w, w') once per decision
+    params = est_params(p=0.9, epsilon=0.5, trials=64)
+    searches, disk, masks = coverability._sampled_coverability(
+        SIDE_TWO_H, (0, 1, 2, 3), params)
+    hits, open_ = coverability._screen(searches, disk, masks)
+    assert hits == 0 and len(open_) >= coverability._least_hits(64, 0.5)
+    del built[:]
+    assert coverability._coverable(SIDE_TWO_H, (0, 1, 2, 3), params)
+    assert built == [(0, 2), (1, 3)]
+    del built[:]
+    full = sample_disk_coverability(SIDE_TWO_H, (0, 1, 2, 3), params)
+    assert full.successes == sum(m >> 6 & 3 == 3 for m in masks)
+    assert built == [(0, 2), (1, 3)]
+    # the exact walk orders by both sides: it builds LI(w, w') once too
+    del built[:]
+    assert exact_disk_coverability(SIDE_TWO_H, (0, 1, 2, 3), HALF) == HALF ** 2
+    assert built == [(0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("cycle, message", [
+    ((0, 1, 0, 2), "boundary cycle must list four distinct vertices"),
+    ((0, 1, 2, 9), "vertex 9 not in the skeleton"),
+    ((1, 4, 5, 3), "cycle edge 4-5 missing from the skeleton"),
+], ids=["repeat", "outside", "edge"])
+def test_four_cycle_check_errors(cycle, message):
+    # rows already kept or not, the messages are the same
+    kept = Hypergraph3(8, SIDE_TWO_H.edges)
+    for u in range(8):
+        kept.row(u)
+    for H in (kept, Hypergraph3(8, SIDE_TWO_H.edges)):
+        with pytest.raises(ValueError) as err:
+            coverability._check_four_cycle(H, cycle)
+        assert str(err.value) == message
+        assert coverability._check_four_cycle(H, [0, 1, 2, 3]) == (0, 1, 2, 3)
 
 
 def test_coverability_deterministic_and_seeded():

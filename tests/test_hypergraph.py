@@ -267,6 +267,17 @@ def test_skeleton_builds_no_row():
     assert list(H._rows) == [7]
 
 
+def test_row_rejects_a_non_vertex_once_rows_are_kept():
+    # only a row's first read checks its vertex; a non-vertex is never kept
+    H = complete_hypergraph(5)
+    for u in range(5):
+        H.row(u)
+    for u in (-1, 5):
+        with pytest.raises(ValueError, match=f"vertex {u} not in hypergraph"):
+            H.row(u)
+    assert sorted(H._rows) == list(range(5))
+
+
 def test_last_vertex_column_widens_past_int16():
     # a row or skeleton at these n would scatter into an n x n array (1 GB),
     # so only the compact column that row builds scan is read

@@ -45,7 +45,7 @@ def test_trial_masks_are_the_matrix_rows(p):
     # widths around whole 64-bit words, trial counts around a multiple of
     # Philox's 4-word block; 3 2^-53 keeps words with r >> 11 in {0, 1, 2},
     # 2^-60 only 0
-    for width in (1, 63, 64, 65, 130):
+    for width in (0, 1, 63, 64, 65, 128, 130):
         for trials in (1, 15, 16, 17, 65):
             stream = (width, trials)
             assert trial_masks(7, stream, trials, width, p) == _packed(

@@ -7,11 +7,12 @@ from diskcover.certificates import (SPHERE, HomeomorphCertificate)
 from diskcover.complexes import TwoComplex
 from diskcover.coverability import pyramid_disk
 from diskcover.experiments import threshold_sweep
+from diskcover.gamma import gamma, role_name
 from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import Hypergraph3, complete_hypergraph
 from diskcover.search import (SearchParams, find_k_t_homeomorph, find_sphere,
                               find_torus)
-from diskcover.verify import CertificateError, verify_certificate
+from diskcover.verify import CertificateError, CheckResult, verify_certificate
 
 DESK = SearchParams(p=0.5, epsilon=0.1)
 
@@ -216,8 +217,19 @@ def test_verifier_never_reads_the_row_table(monkeypatch):
     thinned = Hypergraph3(12, [t for t in H.edges if not {a, b} <= set(t)])
     report = verify_certificate(thinned, cert)
     assert not report.passed
-    assert report.checks[-1].name == "pattern-ktt"
-    assert not report.checks[-1].passed
+    assert report.checks[-1] == CheckResult(
+        "pattern-ktt", False, "pattern edge v0-v0.1 missing from skeleton")
+
+    # a pattern vertex sent outside V(H), however far, has no skeleton edge:
+    # the first pattern edge at it is reported
+    pattern = gamma(3)
+    first = min(e for e in pattern.edges if 0 in e)
+    names = [role_name(pattern.roles[i]) for i in first]
+    for far in (-1, 12, 10 ** 30):
+        moved = replace(cert, embedding={**cert.embedding, "v0": far})
+        assert verify_certificate(H, moved).checks[-1] == CheckResult(
+            "pattern-ktt", False,
+            f"pattern edge {names[0]}-{names[1]} missing from skeleton")
 
     # swap one disk triangle for another triple: a disk check fails
     disks = list(cert.disks)
