@@ -181,15 +181,20 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
+def _with_estimator(params: SearchParams, args) -> SearchParams:
+    """The params with --p and --epsilon, each None (the per-target
+    default) when not given. Built from params, so a bad count is
+    reported before a bad fraction."""
+    return replace(params, **{
+        k: None if x is None else float(as_fraction(x))
+        for k, x in (("p", args.p), ("epsilon", args.epsilon))})
+
+
 def _search_params(args) -> SearchParams:
-    # the counts are checked before --p and --epsilon are parsed
     params = SearchParams(t=args.t, trials=args.trials, seed=args.seed,
                           max_retries=args.retries)
-    return replace(
-        params,
-        p=None if args.p is None else float(as_fraction(args.p)),
-        epsilon=None if args.epsilon is None else float(as_fraction(args.epsilon)),
-        strategy=EXHAUSTIVE_SMALL if args.exhaustive else PYRAMID_ONLY)
+    return replace(_with_estimator(params, args),
+                   strategy=EXHAUSTIVE_SMALL if args.exhaustive else PYRAMID_ONLY)
 
 
 def _cmd_find(args) -> int:
@@ -243,7 +248,8 @@ def _cmd_gen(args) -> int:
 def _cmd_sweep(args) -> int:
     n_values = [int(x) for x in args.n.split(",")]
     c_values = [float(x) for x in args.c.split(",")]
-    params = SearchParams(t=args.t)
+    params = _with_estimator(SearchParams(t=args.t), args)
+    params.estimator(args.target)  # range checks, before any host is drawn
     rows = threshold_sweep(args.target, n_values, c_values, args.trials,
                            args.seed, params=params, jobs=args.jobs,
                            timing=args.timing)
@@ -353,6 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", required=True,
                     help="comma-separated density coefficients (p = c/sqrt(n))")
     sp.add_argument("--t", type=int, default=4)
+    sp.add_argument("--p", default=None,
+                    help="estimator inclusion probability (default per target)")
+    sp.add_argument("--epsilon", default=None,
+                    help="estimator failure budget (default per target)")
     sp.add_argument("--trials", type=int, default=8)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--timing", action="store_true",

@@ -181,12 +181,11 @@ def path_exists(adj: dict[int, int], a: int, b: int, interior: int,
     """Whether a path a..b of length >= 2 runs through `interior`.
 
     The direct edge ab is left out and the internal vertices are
-    confined to the `interior` mask (a and b are never internal). The
-    search grows one breadth-first frontier from a and one from b,
-    always expanding the smaller, and succeeds as soon as the two
-    reached sets meet; it fails when either frontier empties.
+    confined to the `interior` mask (a and b are never internal). This
+    is the prologue of `_meets`, which runs the search from the two
+    first frontiers, the neighbours of a and of b in the interior.
 
-    Given `layers = [from_a, from_b]`, it appends each frontier to its
+    Given `layers = [from_a, from_b]`, each frontier is appended to its
     own side's list, so from_a[i] is the mask of interior vertices at
     distance i + 1 from a, and from_b[j] the same from b; `least_path`
     reads the path off them. The outer list is reversed whenever the
@@ -198,8 +197,19 @@ def path_exists(adj: dict[int, int], a: int, b: int, interior: int,
     if a not in adj or b not in adj:
         return False
     interior &= ~((1 << a) | (1 << b))
-    front_a = seen_a = adj[a] & interior
-    front_b = seen_b = adj[b] & interior
+    return _meets(adj, adj[a] & interior, adj[b] & interior, interior, layers)
+
+
+def _meets(adj: dict[int, int], front_a: int, front_b: int, interior: int,
+           layers: list[list[int]] | None = None) -> bool:
+    """Whether breadth-first searches from the first frontiers front_a and
+    front_b meet inside `interior`, which must leave out both ends: the
+    frontier loop of `path_exists`, which records its `layers`.
+
+    It grows the smaller frontier, and succeeds as soon as the two
+    reached sets meet; it fails when either frontier empties.
+    """
+    seen_a, seen_b = front_a, front_b
     if layers is not None:
         layers[0].append(front_a)
         layers[1].append(front_b)
@@ -339,29 +349,6 @@ def _least_hits(trials: int, epsilon: float) -> int:
     return h
 
 
-def _trial_hits(event: Callable[[int], bool], masks: list[int],
-                need: int | None = None) -> int:
-    """How many masks satisfy the event, asked in mask order.
-
-    Given `need`, the loop stops as soon as whether hits >= need is
-    fixed: at the need-th hit, or at the miss that leaves too few masks
-    to reach need. The count is then partial, but that decision is the
-    one the full count gives.
-    """
-    hits = misses = 0
-    spare = len(masks) if need is None else len(masks) - need
-    for m in masks:
-        if event(m):
-            hits += 1
-            if hits == need:
-                break
-        else:
-            misses += 1
-            if misses > spare:
-                break
-    return hits
-
-
 def _search(adj: dict[int, int], a: int, b: int, interior: int):
     """A path search (ends, adj, a, b, interior) over rows at hand. `ends`
     are the neighbours of a and of b in the interior other than a and b,
@@ -372,11 +359,12 @@ def _search(adj: dict[int, int], a: int, b: int, interior: int):
 
 
 def _event(searches, disk: "_DiskSearcher | None") -> Callable[[int], bool]:
-    """The per-mask predicate of an event given by one or two path searches:
-    it holds on m when some search finds an a..b path of length >= 2
-    through interior & m, or else the disk searcher (under EXHAUSTIVE_SMALL
-    only) finds a disk inside m. The second search's rows are fetched on
-    the first mask where the first search fails."""
+    """The per-mask predicate of an event given by one or two path searches,
+    which the exact walks ask: it holds on m when some search finds an a..b
+    path of length >= 2 through interior & m, or else the disk searcher
+    (under EXHAUSTIVE_SMALL only) finds a disk inside m. The second
+    search's rows are fetched on the first mask where the first search
+    fails."""
     if len(searches) == 1:
         [(_, adj, a, b, interior)] = searches
         adj = adj()
@@ -391,33 +379,55 @@ def _event(searches, disk: "_DiskSearcher | None") -> Callable[[int], bool]:
     return lambda m: paths(m) or disk.find(m) is not None
 
 
-def _screen(searches, disk: "_DiskSearcher | None",
-            masks: list[int]) -> tuple[int, list[int]]:
-    """The count of sure hits and the list of open masks, with no path search.
+def _hits(searches, disk: "_DiskSearcher | None", masks: list[int],
+          need: int | None = None) -> int:
+    """How many masks the event holds on, asked in mask order.
 
-    A mask meeting both ends of a search at one vertex holds a one-vertex
-    path, a hit. A mask missing one end of every search is a miss, except
-    with a disk searcher, which can hold where no path search starts.
-    Only the ends are read, never the rows.
+    One pass over the masks settles the sure ones from the ends each
+    search carries, reading no rows. A mask meeting both ends of a search
+    at one vertex holds a one-vertex path, a hit. A mask missing one end
+    of every search is a miss, except with a disk searcher, which can
+    hold where no path search starts. On each open mask m, in order, the
+    searches whose ends both meet m run from ends & m (`_meets`), the
+    second one's rows fetched on first use, then the disk searcher.
+
+    Given `need`, it stops as soon as whether hits >= need is fixed: after
+    the screens, at the need-th hit, or at the miss that leaves too few
+    masks to reach need. The count is then partial, but that decision is
+    the one the full count gives.
     """
-    (a1, b1), (a2, b2), *_ = [ends for ends, *_ in searches] + [(0, 0)]
+    ((a1, b1), adj1, x1, y1, in1), ((a2, b2), adj2, x2, y2, in2) = (
+        *searches, ((0, 0), None, 0, 0, 0))[:2]
     hit = a1 & b1 | a2 & b2
-    open_ = [m for m in masks if not m & hit]
-    hits = len(masks) - len(open_)
-    if disk is None:
-        open_ = [m for m in open_ if m & a1 and m & b1 or m & a2 and m & b2]
-    return hits, open_
-
-
-def _decided(searches, disk: "_DiskSearcher | None", masks: list[int],
-             epsilon: float) -> bool:
-    """Whether the event's hit rate over the masks reaches 1 - epsilon,
-    asking it only of the masks the screen leaves open, and only until the
-    decision is fixed."""
-    hits, open_ = _screen(searches, disk, masks)
-    need = _least_hits(len(masks), epsilon) - hits
-    return need <= 0 or (need <= len(open_) and _trial_hits(
-        _event(searches, disk), open_, need) >= need)
+    hits = misses = 0
+    open_ = []
+    for m in masks:
+        if m & hit:
+            hits += 1
+        elif disk is None and not (m & a1 and m & b1 or m & a2 and m & b2):
+            misses += 1
+        else:
+            open_.append(m)
+    spare = len(masks) if need is None else len(masks) - need
+    if need is not None and hits >= need or misses > spare:
+        return hits
+    rows1, rows2 = adj1(), None
+    in1 &= ~(1 << x1 | 1 << y1)
+    in2 &= ~(1 << x2 | 1 << y2)
+    for m in open_:
+        if ((fa := m & a1) and (fb := m & b1)
+                and _meets(rows1, fa, fb, m & in1)
+                or (fa := m & a2) and (fb := m & b2)
+                and _meets(rows2 or (rows2 := adj2()), fa, fb, m & in2)
+                or disk is not None and disk.find(m) is not None):
+            hits += 1
+            if hits == need:
+                break
+        else:
+            misses += 1
+            if misses > spare:
+                break
+    return hits
 
 
 def _order(searches, universe: list[int]) -> list[int]:
@@ -499,19 +509,17 @@ def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
     vertices inside U. Deterministic in (params.seed, trials) and in the
     path's vertex labels; trials may be evaluated in any order.
     """
-    searches, disk, masks = _sampled_admissibility(G, w, u, wp, params)
-    hits, open_ = _screen(searches, disk, masks)
     return CoverabilityEstimate.from_counts(
-        hits + _trial_hits(_event(searches, disk), open_), params.trials,
+        _hits(*_sampled_admissibility(G, w, u, wp, params)), params.trials,
         params.epsilon)
 
 
 def _admissible(G: SkeletonGraph, w: int, u: int, wp: int,
                 params: EstimatorParams) -> bool:
-    """`sample_admissibility(...).decided_coverable`, screening the trials
-    and stopping them once the decision is fixed."""
-    return _decided(*_sampled_admissibility(G, w, u, wp, params),
-                    params.epsilon)
+    """`sample_admissibility(...).decided_coverable`, stopping the trials
+    once the decision is fixed."""
+    need = _least_hits(params.trials, params.epsilon)
+    return _hits(*_sampled_admissibility(G, w, u, wp, params), need) >= need
 
 
 def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
@@ -716,22 +724,18 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     inside U. The search family is set by params.strategy. Deterministic
     in (seed, trials, cycle labels); independent of evaluation order.
     """
-    searches, disk, masks = _sampled_coverability(
-        H, _check_four_cycle(H, cycle), params)
-    hits, open_ = _screen(searches, disk, masks)
     return CoverabilityEstimate.from_counts(
-        hits + _trial_hits(_event(searches, disk), open_), params.trials,
-        params.epsilon)
+        _hits(*_sampled_coverability(H, _check_four_cycle(H, cycle), params)),
+        params.trials, params.epsilon)
 
 
 def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
                params: EstimatorParams,
                li_apex: SkeletonGraph | None = None) -> bool:
     """`sample_disk_coverability(H, cyc, params).decided_coverable` for a
-    checked cycle, screening the trials and stopping them once the
-    decision is fixed."""
-    return _decided(*_sampled_coverability(H, cyc, params, li_apex),
-                    params.epsilon)
+    checked cycle, stopping the trials once the decision is fixed."""
+    need = _least_hits(params.trials, params.epsilon)
+    return _hits(*_sampled_coverability(H, cyc, params, li_apex), need) >= need
 
 
 def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
@@ -816,24 +820,27 @@ def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
                        params: EstimatorParams) -> int:
     """How many 4-cycles v w v' w' over the given pairs fail the test.
 
-    A 4-cycle with a vertex outside H or an edge missing from S(H)
-    counts as non-coverable outright (no disk of H can have that
-    boundary). The link intersection of v and v' is built once, at the
-    first valid cycle, and shared by all of them.
+    A 4-cycle with a repeated vertex, a vertex outside H or an edge
+    missing from S(H) counts as non-coverable outright (no disk of H can
+    have that boundary), as `_check_four_cycle` would reject it. Each
+    vertex x of the pairs is checked once: the cycle is valid exactly
+    when w and w' differ and each is a vertex of H with row(v)[x] and
+    row(v')[x] both nonzero, which also keeps x off v and v' (row(v)[v]
+    is 0). The link intersection of v and v' is built once, when some
+    cycle is valid, and shared by all of them.
     """
-    bad = 0
-    li_apex = None
-    for w, wp in pairs:
-        try:
-            cyc = _check_four_cycle(H, (v, w, vp, wp))
-        except ValueError:
-            bad += 1
-            continue
-        if li_apex is None:
-            li_apex = link_intersection(H, v, vp)
-        if not _coverable(H, cyc, params, li_apex):
-            bad += 1
-    return bad
+    pairs = list(pairs)
+    vertices = H.vertices
+    if v == vp or v not in vertices or vp not in vertices:
+        return len(pairs)
+    rv, rvp = H.row(v), H.row(vp)
+    good = {x for x in {x for pair in pairs for x in pair}
+            if x in vertices and rv[x] and rvp[x]}
+    valid = [(w, wp) for w, wp in pairs
+             if w != wp and w in good and wp in good]
+    li_apex = link_intersection(H, v, vp) if valid else None
+    return len(pairs) - len(valid) + sum(
+        not _coverable(H, (v, w, vp, wp), params, li_apex) for w, wp in valid)
 
 
 def pair_psi(H: Hypergraph3, G: SkeletonGraph, v: int, vp: int,

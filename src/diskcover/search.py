@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from .certificates import (
     KTT,
     PROJECTIVE_PLANE,
@@ -159,22 +161,25 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
     needs. Attempts are keyed by (seed, attempt index) and the first
     success by index wins, independent of execution order.
     """
-    cycs = [_check_four_cycle(H, c) for c in cycles]
+    cycs = [tuple(c) for c in cycles]
     if not cycs:
         return []
+    # a cycle listed twice (the sphere's two disks) is checked, has its
+    # link intersections built and its pyramids tried with every free
+    # vertex, once
+    distinct = dict.fromkeys(cycs)
+    for c in distinct:
+        _check_four_cycle(H, c)
+    sides = {c: (link_intersection(H, c[0], c[2]),
+                 link_intersection(H, c[1], c[3])) for c in distinct}
     k = len(cycs)
     W = {v for c in cycs for v in c}
-    free = sorted(v for v in H.vertices if v not in W)
-    lis = [
-        (link_intersection(H, c[0], c[2]), link_intersection(H, c[1], c[3]))
-        for c in cycs
-    ]
+    free = np.array([v for v in H.vertices if v not in W], dtype=np.int64)
 
-    free_mask = 0
-    for v in free:
-        free_mask |= 1 << v
-    hopeless = [i for i in range(k)
-                if _cycle_pyramid(cycs[i], lis[i], free_mask) is None]
+    free_mask = sum(1 << v for v in free.tolist())
+    stuck = {c for c, lis in sides.items()
+             if _cycle_pyramid(c, lis, free_mask) is None}
+    hopeless = [i for i, c in enumerate(cycs) if c in stuck]
     if hopeless:
         counts = tuple(1 if i in hopeless else 0 for i in range(k))
         return GlueFailure(
@@ -188,19 +193,19 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
 
     fail_counts = [0] * k
     base, extra = divmod(len(free), k)
+    # the part of each position of a permuted `free`: the first `extra`
+    # parts take base + 1 vertices, the rest base
+    part_of = np.repeat(np.arange(k), [base + (i < extra) for i in range(k)])
     for attempt in range(_GLUE_RETRIES):
         gen = generator(params.seed, _S_GLUE, attempt)
-        order = [free[i] for i in gen.permutation(len(free))]
+        parts = np.zeros((k, H.n), dtype=bool)
+        parts[part_of, free[gen.permutation(len(free))]] = True
+        rows = np.packbits(parts, axis=1, bitorder="little")
         disks: list[TwoComplex] = []
-        pos = 0
         failed = -1
         for i in range(k):
-            size = base + (1 if i < extra else 0)
-            part_mask = 0
-            for v in order[pos:pos + size]:
-                part_mask |= 1 << v
-            pos += size
-            disk = _cycle_pyramid(cycs[i], lis[i], part_mask)
+            part_mask = int.from_bytes(rows[i].tobytes(), "little")
+            disk = _cycle_pyramid(cycs[i], sides[cycs[i]], part_mask)
             if disk is None:
                 failed = i
                 break

@@ -6,13 +6,13 @@ workloads: `ktt_complete` (the K_4 finder on K_30) and `psi_random`
 
 The decisions of `ops` ops of each workload (default 3, seed 0) are
 recorded, then replayed stage by stage: the trial masks, the cycle check,
-the event description and its screens (with LI(v, v') when the decision
-builds it), LI(w, w') on the decisions whose path searches reach the
-second pyramid side, and the path searches over the open masks with
-LI(w, w') already built. The last column is the whole decision, cycle
-check included. It prints one markdown table row per workload, times in
-µs per decision averaged over all of them, each the best of `repeats`
-runs (default 5). Not collected by pytest.
+the event description and the kernel's screen pass (with LI(v, v') when
+the decision builds it), LI(w, w') on the decisions whose path searches
+reach the second pyramid side, and the whole kernel, screen pass and path
+searches, with LI(w, w') already built. The last column is the whole
+decision, cycle check included. It prints one markdown table row per
+workload, times in µs per decision averaged over all of them, each the
+best of `repeats` runs (default 5). Not collected by pytest.
 """
 
 import sys
@@ -57,7 +57,8 @@ def record(wl, ops):
 
 
 def stages(calls, repeats):
-    """Seconds per stage over all decisions, and how many reach side 2."""
+    """Seconds per stage over all decisions, how many search, and how many
+    of those reach side 2."""
     def masks(H, cyc, params):
         return trial_masks(params.seed, (cv._STREAM_COVER, *cyc),
                            params.trials, max(H.n, 1), params.p)
@@ -67,47 +68,45 @@ def stages(calls, repeats):
                                       params.max_interior, li_apex)
 
     drawn = [masks(H, cyc, params) for H, cyc, params, _ in calls]
-    # the decisions that ask the event, and those of them whose path
-    # searches fetch the second side's rows, LI(w, w')
-    searched, side_two = [], []
+    # each decision's kernel arguments; a probe run records which rows the
+    # kernel fetches: the first side's once the screens leave the decision
+    # open, the second side's, LI(w, w'), once a search reaches it, which
+    # builds and keeps it for the timed runs
+    decisions, searched, side_two = [], 0, []
     for (H, cyc, params, li_apex), ms in zip(calls, drawn):
         searches, disk = event(H, cyc, params, li_apex)
-        hits, open_ = cv._screen(searches, disk, ms)
-        need = cv._least_hits(len(ms), params.epsilon) - hits
-        if not 0 < need <= len(open_):
-            continue
+        need = cv._least_hits(len(ms), params.epsilon)
         fetched = []
-        ends, adj2, *rest = searches[1]
-        probe = (searches[0],
-                 (ends, lambda: fetched.append(1) or adj2(), *rest))
-        cv._trial_hits(cv._event(probe, disk), open_, need)
-        searched.append((searches, disk, open_, need))
-        if fetched:
+        probe = tuple((ends, lambda adj=adj, i=i: fetched.append(i) or adj(),
+                       *rest)
+                      for i, (ends, adj, *rest) in enumerate(searches))
+        cv._hits(probe, disk, ms, need)
+        searched += 0 in fetched
+        if 1 in fetched:
             side_two.append((H, cyc[1], cyc[3]))
+        decisions.append((searches, disk, ms, need))
     times = {
         "masks": best(repeats, lambda: [masks(H, cyc, params)
                                         for H, cyc, params, _ in calls]),
         "check": best(repeats, lambda: [cv._check_four_cycle(H, cyc)
                                         for H, cyc, _, _ in calls]),
+        # need = 0 is fixed by the screen pass alone
         "screens": best(repeats, lambda: [
-            cv._screen(*event(H, cyc, params, li_apex), ms)
+            cv._hits(*event(H, cyc, params, li_apex), ms, 0)
             for (H, cyc, params, li_apex), ms in zip(calls, drawn)]),
         "LI(w, w')": best(repeats, lambda: [
             link_intersection(H, w, wp) for H, w, wp in side_two]),
-        # the probe built each LI(w, w') these searches ask for
-        "paths": best(repeats, lambda: [
-            cv._trial_hits(cv._event(searches, disk), open_, need)
-            for searches, disk, open_, need in searched]),
+        "kernel": best(repeats, lambda: [cv._hits(*d) for d in decisions]),
         "whole": best(repeats, lambda: [
             cv._coverable(H, cv._check_four_cycle(H, cyc), params, li_apex)
             for H, cyc, params, li_apex in calls]),
     }
-    return times, len(searched), len(side_two)
+    return times, searched, len(side_two)
 
 
 def main(ops: int = 3, repeats: int = 5) -> None:
     print("| workload | decisions | searched | reach LI(w, w') | masks | "
-          "check | screens | LI(w, w') | paths | whole |")
+          "check | screens | LI(w, w') | kernel | whole |")
     print("|---" * 10 + "|")
     for wl in (workloads.KttComplete(), workloads.PsiRandom()):
         calls = record(wl, ops)

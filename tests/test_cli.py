@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskcover.certificates import parse_certificate, serialize_certificate
+from diskcover import cli
 from diskcover.cli import main
 from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
@@ -357,6 +358,37 @@ def test_sweep_bad_grid_is_usage_error(capsys, n, c):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_sweep_passes_the_estimator_parameters(capsys):
+    # at the surface default (1/18, 1/163) no n = 100, c = 4 host passes
+    # the hub stage; at (1/2, 1/10) the torus is found on both
+    argv = ("sweep", "--target", "torus", "--n", "100", "--c", "4",
+            "--trials", "2")
+    for extra, cells in (((), ["false,hub-selection"] * 2),
+                         (("--p", "1/2", "--epsilon", "1/10"),
+                          ["true,done"] * 2)):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        assert [",".join(line.split(",")[5:7])
+                for line in out.splitlines()[1:]] == cells
+
+
+@pytest.mark.parametrize("target", ["torus", "sphere"])
+@pytest.mark.parametrize("option", [
+    ("--p", "2"), ("--p", "0"), ("--p", "x"), ("--epsilon", "1"),
+    ("--epsilon", "1/0"), ("--epsilon", "nan")])
+def test_sweep_bad_estimator_parameter_is_usage_error(capsys, monkeypatch,
+                                                      target, option):
+    # checked before any host is drawn, even for the sphere, which never
+    # runs the estimator
+    monkeypatch.setattr(cli, "threshold_sweep",
+                        lambda *a, **k: pytest.fail("a host was drawn"))
+    code, out, err = run(capsys, "sweep", "--target", target, "--n", "12",
+                         "--c", "1", *option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def _set_cycle_int(doc):
     doc["cycles"][0] = 7
 
@@ -503,7 +535,7 @@ _FUZZ_ARGV = st.one_of(
           _req("--c", st.lists(_mostly(st.sampled_from(["0", "0.5", "2"]),
                                        st.sampled_from(["-1", "nan", "x"])),
                                min_size=1, max_size=3).map(",".join)),
-          _opt("--t", _T),
+          _opt("--t", _T), _opt("--p", _NUM), _opt("--epsilon", _NUM),
           _opt("--trials", _mostly(st.sampled_from(["1", "2"]), st.just("0"))),
           _opt("--seed", _INT),
           _opt("--jobs", st.just("1")), _flag("--timing"), _OUT),

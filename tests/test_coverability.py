@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -603,28 +604,73 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _check_decision_path(event, masks, epsilon, outcomes) -> None:
-    """The stopping loop gives the full count's decision after exactly the
-    trials it takes to fix it, asking the event once per trial; the full
-    loop counts the reference outcomes."""
+def _kernel(searches, disk, masks, need=None):
+    """`_hits(searches, disk, masks, need)` and what it asked, in order: the
+    (front_a, front_b, interior) of each `_meets` call and ("disk", m) for
+    each disk searcher call."""
+    asked = []
+    meets = coverability._meets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverability, "_meets", lambda adj, fa, fb, inner:
+                   asked.append((fa, fb, inner)) or meets(adj, fa, fb, inner))
+        if disk is not None:
+            find = disk.find
+            mp.setattr(disk, "find",
+                       lambda m: asked.append(("disk", m)) or find(m))
+        hits = coverability._hits(searches, disk, masks, need)
+    return hits, asked
+
+
+def _sure(searches, disk, m):
+    """True for a mask the screens settle as a hit, False for one they
+    settle as a miss, None for an open mask: the screens' rule, read off
+    each search's ends."""
+    ends = _ends(searches)
+    if any(m & a & b for a, b in ends):
+        return True
+    if disk is None and not any(m & a and m & b for a, b in ends):
+        return False
+    return None
+
+
+def _tried(searches, disk, masks, asked):
+    """The open masks the kernel asked, in order, and all the open masks:
+    the asked ones are the prefix of the open ones whose calls, each
+    asked alone, make up `asked`."""
+    open_ = [m for m in masks if _sure(searches, disk, m) is None]
+    tried, calls = [], []
+    while calls != asked:
+        tried.append(open_[len(tried)])
+        calls += _kernel(searches, disk, tried[-1:])[1]
+    return tried, open_
+
+
+def _check_decision_path(searches, disk, masks, epsilon, outcomes) -> None:
+    """The kernel counts the reference outcomes over all masks. Given need,
+    it gives the full count's decision after exactly the trials it takes
+    to fix it: the screened masks first, then the open ones in mask order,
+    asking nothing of a screened mask and of each open one what it asks
+    of that mask alone."""
     trials = len(masks)
     need = min(h for h in range(trials + 1) if h / trials >= 1 - epsilon)
     assert need == coverability._least_hits(trials, epsilon)
-    hits = 0
-    for fixed_at, hit in enumerate(outcomes, 1):
-        hits += hit
-        if hits >= need or hits + trials - fixed_at < need:
-            break
-    asked = []
-
-    def counting(m):
-        asked.append(m)
-        return event(m)
-
-    assert (coverability._trial_hits(counting, masks, need) >= need) == (
-        sum(outcomes) >= need)
-    assert asked == masks[:fixed_at]
-    assert coverability._trial_hits(event, masks) == sum(outcomes)
+    sure = [_sure(searches, disk, m) for m in masks]
+    hits, misses = sure.count(True), sure.count(False)
+    asked_masks = []
+    if hits < need and misses <= trials - need:
+        for m, known, hit in zip(masks, sure, outcomes):
+            if known is None:
+                asked_masks.append(m)
+                hits += hit
+                misses += not hit
+                if hits >= need or misses > trials - need:
+                    break
+    got, asked = _kernel(searches, disk, masks, need)
+    assert (got >= need) == (sum(outcomes) >= need)
+    alone = [_kernel(searches, disk, [m])[1] for m in asked_masks]
+    assert all(alone)
+    assert asked == [call for calls in alone for call in calls]
+    assert _kernel(searches, disk, masks)[0] == sum(outcomes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -641,7 +687,8 @@ def test_decision_path_matches_samplers(n, density, host_seed, trials,
     `bf.pyramid_event`, or a disk of `bf.lexicographic_disks` under
     EXHAUSTIVE_SMALL (budgets up to the default of three interior
     vertices), and `bf.admissibility_event`. The stopping decisions
-    `_coverable` and `_admissible` agree with that count."""
+    `_coverable` and `_admissible` agree with that count, and the kernel
+    stops where the count fixes them."""
     rng = random.Random(host_seed)
     triples = [t for t in combinations(range(n), 3) if rng.random() < density]
     H = Hypergraph3(n, triples)
@@ -661,8 +708,7 @@ def test_decision_path_matches_samplers(n, density, host_seed, trials,
     full = sample_disk_coverability(H, cyc, params)
     assert full.successes == sum(outcomes)
     assert coverability._coverable(H, cyc, params) == full.decided_coverable
-    _check_decision_path(coverability._event(searches, disk), masks, epsilon,
-                         outcomes)
+    _check_decision_path(searches, disk, masks, epsilon, outcomes)
 
     G = skeleton(H)
     w, u, wp = data.draw(st.sampled_from(list(iter_p2s(G))))
@@ -674,33 +720,39 @@ def test_decision_path_matches_samplers(n, density, host_seed, trials,
     full = sample_admissibility(G, w, u, wp, params)
     assert full.successes == sum(outcomes)
     assert coverability._admissible(G, w, u, wp, params) == full.decided_coverable
-    _check_decision_path(coverability._event(searches, disk), masks, epsilon,
-                         outcomes)
+    _check_decision_path(searches, disk, masks, epsilon, outcomes)
 
 
 def test_decision_path_stops_once_fixed():
     # at 1 - 0.1 over 64 trials the decision is fixed at the 58th hit or
-    # at the 7th miss; on K_10 a trial misses with probability 1/64, on
-    # the LI path instance with probability 1/2
-    params = est_params(trials=64)
-    need = coverability._least_hits(64, params.epsilon)
-    assert need == 58
-    for H, cyc, coverable, stop in (
-            (complete_hypergraph(10), (0, 1, 2, 3), True, (58, True)),
-            (LI_PATH_H, LI_PATH_CYCLE, False, (7, False))):
+    # at the 7th miss. On K_10 a trial misses with probability 1/64 and on
+    # the LI path instance it holds exactly when it holds x: the screens
+    # settle every trial there, and the kernel searches none. On SIDE_TWO_H
+    # at p = 0.9 one trial is a sure miss and the rest are open; a trial
+    # holds when it holds 6 and 7, so at 1 - 0.5 the decision is fixed at
+    # the 32nd hit and at 1 - 0.1 at the 6th open miss
+    assert coverability._least_hits(64, 0.1) == 58
+    for H, cyc, p, epsilon, coverable, stop in (
+            (complete_hypergraph(10), (0, 1, 2, 3), 0.5, 0.1, True, None),
+            (LI_PATH_H, LI_PATH_CYCLE, 0.5, 0.1, False, None),
+            (SIDE_TWO_H, (0, 1, 2, 3), 0.9, 0.5, True, (32, True)),
+            (SIDE_TWO_H, (0, 1, 2, 3), 0.9, 0.1, False, (6, False))):
+        params = est_params(p=p, epsilon=epsilon, trials=64)
+        need = coverability._least_hits(64, epsilon)
         searches, disk, masks = coverability._sampled_coverability(H, cyc,
                                                                    params)
+        hits, asked = _kernel(searches, disk, masks, need)
+        assert (hits >= need) == coverable
+        assert coverability._coverable(H, cyc, params) == coverable
+        if stop is None:
+            assert asked == []
+            continue
+        tried, open_ = _tried(searches, disk, masks, asked)
         event = coverability._event(searches, disk)
-        asked = []
-        assert (coverability._trial_hits(
-            lambda m: asked.append(m) or event(m), masks,
-            need) >= need) == coverable
-        assert coverability._decided(searches, disk, masks,
-                                     params.epsilon) == coverable
         count, outcome = stop
-        assert [event(m) for m in asked].count(outcome) == count
-        assert event(asked[-1]) == outcome
-        assert len(asked) < 64
+        assert [event(m) for m in tried].count(outcome) == count
+        assert event(tried[-1]) == outcome
+        assert len(tried) < len(open_) == 63
 
 
 def _screen_case(n, density, host_seed, data):
@@ -737,7 +789,8 @@ def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
     """A mask meeting a vertex joined to both ends of a search is a hit; one
     that misses an end neighbourhood of every search is a miss, which the
     screen concludes only without a disk searcher, under PYRAMID_ONLY and
-    for admissibility. Every other mask stays open."""
+    for admissibility. The kernel asks nothing of those masks, and asks
+    something of every other mask."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
     for searches, disk in (
@@ -748,7 +801,7 @@ def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
         event = coverability._event(searches, disk)
         ends = _ends(searches)
         for m in masks:
-            screened = coverability._screen(searches, disk, [m])
+            screened = _kernel(searches, disk, [m])
             if any(m & a & b for a, b in ends):
                 assert event(m)
                 assert screened == (1, [])
@@ -756,7 +809,8 @@ def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
                 assert not event(m)
                 assert screened == (0, [])
             else:
-                assert screened == (0, [m])
+                assert screened[0] == event(m)
+                assert screened[1] != []
 
 
 @settings(max_examples=60, deadline=None)
@@ -766,7 +820,7 @@ def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
        st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
 def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
                                            epsilon, p, strategy, data):
-    """`_coverable` and `_admissible` ask the event of the masks the screen
+    """`_coverable` and `_admissible` ask the kernel of the masks the screen
     leaves open, in order, and of none when the screened ones decide; with
     a disk searcher (EXHAUSTIVE_SMALL) only the hit screen applies."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
@@ -782,24 +836,61 @@ def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
         hit = [m for m in masks if any(m & a & b for a, b in ends)]
         open_ = [m for m in masks if m not in hit and (
             disk is not None or any(m & a and m & b for a, b in ends))]
-        assert coverability._screen(searches, disk, masks) == (len(hit), open_)
-        asked = []
-        real = coverability._trial_hits
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coverability, "_trial_hits",
-                       lambda event, ms, k=None: asked.append(ms)
-                       or real(event, ms, k))
-            decide()
+        assert [m for m in masks if _sure(searches, disk, m) is None] == open_
         left = need - len(hit)
-        assert asked == ([open_] if 0 < left <= len(open_) else [])
+        hits, asked = _kernel(searches, disk, masks, need)
+        if not 0 < left <= len(open_):
+            assert asked == []
+        else:
+            tried, _ = _tried(searches, disk, masks, asked)
+            held = [_kernel(searches, disk, [m])[0] for m in tried]
+
+            def fixed(k):
+                return (sum(held[:k]) >= left
+                        or k - sum(held[:k]) > len(open_) - left)
+
+            # up to the one that fixes the decision, open before it
+            assert fixed(len(tried))
+            assert not any(fixed(k) for k in range(len(tried)))
+        assert (hits >= need) == decide()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 7), st.sampled_from([0.4, 0.7, 1.0]),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
+def test_kernel_counts_the_event_over_every_mask(n, density, host_seed,
+                                                 strategy, data):
+    """Over all 2^n masks the kernel counts the masks on which `_event`, the
+    walks' predicate, holds: its searches from the ends never pass
+    through an end, as `path_exists` leaves both out of the interior."""
+    H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
+    masks = list(range(1 << n))
+    for searches, disk in (
+            coverability._coverability_event(H, cyc, strategy, 3),
+            coverability._admissibility_event(G, w, u, wp)):
+        event = coverability._event(searches, disk)
+        assert coverability._hits(searches, disk, masks) == sum(
+            map(event, masks))
+
+
+def test_kernel_never_passes_through_an_end():
+    # the ends 0 and 1 of the path 0 2 1 are joined, and their other
+    # neighbours 3 and 4 lead nowhere: no path avoids 2, but a search whose
+    # interior kept the ends could walk 3 0 1 4 and meet on the mask of all
+    # four
+    G = SkeletonGraph(range(5), [(0, 2), (2, 1), (0, 1), (0, 3), (1, 4)])
+    searches, disk = coverability._admissibility_event(G, 0, 2, 1)
+    assert coverability._hits(searches, disk, list(range(32))) == 0
+    assert exact_admissibility(G, 0, 2, 1, HALF) == 0
 
 
 def test_screens_decide_complete_host_without_a_path_search(monkeypatch):
     # on K_10 every vertex off the cycle joins both ends of each search, so
     # a mask holding one is a sure hit and a mask holding none a sure miss
     calls = []
-    real = coverability.path_exists
-    monkeypatch.setattr(coverability, "path_exists",
+    real = coverability._meets
+    monkeypatch.setattr(coverability, "_meets",
                         lambda *a: calls.append(a) or real(*a))
     assert coverability._coverable(complete_hypergraph(10), (0, 1, 2, 3),
                                    est_params(trials=64))
@@ -860,8 +951,9 @@ def test_second_side_link_intersection_only_when_searched(monkeypatch):
     params = est_params(p=0.9, epsilon=0.5, trials=64)
     searches, disk, masks = coverability._sampled_coverability(
         SIDE_TWO_H, (0, 1, 2, 3), params)
-    hits, open_ = coverability._screen(searches, disk, masks)
-    assert hits == 0 and len(open_) >= coverability._least_hits(64, 0.5)
+    sure = [_sure(searches, disk, m) for m in masks]
+    assert True not in sure
+    assert sure.count(None) >= coverability._least_hits(64, 0.5)
     del built[:]
     assert coverability._coverable(SIDE_TWO_H, (0, 1, 2, 3), params)
     assert built == [(0, 2), (1, 3)]
@@ -1176,6 +1268,40 @@ def test_pair_psi_missing_skeleton_edge_counts():
     # a common neighbour outside V(H) closes no 4-cycle of H either
     G = SkeletonGraph(range(6), [(0, 2), (1, 2), (0, 5), (1, 5)])
     assert pair_psi(H, G, 0, 1, est_params()).xi == 1
+
+
+def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
+    """pair_psi counts as non-coverable outright exactly the cycles
+    `_check_four_cycle` rejects, and decides every other one, in order:
+    with G the link graph of a denser host on V(H) rather than S(H), and
+    with G reaching past V(H), so that apexes and common neighbours lie
+    outside it."""
+    decided = []
+    monkeypatch.setattr(coverability, "_coverable",
+                        lambda H, cyc, params, li_apex=None:
+                        decided.append(cyc) or True)
+    H = random_hypergraph(12, 0.15, 0)
+    totals = Counter()
+    for G in (link(random_hypergraph(12, 0.5, 0), 0),
+              random_graph(15, 0.6, seed=1)):
+        for v, vp in combinations(G.vertices, 2):
+            rejected, valid = 0, []
+            for w, wp in combinations(sorted(G.adj[v] & G.adj[vp]), 2):
+                try:
+                    valid.append(coverability._check_four_cycle(
+                        H, (v, w, vp, wp)))
+                except ValueError:
+                    rejected += 1
+            del decided[:]
+            assert pair_psi(H, G, v, vp, est_params()).xi == rejected
+            assert decided == valid
+            outside = max(v, vp) >= H.n
+            totals[G.n, outside, "rejected"] += rejected
+            totals[G.n, outside, "valid"] += len(valid)
+    # each case meets both kinds of cycle; an apex outside V(H) only bad ones
+    assert all(totals[n, False, kind] for n in (11, 15)
+               for kind in ("rejected", "valid"))
+    assert totals[15, True, "rejected"] and not totals[15, True, "valid"]
 
 
 def test_triple_phi():

@@ -71,10 +71,20 @@ def test_glue_disks_complete():
     assert not (interiors[0] | interiors[1]) & cycle_verts
 
 
-def test_glue_disks_same_cycle_twice():
+def test_glue_disks_same_cycle_twice(monkeypatch):
+    # as the sphere finder passes it: the cycle is checked, and its two link
+    # intersections built, once
     H = complete_hypergraph(8)
     cyc = (0, 2, 1, 3)
+    calls = []
+    for name in ("_check_four_cycle", "link_intersection"):
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a, real=real, name=name:
+                            calls.append((name, a[1:])) or real(*a))
     disks = glue_disks(H, [cyc, cyc], DESK)
+    assert calls == [("_check_four_cycle", (cyc,)),
+                     ("link_intersection", (0, 1)),
+                     ("link_intersection", (2, 3))]
     assert not isinstance(disks, GlueFailure)
     assert union_of(disks).triangles == disks[0].triangles | disks[1].triangles
     assert not disks[0].interior_vertices() & disks[1].interior_vertices()
@@ -88,6 +98,10 @@ def test_glue_disks_hopeless_cycle():
     assert res.retries == 0
     assert "no pyramid disk" in res.detail
     assert res.cycle_failures[0] > 0
+    # listed twice, the cycle is tried once and reported at both places
+    res = glue_disks(H, [(0, 1, 2, 3)] * 2, DESK)
+    assert res.cycle_failures == (1, 1)
+    assert res.detail.startswith("cycle(s) [0, 1] admit no pyramid disk")
 
 
 def test_glue_disks_not_enough_free_vertices():
