@@ -248,7 +248,10 @@ def _cmd_gen(args) -> int:
 def _cmd_sweep(args) -> int:
     n_values = [int(x) for x in args.n.split(",")]
     c_values = [float(x) for x in args.c.split(",")]
-    params = _with_estimator(SearchParams(t=args.t), args)
+    if args.estimator_trials < 1:
+        raise ValueError("--estimator-trials must be positive")
+    params = _with_estimator(
+        SearchParams(t=args.t, trials=args.estimator_trials), args)
     params.estimator(args.target)  # range checks, before any host is drawn
     rows = threshold_sweep(args.target, n_values, c_values, args.trials,
                            args.seed, params=params, jobs=args.jobs,
@@ -363,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="estimator inclusion probability (default per target)")
     sp.add_argument("--epsilon", default=None,
                     help="estimator failure budget (default per target)")
-    sp.add_argument("--trials", type=int, default=8)
+    sp.add_argument("--trials", type=int, default=8,
+                    help="hosts per (n, c) cell")
+    sp.add_argument("--estimator-trials", type=int, default=64,
+                    help="trials per sampled coverability test")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--timing", action="store_true",
                     help="record wall-clock seconds (breaks byte reproducibility)")

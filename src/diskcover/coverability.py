@@ -36,19 +36,22 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .complexes import TwoComplex, cycle_edges, disk_defect
 from .hypergraph import (
     Hypergraph3,
     SkeletonGraph,
+    _bits,
     common_neighborhood,
     iter_p2s,
     link_intersection,
 )
-from .rng import trial_masks
+from .rng import row_masks, trial_bits, trial_masks
 
 PYRAMID_ONLY = "pyramid-only"
 EXHAUSTIVE_SMALL = "exhaustive-small"
@@ -59,6 +62,11 @@ _STREAM_ADMISSIBLE = 0xAD
 _STREAM_COVER = 0xC0
 
 _EXACT_LIMIT = 25
+
+# cycles per lane pass; the lane cap bounds the trial bits a pass holds
+# (cycles x trials x vertices) when the trial count is large
+_BLOCK = 64
+_BLOCK_LANES = 4096
 
 
 def _check_exact_size(n: int) -> None:
@@ -231,6 +239,42 @@ def _meets(adj: dict[int, int], front_a: int, front_b: int, interior: int,
         if layers is not None:
             layers[0].append(front_a)
     return False
+
+
+def _lane_paths(nbrs: list[list[int]], source: dict[int, int],
+                target: dict[int, int], interior: list[int]) -> int:
+    """The lanes in which a path of length >= 2 runs from a source to a
+    target through the interior: one breadth-first search over every lane
+    at once, the lanes being the bits of an int.
+
+    The graph is given by neighbour lists over vertices 0..len(nbrs) - 1.
+    source[x] and target[x] are the lanes in which x is an end (absent
+    when none), interior[x] those in which x may be an internal vertex;
+    it must leave out the lanes where x is an end. The first frontier is
+    the interior neighbours of the sources, and a lane hits once its
+    frontier meets a neighbour of its target; a hit lane stops growing.
+    """
+    n = len(nbrs)
+    goal, reach, seen = [0] * n, [0] * n, [0] * n
+    for ends, out in ((target, goal), (source, reach)):
+        for y, s in ends.items():
+            for x in nbrs[y]:
+                out[x] |= s
+    hit = 0
+    while True:
+        front = []
+        for x, r in enumerate(reach):
+            if r and (r := r & interior[x] & ~seen[x]):
+                seen[x] |= r
+                front.append((x, r))
+                hit |= r & goal[x]
+        if not front:
+            return hit
+        keep, reach = ~hit, [0] * n
+        for y, f in front:
+            if f := f & keep:
+                for x in nbrs[y]:
+                    reach[x] |= f
 
 
 def least_path(adj: dict[int, int], a: int, b: int,
@@ -815,6 +859,75 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon) -> WeightedAudi
 # pair and triple statistics
 
 
+def _lane_sets(bits: np.ndarray) -> list[int]:
+    """Column x of a 2-d bool matrix as the int whose bit i is entry
+    (i, x): for trial bits, the lanes in which vertex x is drawn."""
+    # packbits along a strided axis is several times slower than a copy
+    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1,
+                         bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
+                      pairs: list[tuple[int, int]],
+                      params: EstimatorParams) -> list[bool]:
+    """`_coverable` of each 4-cycle v w v' w' over the given pairs, which
+    must all be valid: one bit-sliced pass per block of cycles.
+
+    A lane is one (cycle, trial). Each cycle's trial bits are the matrix
+    behind its `trial_masks`; a block's are stacked and transposed into
+    one lane set per vertex, and the first pyramid side, w..w' in
+    LI(v, v'), runs as one `_lane_paths` over all the block's lanes. A
+    cycle with at least `need` side-1 hits is coverable. Any other runs
+    `_hits` over its side-1 misses with need - hits, on the second side
+    and the disk searcher under EXHAUSTIVE_SMALL only: the event is
+    side 1 or side 2 or a disk, so each decision is the full count's.
+    LI(v, v') is built once for all the cycles.
+    """
+    if not pairs:
+        return []
+    trials = params.trials
+    need = _least_hits(trials, params.epsilon)
+    width = max(H.n, 1)
+    li_apex = link_intersection(H, v, vp)
+    nbrs = [_bits(li_apex.adj_mask.get(x, 0)) for x in range(width)]
+    full = (1 << trials) - 1
+    size = max(1, min(_BLOCK, _BLOCK_LANES // trials))
+    out = []
+    for s in range(0, len(pairs), size):
+        block = pairs[s:s + size]
+        bits = np.empty((len(block), trials, width), bool)
+        for c, (w, wp) in enumerate(block):
+            bits[c] = trial_bits(params.seed, (_STREAM_COVER, v, w, vp, wp),
+                                 trials, width, params.p)
+        lanes = _lane_sets(bits.reshape(-1, width))
+        source: dict[int, int] = {}
+        target: dict[int, int] = {}
+        for c, (w, wp) in enumerate(block):
+            own = full << c * trials
+            source[w] = source.get(w, 0) | own
+            target[wp] = target.get(wp, 0) | own
+            lanes[w] &= ~own
+            lanes[wp] &= ~own
+        hit = _lane_paths(nbrs, source, target, lanes)
+        count = len(block) * trials
+        hits = np.unpackbits(
+            np.frombuffer(hit.to_bytes(count // 8 + 1, "little"), np.uint8),
+            count=count, bitorder="little").view(bool).reshape(-1, trials)
+        counts = hits.sum(axis=1)
+        # the side-1 misses of the cycles short of need, cycle by cycle
+        misses = iter(row_masks(bits[~hits & (counts < need)[:, None]]))
+        for (w, wp), h in zip(block, counts.tolist()):
+            if h < need:
+                searches, disk = _coverability_event(
+                    H, (v, w, vp, wp), params.strategy, params.max_interior,
+                    li_apex)
+                h += _hits(searches[1:], disk,
+                           list(islice(misses, trials - h)), need - h)
+            out.append(h >= need)
+    return out
+
+
 def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
                        pairs: Iterable[tuple[int, int]],
                        params: EstimatorParams) -> int:
@@ -826,8 +939,7 @@ def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
     vertex x of the pairs is checked once: the cycle is valid exactly
     when w and w' differ and each is a vertex of H with row(v)[x] and
     row(v')[x] both nonzero, which also keeps x off v and v' (row(v)[v]
-    is 0). The link intersection of v and v' is built once, when some
-    cycle is valid, and shared by all of them.
+    is 0). The valid cycles are decided together, by `_coverable_cycles`.
     """
     pairs = list(pairs)
     vertices = H.vertices
@@ -838,9 +950,7 @@ def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
             if x in vertices and rv[x] and rvp[x]}
     valid = [(w, wp) for w, wp in pairs
              if w != wp and w in good and wp in good]
-    li_apex = link_intersection(H, v, vp) if valid else None
-    return len(pairs) - len(valid) + sum(
-        not _coverable(H, (v, w, vp, wp), params, li_apex) for w, wp in valid)
+    return len(pairs) - sum(_coverable_cycles(H, v, vp, valid, params))
 
 
 def pair_psi(H: Hypergraph3, G: SkeletonGraph, v: int, vp: int,

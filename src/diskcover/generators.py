@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hypergraph import Hypergraph3, SkeletonGraph, code_decoder, complete_hypergraph
-from .rng import generator
+from .rng import _threshold, generator
 
 __all__ = [
     "random_hypergraph",
@@ -27,7 +27,7 @@ _S_CORPUS = 0x3C
 _CORPUS_N = (10, 200)
 _CORPUS_C = (0.5, 1.0, 2.0, 4.0, 8.0)
 
-# floats drawn per numpy step; any chunking reads the same stream
+# words drawn per numpy step; any chunking reads the same stream
 _DRAW_CHUNK = 1 << 16
 # the kept-triple buffer starts this many standard deviations above the
 # mean kept count, and only grows in the rare draw that overflows it
@@ -71,9 +71,12 @@ def random_hypergraphs(n: int, ps: Iterable[float],
 
 def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The codes of the triples whose float is below the top of grid
-    (ascending), and the level of each. The floats are drawn in chunks of
-    the lexicographic triple index, which is the same stream as one draw
-    of C(n, 3) floats; only the kept indices are decoded."""
+    (ascending), and the level of each. The raw Philox words behind the
+    floats are drawn in chunks of the lexicographic triple index, which is
+    the same stream as one draw of C(n, 3) floats, and compared with the
+    `_threshold` of each density, as `trial_bits` does: a word's float is
+    below p exactly when the word is below _threshold(p), so no float is
+    made. Only the kept indices are decoded."""
     decode = code_decoder(n)
     top = grid[-1] if grid.size else 0.0
     # nothing is kept at density 0, so nothing is drawn
@@ -82,11 +85,15 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     size = min(total, int(total * top + _SIGMAS * sqrt(total * top * (1 - top))))
     codes = np.empty(max(size, 0), np.int64)
     level = np.empty(codes.size, np.min_scalar_type(grid.size))
+    cut = _threshold(top)
+    below = [np.uint64(_threshold(g)) for g in grid[:-1]]
     m = 0
-    gen = generator(seed, _S_GNP3, n)
+    bits = generator(seed, _S_GNP3, n).bit_generator
     for s in range(0, total, _DRAW_CHUNK):
-        x = gen.random(min(_DRAW_CHUNK, total - s))
-        i = np.flatnonzero(x < top)
+        raw = bits.random_raw(min(_DRAW_CHUNK, total - s))
+        # at top = 1 the cut is 2^64, above every word: all are kept
+        i = (np.arange(raw.size) if cut >> 64
+             else np.flatnonzero(raw < np.uint64(cut)))
         if m + i.size > codes.size:
             size = min(total, max(2 * codes.size, m + i.size))
             codes, level = _grown(codes, m, size), _grown(level, m, size)
@@ -94,8 +101,9 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
         # a few comparisons beat a binary search per triple on a short grid
         lev = level[m:m + i.size]
         lev[:] = 0
-        for g in grid[:-1]:
-            lev += x[i] >= g
+        kept = raw[i]
+        for t in below:
+            lev += kept >= t
         m += i.size
     return codes[:m], level[:m]
 

@@ -25,8 +25,6 @@ _PHILOX = np.random.Philox(key=0)
 # a state copies its arrays.
 _STATE = _PHILOX.state
 _KEY = _STATE["state"]["key"]
-# 2^v for bit v of a 64-bit word
-_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def mix64(*parts: int) -> int:
@@ -60,29 +58,45 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0 ** 53) << 11
 
 
-def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,
-                p: float) -> list[int]:
-    """Per-trial inclusion samples as integer bitmasks (bit v = vertex v).
+def trial_bits(seed: int, stream: tuple[int, ...], trials: int, width: int,
+               p: float) -> np.ndarray:
+    """Per-trial inclusion samples as a (trials, width) bool matrix.
 
-    Bit v of mask i is set when the double `generator(seed, *stream)`
-    draws for row i, column v of a (trials, width) matrix is below p. The
-    masks are a pure function of (seed, stream, trials, width, p), so
+    Entry (i, v) is set when the double `generator(seed, *stream)` draws
+    for row i, column v of a (trials, width) matrix is below p. The
+    matrix is a pure function of (seed, stream, trials, width, p), so
     trials may be consumed in any order with identical results. The bits
     come from comparing raw Philox words with `_threshold(p)`, with no
-    doubles made. Each run of up to 64 columns becomes one Python int
-    per row through a product with the column weights 2^v, exact in
-    uint64 since the weights are distinct powers of two; wider rows OR
-    their later runs in at bit 64 j.
+    doubles made.
     """
     threshold = _threshold(p)
     if threshold >> 64:
-        return [(1 << width) - 1] * trials
+        return np.ones((trials, width), bool)
     _KEY[0] = mix64(seed, *stream)
     _PHILOX.state = _STATE
     raw = _PHILOX.random_raw(trials * width).reshape(trials, width)
-    bits = raw < np.uint64(threshold)
-    masks = (bits[:, :64] @ _WEIGHTS[:width]).tolist()
-    for j in range(64, width, 64):
-        run = (bits[:, j:j + 64] @ _WEIGHTS[:width - j]).tolist()
-        masks = [m | x << j for m, x in zip(masks, run)]
+    return raw < np.uint64(threshold)
+
+
+def row_masks(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-d bool matrix as an integer bitmask (bit v = column v).
+
+    The rows are packed eight columns to a byte, padded to whole 64-bit
+    words and read as little-endian uint64; wider rows OR their later
+    words in at bit 64 j.
+    """
+    rows, width = bits.shape
+    words = np.zeros((rows, max(1, -(-width // 64)) * 8), np.uint8)
+    words[:, :-(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    words = words.view("<u8")
+    masks = words[:, 0].tolist()
+    for j in range(1, words.shape[1]):
+        masks = [m | x << 64 * j for m, x in zip(masks, words[:, j].tolist())]
     return masks
+
+
+def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,
+                p: float) -> list[int]:
+    """The rows of `trial_bits(seed, stream, trials, width, p)` as integer
+    bitmasks (bit v = vertex v)."""
+    return row_masks(trial_bits(seed, stream, trials, width, p))

@@ -4,8 +4,10 @@ Everything here is implemented directly from the definitions, sharing no
 code with the library: subset enumeration for probabilities, DFS path
 enumeration for pyramid events, 2^F orientation search, and so on. The
 exceptions are the trial decoder, which reads the library's Philox
-stream through numpy's own float draws, and `lexicographic_disks`, which
-checks each triangle set with the library's `classify`.
+stream through numpy's own float draws, `lexicographic_disks`, which
+checks each triangle set with the library's `classify`, and
+`count_uncoverable`, the per-cycle loop the lane pass replaced, which
+decides each cycle with the library's single-cycle `_coverable`.
 Slow on purpose; only run on small instances.
 """
 
@@ -16,6 +18,8 @@ from itertools import combinations
 from math import comb
 
 from diskcover.complexes import DISK, TwoComplex, classify
+from diskcover.coverability import _coverable
+from diskcover.hypergraph import link_intersection
 from diskcover.rng import generator
 
 
@@ -337,3 +341,21 @@ def trial_matrix(seed, stream, trials, width, p):
     sample of trial i: numpy's doubles on the (seed, stream) Philox stream,
     compared with p, the reference that `trial_masks` decodes bit for bit."""
     return generator(seed, *stream).random((trials, width)) < p
+
+
+def count_uncoverable(H, v, vp, pairs, params):
+    """How many 4-cycles v w v' w' over the pairs fail the sampled test,
+    one cycle at a time: the reference for the lane pass behind
+    `pair_psi`. A cycle with a repeated vertex, a vertex outside H or an
+    edge missing from S(H) counts outright; every other is decided alone
+    by `_coverable`, over one shared LI(v, v')."""
+    pairs = list(pairs)
+    vertices = H.vertices
+    if v == vp or v not in vertices or vp not in vertices:
+        return len(pairs)
+    rv, rvp = H.row(v), H.row(vp)
+    valid = [(w, wp) for w, wp in pairs if w != wp
+             and all(x in vertices and rv[x] and rvp[x] for x in (w, wp))]
+    li_apex = link_intersection(H, v, vp) if valid else None
+    return len(pairs) - len(valid) + sum(
+        not _coverable(H, (v, w, vp, wp), params, li_apex) for w, wp in valid)

@@ -1,120 +1,107 @@
-"""Per-stage cost of the sampled coverability decisions of two benchmark
-workloads: `ktt_complete` (the K_4 finder on K_30) and `psi_random`
+"""Per-stage cost of the lane pass that decides the sampled 4-cycles of
+two benchmark workloads: `ktt_complete` (the K_4 finder on K_30, whose
+core stage estimates psi from sampled pairs) and `psi_random`
 (`pair_psi` on G(48, 0.3)).
 
     PYTHONPATH=src:perfbench python tests/decision_stages.py [ops] [repeats]
 
-The decisions of `ops` ops of each workload (default 3, seed 0) are
-recorded, then replayed stage by stage: the trial masks, the cycle check,
-the event description and the kernel's screen pass (with LI(v, v') when
-the decision builds it), LI(w, w') on the decisions whose path searches
-reach the second pyramid side, and the whole kernel, screen pass and path
-searches, with LI(w, w') already built. The last column is the whole
-decision, cycle check included. It prints one markdown table row per
-workload, times in µs per decision averaged over all of them, each the
-best of `repeats` runs (default 5). Not collected by pytest.
+The lane passes (`coverability._coverable_cycles`) of `ops` ops of each
+workload (default 3, seed 0) are recorded, then replayed `repeats` times
+(default 5) with each stage's functions timed: the trial bits of every
+cycle (`trial_bits`), their transpose into lane sets (`_lane_sets`), the
+first pyramid side over all lanes (`_lane_paths`), the link intersections
+(LI(v, v') once per pass, LI(w, w') when a second-side search needs it),
+and the second side of the cycles short of need (`_hits`, less the link
+intersections it builds). A stage is charged its calls' own time, less
+that of the timed calls inside them; `other` is the rest of the pass. It
+prints one markdown table row per workload, times in µs per decision
+from the fastest replay. It exits non-zero when a workload records no
+decisions, since its row would then measure nothing. Not collected by
+pytest.
 """
 
 import sys
 import time
+from collections import Counter
 
 import workloads
 from diskcover import coverability as cv
-from diskcover import search
-from diskcover.hypergraph import link_intersection
-from diskcover.rng import trial_masks
 
-
-def best(repeats, f):
-    """The least wall time of `repeats` calls of f."""
-    least = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        f()
-        least = min(least, time.perf_counter() - t0)
-    return least
+STAGES = {"draws": "trial_bits", "lane sets": "_lane_sets",
+          "side 1": "_lane_paths", "LI": "link_intersection",
+          "side 2": "_hits"}
 
 
 def record(wl, ops):
-    """The (H, cycle, params, li_apex) of every sampled coverability
-    decision of the first `ops` ops of a workload at seed 0."""
+    """The (H, v, vp, pairs, params) of every lane pass of the first
+    `ops` ops of a workload at seed 0."""
     calls = []
-    real = cv._coverable
+    real = cv._coverable_cycles
 
-    def recording(H, cyc, params, li_apex=None):
-        calls.append((H, cyc, params, li_apex))
-        return real(H, cyc, params, li_apex)
+    def recording(H, v, vp, pairs, params):
+        calls.append((H, v, vp, pairs, params))
+        return real(H, v, vp, pairs, params)
 
     state = wl.setup(0)
-    cv._coverable = search._coverable = recording
+    cv._coverable_cycles = recording
     try:
         for r in range(ops):
             for op in wl.round(state, 0, r):
                 wl.run(state, op)
     finally:
-        cv._coverable = search._coverable = real
+        cv._coverable_cycles = real
     return calls
 
 
-def stages(calls, repeats):
-    """Seconds per stage over all decisions, how many search, and how many
-    of those reach side 2."""
-    def masks(H, cyc, params):
-        return trial_masks(params.seed, (cv._STREAM_COVER, *cyc),
-                           params.trials, max(H.n, 1), params.p)
+def replay(calls):
+    """The whole time of one replay of the passes, the own time of each
+    stage in it, and how many calls each stage made."""
+    own, count, inner = Counter(), Counter(), []
 
-    def event(H, cyc, params, li_apex):
-        return cv._coverability_event(H, cyc, params.strategy,
-                                      params.max_interior, li_apex)
+    def timed(stage, f):
+        def run(*args):
+            inner.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return f(*args)
+            finally:
+                dt = time.perf_counter() - t0
+                own[stage] += dt - inner.pop()
+                count[stage] += 1
+                if inner:
+                    inner[-1] += dt
+        return run
 
-    drawn = [masks(H, cyc, params) for H, cyc, params, _ in calls]
-    # each decision's kernel arguments; a probe run records which rows the
-    # kernel fetches: the first side's once the screens leave the decision
-    # open, the second side's, LI(w, w'), once a search reaches it, which
-    # builds and keeps it for the timed runs
-    decisions, searched, side_two = [], 0, []
-    for (H, cyc, params, li_apex), ms in zip(calls, drawn):
-        searches, disk = event(H, cyc, params, li_apex)
-        need = cv._least_hits(len(ms), params.epsilon)
-        fetched = []
-        probe = tuple((ends, lambda adj=adj, i=i: fetched.append(i) or adj(),
-                       *rest)
-                      for i, (ends, adj, *rest) in enumerate(searches))
-        cv._hits(probe, disk, ms, need)
-        searched += 0 in fetched
-        if 1 in fetched:
-            side_two.append((H, cyc[1], cyc[3]))
-        decisions.append((searches, disk, ms, need))
-    times = {
-        "masks": best(repeats, lambda: [masks(H, cyc, params)
-                                        for H, cyc, params, _ in calls]),
-        "check": best(repeats, lambda: [cv._check_four_cycle(H, cyc)
-                                        for H, cyc, _, _ in calls]),
-        # need = 0 is fixed by the screen pass alone
-        "screens": best(repeats, lambda: [
-            cv._hits(*event(H, cyc, params, li_apex), ms, 0)
-            for (H, cyc, params, li_apex), ms in zip(calls, drawn)]),
-        "LI(w, w')": best(repeats, lambda: [
-            link_intersection(H, w, wp) for H, w, wp in side_two]),
-        "kernel": best(repeats, lambda: [cv._hits(*d) for d in decisions]),
-        "whole": best(repeats, lambda: [
-            cv._coverable(H, cv._check_four_cycle(H, cyc), params, li_apex)
-            for H, cyc, params, li_apex in calls]),
-    }
-    return times, searched, len(side_two)
+    real = {name: getattr(cv, name) for name in STAGES.values()}
+    for stage, name in STAGES.items():
+        setattr(cv, name, timed(stage, real[name]))
+    try:
+        t0 = time.perf_counter()
+        for call in calls:
+            cv._coverable_cycles(*call)
+        whole = time.perf_counter() - t0
+    finally:
+        for name, f in real.items():
+            setattr(cv, name, f)
+    return whole, own, count
 
 
 def main(ops: int = 3, repeats: int = 5) -> None:
-    print("| workload | decisions | searched | reach LI(w, w') | masks | "
-          "check | screens | LI(w, w') | kernel | whole |")
-    print("|---" * 10 + "|")
+    print("| workload | decisions | short of need | "
+          + " | ".join(STAGES) + " | other | whole |")
+    print("|---" * (len(STAGES) + 5) + "|")
     for wl in (workloads.KttComplete(), workloads.PsiRandom()):
         calls = record(wl, ops)
-        times, searched, side_two = stages(calls, repeats)
-        cells = " | ".join(f"{t / len(calls) * 1e6:.1f}"
-                           for t in times.values())
-        print(f"| `{wl.name}` | {len(calls)} | {searched} | {side_two} | "
-              f"{cells} |")
+        decisions = sum(len(pairs) for _, _, _, pairs, _ in calls)
+        if not decisions:
+            sys.exit(f"error: {wl.name} recorded no lane-pass decisions "
+                     f"in {ops} ops")
+        whole, own, count = min((replay(calls) for _ in range(repeats)),
+                                key=lambda run: run[0])
+        times = [own[stage] for stage in STAGES]
+        times += [whole - sum(times), whole]
+        cells = " | ".join(f"{t / decisions * 1e6:.1f}" for t in times)
+        print(f"| `{wl.name}` | {decisions} | {count['side 2']} | {cells} |")
 
 
 if __name__ == "__main__":

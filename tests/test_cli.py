@@ -389,6 +389,36 @@ def test_sweep_bad_estimator_parameter_is_usage_error(capsys, monkeypatch,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_sweep_passes_the_estimator_trials(capsys, monkeypatch):
+    # 64 by default, as in SearchParams, and the count given otherwise
+    seen = []
+    monkeypatch.setattr(cli, "threshold_sweep",
+                        lambda *a, params, **k: seen.append(params) or [])
+    argv = ("sweep", "--target", "ktt", "--n", "12", "--c", "1")
+    for extra in ((), ("--estimator-trials", "7")):
+        assert run(capsys, *argv, *extra)[0] == 0
+    assert [params.trials for params in seen] == [64, 7]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x", "1.5"])
+def test_sweep_bad_estimator_trials_is_usage_error(capsys, monkeypatch,
+                                                   value):
+    # a count below 1 is rejected before any host is drawn, a non-integer
+    # by argparse; either way one error line names the option
+    monkeypatch.setattr(cli, "threshold_sweep",
+                        lambda *a, **k: pytest.fail("a host was drawn"))
+    try:
+        code = main(["sweep", "--target", "ktt", "--n", "12", "--c", "1",
+                     "--estimator-trials", value])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and "--estimator-trials" in lines[0]
+
+
 def _set_cycle_int(doc):
     doc["cycles"][0] = 7
 
@@ -537,6 +567,8 @@ _FUZZ_ARGV = st.one_of(
                                min_size=1, max_size=3).map(",".join)),
           _opt("--t", _T), _opt("--p", _NUM), _opt("--epsilon", _NUM),
           _opt("--trials", _mostly(st.sampled_from(["1", "2"]), st.just("0"))),
+          _opt("--estimator-trials", _mostly(st.sampled_from(["1", "64"]),
+                                             st.sampled_from(["0", "-2", "x"]))),
           _opt("--seed", _INT),
           _opt("--jobs", st.just("1")), _flag("--timing"), _OUT),
     st.lists(_NUM | _TARGET, max_size=3),

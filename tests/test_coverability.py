@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -28,8 +29,9 @@ from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
 from diskcover.experiments import audit_corpus
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
-                                  complete_hypergraph, iter_p2s, link,
-                                  link_intersection, skeleton)
+                                  common_neighborhood, complete_hypergraph,
+                                  iter_p2s, link, link_intersection,
+                                  skeleton)
 
 HALF = Fraction(1, 2)
 
@@ -1275,11 +1277,15 @@ def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
     `_check_four_cycle` rejects, and decides every other one, in order:
     with G the link graph of a denser host on V(H) rather than S(H), and
     with G reaching past V(H), so that apexes and common neighbours lie
-    outside it."""
+    outside it. The valid cycles reach the lane pass, which is patched to
+    record them and call each one coverable."""
     decided = []
-    monkeypatch.setattr(coverability, "_coverable",
-                        lambda H, cyc, params, li_apex=None:
-                        decided.append(cyc) or True)
+
+    def record(H, v, vp, pairs, params):
+        decided.extend((v, w, vp, wp) for w, wp in pairs)
+        return [True] * len(pairs)
+
+    monkeypatch.setattr(coverability, "_coverable_cycles", record)
     H = random_hypergraph(12, 0.15, 0)
     totals = Counter()
     for G in (link(random_hypergraph(12, 0.5, 0), 0),
@@ -1302,6 +1308,71 @@ def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
     assert all(totals[n, False, kind] for n in (11, 15)
                for kind in ("rejected", "valid"))
     assert totals[15, True, "rejected"] and not totals[15, True, "valid"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([12, 70]), st.sampled_from([0.02, 0.2, 0.3, 0.5]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([PYRAMID_ONLY,
+                                                     EXHAUSTIVE_SMALL]),
+       st.integers(1, 70), st.sampled_from([0.1, 0.5, 0.999999]),
+       st.sampled_from([0.05, 0.3, 0.7]))
+def test_lane_pass_matches_per_cycle_loop(n, density, host_seed, strategy,
+                                          trials, p, epsilon):
+    """The lane pass decides each cycle as `_coverable` does alone, so its
+    count equals the per-cycle reference: at 70 vertices, where a trial
+    mask spans two words, with up to 150 pairs, more than one block of
+    64 (or of 4096 // trials) cycles, and with apexes and pairs drawn past
+    V(H), so that repeated vertices and missing edges occur. At densities
+    0.2 and 0.3 many cycles fall short on the first side and turn on
+    second-side searches, as on the `psi_random` host."""
+    H = random_hypergraph(n, density, host_seed)
+    params = est_params(p=p, epsilon=epsilon, trials=trials,
+                        seed=host_seed % 97, strategy=strategy,
+                        max_interior=1)
+    rng = random.Random(host_seed)
+    v, vp = rng.randrange(n + 2), rng.randrange(n + 2)
+    # the disk searcher runs on every open trial, so fewer pairs there
+    count = rng.randrange(151 if strategy == PYRAMID_ONLY else 13)
+    pairs = [(rng.randrange(n + 2), rng.randrange(n + 2))
+             for _ in range(count)]
+    assert (coverability._count_uncoverable(H, v, vp, pairs, params)
+            == bf.count_uncoverable(H, v, vp, pairs, params))
+    if v != vp and max(v, vp) < n:
+        valid = [(w, wp) for w, wp in pairs if w != wp and _cycle_ok(
+            H, (v, w, vp, wp))]
+        assert coverability._coverable_cycles(H, v, vp, valid, params) == [
+            coverability._coverable(H, (v, w, vp, wp), params)
+            for w, wp in valid]
+
+
+def _cycle_ok(H, cyc) -> bool:
+    try:
+        coverability._check_four_cycle(H, cyc)
+    except ValueError:
+        return False
+    return True
+
+
+def test_pair_psi_on_the_benchmark_host():
+    """One pair_psi over the 1,035 cycles of a G(48, 0.3) pair at 64 trials,
+    where most cycles fall short on the first side, gives the per-cycle
+    reference's xi, and holds the trial bits of one block of 64 cycles
+    at a time, not of all of them: the bits of all 1,035 take 3.2 MB,
+    two copies of one block 0.4 MB."""
+    H = random_hypergraph(48, 0.3, 0)
+    G = skeleton(H)
+    params = est_params(trials=64)
+    pair_psi(H, G, 0, 1, params)  # warm the host's link rows
+    tracemalloc.start()
+    try:
+        stats = pair_psi(H, G, 2, 3, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
+    assert stats.codeg == 46
+    pairs = combinations(sorted(common_neighborhood(G, (2, 3))), 2)
+    assert stats.xi == bf.count_uncoverable(H, 2, 3, pairs, params)
 
 
 def test_triple_phi():
