@@ -184,8 +184,7 @@ def pyramid_disk(v: int, vp: int, path: Sequence[int]) -> TwoComplex:
 # bitmask path search
 
 
-def path_exists(adj: dict[int, int], a: int, b: int, interior: int,
-                layers: list[list[int]] | None = None) -> bool:
+def path_exists(adj: dict[int, int], a: int, b: int, interior: int) -> bool:
     """Whether a path a..b of length >= 2 runs through `interior`.
 
     The direct edge ab is left out and the internal vertices are
@@ -193,41 +192,30 @@ def path_exists(adj: dict[int, int], a: int, b: int, interior: int,
     is the prologue of `_meets`, which runs the search from the two
     first frontiers, the neighbours of a and of b in the interior.
 
-    Given `layers = [from_a, from_b]`, each frontier is appended to its
-    own side's list, so from_a[i] is the mask of interior vertices at
-    distance i + 1 from a, and from_b[j] the same from b; `least_path`
-    reads the path off them. The outer list is reversed whenever the
-    two sides swap, so read the two lists, not `layers`, afterwards.
-
     `adj` must be symmetric (bit y of adj[x] set iff bit x of adj[y]
     is), since the search from b follows rows backwards.
     """
     if a not in adj or b not in adj:
         return False
     interior &= ~((1 << a) | (1 << b))
-    return _meets(adj, adj[a] & interior, adj[b] & interior, interior, layers)
+    return _meets(adj, adj[a] & interior, adj[b] & interior, interior)
 
 
-def _meets(adj: dict[int, int], front_a: int, front_b: int, interior: int,
-           layers: list[list[int]] | None = None) -> bool:
+def _meets(adj: dict[int, int], front_a: int, front_b: int,
+           interior: int) -> bool:
     """Whether breadth-first searches from the first frontiers front_a and
     front_b meet inside `interior`, which must leave out both ends: the
-    frontier loop of `path_exists`, which records its `layers`.
+    frontier loop of `path_exists`.
 
     It grows the smaller frontier, and succeeds as soon as the two
     reached sets meet; it fails when either frontier empties.
     """
     seen_a, seen_b = front_a, front_b
-    if layers is not None:
-        layers[0].append(front_a)
-        layers[1].append(front_b)
     while front_a and front_b:
         if seen_a & seen_b:
             return True
         if front_a.bit_count() > front_b.bit_count():
             front_a, seen_a, front_b, seen_b = front_b, seen_b, front_a, seen_a
-            if layers is not None:
-                layers.reverse()
         step = 0
         f = front_a
         while f:
@@ -236,9 +224,34 @@ def _meets(adj: dict[int, int], front_a: int, front_b: int, interior: int,
             step |= adj[low.bit_length() - 1]
         front_a = step & interior & ~seen_a
         seen_a |= front_a
-        if layers is not None:
-            layers[0].append(front_a)
     return False
+
+
+def _layers(adj: dict[int, int], end: int, reach: int,
+            goal: int = 0) -> tuple[dict[int, int], list[int]]:
+    """A breadth-first search from `end` through the `reach` mask, which
+    must leave out `end`: the distance of each vertex whose row it read,
+    and the layer masks, layer i holding the vertices at distance i + 1.
+
+    It stops at the first layer that meets `goal`, before reading that
+    layer's rows, so the last layer is then the first to meet it.
+    """
+    dist, layers = {}, []
+    front, seen, k = adj[end] & reach, 0, 1
+    while front:
+        layers.append(front)
+        if front & goal:
+            break
+        seen |= front
+        step = 0
+        while front:
+            low = front & -front
+            front ^= low
+            x = low.bit_length() - 1
+            dist[x] = k
+            step |= adj[x]
+        front, k = step & reach & ~seen, k + 1
+    return dist, layers
 
 
 def _lane_paths(nbrs: list[list[int]], source: dict[int, int],
@@ -282,23 +295,22 @@ def least_path(adj: dict[int, int], a: int, b: int,
     """The lexicographically smallest shortest path a..b of length >= 2
     through `interior`, or None when `path_exists` finds none.
 
-    It reads the layers `path_exists` records. That search stops at the
-    first check where the two reached sets meet, and the check before it
-    failed, so when from_a and from_b end at indices p and q a shortest
-    path has p + q + 2 edges and its (p + 1)-th internal vertex lies in
-    from_a[p] & from_b[q]. A backward pass keeps the vertices of each
-    earlier layer of from_a that reach that meeting set; the forward
-    pass then takes the smallest kept neighbour of the previous vertex
-    at each step. Past the meeting set every neighbour in the next layer
-    of from_b lies on a shortest path, so those layers need no pruning.
+    The layers from a (`_layers`) stop at the first that meets N(b), so
+    a shortest path has one internal vertex per layer, the last in that
+    layer & N(b). A backward pass keeps the vertices of each earlier
+    layer that reach that meeting set; the forward pass then takes the
+    smallest kept neighbour of the previous vertex at each step.
     """
-    from_a: list[int] = []
-    from_b: list[int] = []
-    if not path_exists(adj, a, b, interior, [from_a, from_b]):
+    if a not in adj or b not in adj:
         return None
-    target = from_a[-1] & from_b[-1]
+    interior &= ~((1 << a) | (1 << b))
+    goal = adj[b]
+    _, layers = _layers(adj, a, interior, goal)
+    target = layers[-1] & goal if layers else 0
+    if not target:
+        return None
     kept = [target]
-    for layer in reversed(from_a[:-1]):
+    for layer in reversed(layers[:-1]):
         keep = 0
         f = layer
         while f:
@@ -309,7 +321,7 @@ def least_path(adj: dict[int, int], a: int, b: int,
         kept.append(keep)
         target = keep
     path = [a]
-    for layer in kept[::-1] + from_b[:-1][::-1]:
+    for layer in reversed(kept):
         cand = layer & adj[path[-1]]
         path.append((cand & -cand).bit_length() - 1)
     path.append(b)
@@ -477,32 +489,15 @@ def _hits(searches, disk: "_DiskSearcher | None", masks: list[int],
 def _order(searches, universe: list[int]) -> list[int]:
     """The universe for the lattice walk, nearest both ends first: x goes
     by the least over the searches of (dist(a, x) + dist(x, b), dist(a, x)),
-    then by x, distances running through the search's interior and the
-    universe. A vertex no search reaches lies on no path; it goes last,
-    where the walk is decided and never branches."""
+    then by x, distances (`_layers`) running through the search's interior
+    and the universe. A vertex no search reaches lies on no path; it goes
+    last, where the walk is decided and never branches."""
     umask = sum(1 << x for x in universe)
     far = 2 * len(universe) + 1  # above any sum of two distances
-
-    def dist(adj: dict[int, int], end: int, reach: int) -> dict[int, int]:
-        """Distances from `end` of the vertices it reaches; the rest are far."""
-        d = {}
-        front, seen, k = adj[end] & reach, 0, 1
-        while front:
-            seen |= front
-            step = 0
-            while front:
-                low = front & -front
-                front ^= low
-                x = low.bit_length() - 1
-                d[x] = k
-                step |= adj[x]
-            front, k = step & reach & ~seen, k + 1
-        return d
-
     best: list[tuple[int, int, int]] = []
     for _, adj, a, b, interior in searches:
         adj = adj()
-        da, db = dist(adj, a, umask & interior), dist(adj, b, umask & interior)
+        da, db = (_layers(adj, end, umask & interior)[0] for end in (a, b))
         keys = []
         for x in universe:
             xa = da.get(x, far)
@@ -705,19 +700,15 @@ class _DiskSearcher:
 
 
 def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],
-                                allowed_interior: Iterable[int] | None = None,
                                 max_interior: int = 3) -> TwoComplex | None:
     """A boundary-inducing disk of H with the given 4-cycle boundary, or None.
 
     Searches exhaustively over disks with at most `max_interior` interior
-    vertices, optionally restricted to a pool of allowed interior
     vertices. Intended as a small-instance oracle. Raises ValueError
     unless the cycle lists four distinct vertices of H.
     """
     searcher = _DiskSearcher(H, _check_four_vertices(H, cycle), max_interior)
-    mask = ((1 << H.n) - 1 if allowed_interior is None
-            else sum(1 << v for v in set(allowed_interior)))
-    return searcher.find(mask)
+    return searcher.find((1 << H.n) - 1)
 
 
 def _coverability_event(H: Hypergraph3, cyc: tuple[int, int, int, int],
@@ -859,15 +850,6 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon) -> WeightedAudi
 # pair and triple statistics
 
 
-def _lane_sets(bits: np.ndarray) -> list[int]:
-    """Column x of a 2-d bool matrix as the int whose bit i is entry
-    (i, x): for trial bits, the lanes in which vertex x is drawn."""
-    # packbits along a strided axis is several times slower than a copy
-    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1,
-                         bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
                       pairs: list[tuple[int, int]],
                       params: EstimatorParams) -> list[bool]:
@@ -900,7 +882,7 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
         for c, (w, wp) in enumerate(block):
             bits[c] = trial_bits(params.seed, (_STREAM_COVER, v, w, vp, wp),
                                  trials, width, params.p)
-        lanes = _lane_sets(bits.reshape(-1, width))
+        lanes = row_masks(bits.reshape(-1, width).T)
         source: dict[int, int] = {}
         target: dict[int, int] = {}
         for c, (w, wp) in enumerate(block):

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hypergraph import Hypergraph3, SkeletonGraph, code_decoder, complete_hypergraph
-from .rng import _threshold, generator
+from .rng import _threshold, generator, trial_bits
 
 __all__ = [
     "random_hypergraph",
@@ -135,10 +135,7 @@ def random_graph(n: int, p: float, seed: int) -> SkeletonGraph:
     """Binomial random graph on n vertices, deterministic per (n, seed)."""
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
-    if p == 0:
-        return SkeletonGraph(range(n), ())
-    draws = generator(seed, _S_GNP2, n).random(comb(n, 2))
-    keep = draws < p
+    [keep] = trial_bits(seed, (_S_GNP2, n), 1, comb(n, 2), p).tolist()
     edges = [e for e, k in zip(combinations(range(n), 2), keep) if k]
     return SkeletonGraph(range(n), edges)
 

@@ -32,6 +32,8 @@ from typing import Callable, Iterable, Iterator, KeysView
 
 import numpy as np
 
+from .rng import row_masks
+
 # codes stay below n^3, which must fit in an int64
 _MAX_N = 1 << 21
 # codes scattered per numpy step, so temporaries stay a few MB
@@ -60,17 +62,6 @@ def _bits(m: int) -> list[int]:
 def _check_vertex_count(n: int) -> None:
     if not 0 <= n < _MAX_N:
         raise ValueError(f"vertex count must lie in 0..{_MAX_N - 1}")
-
-
-def code_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """For each first vertex a, the pair (a*n^2, codes b*n + c of all b, c with
-    a < b < c): the C(n-a-1, 2) triples of block a in lexicographic order.
-    Raises ValueError for an n outside the range a host accepts."""
-    _check_vertex_count(n)
-    b, c = np.triu_indices(n, 1)
-    bc = b * n + c
-    for a in range(n - 2):
-        yield a * n * n, bc[bc.size - comb(n - a - 1, 2):]
 
 
 def code_decoder(n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -105,14 +96,6 @@ def _last_vertices(n: int, codes: np.ndarray) -> np.ndarray:
     return last
 
 
-def _bitmask_rows(adj: np.ndarray, n: int) -> list[int]:
-    """Each row i of an n x n bool array, flat or not, as the int with bit j =
-    adj[i, j]."""
-    w = (n + 7) // 8
-    packed = np.packbits(adj.reshape(n, n), axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(packed[i:i + w], "little") for i in range(0, n * w, w or 1)]
-
-
 def _link_row(n: int, codes: np.ndarray, last: np.ndarray, u: int) -> tuple[int, ...]:
     """Entry w is the mask of w' with uww' in H. Triples with u first are one
     run of codes, with u second one run per smaller first vertex, and with
@@ -131,7 +114,7 @@ def _link_row(n: int, codes: np.ndarray, last: np.ndarray, u: int) -> tuple[int,
     adj = np.zeros(nn, dtype=bool)
     adj[pairs] = True
     adj[pairs % n * n + pairs // n] = True
-    return tuple(_bitmask_rows(adj, n))
+    return tuple(row_masks(adj.reshape(n, n)))
 
 
 class Hypergraph3:
@@ -329,7 +312,7 @@ def skeleton(H: Hypergraph3) -> SkeletonGraph:
         adj[a * n + code - ab * n] = True
     adj = adj.reshape(n, n)
     adj |= adj.T
-    return SkeletonGraph._from_masks(dict(enumerate(_bitmask_rows(adj, n))))
+    return SkeletonGraph._from_masks(dict(enumerate(row_masks(adj))))
 
 
 def link(H: Hypergraph3, u: int) -> SkeletonGraph:
@@ -374,8 +357,15 @@ def codegree(G: SkeletonGraph, vs: Iterable[int]) -> int:
 
 
 def complete_hypergraph(n: int) -> Hypergraph3:
-    """All C(n,3) triples on n vertices."""
-    blocks = [base + bc for base, bc in code_blocks(n)]
+    """All C(n,3) triples on n vertices. Raises ValueError for an n outside
+    the range a host accepts."""
+    _check_vertex_count(n)
+    b, c = np.triu_indices(n, 1)
+    bc = b * n + c
+    # block a, the triples with first vertex a, pairs a with the last
+    # C(n-a-1, 2) codes b*n + c, in lexicographic order
+    blocks = [a * n * n + bc[bc.size - comb(n - a - 1, 2):]
+              for a in range(n - 2)]
     return Hypergraph3._from_codes(n, np.concatenate((np.empty(0, np.int64), *blocks)))
 
 

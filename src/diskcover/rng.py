@@ -79,19 +79,27 @@ def trial_bits(seed: int, stream: tuple[int, ...], trials: int, width: int,
 
 
 def row_masks(bits: np.ndarray) -> list[int]:
-    """Each row of a 2-d bool matrix as an integer bitmask (bit v = column v).
+    """Each row of a 2-d bool matrix as an integer bitmask (bit v = column v):
+    the one encoder of bit rows in the package.
 
-    The rows are packed eight columns to a byte, padded to whole 64-bit
-    words and read as little-endian uint64; wider rows OR their later
-    words in at bit 64 j.
+    The rows are packed eight columns to a byte. Up to 128 columns they
+    are padded to whole 64-bit words and read as little-endian uint64,
+    a second word ORed in at bit 64; a wider row is read by one
+    `int.from_bytes`.
     """
     rows, width = bits.shape
-    words = np.zeros((rows, max(1, -(-width // 64)) * 8), np.uint8)
-    words[:, :-(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    # packbits along a strided axis is several times slower than a copy
+    packed = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
+    if width > 128:
+        w, flat = packed.shape[1], packed.tobytes()
+        return [int.from_bytes(flat[i:i + w], "little")
+                for i in range(0, rows * w, w)]
+    words = np.zeros((rows, 8 if width <= 64 else 16), np.uint8)
+    words[:, :packed.shape[1]] = packed
     words = words.view("<u8")
     masks = words[:, 0].tolist()
-    for j in range(1, words.shape[1]):
-        masks = [m | x << 64 * j for m, x in zip(masks, words[:, j].tolist())]
+    if width > 64:
+        masks = [m | x << 64 for m, x in zip(masks, words[:, 1].tolist())]
     return masks
 
 

@@ -52,7 +52,7 @@ from .hypergraph import (
     link_intersection,
     skeleton,
 )
-from .rng import generator
+from .rng import generator, row_masks
 from .verify import verify_certificate
 
 _S_LINK = 0x51
@@ -200,19 +200,15 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
         gen = generator(params.seed, _S_GLUE, attempt)
         parts = np.zeros((k, H.n), dtype=bool)
         parts[part_of, free[gen.permutation(len(free))]] = True
-        rows = np.packbits(parts, axis=1, bitorder="little")
         disks: list[TwoComplex] = []
-        failed = -1
-        for i in range(k):
-            part_mask = int.from_bytes(rows[i].tobytes(), "little")
+        for i, part_mask in enumerate(row_masks(parts)):
             disk = _cycle_pyramid(cycs[i], sides[cycs[i]], part_mask)
             if disk is None:
-                failed = i
+                fail_counts[i] += 1
                 break
             disks.append(disk)
-        if failed < 0:
+        else:
             return disks
-        fail_counts[failed] += 1
     return GlueFailure(_GLUE_RETRIES, tuple(fail_counts),
                        "partition budget exhausted")
 

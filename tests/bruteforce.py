@@ -274,6 +274,16 @@ def random_triples(draw_floats, n, p):
     return [t for t, x in zip(combinations(range(n), 3), draws) if x < p]
 
 
+def random_pairs(draw_floats, n, p):
+    """The binomial graph as first defined: one draw of C(n, 2) floats from
+    draw_floats(k), zipped with the pairs in combinations order; a pair is
+    kept when its float is below p. p = 0 draws nothing."""
+    if p == 0:
+        return []
+    draws = draw_floats(comb(n, 2))
+    return [e for e, x in zip(combinations(range(n), 2), draws) if x < p]
+
+
 def lexicographic_disks(triples, cycle, allowed, max_interior):
     """Every boundary-inducing disk made of triples, with boundary the 4-cycle
     and at most max_interior interior vertices, all in `allowed`, as

@@ -8,8 +8,9 @@ core stage estimates psi from sampled pairs) and `psi_random`
 The lane passes (`coverability._coverable_cycles`) of `ops` ops of each
 workload (default 3, seed 0) are recorded, then replayed `repeats` times
 (default 5) with each stage's functions timed: the trial bits of every
-cycle (`trial_bits`), their transpose into lane sets (`_lane_sets`), the
-first pyramid side over all lanes (`_lane_paths`), the link intersections
+cycle (`trial_bits`), their transpose into lane sets and the packing of
+the side-1 misses into trial masks (`row_masks`), the first pyramid side
+over all lanes (`_lane_paths`), the link intersections
 (LI(v, v') once per pass, LI(w, w') when a second-side search needs it),
 and the second side of the cycles short of need (`_hits`, less the link
 intersections it builds). A stage is charged its calls' own time, less
@@ -27,7 +28,7 @@ from collections import Counter
 import workloads
 from diskcover import coverability as cv
 
-STAGES = {"draws": "trial_bits", "lane sets": "_lane_sets",
+STAGES = {"draws": "trial_bits", "lane sets": "row_masks",
           "side 1": "_lane_paths", "LI": "link_intersection",
           "side 2": "_hits"}
 

@@ -167,20 +167,26 @@ def test_path_rule_matches_brute_force(verts, data):
 
 @settings(max_examples=300, deadline=None)
 @given(_VERTS, st.data())
-def test_path_exists_layers_are_distance_layers(verts, data):
-    """Each recorded layer i is the set of interior vertices at distance
-    i + 1 from its own end, in the graph on the interior and that end."""
+def test_layers_are_distance_layers(verts, data):
+    """Layer i of the search from either end is the set of interior
+    vertices at distance i + 1 from that end, in the graph on the interior
+    and that end, and each of them has that distance. Given a goal, the
+    layers stop at the first that meets it."""
     pairs, a, b, interior = _path_case(verts, data)
+    goal = data.draw(st.integers(0, (1 << 12) - 1))
     allowed = {x for x in verts if (interior >> x) & 1} - {a, b}
-    from_a, from_b = [], []
-    path_exists(SkeletonGraph(verts, pairs).adj_mask, a, b, interior,
-                [from_a, from_b])
-    for end, recorded in ((a, from_a), (b, from_b)):
+    reach = interior & ~((1 << a) | (1 << b))
+    adj = SkeletonGraph(verts, pairs).adj_mask
+    for end in (a, b):
         g = nx.Graph(pairs).subgraph(allowed | {end})
         dist = nx.single_source_shortest_path_length(g, end) if end in g else {}
-        assert recorded
-        for i, layer in enumerate(recorded):
-            assert layer == sum(1 << x for x, d in dist.items() if d == i + 1)
+        dist.pop(end, None)
+        want = [sum(1 << x for x, d in dist.items() if d == i)
+                for i in range(1, max(dist.values(), default=0) + 1)]
+        assert coverability._layers(adj, end, reach) == (dist, want)
+        first = next((i for i, layer in enumerate(want) if layer & goal),
+                     len(want) - 1)
+        assert coverability._layers(adj, end, reach, goal)[1] == want[:first + 1]
 
 
 class _CountingAdj(dict):
@@ -1060,7 +1066,7 @@ def test_disk_search_classifies_each_accepted_leaf_once(monkeypatch):
 
     monkeypatch.setattr(complexes, "classify", counting)
     disk = find_boundary_inducing_disk(complete_hypergraph(8), (0, 1, 2, 3),
-                                       range(4, 8), 3)
+                                       max_interior=3)
     assert disk is not None and calls == [disk]
 
 
@@ -1072,6 +1078,13 @@ def test_find_boundary_inducing_disk_on_complete():
     assert c.kind == "Disk"
     assert is_boundary_inducing(disk)
     assert set(boundary(disk).cycle) == {0, 1, 2, 3}
+
+
+def _disk_inside(H, cycle, allowed, max_interior):
+    """The disk search with its interior confined to the `allowed` pool, as
+    the EXHAUSTIVE_SMALL sampler runs it on each trial mask."""
+    searcher = coverability._DiskSearcher(H, cycle, max_interior)
+    return searcher.find(sum(1 << v for v in allowed))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1089,8 +1102,9 @@ def test_disk_search_matches_brute_force(host, data):
     cycle = tuple(data.draw(st.permutations(range(n)))[:4])
     allowed = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
     max_interior = data.draw(st.integers(1, 3))
-    found = find_boundary_inducing_disk(Hypergraph3(n, triples), cycle,
-                                        allowed, max_interior)
+    H = Hypergraph3(n, triples)
+    found = (find_boundary_inducing_disk(H, cycle, max_interior)
+             if allowed is None else _disk_inside(H, cycle, allowed, max_interior))
     pool = range(n) if allowed is None else allowed
     disks = set(bf.lexicographic_disks(triples, cycle, pool, max_interior))
     assert (found is not None) == bool(disks)
@@ -1123,7 +1137,7 @@ def test_exhaustive_small_at_its_default_budget(host, data):
     interiors = {frozenset(v for t in disk for v in t) - set(cyc)
                  for disk in disks}
     for allowed in bf.subsets(set(range(n)) - set(cyc)):
-        found = find_boundary_inducing_disk(H, cyc, allowed, 3)
+        found = _disk_inside(H, cyc, allowed, 3)
         assert (found is not None) == any(inner <= allowed for inner in interiors)
         assert found is None or found.triangles in disks
     sets = [U for U in bf.subsets(range(n)) if bf.pyramid_event(triples, cyc, U)

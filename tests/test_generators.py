@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 import diskcover.generators as generators
-from diskcover.generators import (_S_GNP3, clique_pendant_graph, random_graph,
-                                  random_graph_corpus, random_hypergraph,
-                                  random_hypergraphs)
+from diskcover.generators import (_S_GNP2, _S_GNP3, clique_pendant_graph,
+                                  random_graph, random_graph_corpus,
+                                  random_hypergraph, random_hypergraphs)
 from diskcover.hypergraph import Hypergraph3, complete_hypergraph
 from diskcover.rng import generator
 
@@ -116,6 +116,25 @@ def test_random_graph_basic():
     assert G.edges == random_graph(20, 0.4, seed=11).edges
     assert set(random_graph(20, 0.1, seed=11).edges) <= set(G.edges)
     assert len(random_graph(8, 1.0, seed=0).edges) == comb(8, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40),
+       st.one_of(st.sampled_from([0.0, 1.0, 1e-9, 1 - 2.0 ** -53]),
+                 st.floats(0, 1)),
+       st.integers(0, 2 ** 40))
+@example(0, 0.5, 1)
+@example(1, 1.0, 1)
+@example(2, 1.0, 1)
+@example(30, 0.0, 3)
+@example(30, 1 - 2.0 ** -53, 3)
+def test_random_graph_matches_one_shot_definition(n, p, seed):
+    """The graph keeps pair i when the i-th double of its stream is below
+    p: the word-compare draw gives the float draw's graph."""
+    want = bf.random_pairs(generator(seed, _S_GNP2, n).random, n, p)
+    G = random_graph(n, p, seed)
+    assert sorted(G.vertices) == list(range(n))
+    assert sorted(G.edges) == want
 
 
 def test_clique_pendant_structure():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruteforce import trial_matrix
-from diskcover.rng import generator, mix64, trial_masks
+from diskcover.rng import generator, mix64, row_masks, trial_masks
 
 
 def test_mix64_stable_and_sensitive():
@@ -56,3 +58,19 @@ def test_trial_masks_extreme_p():
     assert all(m == 0 for m in trial_masks(0, (0,), 8, 12, 0.0))
     full = (1 << 12) - 1
     assert all(m == full for m in trial_masks(0, (0,), 8, 12, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([0, 1, 63, 64, 65, 128, 129, 4096]), st.integers(0, 5),
+       st.floats(0, 1), st.integers(0, 2 ** 32), st.booleans())
+def test_row_masks_match_per_bit_reference(width, rows, density, seed,
+                                           transposed):
+    """Bit v of mask i is entry (i, v), on both sides of the 128-column
+    switch from words to bytes, and for a strided (transposed) matrix."""
+    rnd = np.random.default_rng(seed)
+    if transposed:
+        bits = (rnd.random((width, rows)) < density).T
+    else:
+        bits = rnd.random((rows, width)) < density
+    want = [sum(1 << v for v in range(width) if row[v]) for row in bits]
+    assert row_masks(bits) == want

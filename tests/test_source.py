@@ -1,6 +1,7 @@
 """Source checks that need no linter: unused imports and dead private names
-in the package, the functions the benchmark tracer wraps, and the CLI
-functions that may catch ValueError, read with `ast` alone."""
+in the package, the functions the benchmark tracer wraps, the one module
+that packs bit rows, and the CLI functions that may catch ValueError, read
+with `ast` alone."""
 
 import ast
 import importlib
@@ -94,6 +95,14 @@ def test_traced_functions_exist():
                if not callable(getattr(
                    importlib.import_module(f"diskcover.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_only_rng_packs_bit_rows():
+    # rng.row_masks is the one encoder of bit rows, so their format stays
+    # behind one module
+    packers = [name for name, tree in MODULES.items()
+               if name != "rng.py" and "packbits" in _referenced(tree)]
+    assert packers == []
 
 
 def _catches_value_error(handler: ast.ExceptHandler) -> bool:
