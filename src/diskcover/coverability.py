@@ -51,7 +51,7 @@ from .hypergraph import (
     iter_p2s,
     link_intersection,
 )
-from .rng import row_masks, trial_bits, trial_masks
+from .rng import keyed_bits, mask_bits, mix64, row_masks, trial_masks
 
 PYRAMID_ONLY = "pyramid-only"
 EXHAUSTIVE_SMALL = "exhaustive-small"
@@ -854,11 +854,16 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
                       pairs: list[tuple[int, int]],
                       params: EstimatorParams) -> list[bool]:
     """`_coverable` of each 4-cycle v w v' w' over the given pairs, which
-    must all be valid: one bit-sliced pass per block of cycles.
+    must all be valid: one screen or one bit-sliced pass per block of
+    cycles.
 
     A lane is one (cycle, trial). Each cycle's trial bits are the matrix
-    behind its `trial_masks`; a block's are stacked and transposed into
-    one lane set per vertex, and the first pyramid side, w..w' in
+    behind its `trial_masks`. When every cycle of a block has one-vertex
+    pyramids, C = LI(v, v')[w] & LI(v, v')[w'] nonempty, one numpy
+    screen counts each cycle's trials that meet C, the sure hits of
+    `_hits`; if each count reaches `need`, the block is coverable and no
+    lane is built. Otherwise the block's bits are stacked and transposed
+    into one lane set per vertex, and the first pyramid side, w..w' in
     LI(v, v'), runs as one `_lane_paths` over all the block's lanes. A
     cycle with at least `need` side-1 hits is coverable. Any other runs
     `_hits` over its side-1 misses with need - hits, on the second side
@@ -872,7 +877,9 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
     need = _least_hits(trials, params.epsilon)
     width = max(H.n, 1)
     li_apex = link_intersection(H, v, vp)
-    nbrs = [_bits(li_apex.adj_mask.get(x, 0)) for x in range(width)]
+    adj = li_apex.adj_mask
+    nbrs = None
+    prefix = mix64(params.seed, _STREAM_COVER, v)
     full = (1 << trials) - 1
     size = max(1, min(_BLOCK, _BLOCK_LANES // trials))
     out = []
@@ -880,8 +887,14 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
         block = pairs[s:s + size]
         bits = np.empty((len(block), trials, width), bool)
         for c, (w, wp) in enumerate(block):
-            bits[c] = trial_bits(params.seed, (_STREAM_COVER, v, w, vp, wp),
+            bits[c] = keyed_bits(mix64(w, vp, wp, key=prefix),
                                  trials, width, params.p)
+        pyramids = [adj[w] & adj[wp] for w, wp in block]
+        if all(pyramids) and _sure_hits(bits, pyramids).min() >= need:
+            out += [True] * len(block)
+            continue
+        if nbrs is None:
+            nbrs = [_bits(adj.get(x, 0)) for x in range(width)]
         lanes = row_masks(bits.reshape(-1, width).T)
         source: dict[int, int] = {}
         target: dict[int, int] = {}
@@ -892,10 +905,7 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
             lanes[w] &= ~own
             lanes[wp] &= ~own
         hit = _lane_paths(nbrs, source, target, lanes)
-        count = len(block) * trials
-        hits = np.unpackbits(
-            np.frombuffer(hit.to_bytes(count // 8 + 1, "little"), np.uint8),
-            count=count, bitorder="little").view(bool).reshape(-1, trials)
+        hits = mask_bits([hit], len(block) * trials).reshape(-1, trials)
         counts = hits.sum(axis=1)
         # the side-1 misses of the cycles short of need, cycle by cycle
         misses = iter(row_masks(bits[~hits & (counts < need)[:, None]]))
@@ -908,6 +918,14 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
                            list(islice(misses, trials - h)), need - h)
             out.append(h >= need)
     return out
+
+
+def _sure_hits(bits: np.ndarray, pyramids: list[int]) -> np.ndarray:
+    """How many trials of each cycle c hold a one-vertex pyramid, a vertex
+    of pyramids[c], given the (cycles, trials, width) trial bits: one
+    boolean product (an OR of ANDs) with the sets as bool columns."""
+    sets = mask_bits(pyramids, bits.shape[2])
+    return np.matmul(bits, sets[:, :, None]).sum(axis=(1, 2))
 
 
 def _count_uncoverable(H: Hypergraph3, v: int, vp: int,

@@ -27,9 +27,12 @@ _STATE = _PHILOX.state
 _KEY = _STATE["state"]["key"]
 
 
-def mix64(*parts: int) -> int:
-    """Combine integers into one 64-bit stream key (SplitMix64 chain)."""
-    h = 0x9E3779B97F4A7C15
+def mix64(*parts: int, key: int = 0x9E3779B97F4A7C15) -> int:
+    """Combine integers into one 64-bit stream key (SplitMix64 chain).
+
+    The chain runs on from `key`, so mix64(*a, *b) == mix64(*b,
+    key=mix64(*a)): a prefix many keys share can be mixed once."""
+    h = key
     for part in parts:
         h = (h ^ (part & _MASK64)) & _MASK64
         h = (h * 0xBF58476D1CE4E5B9) & _MASK64
@@ -69,10 +72,16 @@ def trial_bits(seed: int, stream: tuple[int, ...], trials: int, width: int,
     come from comparing raw Philox words with `_threshold(p)`, with no
     doubles made.
     """
+    return keyed_bits(mix64(seed, *stream), trials, width, p)
+
+
+def keyed_bits(key: int, trials: int, width: int, p: float) -> np.ndarray:
+    """`trial_bits(seed, stream, trials, width, p)` given the stream key
+    mix64(seed, *stream) in place of seed and stream."""
     threshold = _threshold(p)
     if threshold >> 64:
         return np.ones((trials, width), bool)
-    _KEY[0] = mix64(seed, *stream)
+    _KEY[0] = key
     _PHILOX.state = _STATE
     raw = _PHILOX.random_raw(trials * width).reshape(trials, width)
     return raw < np.uint64(threshold)
@@ -101,6 +110,16 @@ def row_masks(bits: np.ndarray) -> list[int]:
     if width > 64:
         masks = [m | x << 64 for m, x in zip(masks, words[:, 1].tolist())]
     return masks
+
+
+def mask_bits(masks: list[int], width: int) -> np.ndarray:
+    """The inverse of `row_masks`: masks below 2^width as the rows of a
+    (len(masks), width) bool matrix, bit v in column v."""
+    nbytes = width // 8 + 1
+    flat = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    return np.unpackbits(
+        np.frombuffer(flat, np.uint8).reshape(len(masks), nbytes), axis=1,
+        count=width, bitorder="little").view(bool)
 
 
 def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,

@@ -250,12 +250,20 @@ def _sampled_psi(H: Hypergraph3, G: SkeletonGraph, v: int, vp: int,
     codeg = len(common)
     if codeg < 2:
         return Fraction(0)
-    pairs = list(combinations(common, 2))
-    if len(pairs) > _PAIR_SAMPLE:
-        idx = gen.permutation(len(pairs))[:_PAIR_SAMPLE]
-        pairs = [pairs[i] for i in sorted(idx)]
+    total = comb(codeg, 2)
+    idx = np.arange(total)
+    if total > _PAIR_SAMPLE:
+        idx = np.sort(gen.permutation(total)[:_PAIR_SAMPLE])
+    # unrank: pair (i, j), i < j, is number start[i] + j - i - 1 of the
+    # lexicographic listing, start[i] = i (2 codeg - i - 1) / 2
+    i = np.arange(codeg - 1)
+    start = i * (2 * codeg - i - 1) // 2
+    first = np.searchsorted(start, idx, side="right") - 1
+    second = idx - start[first] + first + 1
+    pairs = [(common[a], common[b])
+             for a, b in zip(first.tolist(), second.tolist())]
     bad = _count_uncoverable(H, v, vp, pairs, est)
-    return Fraction(bad, len(pairs)) * comb(codeg, 2) / codeg
+    return Fraction(bad, len(pairs)) * total / codeg
 
 
 def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):

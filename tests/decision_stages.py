@@ -8,14 +8,17 @@ core stage estimates psi from sampled pairs) and `psi_random`
 The lane passes (`coverability._coverable_cycles`) of `ops` ops of each
 workload (default 3, seed 0) are recorded, then replayed `repeats` times
 (default 5) with each stage's functions timed: the trial bits of every
-cycle (`trial_bits`), their transpose into lane sets and the packing of
-the side-1 misses into trial masks (`row_masks`), the first pyramid side
-over all lanes (`_lane_paths`), the link intersections
-(LI(v, v') once per pass, LI(w, w') when a second-side search needs it),
-and the second side of the cycles short of need (`_hits`, less the link
-intersections it builds). A stage is charged its calls' own time, less
-that of the timed calls inside them; `other` is the rest of the pass. It
-prints one markdown table row per workload, times in µs per decision
+cycle (`keyed_bits`), the screen of the blocks whose cycles all have
+one-vertex pyramids (`_sure_hits`), the transpose of the other blocks'
+bits into lane sets and the packing of the side-1 misses into trial
+masks (`row_masks`), the first pyramid side over all lanes
+(`_lane_paths`), the link intersections (LI(v, v') once per pass,
+LI(w, w') when a second-side search needs it), and the second side of
+the cycles short of need (`_hits`, less the link intersections it
+builds). A stage is charged its calls' own time, less that of the timed
+calls inside them; `other` is the rest of the pass. It prints one
+markdown table row per workload: the blocks, how many the screen
+settled (those that ran no lane search), and times in µs per decision
 from the fastest replay. It exits non-zero when a workload records no
 decisions, since its row would then measure nothing. Not collected by
 pytest.
@@ -28,7 +31,8 @@ from collections import Counter
 import workloads
 from diskcover import coverability as cv
 
-STAGES = {"draws": "trial_bits", "lane sets": "row_masks",
+STAGES = {"draws": "keyed_bits", "screen": "_sure_hits",
+          "lane sets": "row_masks",
           "side 1": "_lane_paths", "LI": "link_intersection",
           "side 2": "_hits"}
 
@@ -88,12 +92,15 @@ def replay(calls):
 
 
 def main(ops: int = 3, repeats: int = 5) -> None:
-    print("| workload | decisions | short of need | "
+    print("| workload | decisions | blocks | settled | short of need | "
           + " | ".join(STAGES) + " | other | whole |")
-    print("|---" * (len(STAGES) + 5) + "|")
+    print("|---" * (len(STAGES) + 7) + "|")
     for wl in (workloads.KttComplete(), workloads.PsiRandom()):
         calls = record(wl, ops)
         decisions = sum(len(pairs) for _, _, _, pairs, _ in calls)
+        blocks = sum(-(-len(pairs) // max(1, min(
+            cv._BLOCK, cv._BLOCK_LANES // params.trials)))
+            for _, _, _, pairs, params in calls)
         if not decisions:
             sys.exit(f"error: {wl.name} recorded no lane-pass decisions "
                      f"in {ops} ops")
@@ -102,7 +109,9 @@ def main(ops: int = 3, repeats: int = 5) -> None:
         times = [own[stage] for stage in STAGES]
         times += [whole - sum(times), whole]
         cells = " | ".join(f"{t / decisions * 1e6:.1f}" for t in times)
-        print(f"| `{wl.name}` | {decisions} | {count['side 2']} | {cells} |")
+        settled = blocks - count["side 1"]
+        print(f"| `{wl.name}` | {decisions} | {blocks} | {settled} | "
+              f"{count['side 2']} | {cells} |")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from diskcover import complexes, coverability
+from diskcover.certificates import HomeomorphCertificate
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     CoverabilityEstimate, EstimatorParams,
@@ -32,6 +33,7 @@ from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
                                   common_neighborhood, complete_hypergraph,
                                   iter_p2s, link, link_intersection,
                                   skeleton)
+from diskcover.search import SearchParams, find_k_t_homeomorph
 
 HALF = Fraction(1, 2)
 
@@ -1325,7 +1327,7 @@ def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([12, 70]), st.sampled_from([0.02, 0.2, 0.3, 0.5]),
+@given(st.sampled_from([12, 70]), st.sampled_from([0.02, 0.2, 0.3, 0.5, 1.0]),
        st.integers(0, 2 ** 32 - 1), st.sampled_from([PYRAMID_ONLY,
                                                      EXHAUSTIVE_SMALL]),
        st.integers(1, 70), st.sampled_from([0.1, 0.5, 0.999999]),
@@ -1338,7 +1340,10 @@ def test_lane_pass_matches_per_cycle_loop(n, density, host_seed, strategy,
     64 (or of 4096 // trials) cycles, and with apexes and pairs drawn past
     V(H), so that repeated vertices and missing edges occur. At densities
     0.2 and 0.3 many cycles fall short on the first side and turn on
-    second-side searches, as on the `psi_random` host."""
+    second-side searches, as on the `psi_random` host. On the complete
+    host (density 1) every cycle has one-vertex pyramids, so the numpy
+    screen settles whole blocks, except at low p on 12 vertices, where
+    it leaves some to the lanes."""
     H = random_hypergraph(n, density, host_seed)
     params = est_params(p=p, epsilon=epsilon, trials=trials,
                         seed=host_seed % 97, strategy=strategy,
@@ -1357,6 +1362,60 @@ def test_lane_pass_matches_per_cycle_loop(n, density, host_seed, strategy,
         assert coverability._coverable_cycles(H, v, vp, valid, params) == [
             coverability._coverable(H, (v, w, vp, wp), params)
             for w, wp in valid]
+
+
+def test_screen_settles_complete_hosts_without_lanes(monkeypatch):
+    """On K_n every 4-cycle has one-vertex pyramids and every block of an
+    apex pair reaches need on them alone, so no lane set is packed and no
+    lane search runs, in `pair_psi` and in the K_4 finder on K_30."""
+    def forbidden(*args):
+        raise AssertionError("a screened block built lanes")
+
+    monkeypatch.setattr(coverability, "_lane_paths", forbidden)
+    monkeypatch.setattr(coverability, "row_masks", forbidden)
+    H = complete_hypergraph(30)
+    stats = pair_psi(H, skeleton(H), 0, 1, est_params(trials=64))
+    assert (stats.xi, stats.codeg) == (0, 28)
+    cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1))
+    assert isinstance(cert, HomeomorphCertificate)
+
+
+# K_12 without the triples 0 2 x but 0 2 1 and 0 2 3, so LI(0, 1)[2] is {3}
+# and the cycle 0 2 1 3 alone has no one-vertex pyramid
+PYRAMIDLESS_H = Hypergraph3(12, [t for t in complete_hypergraph(12).edges
+                                 if not (0 in t and 2 in t) or t[2] <= 3])
+# triples {v, a, b}, v in {0, 1}, a in 2..7, b in 8..10: a cycle 0 w 1 w'
+# over w, w' in 2..7 is covered exactly when U meets {8, 9, 10}
+BIPARTITE_H = Hypergraph3(11, [(v, a, b) for v in (0, 1)
+                               for a in range(2, 8) for b in (8, 9, 10)])
+
+
+@pytest.mark.parametrize("H, pairs, epsilon, pyramidless", [
+    (PYRAMIDLESS_H, list(combinations(range(2, 12), 2)), 0.1, [(2, 3)]),
+    (BIPARTITE_H, list(combinations(range(2, 8), 2)), 0.05, []),
+])
+def test_dense_blocks_the_screen_leaves_run_the_lanes(monkeypatch, H, pairs,
+                                                       epsilon, pyramidless):
+    """A block is left to the lane pass when one of its cycles has no
+    one-vertex pyramid, or when the screen's sure hits fall short of need:
+    on BIPARTITE_H seven trials in eight meet {8, 9, 10} at p = 1/2, short
+    of the 61 in 64 that epsilon = 1/20 needs, and a trial holding three
+    pyramids is still one sure hit. The lane pass then decides each cycle
+    as `_coverable` does alone, and the count is the per-cycle reference's."""
+    calls = []
+    real = coverability._lane_paths
+    monkeypatch.setattr(coverability, "_lane_paths",
+                        lambda *args: calls.append(1) or real(*args))
+    li = link_intersection(H, 0, 1).adj_mask
+    assert [(w, wp) for w, wp in pairs if not li[w] & li[wp]] == pyramidless
+    params = est_params(trials=64, epsilon=epsilon)
+    decided = coverability._coverable_cycles(H, 0, 1, pairs, params)
+    assert calls == [1]
+    assert decided == [coverability._coverable(H, (0, w, 1, wp), params)
+                       for w, wp in pairs]
+    assert not all(decided)
+    assert (coverability._count_uncoverable(H, 0, 1, pairs, params)
+            == bf.count_uncoverable(H, 0, 1, pairs, params))
 
 
 def _cycle_ok(H, cyc) -> bool:

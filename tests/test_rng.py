@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import trial_matrix
-from diskcover.rng import generator, mix64, row_masks, trial_masks
+from diskcover.rng import (generator, keyed_bits, mask_bits, mix64, row_masks,
+                           trial_bits, trial_masks)
 
 
 def test_mix64_stable_and_sensitive():
@@ -13,6 +14,21 @@ def test_mix64_stable_and_sensitive():
     assert a != mix64(1, 2, 4)
     assert a != mix64(1, 3, 2)
     assert 0 <= a < 2 ** 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=4),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=4))
+def test_mix64_prefix_mixed_once(prefix, rest):
+    """A key mixed on from its prefix's key is the full chain's key, as the
+    lane pass mixes (seed, stream tag, v) once per apex pair; and a stream
+    drawn from that key is the stream `trial_bits` draws."""
+    key = mix64(*rest, key=mix64(*prefix))
+    assert key == mix64(*prefix, *rest)
+    if len(prefix) == 2:
+        assert np.array_equal(keyed_bits(key, 5, 9, 0.3),
+                              trial_bits(prefix[0], (prefix[1], *rest), 5, 9,
+                                         0.3))
 
 
 def test_generator_streams_independent():
@@ -66,7 +82,8 @@ def test_trial_masks_extreme_p():
 def test_row_masks_match_per_bit_reference(width, rows, density, seed,
                                            transposed):
     """Bit v of mask i is entry (i, v), on both sides of the 128-column
-    switch from words to bytes, and for a strided (transposed) matrix."""
+    switch from words to bytes, and for a strided (transposed) matrix;
+    `mask_bits` turns the masks back into the matrix."""
     rnd = np.random.default_rng(seed)
     if transposed:
         bits = (rnd.random((width, rows)) < density).T
@@ -74,3 +91,4 @@ def test_row_masks_match_per_bit_reference(width, rows, density, seed,
         bits = rnd.random((rows, width)) < density
     want = [sum(1 << v for v in range(width) if row[v]) for row in bits]
     assert row_masks(bits) == want
+    assert np.array_equal(mask_bits(want, width), bits)

@@ -1,7 +1,9 @@
 import gc
+import random
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +15,9 @@ from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TARGETS,
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.generators import random_hypergraph
 from diskcover.coverability import EstimatorParams, pair_psi
-from diskcover.hypergraph import (Hypergraph3, complete_hypergraph, link,
-                                  link_intersection)
+from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
+                                  complete_hypergraph, link, link_intersection)
+from diskcover.rng import generator
 from diskcover.search import (FINDERS, GlueFailure, SearchFailure,
                               SearchParams, find_k_t_homeomorph,
                               find_projective_plane, find_sphere, find_torus,
@@ -274,6 +277,36 @@ def test_ktt_pattern_pools_are_built_once_per_core(monkeypatch):
                                SearchParams(t=4, p=0.5, epsilon=0.1))
     assert isinstance(cert, HomeomorphCertificate) and cert.retries == 8
     assert calls == [1] + [2] * 6 + [2] * 6 + [3] * 4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_psi_unranks_the_listed_pairs(monkeypatch, seed):
+    """The core stage's sample of common-neighbour pairs, unranked from
+    the sorted draw of `gen.permutation`, is the list the full lexicographic
+    listing gave, in order: every pair up to 20 of them, and from 21 (codeg
+    7) on the 20 sorted draws, with labels not 0..codeg - 1."""
+    pairs = []
+
+    def record(H, v, vp, sample, est):
+        pairs.append(sample)
+        return 0
+
+    monkeypatch.setattr(search, "_count_uncoverable", record)
+    H = complete_hypergraph(4)
+    est = EstimatorParams(p=0.5, epsilon=0.1)
+    rnd = random.Random(seed)
+    for codeg in range(0, 60):
+        common = sorted(rnd.sample(range(2, 200), codeg))
+        G = SkeletonGraph(range(200), [(x, c) for c in common for x in (0, 1)])
+        del pairs[:]
+        search._sampled_psi(H, G, 0, 1, est, generator(seed, codeg))
+        listed = list(combinations(common, 2))
+        if len(listed) > search._PAIR_SAMPLE:
+            idx = generator(seed, codeg).permutation(len(listed))
+            listed = [listed[i] for i in sorted(idx[:search._PAIR_SAMPLE])]
+        assert pairs == ([listed] if codeg >= 2 else [])
+        assert all(type(x) is int for sample in pairs for pair in sample
+                   for x in pair)
 
 
 def test_ktt_search_and_pair_psi_build_no_skeleton(monkeypatch):
