@@ -435,46 +435,43 @@ def _event(searches, disk: "_DiskSearcher | None") -> Callable[[int], bool]:
     return lambda m: paths(m) or disk.find(m) is not None
 
 
-def _hits(searches, disk: "_DiskSearcher | None", masks: list[int],
+def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
           need: int | None = None) -> int:
-    """How many masks the event holds on, asked in mask order.
+    """How many masks the event holds on, asked in mask order: a path found
+    by the one search, or else a disk found by the disk searcher.
 
-    One pass over the masks settles the sure ones from the ends each
-    search carries, reading no rows. A mask meeting both ends of a search
-    at one vertex holds a one-vertex path, a hit. A mask missing one end
-    of every search is a miss, except with a disk searcher, which can
-    hold where no path search starts. On each open mask m, in order, the
-    searches whose ends both meet m run from ends & m (`_meets`), the
-    second one's rows fetched on first use, then the disk searcher.
+    One pass over the masks settles the sure ones from the ends the
+    search carries, reading no rows. A mask meeting both ends at one
+    vertex holds a one-vertex path, a hit. A mask missing an end is a
+    miss, except with a disk searcher, which can hold where no path
+    search starts. The rows are fetched once some mask is left open; on
+    each open mask m, in order, the search runs from ends & m (`_meets`)
+    when both ends meet m, then the disk searcher.
 
     Given `need`, it stops as soon as whether hits >= need is fixed: after
     the screens, at the need-th hit, or at the miss that leaves too few
     masks to reach need. The count is then partial, but that decision is
     the one the full count gives.
     """
-    ((a1, b1), adj1, x1, y1, in1), ((a2, b2), adj2, x2, y2, in2) = (
-        *searches, ((0, 0), None, 0, 0, 0))[:2]
-    hit = a1 & b1 | a2 & b2
+    (a, b), adj, x, y, interior = search
+    hit = a & b
     hits = misses = 0
     open_ = []
     for m in masks:
         if m & hit:
             hits += 1
-        elif disk is None and not (m & a1 and m & b1 or m & a2 and m & b2):
+        elif disk is None and not (m & a and m & b):
             misses += 1
         else:
             open_.append(m)
     spare = len(masks) if need is None else len(masks) - need
-    if need is not None and hits >= need or misses > spare:
+    if not open_ or need is not None and hits >= need or misses > spare:
         return hits
-    rows1, rows2 = adj1(), None
-    in1 &= ~(1 << x1 | 1 << y1)
-    in2 &= ~(1 << x2 | 1 << y2)
+    rows = adj()
+    interior &= ~(1 << x | 1 << y)
     for m in open_:
-        if ((fa := m & a1) and (fb := m & b1)
-                and _meets(rows1, fa, fb, m & in1)
-                or (fa := m & a2) and (fb := m & b2)
-                and _meets(rows2 or (rows2 := adj2()), fa, fb, m & in2)
+        if ((fa := m & a) and (fb := m & b)
+                and _meets(rows, fa, fb, m & interior)
                 or disk is not None and disk.find(m) is not None):
             hits += 1
             if hits == need:
@@ -532,11 +529,13 @@ def _admissibility_event(G: SkeletonGraph, w: int, u: int, wp: int):
 
 def _sampled_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
                            params: EstimatorParams):
-    """The event of a path checked here, and its trial masks."""
+    """The one search and no disk searcher of a path checked here, and its
+    trial masks."""
     _check_p2(G, w, u, wp)
     masks = trial_masks(params.seed, (_STREAM_ADMISSIBLE, w, u, wp),
                         params.trials, max(G.vertices) + 1, params.p)
-    return (*_admissibility_event(G, w, u, wp), masks)
+    [search], disk = _admissibility_event(G, w, u, wp)
+    return search, disk, masks
 
 
 def sample_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
@@ -740,16 +739,6 @@ def _coverability_event(H: Hypergraph3, cyc: tuple[int, int, int, int],
                       else _DiskSearcher(H, cyc, max_interior))
 
 
-def _sampled_coverability(H: Hypergraph3, cyc: tuple[int, int, int, int],
-                          params: EstimatorParams,
-                          li_apex: SkeletonGraph | None = None):
-    """The event of a checked cycle, and its trial masks."""
-    masks = trial_masks(params.seed, (_STREAM_COVER, *cyc),
-                        params.trials, max(H.n, 1), params.p)
-    return (*_coverability_event(H, cyc, params.strategy, params.max_interior,
-                                 li_apex), masks)
-
-
 def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
                              params: EstimatorParams) -> CoverabilityEstimate:
     """Monte Carlo test that the 4-cycle is (p, epsilon)-disk-coverable.
@@ -758,19 +747,12 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     some boundary-inducing disk with this boundary has its interior
     inside U. The search family is set by params.strategy. Deterministic
     in (seed, trials, cycle labels); independent of evaluation order.
+    The count is the lane pass's over a single cycle (`_cycle_hits`).
     """
-    return CoverabilityEstimate.from_counts(
-        _hits(*_sampled_coverability(H, _check_four_cycle(H, cycle), params)),
-        params.trials, params.epsilon)
-
-
-def _coverable(H: Hypergraph3, cyc: tuple[int, int, int, int],
-               params: EstimatorParams,
-               li_apex: SkeletonGraph | None = None) -> bool:
-    """`sample_disk_coverability(H, cyc, params).decided_coverable` for a
-    checked cycle, stopping the trials once the decision is fixed."""
-    need = _least_hits(params.trials, params.epsilon)
-    return _hits(*_sampled_coverability(H, cyc, params, li_apex), need) >= need
+    v, w, vp, wp = _check_four_cycle(H, cycle)
+    [hits] = _cycle_hits(H, v, vp, [(w, wp)], params)
+    return CoverabilityEstimate.from_counts(hits, params.trials,
+                                            params.epsilon)
 
 
 def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
@@ -850,31 +832,32 @@ def weighted_inadmissibility_audit(G: SkeletonGraph, p, epsilon) -> WeightedAudi
 # pair and triple statistics
 
 
-def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
-                      pairs: list[tuple[int, int]],
-                      params: EstimatorParams) -> list[bool]:
-    """`_coverable` of each 4-cycle v w v' w' over the given pairs, which
+def _cycle_hits(H: Hypergraph3, v: int, vp: int,
+                pairs: list[tuple[int, int]], params: EstimatorParams,
+                need: int | None = None) -> list[int]:
+    """The hit count of each 4-cycle v w v' w' over the given pairs, which
     must all be valid: one screen or one bit-sliced pass per block of
-    cycles.
+    cycles. As in `_hits`, given `need` a count may be partial once
+    whether it reaches need is fixed; without it every count is exact.
 
     A lane is one (cycle, trial). Each cycle's trial bits are the matrix
-    behind its `trial_masks`. When every cycle of a block has one-vertex
-    pyramids, C = LI(v, v')[w] & LI(v, v')[w'] nonempty, one numpy
-    screen counts each cycle's trials that meet C, the sure hits of
-    `_hits`; if each count reaches `need`, the block is coverable and no
-    lane is built. Otherwise the block's bits are stacked and transposed
-    into one lane set per vertex, and the first pyramid side, w..w' in
-    LI(v, v'), runs as one `_lane_paths` over all the block's lanes. A
-    cycle with at least `need` side-1 hits is coverable. Any other runs
-    `_hits` over its side-1 misses with need - hits, on the second side
-    and the disk searcher under EXHAUSTIVE_SMALL only: the event is
-    side 1 or side 2 or a disk, so each decision is the full count's.
-    LI(v, v') is built once for all the cycles.
+    behind its `trial_masks`. Given `need`, when every cycle of a block
+    has one-vertex pyramids, C = LI(v, v')[w] & LI(v, v')[w'] nonempty,
+    one numpy screen counts each cycle's trials that meet C, the sure
+    hits of `_hits`; if each count reaches `need`, those counts stand and
+    no lane is built. Otherwise the block's bits are stacked and
+    transposed into one lane set per vertex, and the first pyramid side,
+    w..w' in LI(v, v'), runs as one `_lane_paths` over all the block's
+    lanes. A cycle short of `need` (of every trial, without it) then
+    runs `_hits` over its side-1 misses with need - hits, on the second
+    side and the disk searcher under EXHAUSTIVE_SMALL only: the event is
+    side 1 or side 2 or a disk, so each count, or decision, is the full
+    event's. LI(v, v') is built once for all the cycles.
     """
     if not pairs:
         return []
     trials = params.trials
-    need = _least_hits(trials, params.epsilon)
+    short = trials if need is None else need
     width = max(H.n, 1)
     li_apex = link_intersection(H, v, vp)
     adj = li_apex.adj_mask
@@ -890,8 +873,9 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
             bits[c] = keyed_bits(mix64(w, vp, wp, key=prefix),
                                  trials, width, params.p)
         pyramids = [adj[w] & adj[wp] for w, wp in block]
-        if all(pyramids) and _sure_hits(bits, pyramids).min() >= need:
-            out += [True] * len(block)
+        if need is not None and all(pyramids) and (
+                sure := _sure_hits(bits, pyramids)).min() >= need:
+            out += sure.tolist()
             continue
         if nbrs is None:
             nbrs = [_bits(adj.get(x, 0)) for x in range(width)]
@@ -907,16 +891,16 @@ def _coverable_cycles(H: Hypergraph3, v: int, vp: int,
         hit = _lane_paths(nbrs, source, target, lanes)
         hits = mask_bits([hit], len(block) * trials).reshape(-1, trials)
         counts = hits.sum(axis=1)
-        # the side-1 misses of the cycles short of need, cycle by cycle
-        misses = iter(row_masks(bits[~hits & (counts < need)[:, None]]))
+        # the side-1 misses of the cycles short, cycle by cycle
+        misses = iter(row_masks(bits[~hits & (counts < short)[:, None]]))
         for (w, wp), h in zip(block, counts.tolist()):
-            if h < need:
+            if h < short:
                 searches, disk = _coverability_event(
                     H, (v, w, vp, wp), params.strategy, params.max_interior,
                     li_apex)
-                h += _hits(searches[1:], disk,
-                           list(islice(misses, trials - h)), need - h)
-            out.append(h >= need)
+                h += _hits(searches[1], disk, list(islice(misses, trials - h)),
+                           None if need is None else need - h)
+            out.append(h)
     return out
 
 
@@ -939,7 +923,11 @@ def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
     vertex x of the pairs is checked once: the cycle is valid exactly
     when w and w' differ and each is a vertex of H with row(v)[x] and
     row(v')[x] both nonzero, which also keeps x off v and v' (row(v)[v]
-    is 0). The valid cycles are decided together, by `_coverable_cycles`.
+    is 0). The valid cycles of the one apex pair are decided together, in
+    one lane pass (`_cycle_hits`) that stops each count once it is fixed
+    against the least hit count. `pair_psi`, the K_t finder's core stage
+    (over sampled pairs) and its pattern stage (over the t - 2 special
+    cycles of each apex pair of a draw) all count here.
     """
     pairs = list(pairs)
     vertices = H.vertices
@@ -950,7 +938,9 @@ def _count_uncoverable(H: Hypergraph3, v: int, vp: int,
             if x in vertices and rv[x] and rvp[x]}
     valid = [(w, wp) for w, wp in pairs
              if w != wp and w in good and wp in good]
-    return len(pairs) - sum(_coverable_cycles(H, v, vp, valid, params))
+    need = _least_hits(params.trials, params.epsilon)
+    return len(pairs) - sum(
+        h >= need for h in _cycle_hits(H, v, vp, valid, params, need))
 
 
 def pair_psi(H: Hypergraph3, G: SkeletonGraph, v: int, vp: int,

@@ -37,7 +37,6 @@ from .coverability import (
     _admissible,
     _check_four_cycle,
     _count_uncoverable,
-    _coverable,
     least_path,
     pyramid_disk,
     triple_phi,
@@ -348,8 +347,12 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
         cand_cycles = tuple(
             (values[a], values[b], values[c], values[d])
             for a, b, c, d in pattern.special_cycles)
-        if all(_coverable(H, _check_four_cycle(H, cyc), est)
-               for cyc in cand_cycles):
+        # the t - 2 cycles v w v' w' of each apex pair (v, v'), in one pass
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for v, w, vp, wp in cand_cycles:
+            groups.setdefault((v, vp), []).append((w, wp))
+        if all(_count_uncoverable(H, v, vp, pairs, est) == 0
+               for (v, vp), pairs in groups.items()):
             embedding = {role_name(r): image[r] for r in pattern.roles}
             cycles = cand_cycles
             used_retries = retry

@@ -1,12 +1,15 @@
 """Per-stage cost of the lane pass that decides the sampled 4-cycles of
 two benchmark workloads: `ktt_complete` (the K_4 finder on K_30, whose
-core stage estimates psi from sampled pairs) and `psi_random`
+core stage estimates psi from sampled pairs and whose pattern stage
+decides the special cycles of each apex pair of a draw) and `psi_random`
 (`pair_psi` on G(48, 0.3)).
 
     PYTHONPATH=src:perfbench python tests/decision_stages.py [ops] [repeats]
 
-The lane passes (`coverability._coverable_cycles`) of `ops` ops of each
-workload (default 3, seed 0) are recorded, then replayed `repeats` times
+The lane passes (`coverability._cycle_hits`, with the least hit count
+each decision passes as `need`) of `ops` ops of each workload (default 3,
+seed 0) are recorded, so the `ktt_complete` row holds the core and the
+pattern stages' passes, then replayed `repeats` times
 (default 5) with each stage's functions timed: the trial bits of every
 cycle (`keyed_bits`), the screen of the blocks whose cycles all have
 one-vertex pyramids (`_sure_hits`), the transpose of the other blocks'
@@ -38,23 +41,23 @@ STAGES = {"draws": "keyed_bits", "screen": "_sure_hits",
 
 
 def record(wl, ops):
-    """The (H, v, vp, pairs, params) of every lane pass of the first
-    `ops` ops of a workload at seed 0."""
+    """The (H, v, vp, pairs, params, need) of every lane pass of the
+    first `ops` ops of a workload at seed 0."""
     calls = []
-    real = cv._coverable_cycles
+    real = cv._cycle_hits
 
-    def recording(H, v, vp, pairs, params):
-        calls.append((H, v, vp, pairs, params))
-        return real(H, v, vp, pairs, params)
+    def recording(H, v, vp, pairs, params, need=None):
+        calls.append((H, v, vp, pairs, params, need))
+        return real(H, v, vp, pairs, params, need)
 
     state = wl.setup(0)
-    cv._coverable_cycles = recording
+    cv._cycle_hits = recording
     try:
         for r in range(ops):
             for op in wl.round(state, 0, r):
                 wl.run(state, op)
     finally:
-        cv._coverable_cycles = real
+        cv._cycle_hits = real
     return calls
 
 
@@ -83,7 +86,7 @@ def replay(calls):
     try:
         t0 = time.perf_counter()
         for call in calls:
-            cv._coverable_cycles(*call)
+            cv._cycle_hits(*call)
         whole = time.perf_counter() - t0
     finally:
         for name, f in real.items():
@@ -97,10 +100,10 @@ def main(ops: int = 3, repeats: int = 5) -> None:
     print("|---" * (len(STAGES) + 7) + "|")
     for wl in (workloads.KttComplete(), workloads.PsiRandom()):
         calls = record(wl, ops)
-        decisions = sum(len(pairs) for _, _, _, pairs, _ in calls)
+        decisions = sum(len(pairs) for _, _, _, pairs, _, _ in calls)
         blocks = sum(-(-len(pairs) // max(1, min(
             cv._BLOCK, cv._BLOCK_LANES // params.trials)))
-            for _, _, _, pairs, params in calls)
+            for _, _, _, pairs, params, _ in calls)
         if not decisions:
             sys.exit(f"error: {wl.name} recorded no lane-pass decisions "
                      f"in {ops} ops")

@@ -33,6 +33,7 @@ from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
                                   common_neighborhood, complete_hypergraph,
                                   iter_p2s, link, link_intersection,
                                   skeleton)
+from diskcover.rng import trial_masks
 from diskcover.search import SearchParams, find_k_t_homeomorph
 
 HALF = Fraction(1, 2)
@@ -614,8 +615,8 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _kernel(searches, disk, masks, need=None):
-    """`_hits(searches, disk, masks, need)` and what it asked, in order: the
+def _kernel(search, disk, masks, need=None):
+    """`_hits(search, disk, masks, need)` and what it asked, in order: the
     (front_a, front_b, interior) of each `_meets` call and ("disk", m) for
     each disk searcher call."""
     asked = []
@@ -627,60 +628,87 @@ def _kernel(searches, disk, masks, need=None):
             find = disk.find
             mp.setattr(disk, "find",
                        lambda m: asked.append(("disk", m)) or find(m))
-        hits = coverability._hits(searches, disk, masks, need)
+        hits = coverability._hits(search, disk, masks, need)
     return hits, asked
 
 
-def _sure(searches, disk, m):
+def _sure(search, disk, m):
     """True for a mask the screens settle as a hit, False for one they
     settle as a miss, None for an open mask: the screens' rule, read off
-    each search's ends."""
-    ends = _ends(searches)
-    if any(m & a & b for a, b in ends):
+    the search's ends."""
+    a, b = _ends(search)
+    if m & a & b:
         return True
-    if disk is None and not any(m & a and m & b for a, b in ends):
+    if disk is None and not (m & a and m & b):
         return False
     return None
 
 
-def _tried(searches, disk, masks, asked):
+def _tried(search, disk, masks, asked):
     """The open masks the kernel asked, in order, and all the open masks:
     the asked ones are the prefix of the open ones whose calls, each
     asked alone, make up `asked`."""
-    open_ = [m for m in masks if _sure(searches, disk, m) is None]
+    open_ = [m for m in masks if _sure(search, disk, m) is None]
     tried, calls = [], []
     while calls != asked:
         tried.append(open_[len(tried)])
-        calls += _kernel(searches, disk, tried[-1:])[1]
+        calls += _kernel(search, disk, tried[-1:])[1]
     return tried, open_
 
 
-def _check_decision_path(searches, disk, masks, epsilon, outcomes) -> None:
+def _check_decision_path(search, disk, masks, need, outcomes) -> None:
     """The kernel counts the reference outcomes over all masks. Given need,
-    it gives the full count's decision after exactly the trials it takes
+    it gives the full count's decision after exactly the masks it takes
     to fix it: the screened masks first, then the open ones in mask order,
     asking nothing of a screened mask and of each open one what it asks
     of that mask alone."""
-    trials = len(masks)
-    need = min(h for h in range(trials + 1) if h / trials >= 1 - epsilon)
-    assert need == coverability._least_hits(trials, epsilon)
-    sure = [_sure(searches, disk, m) for m in masks]
+    spare = len(masks) - need
+    sure = [_sure(search, disk, m) for m in masks]
     hits, misses = sure.count(True), sure.count(False)
     asked_masks = []
-    if hits < need and misses <= trials - need:
+    if hits < need and misses <= spare:
         for m, known, hit in zip(masks, sure, outcomes):
             if known is None:
                 asked_masks.append(m)
                 hits += hit
                 misses += not hit
-                if hits >= need or misses > trials - need:
+                if hits >= need or misses > spare:
                     break
-    got, asked = _kernel(searches, disk, masks, need)
+    got, asked = _kernel(search, disk, masks, need)
     assert (got >= need) == (sum(outcomes) >= need)
-    alone = [_kernel(searches, disk, [m])[1] for m in asked_masks]
+    alone = [_kernel(search, disk, [m])[1] for m in asked_masks]
     assert all(alone)
     assert asked == [call for calls in alone for call in calls]
-    assert _kernel(searches, disk, masks)[0] == sum(outcomes)
+    assert _kernel(search, disk, masks)[0] == sum(outcomes)
+
+
+def _side_two(H, cyc, params):
+    """The trial masks of a checked cycle, the masks among them on which
+    the first pyramid side misses, and the second side's search and disk
+    searcher: what the lane pass hands `_hits` for a cycle short on the
+    first side."""
+    v, w, vp, wp = cyc
+    masks = trial_masks(params.seed, (coverability._STREAM_COVER, *cyc),
+                        params.trials, max(H.n, 1), params.p)
+    li = link_intersection(H, v, vp).adj_mask
+    misses = [m for m in masks if not path_exists(li, w, wp, m)]
+    searches, disk = coverability._coverability_event(
+        H, cyc, params.strategy, params.max_interior)
+    return masks, misses, searches[1], disk
+
+
+def _lane_pass(H, cyc, params, need=None):
+    """`_cycle_hits` of one cycle, and the (masks, need) of each `_hits`
+    call it made."""
+    calls = []
+    real = coverability._hits
+    v, w, vp, wp = cyc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverability, "_hits", lambda search, disk, masks, left:
+                   calls.append((masks, left))
+                   or real(search, disk, masks, left))
+        [hits] = coverability._cycle_hits(H, v, vp, [(w, wp)], params, need)
+    return hits, calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -696,73 +724,84 @@ def test_decision_path_matches_samplers(n, density, host_seed, trials,
     """Both samplers count, over their trial masks, what brute force counts:
     `bf.pyramid_event`, or a disk of `bf.lexicographic_disks` under
     EXHAUSTIVE_SMALL (budgets up to the default of three interior
-    vertices), and `bf.admissibility_event`. The stopping decisions
-    `_coverable` and `_admissible` agree with that count, and the kernel
-    stops where the count fixes them."""
+    vertices), and `bf.admissibility_event`. The lane pass counts a cycle
+    by handing `_hits` its first side's misses, all of them without need
+    and with need less the first side's hits once that is positive; the
+    stopping decisions agree with the full counts, and the kernel stops
+    where the count fixes them."""
     rng = random.Random(host_seed)
     triples = [t for t in combinations(range(n), 3) if rng.random() < density]
     H = Hypergraph3(n, triples)
     params = est_params(p=p, epsilon=epsilon, trials=trials,
                         seed=host_seed % 97, strategy=strategy,
                         max_interior=max_interior)
+    need = min(h for h in range(trials + 1) if h / trials >= 1 - epsilon)
+    assert need == coverability._least_hits(trials, epsilon)
     cycles = _valid_cycles(n, triples)
     assume(cycles)
     cyc = data.draw(st.sampled_from(cycles))
     interiors = [] if strategy == PYRAMID_ONLY else [
         frozenset(v for t in disk for v in t) - set(cyc) for disk in
         bf.lexicographic_disks(triples, cyc, range(n), max_interior)]
-    searches, disk, masks = coverability._sampled_coverability(H, cyc, params)
-    outcomes = [bf.pyramid_event(triples, cyc, U)
-                or any(inner <= U for inner in interiors)
-                for U in map(_members, masks)]
+    masks, misses, search, disk = _side_two(H, cyc, params)
+    held = {m: bf.pyramid_event(triples, cyc, U)
+            or any(inner <= U for inner in interiors)
+            for m, U in zip(masks, map(_members, masks))}
+    outcomes = [held[m] for m in masks]
     full = sample_disk_coverability(H, cyc, params)
     assert full.successes == sum(outcomes)
-    assert coverability._coverable(H, cyc, params) == full.decided_coverable
-    _check_decision_path(searches, disk, masks, epsilon, outcomes)
+    assert _lane_pass(H, cyc, params) == (full.successes, [(misses, None)]
+                                          if misses else [])
+    hits, calls = _lane_pass(H, cyc, params, need)
+    assert (hits >= need) == full.decided_coverable
+    left = need - (trials - len(misses))
+    assert calls == ([(misses, left)] if left > 0 else [])
+    if left > 0:
+        _check_decision_path(search, disk, misses, left,
+                             [held[m] for m in misses])
 
     G = skeleton(H)
     w, u, wp = data.draw(st.sampled_from(list(iter_p2s(G))))
-    searches, disk, masks = coverability._sampled_admissibility(G, w, u, wp,
-                                                                params)
+    search, disk, masks = coverability._sampled_admissibility(G, w, u, wp,
+                                                              params)
     edges = bf.skeleton_pairs(triples)
     outcomes = [bf.admissibility_event(edges, w, u, wp, U)
                 for U in map(_members, masks)]
     full = sample_admissibility(G, w, u, wp, params)
     assert full.successes == sum(outcomes)
     assert coverability._admissible(G, w, u, wp, params) == full.decided_coverable
-    _check_decision_path(searches, disk, masks, epsilon, outcomes)
+    _check_decision_path(search, disk, masks, need, outcomes)
 
 
-def test_decision_path_stops_once_fixed():
+def test_decision_path_stops_once_fixed(monkeypatch):
     # at 1 - 0.1 over 64 trials the decision is fixed at the 58th hit or
-    # at the 7th miss. On K_10 a trial misses with probability 1/64 and on
-    # the LI path instance it holds exactly when it holds x: the screens
-    # settle every trial there, and the kernel searches none. On SIDE_TWO_H
-    # at p = 0.9 one trial is a sure miss and the rest are open; a trial
-    # holds when it holds 6 and 7, so at 1 - 0.5 the decision is fixed at
-    # the 32nd hit and at 1 - 0.1 at the 6th open miss
+    # at the 7th miss. On K_10 the numpy screen settles every trial, and
+    # on the LI path instance the first side holds exactly when the mask
+    # holds x while the second side has no ends: no path search runs
+    # there. On SIDE_TWO_H at p = 0.9 the first side never holds and the
+    # second holds exactly when the mask holds 6 and 7, the masks its
+    # screen leaves open: at 1 - 0.5 the count stops at the 32nd hit,
+    # after 32 searches, and at 1 - 0.1 the screen's misses alone fix it
+    searched = []
+    real = coverability._meets
+    monkeypatch.setattr(coverability, "_meets",
+                        lambda *a: searched.append(a) or real(*a))
     assert coverability._least_hits(64, 0.1) == 58
-    for H, cyc, p, epsilon, coverable, stop in (
-            (complete_hypergraph(10), (0, 1, 2, 3), 0.5, 0.1, True, None),
-            (LI_PATH_H, LI_PATH_CYCLE, 0.5, 0.1, False, None),
-            (SIDE_TWO_H, (0, 1, 2, 3), 0.9, 0.5, True, (32, True)),
-            (SIDE_TWO_H, (0, 1, 2, 3), 0.9, 0.1, False, (6, False))):
+    for H, cyc, p, epsilon, coverable, searches in (
+            (complete_hypergraph(10), (0, 1, 2, 3), 0.5, 0.1, True, 0),
+            (LI_PATH_H, LI_PATH_CYCLE, 0.5, 0.1, False, 0),
+            (SIDE_TWO_H, (0, 1, 2, 3), 0.9, 0.5, True, 32),
+            (SIDE_TWO_H, (0, 1, 2, 3), 0.9, 0.1, False, 0)):
         params = est_params(p=p, epsilon=epsilon, trials=64)
         need = coverability._least_hits(64, epsilon)
-        searches, disk, masks = coverability._sampled_coverability(H, cyc,
-                                                                   params)
-        hits, asked = _kernel(searches, disk, masks, need)
+        del searched[:]
+        hits, _ = _lane_pass(H, cyc, params, need)
         assert (hits >= need) == coverable
-        assert coverability._coverable(H, cyc, params) == coverable
-        if stop is None:
-            assert asked == []
-            continue
-        tried, open_ = _tried(searches, disk, masks, asked)
-        event = coverability._event(searches, disk)
-        count, outcome = stop
-        assert [event(m) for m in tried].count(outcome) == count
-        assert event(tried[-1]) == outcome
-        assert len(tried) < len(open_) == 63
+        assert len(searched) == searches
+        full = sample_disk_coverability(H, cyc, params)
+        assert full.decided_coverable == coverable
+        if searches:
+            assert hits == need < full.successes
 
 
 def _screen_case(n, density, host_seed, data):
@@ -778,17 +817,25 @@ def _screen_case(n, density, host_seed, data):
             data.draw(st.sampled_from(list(iter_p2s(G)))))
 
 
-def _ends(searches):
-    """Each search's ends: the neighbours of a and of b in its interior,
+def _ends(search):
+    """A search's ends: the neighbours of a and of b in its interior,
     other than a and b, read off its rows. They are the ends the event
     description carries, which the screens read."""
-    ends = []
-    for _, adj, a, b, interior in searches:
-        rows = adj()
-        ends.append((rows[a] & interior & ~(1 << b),
-                     rows[b] & interior & ~(1 << a)))
-    assert ends == [carried for carried, *_ in searches]
+    carried, adj, a, b, interior = search
+    rows = adj()
+    ends = (rows[a] & interior & ~(1 << b), rows[b] & interior & ~(1 << a))
+    assert ends == carried
     return ends
+
+
+def _kernel_cases(H, cyc, strategy, G, w, u, wp):
+    """Each pyramid side of the cycle with its disk searcher, and the
+    admissibility search of w u w' with none: every (search, disk) the
+    kernel may be given."""
+    searches, disk = coverability._coverability_event(H, cyc, strategy, 3)
+    [path], none = coverability._admissibility_event(G, w, u, wp)
+    assert (disk is None) == (strategy == PYRAMID_ONLY) and none is None
+    return [(search, disk) for search in searches] + [(path, None)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -796,26 +843,22 @@ def _ends(searches):
        st.integers(0, 2 ** 32 - 1),
        st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
 def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
-    """A mask meeting a vertex joined to both ends of a search is a hit; one
-    that misses an end neighbourhood of every search is a miss, which the
-    screen concludes only without a disk searcher, under PYRAMID_ONLY and
-    for admissibility. The kernel asks nothing of those masks, and asks
+    """A mask meeting a vertex joined to both ends of the search is a hit;
+    one that misses an end neighbourhood is a miss, which the screen
+    concludes only without a disk searcher, under PYRAMID_ONLY and for
+    admissibility. The kernel asks nothing of those masks, and asks
     something of every other mask."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
-    for searches, disk in (
-            coverability._coverability_event(H, cyc, strategy, 3),
-            coverability._admissibility_event(G, w, u, wp)):
-        assert (disk is None) == (strategy == PYRAMID_ONLY
-                                  or len(searches) == 1)
-        event = coverability._event(searches, disk)
-        ends = _ends(searches)
+    for search, disk in _kernel_cases(H, cyc, strategy, G, w, u, wp):
+        event = coverability._event((search,), disk)
+        a, b = _ends(search)
         for m in masks:
-            screened = _kernel(searches, disk, [m])
-            if any(m & a & b for a, b in ends):
+            screened = _kernel(search, disk, [m])
+            if m & a & b:
                 assert event(m)
                 assert screened == (1, [])
-            elif disk is None and not any(m & a and m & b for a, b in ends):
+            elif disk is None and not (m & a and m & b):
                 assert not event(m)
                 assert screened == (0, [])
             else:
@@ -830,30 +873,37 @@ def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
        st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
 def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
                                            epsilon, p, strategy, data):
-    """`_coverable` and `_admissible` ask the kernel of the masks the screen
-    leaves open, in order, and of none when the screened ones decide; with
-    a disk searcher (EXHAUSTIVE_SMALL) only the hit screen applies."""
+    """A coverability decision, whose second side the lane pass asks of the
+    first side's misses with the hits still needed, and `_admissible` ask
+    the kernel of the masks the screen leaves open, in order, and of none
+    when the screened ones decide; with a disk searcher (EXHAUSTIVE_SMALL)
+    only the hit screen applies."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
     params = est_params(p=p, epsilon=epsilon, trials=trials,
                         seed=host_seed % 97, strategy=strategy)
     need = coverability._least_hits(trials, epsilon)
-    for decide, (searches, disk, masks) in (
-            (lambda: coverability._coverable(H, cyc, params),
-             coverability._sampled_coverability(H, cyc, params)),
+    _, misses, side_two, disk = _side_two(H, cyc, params)
+    for decide, (search, disk, masks), want in (
+            (lambda: _lane_pass(H, cyc, params, need)[0] >= need,
+             (side_two, disk, misses), need - (trials - len(misses))),
             (lambda: coverability._admissible(G, w, u, wp, params),
-             coverability._sampled_admissibility(G, w, u, wp, params))):
-        ends = _ends(searches)
-        hit = [m for m in masks if any(m & a & b for a, b in ends)]
+             coverability._sampled_admissibility(G, w, u, wp, params),
+             need)):
+        if want <= 0:  # the first side alone reaches need
+            assert decide()
+            continue
+        a, b = _ends(search)
+        hit = [m for m in masks if m & a & b]
         open_ = [m for m in masks if m not in hit and (
-            disk is not None or any(m & a and m & b for a, b in ends))]
-        assert [m for m in masks if _sure(searches, disk, m) is None] == open_
-        left = need - len(hit)
-        hits, asked = _kernel(searches, disk, masks, need)
+            disk is not None or m & a and m & b)]
+        assert [m for m in masks if _sure(search, disk, m) is None] == open_
+        left = want - len(hit)
+        hits, asked = _kernel(search, disk, masks, want)
         if not 0 < left <= len(open_):
             assert asked == []
         else:
-            tried, _ = _tried(searches, disk, masks, asked)
-            held = [_kernel(searches, disk, [m])[0] for m in tried]
+            tried, _ = _tried(search, disk, masks, asked)
+            held = [_kernel(search, disk, [m])[0] for m in tried]
 
             def fixed(k):
                 return (sum(held[:k]) >= left
@@ -862,7 +912,7 @@ def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
             # up to the one that fixes the decision, open before it
             assert fixed(len(tried))
             assert not any(fixed(k) for k in range(len(tried)))
-        assert (hits >= need) == decide()
+        assert (hits >= want) == decide()
 
 
 @settings(max_examples=60, deadline=None)
@@ -872,15 +922,14 @@ def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
 def test_kernel_counts_the_event_over_every_mask(n, density, host_seed,
                                                  strategy, data):
     """Over all 2^n masks the kernel counts the masks on which `_event`, the
-    walks' predicate, holds: its searches from the ends never pass
-    through an end, as `path_exists` leaves both out of the interior."""
+    walks' predicate, holds for its one search: the search from the ends
+    never passes through an end, as `path_exists` leaves both out of the
+    interior."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
     masks = list(range(1 << n))
-    for searches, disk in (
-            coverability._coverability_event(H, cyc, strategy, 3),
-            coverability._admissibility_event(G, w, u, wp)):
-        event = coverability._event(searches, disk)
-        assert coverability._hits(searches, disk, masks) == sum(
+    for search, disk in _kernel_cases(H, cyc, strategy, G, w, u, wp):
+        event = coverability._event((search,), disk)
+        assert coverability._hits(search, disk, masks) == sum(
             map(event, masks))
 
 
@@ -890,20 +939,25 @@ def test_kernel_never_passes_through_an_end():
     # interior kept the ends could walk 3 0 1 4 and meet on the mask of all
     # four
     G = SkeletonGraph(range(5), [(0, 2), (2, 1), (0, 1), (0, 3), (1, 4)])
-    searches, disk = coverability._admissibility_event(G, 0, 2, 1)
-    assert coverability._hits(searches, disk, list(range(32))) == 0
+    [search], disk = coverability._admissibility_event(G, 0, 2, 1)
+    assert coverability._hits(search, disk, list(range(32))) == 0
     assert exact_admissibility(G, 0, 2, 1, HALF) == 0
 
 
 def test_screens_decide_complete_host_without_a_path_search(monkeypatch):
-    # on K_10 every vertex off the cycle joins both ends of each search, so
-    # a mask holding one is a sure hit and a mask holding none a sure miss
+    # on K_10 every vertex off the cycle joins both ends of each side: a
+    # decision is settled by the numpy screen of the one-vertex pyramids,
+    # and in a full count the masks the first side misses hold no vertex
+    # off the cycle, which the second side's miss screen settles
     calls = []
     real = coverability._meets
     monkeypatch.setattr(coverability, "_meets",
                         lambda *a: calls.append(a) or real(*a))
-    assert coverability._coverable(complete_hypergraph(10), (0, 1, 2, 3),
-                                   est_params(trials=64))
+    H = complete_hypergraph(10)
+    params = est_params(trials=64)
+    need = coverability._least_hits(64, params.epsilon)
+    assert coverability._cycle_hits(H, 0, 2, [(1, 3)], params, need)[0] >= need
+    assert sample_disk_coverability(H, (0, 1, 2, 3), params).decided_coverable
     assert calls == []
 
 
@@ -948,24 +1002,29 @@ SIDE_TWO_H = Hypergraph3(8, [(0, 1, 4), (1, 2, 4), (0, 3, 5), (2, 3, 5),
 def test_second_side_link_intersection_only_when_searched(monkeypatch):
     built = _count_link_intersections(monkeypatch)
     params = est_params(trials=64)
+    need = coverability._least_hits(64, params.epsilon)
     for n in (12, 30):
         H = complete_hypergraph(n)
-        # the screens settle every mask: LI(v, v') only, then not even that
-        assert coverability._coverable(H, (0, 1, 2, 3), params)
+        # the screens settle every mask: LI(v, v') only, for a decision and
+        # for a full count
+        assert coverability._cycle_hits(H, 0, 2, [(1, 3)], params,
+                                         need)[0] >= need
         assert built == [(0, 2)]
-        li_apex = link_intersection(H, 0, 2)
         del built[:]
-        assert coverability._coverable(H, (0, 1, 2, 3), params, li_apex)
-        assert built == []
-    # an open mask reaches the second search: LI(w, w') once per decision
+        assert sample_disk_coverability(H, (0, 1, 2, 3),
+                                        params).decided_coverable
+        assert built == [(0, 2)]
+        del built[:]
+    # the first side never holds, and the second side's screen leaves
+    # enough masks open to reach need: LI(w, w') once per decision
     params = est_params(p=0.9, epsilon=0.5, trials=64)
-    searches, disk, masks = coverability._sampled_coverability(
-        SIDE_TWO_H, (0, 1, 2, 3), params)
-    sure = [_sure(searches, disk, m) for m in masks]
-    assert True not in sure
-    assert sure.count(None) >= coverability._least_hits(64, 0.5)
+    need = coverability._least_hits(64, 0.5)
+    masks, misses, search, disk = _side_two(SIDE_TWO_H, (0, 1, 2, 3), params)
+    assert misses == masks
+    assert [_sure(search, disk, m) for m in masks].count(None) >= need
     del built[:]
-    assert coverability._coverable(SIDE_TWO_H, (0, 1, 2, 3), params)
+    assert coverability._cycle_hits(SIDE_TWO_H, 0, 2, [(1, 3)], params,
+                                     need)[0] >= need
     assert built == [(0, 2), (1, 3)]
     del built[:]
     full = sample_disk_coverability(SIDE_TWO_H, (0, 1, 2, 3), params)
@@ -975,6 +1034,52 @@ def test_second_side_link_intersection_only_when_searched(monkeypatch):
     del built[:]
     assert exact_disk_coverability(SIDE_TWO_H, (0, 1, 2, 3), HALF) == HALF ** 2
     assert built == [(0, 2), (1, 3)]
+
+
+# On TWO_SIDES_H the 4-cycle 0 1 2 3 has a first pyramid side 1-4-5-3 and
+# a second side 0-6-7-2: a trial holds when the mask holds 4 and 5, or 6
+# and 7.
+TWO_SIDES_H = Hypergraph3(8, [(0, 1, 4), (1, 2, 4), (0, 4, 5), (2, 4, 5),
+                              (0, 3, 5), (2, 3, 5), (0, 1, 6), (0, 3, 6),
+                              (1, 6, 7), (3, 6, 7), (1, 2, 7), (2, 3, 7)])
+
+
+@pytest.mark.parametrize("strategy", [PYRAMID_ONLY, EXHAUSTIVE_SMALL])
+@pytest.mark.parametrize("H, p, epsilon, trials", [
+    (TWO_SIDES_H, 0.9, 0.5, coverability._BLOCK_LANES + 100),
+    (SIDE_TWO_H, 0.9, 0.5, 64),
+], ids=["wider-than-lane-cap", "past-need"])
+def test_full_count_at_the_edges(H, p, epsilon, trials, strategy):
+    """`sample_disk_coverability` counts every trial brute force counts
+    (`bf.pyramid_event`, or a disk of `bf.lexicographic_disks` under
+    EXHAUSTIVE_SMALL), past the hits a decision needs: over more trials
+    than a lane pass holds lanes, so that one cycle's block is wider than
+    the lane cap, where the first side alone reaches need and the second
+    still adds hits on its misses, and on SIDE_TWO_H at p = 0.9, where the
+    first side never holds and the second keeps counting past need."""
+    cyc = (0, 1, 2, 3)
+    triples = sorted(H.edges)
+    params = est_params(p=p, epsilon=epsilon, trials=trials,
+                        strategy=strategy)
+    interiors = [] if strategy == PYRAMID_ONLY else [
+        frozenset(v for t in disk for v in t) - set(cyc) for disk in
+        bf.lexicographic_disks(triples, cyc, range(H.n), 3)]
+    masks, misses, _, _ = _side_two(H, cyc, params)
+    held = [bf.pyramid_event(triples, cyc, U)
+            or any(inner <= U for inner in interiors)
+            for U in map(_members, masks)]
+    full = sample_disk_coverability(H, cyc, params)
+    assert full.successes == sum(held)
+    assert full.trials == trials
+    need = coverability._least_hits(trials, epsilon)
+    assert full.successes > need
+    if trials > coverability._BLOCK_LANES:
+        assert 0 < len(misses) <= trials - need
+        assert any(m >> 6 & 3 == 3 for m in misses)
+    else:
+        assert len(misses) == trials
+    [hits] = coverability._cycle_hits(H, 0, 2, [(1, 3)], params, need)
+    assert (hits >= need) == full.decided_coverable
 
 
 @pytest.mark.parametrize("cycle, message", [
@@ -1149,6 +1254,52 @@ def test_exhaustive_small_at_its_default_budget(host, data):
         assert exact_disk_coverability(H, cyc, p, EXHAUSTIVE_SMALL, 3) == want
 
 
+# On TWO_SIDES_H the 4-cycle 0 1 2 3 has a first pyramid side 1-4-5-3 and
+# a second side 0-6-7-2: a trial holds when the mask holds 4 and 5, or 6
+# and 7.
+TWO_SIDES_H = Hypergraph3(8, [(0, 1, 4), (1, 2, 4), (0, 4, 5), (2, 4, 5),
+                              (0, 3, 5), (2, 3, 5), (0, 1, 6), (0, 3, 6),
+                              (1, 6, 7), (3, 6, 7), (1, 2, 7), (2, 3, 7)])
+
+
+@pytest.mark.parametrize("strategy", [PYRAMID_ONLY, EXHAUSTIVE_SMALL])
+@pytest.mark.parametrize("H, p, epsilon, trials", [
+    (TWO_SIDES_H, 0.9, 0.5, coverability._BLOCK_LANES + 100),
+    (SIDE_TWO_H, 0.9, 0.5, 64),
+], ids=["wider-than-lane-cap", "past-need"])
+def test_full_count_at_the_edges(H, p, epsilon, trials, strategy):
+    """`sample_disk_coverability` counts every trial brute force counts
+    (`bf.pyramid_event`, or a disk of `bf.lexicographic_disks` under
+    EXHAUSTIVE_SMALL), past the hits a decision needs: over more trials
+    than a lane pass holds lanes, so that one cycle's block is wider than
+    the lane cap, where the first side alone reaches need and the second
+    still adds hits on its misses, and on SIDE_TWO_H at p = 0.9, where the
+    first side never holds and the second keeps counting past need."""
+    cyc = (0, 1, 2, 3)
+    triples = sorted(H.edges)
+    params = est_params(p=p, epsilon=epsilon, trials=trials,
+                        strategy=strategy)
+    interiors = [] if strategy == PYRAMID_ONLY else [
+        frozenset(v for t in disk for v in t) - set(cyc) for disk in
+        bf.lexicographic_disks(triples, cyc, range(H.n), 3)]
+    masks, misses, _, _ = _side_two(H, cyc, params)
+    held = [bf.pyramid_event(triples, cyc, U)
+            or any(inner <= U for inner in interiors)
+            for U in map(_members, masks)]
+    full = sample_disk_coverability(H, cyc, params)
+    assert full.successes == sum(held)
+    assert full.trials == trials
+    need = coverability._least_hits(trials, epsilon)
+    assert full.successes > need
+    if trials > coverability._BLOCK_LANES:
+        assert 0 < len(misses) <= trials - need
+        assert any(m >> 6 & 3 == 3 for m in misses)
+    else:
+        assert len(misses) == trials
+    [hits] = coverability._cycle_hits(H, 0, 2, [(1, 3)], params, need)
+    assert (hits >= need) == full.decided_coverable
+
+
 @pytest.mark.parametrize("cycle, message", [
     ((0, 1, 0, 2), "boundary cycle must list four distinct vertices"),
     ((0, 1, 2), "boundary cycle must list four distinct vertices"),
@@ -1297,11 +1448,11 @@ def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
     record them and call each one coverable."""
     decided = []
 
-    def record(H, v, vp, pairs, params):
+    def record(H, v, vp, pairs, params, need=None):
         decided.extend((v, w, vp, wp) for w, wp in pairs)
-        return [True] * len(pairs)
+        return [params.trials] * len(pairs)
 
-    monkeypatch.setattr(coverability, "_coverable_cycles", record)
+    monkeypatch.setattr(coverability, "_cycle_hits", record)
     H = random_hypergraph(12, 0.15, 0)
     totals = Counter()
     for G in (link(random_hypergraph(12, 0.5, 0), 0),
@@ -1334,8 +1485,10 @@ def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
        st.sampled_from([0.05, 0.3, 0.7]))
 def test_lane_pass_matches_per_cycle_loop(n, density, host_seed, strategy,
                                           trials, p, epsilon):
-    """The lane pass decides each cycle as `_coverable` does alone, so its
-    count equals the per-cycle reference: at 70 vertices, where a trial
+    """The lane pass counts each cycle's hits as the per-cycle reference
+    does, asking every mask alone (`bf.cycle_hits`), and decides each
+    cycle as that count does, so its count of non-coverable cycles is
+    the reference's: at 70 vertices, where a trial
     mask spans two words, with up to 150 pairs, more than one block of
     64 (or of 4096 // trials) cycles, and with apexes and pairs drawn past
     V(H), so that repeated vertices and missing edges occur. At densities
@@ -1359,9 +1512,12 @@ def test_lane_pass_matches_per_cycle_loop(n, density, host_seed, strategy,
     if v != vp and max(v, vp) < n:
         valid = [(w, wp) for w, wp in pairs if w != wp and _cycle_ok(
             H, (v, w, vp, wp))]
-        assert coverability._coverable_cycles(H, v, vp, valid, params) == [
-            coverability._coverable(H, (v, w, vp, wp), params)
-            for w, wp in valid]
+        need = coverability._least_hits(trials, epsilon)
+        counts = [bf.cycle_hits(H, (v, w, vp, wp), params)
+                  for w, wp in valid]
+        assert coverability._cycle_hits(H, v, vp, valid, params) == counts
+        assert [h >= need for h in coverability._cycle_hits(
+            H, v, vp, valid, params, need)] == [h >= need for h in counts]
 
 
 def test_screen_settles_complete_hosts_without_lanes(monkeypatch):
@@ -1401,7 +1557,8 @@ def test_dense_blocks_the_screen_leaves_run_the_lanes(monkeypatch, H, pairs,
     on BIPARTITE_H seven trials in eight meet {8, 9, 10} at p = 1/2, short
     of the 61 in 64 that epsilon = 1/20 needs, and a trial holding three
     pyramids is still one sure hit. The lane pass then decides each cycle
-    as `_coverable` does alone, and the count is the per-cycle reference's."""
+    as its full count does alone, and the count is the per-cycle
+    reference's."""
     calls = []
     real = coverability._lane_paths
     monkeypatch.setattr(coverability, "_lane_paths",
@@ -1409,10 +1566,13 @@ def test_dense_blocks_the_screen_leaves_run_the_lanes(monkeypatch, H, pairs,
     li = link_intersection(H, 0, 1).adj_mask
     assert [(w, wp) for w, wp in pairs if not li[w] & li[wp]] == pyramidless
     params = est_params(trials=64, epsilon=epsilon)
-    decided = coverability._coverable_cycles(H, 0, 1, pairs, params)
+    need = coverability._least_hits(64, epsilon)
+    decided = [h >= need for h in coverability._cycle_hits(
+        H, 0, 1, pairs, params, need)]
     assert calls == [1]
-    assert decided == [coverability._coverable(H, (0, w, 1, wp), params)
-                       for w, wp in pairs]
+    assert decided == [
+        sample_disk_coverability(H, (0, w, 1, wp), params).decided_coverable
+        for w, wp in pairs]
     assert not all(decided)
     assert (coverability._count_uncoverable(H, 0, 1, pairs, params)
             == bf.count_uncoverable(H, 0, 1, pairs, params))

@@ -2,13 +2,14 @@ import gc
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 import bruteforce as bf
-from diskcover import hypergraph, search
+from diskcover import coverability, hypergraph, search
 from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, TARGETS,
                                     TORUS, HomeomorphCertificate,
                                     serialize_certificate)
@@ -277,6 +278,50 @@ def test_ktt_pattern_pools_are_built_once_per_core(monkeypatch):
                                SearchParams(t=4, p=0.5, epsilon=0.1))
     assert isinstance(cert, HomeomorphCertificate) and cert.retries == 8
     assert calls == [1] + [2] * 6 + [2] * 6 + [3] * 4
+
+
+def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
+    """The pattern stage decides a draw's special cycles v_i v_ij v_j v_ijk
+    in one lane pass per apex pair (v_i, v_j), over its t - 2 cycles, in
+    first-appearance order: at seed 0 the core stage's 6 passes over
+    sampled pairs, then 6 for the accepted draw. A find builds 36 link
+    intersections (6 in the core stage, 6 in the pattern stage, 24 in the
+    gluer) and checks each of its 12 cycles once, in the gluer."""
+    passes = []
+    real = coverability._cycle_hits
+
+    def record(H, v, vp, pairs, params, need=None):
+        passes.append((v, vp, list(pairs)))
+        return real(H, v, vp, pairs, params, need)
+
+    monkeypatch.setattr(coverability, "_cycle_hits", record)
+    calls = Counter()
+    for f in (hypergraph.link_intersection, coverability._check_four_cycle):
+        def counting(*args, f=f):
+            calls[f.__name__] += 1
+            return f(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.split(".")[0] == "diskcover"
+                    and getattr(mod, f.__name__, None) is f):
+                monkeypatch.setattr(mod, f.__name__, counting)
+    H = complete_hypergraph(30)
+    for seed in range(3):
+        del passes[:]
+        calls.clear()
+        cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1,
+                                                   seed=seed))
+        assert isinstance(cert, HomeomorphCertificate)
+        assert calls == {"link_intersection": 36, "_check_four_cycle": 12}
+    del passes[:]
+    cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1))
+    groups = {}
+    for v, w, vp, wp in cert.cycles:
+        groups.setdefault((v, vp), []).append((w, wp))
+    assert [len(pairs) for pairs in groups.values()] == [2] * 6
+    assert [len(pairs) for _, _, pairs in passes] == (
+        [search._PAIR_SAMPLE] * 6 + [2] * 6)
+    assert passes[6:] == [(v, vp, pairs) for (v, vp), pairs in groups.items()]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
