@@ -4,7 +4,9 @@ A certificate is the full witness a search emits: which pattern was
 targeted, where each pattern vertex landed, the boundary 4-cycles, and
 one disk (triangle list) per cycle, plus the seed and retry count that
 produced it. It carries everything an independent verifier needs; no
-search state is referenced.
+search state is referenced. What a target's embedding and cycles must
+be is one Pattern record: `SURFACES` holds the surfaces', and
+`gamma.gamma(t)` builds K_t's.
 
 The JSON document is versioned ("cert_version": 1). Triangles and
 cycles are stored as vertex-id lists; the embedding maps pattern labels
@@ -26,26 +28,57 @@ TORUS = "torus"
 PROJECTIVE_PLANE = "rp2"
 SPHERE = "sphere"
 
-TARGETS = (KTT, TORUS, PROJECTIVE_PLANE, SPHERE)
-
 CERT_VERSION = 1
 
-# Boundary 4-cycles of each surface target over its embedding labels, in
+
+@dataclass(frozen=True)
+class Pattern:
+    """What a target's certificate must realize.
+
+    labels names the pattern vertices the embedding maps; cycles lists
+    the special 4-cycles, in certificate order, as quads of label
+    indices; surface is the (Euler characteristic, orientable) pair the
+    union of all disks must classify as, or None when the union is not
+    checked as a surface.
+    """
+
+    labels: tuple[str, ...]
+    cycles: tuple[tuple[int, int, int, int], ...]
+    surface: tuple[int, bool] | None = None
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The sides of the special cycles, as sorted label-index pairs."""
+        return frozenset((min(a, b), max(a, b)) for c in self.cycles
+                         for a, b in zip(c, c[1:] + c[:1]))
+
+    def cycles_of(self, embedding: Mapping[str, int]):
+        """The special cycles' image under an embedding, in order."""
+        image = [embedding[lab] for lab in self.labels]
+        return tuple(tuple(image[i] for i in c) for c in self.cycles)
+
+
+def _surface(quads: tuple[str, ...], euler: int, orientable: bool) -> Pattern:
+    labels = tuple(sorted({lab for quad in quads for lab in quad.split()}))
+    return Pattern(labels,
+                   tuple(tuple(labels.index(lab) for lab in quad.split())
+                         for quad in quads),
+                   (euler, orientable))
+
+
+# The surface targets' boundary 4-cycles over their embedding labels, in
 # order; the projective plane's six quads share each of their 12 edges twice.
-SURFACE_CYCLES = {
-    TORUS: ("u' w1 v w5", "u w1 u' w2", "u' w2 v w3", "u w3 v w5",
-            "u w3 u' w4", "u w1 v w4", "u w5 u' w6", "u' w4 v w6",
-            "u w2 v w6"),
-    PROJECTIVE_PLANE: ("u w1 v w3", "u' w2 v w3", "u w3 u' w4",
-                       "u w1 u' w2", "u w2 v w4", "u' w1 v w4"),
-    SPHERE: ("a b c d", "a b c d"),
+SURFACES = {
+    TORUS: _surface(("u' w1 v w5", "u w1 u' w2", "u' w2 v w3", "u w3 v w5",
+                     "u w3 u' w4", "u w1 v w4", "u w5 u' w6", "u' w4 v w6",
+                     "u w2 v w6"), 0, True),
+    PROJECTIVE_PLANE: _surface(("u w1 v w3", "u' w2 v w3", "u w3 u' w4",
+                                "u w1 u' w2", "u w2 v w4", "u' w1 v w4"),
+                               1, False),
+    SPHERE: _surface(("a b c d", "a b c d"), 2, True),
 }
 
-
-def surface_cycles(target: str, embedding: Mapping[str, int]):
-    """The boundary cycles a surface embedding prescribes, in order."""
-    return tuple(tuple(embedding[lab] for lab in quad.split())
-                 for quad in SURFACE_CYCLES[target])
+TARGETS = (KTT, *SURFACES)
 
 
 @dataclass(frozen=True)

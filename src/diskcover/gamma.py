@@ -1,20 +1,20 @@
-"""The pattern graph used to glue a complete 3-uniform homeomorph.
+"""The pattern Γ(t) used to glue a complete 3-uniform homeomorph.
 
-For a target clique size t, the graph has a vertex for every singleton
-i, every pair {i, j}, and every triple {i, j, k} from {1..t}. Pair
+For a target clique size t, Γ(t) has a vertex for every singleton i,
+every pair {i, j}, and every triple {i, j, k} from {1..t}. Pair
 vertices join their two singletons; triple vertices join their three
 singletons. The result is bipartite, with the t singleton vertices
 forming one side, and carries 3 * C(t, 3) special 4-cycles of the form
 (v_i, v_ij, v_j, v_ijk): filling each with a disk produces a CW complex
-realizing the complete 3-uniform hypergraph on t vertices.
+realizing the complete 3-uniform hypergraph on t vertices. Every edge of
+Γ(t) is a side of a special cycle, so the Pattern stores no edge set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .hypergraph import SkeletonGraph
+from .certificates import Pattern
 
 Role = tuple[int, ...]
 
@@ -24,53 +24,22 @@ def role_name(role: Role) -> str:
     return "v" + ".".join(str(i) for i in role)
 
 
-@dataclass(frozen=True)
-class GammaGraph:
-    t: int
-    roles: tuple[Role, ...]
-    edges: frozenset[tuple[int, int]]
-    special_cycles: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.roles)
-
-    def index_of(self, role: Role) -> int:
-        return self.roles.index(tuple(sorted(role)))
-
-    @property
-    def graph(self) -> SkeletonGraph:
-        return SkeletonGraph(range(self.n), self.edges)
-
-
-def gamma(t: int) -> GammaGraph:
-    """Pattern graph on t + C(t,2) + C(t,3) vertices with its special cycles.
-
-    Vertices are indexed 0..n-1 in role order: singletons (i,), then
-    pairs (i, j), then triples (i, j, k), each block in lexicographic
-    order over 0-based ground elements.
-    """
+def roles(t: int) -> list[Role]:
+    """The roles of Γ(t) in label order: singletons (i,), then pairs
+    (i, j), then triples (i, j, k), each block in lexicographic order
+    over 0-based ground elements."""
     if t < 3:
         raise ValueError("pattern graph needs t >= 3")
-    roles: list[Role] = [(i,) for i in range(t)]
-    roles += [p for p in combinations(range(t), 2)]
-    roles += [tr for tr in combinations(range(t), 3)]
-    index = {r: k for k, r in enumerate(roles)}
+    return ([(i,) for i in range(t)] + list(combinations(range(t), 2))
+            + list(combinations(range(t), 3)))
 
-    edges: set[tuple[int, int]] = set()
-    for i, j in combinations(range(t), 2):
-        vp = index[(i, j)]
-        edges.add(tuple(sorted((index[(i,)], vp))))
-        edges.add(tuple(sorted((index[(j,)], vp))))
-    for i, j, k in combinations(range(t), 3):
-        vt = index[(i, j, k)]
-        for s in (i, j, k):
-            edges.add(tuple(sorted((index[(s,)], vt))))
 
-    cycles: list[tuple[int, int, int, int]] = []
-    for i, j, k in combinations(range(t), 3):
-        vt = index[(i, j, k)]
-        for a, b in ((i, j), (i, k), (j, k)):
-            cycles.append((index[(a,)], index[(a, b)], index[(b,)], vt))
-
-    return GammaGraph(t, tuple(roles), frozenset(edges), tuple(cycles))
+def gamma(t: int) -> Pattern:
+    """Γ(t) on t + C(t,2) + C(t,3) labelled vertices with its special cycles,
+    (v_i, v_ij, v_j, v_ijk) for each triple and each pair inside it."""
+    rs = roles(t)
+    index = {r: k for k, r in enumerate(rs)}
+    cycles = tuple((index[(a,)], index[(a, b)], index[(b,)], index[tri])
+                   for tri in combinations(range(t), 3)
+                   for a, b in combinations(tri, 2))
+    return Pattern(tuple(role_name(r) for r in rs), cycles)

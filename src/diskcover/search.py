@@ -26,9 +26,11 @@ from .certificates import (
     KTT,
     PROJECTIVE_PLANE,
     SPHERE,
+    SURFACES,
+    TARGETS,
     TORUS,
     HomeomorphCertificate,
-    surface_cycles,
+    Pattern,
 )
 from .complexes import TwoComplex
 from .coverability import (
@@ -41,7 +43,7 @@ from .coverability import (
     pyramid_disk,
     triple_phi,
 )
-from .gamma import gamma, role_name
+from .gamma import gamma, roles
 from .hypergraph import (
     Hypergraph3,
     SkeletonGraph,
@@ -212,11 +214,12 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
                        "partition budget exhausted")
 
 
-def _certify(H: Hypergraph3, target: str, t: int | None,
-             embedding: dict[str, int], cycles, params: SearchParams,
-             retries: int):
-    """Glue one disk per cycle into a certificate and return it once the
-    verifier passes it; otherwise the glue or verify SearchFailure."""
+def _certify(H: Hypergraph3, target: str, t: int | None, pattern: Pattern,
+             embedding: dict[str, int], params: SearchParams, retries: int):
+    """Glue one disk per special cycle of the embedded pattern into a
+    certificate and return it once the verifier passes it; otherwise the
+    glue or verify SearchFailure."""
+    cycles = pattern.cycles_of(embedding)
     glued = glue_disks(H, cycles, params)
     if isinstance(glued, GlueFailure):
         return SearchFailure(target, "glue", glued.detail, glued.retries)
@@ -328,42 +331,29 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
                              "no accepted core draw (codegree floor or phi "
                              "threshold)", params.max_retries)
 
-    # stage 3: pattern vertices for pairs, then triples, with coverability
+    # stages 3-4: pattern vertices for pairs, then triples, with
+    # coverability; then glue and verify
     pattern = gamma(t)  # O(t^3) vertices: built only once a core stands
-    embedding: dict[str, int] | None = None
-    cycles: tuple[tuple[int, int, int, int], ...] | None = None
-    used_retries = 0
     # the pools depend on the core alone; an empty one fails every draw
-    pools = {role: sorted(common_neighborhood(G, [core[i] for i in role]))
-             for role in pattern.roles[t:]}
-    for retry in range(_PATTERN_RETRIES if all(pools.values()) else 0):
+    pools = [sorted(common_neighborhood(G, [core[i] for i in role]))
+             for role in roles(t)[t:]]
+    for retry in range(_PATTERN_RETRIES if all(pools) else 0):
         gen = generator(params.seed, _S_PATTERN, retry)
-        image: dict[tuple[int, ...], int] = {(i,): core[i] for i in range(t)}
-        for role, pool in pools.items():
-            image[role] = pool[int(gen.integers(0, len(pool)))]
-        values = [image[r] for r in pattern.roles]
+        values = core + [pool[int(gen.integers(0, len(pool)))]
+                         for pool in pools]
         if len(set(values)) != len(values):
             continue
-        cand_cycles = tuple(
-            (values[a], values[b], values[c], values[d])
-            for a, b, c, d in pattern.special_cycles)
+        draw = dict(zip(pattern.labels, values))
         # the t - 2 cycles v w v' w' of each apex pair (v, v'), in one pass
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for v, w, vp, wp in cand_cycles:
+        for v, w, vp, wp in pattern.cycles_of(draw):
             groups.setdefault((v, vp), []).append((w, wp))
         if all(_count_uncoverable(H, v, vp, pairs, est) == 0
                for (v, vp), pairs in groups.items()):
-            embedding = {role_name(r): image[r] for r in pattern.roles}
-            cycles = cand_cycles
-            used_retries = retry
-            break
-    if embedding is None or cycles is None:
-        return SearchFailure(KTT, "pattern-vertices",
-                             "pattern draws kept colliding or failing the "
-                             "coverability test", _PATTERN_RETRIES)
-
-    # stage 4: glue and verify
-    return _certify(H, KTT, t, embedding, cycles, params, used_retries)
+            return _certify(H, KTT, t, pattern, draw, params, retry)
+    return SearchFailure(KTT, "pattern-vertices",
+                         "pattern draws kept colliding or failing the "
+                         "coverability test", _PATTERN_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +389,7 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     u, up, G = best
 
     # stage 2: hub vertex with admissible spoke paths
-    hub = None
     candidates = sorted(v for v in G.vertices if G.degree(v) >= hub_degree)
-    used_retries = 0
     for retry in range(params.max_retries):
         if not candidates:
             break
@@ -411,20 +399,14 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
         if ws is None:
             continue
         if all(_admissible(G, ws[i], v, ws[j], est) for i, j in hub_paths):
-            hub = (v, ws)
-            used_retries = retry
-            break
-    if hub is None:
-        return SearchFailure(target, "hub-selection",
-                             f"no hub with {hub_degree} neighbours and "
-                             "admissible spoke paths", params.max_retries)
-    v, ws = hub
-
-    # stages 3-4: assemble the fixed cycle list, glue and verify
-    embedding = {"u": u, "u'": up, "v": v}
-    embedding.update({f"w{i + 1}": ws[i] for i in range(hub_degree)})
-    cycles = surface_cycles(target, embedding)
-    return _certify(H, target, None, embedding, cycles, params, used_retries)
+            # stages 3-4: embed the fixed cycle recipe, glue and verify
+            embedding = {"u": u, "u'": up, "v": v}
+            embedding.update({f"w{i + 1}": w for i, w in enumerate(ws)})
+            return _certify(H, target, None, SURFACES[target], embedding,
+                            params, retry)
+    return SearchFailure(target, "hub-selection",
+                         f"no hub with {hub_degree} neighbours and "
+                         "admissible spoke paths", params.max_retries)
 
 
 def find_torus(H: Hypergraph3, params: SearchParams):
@@ -468,9 +450,9 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
         bd = _pick_distinct(gen, sorted(common_neighborhood(skel, best)), 2)
         if bd is None:
             continue
-        cycle = (a, bd[0], c, bd[1])
-        result = _certify(H, SPHERE, None, dict(zip("abcd", cycle)),
-                          (cycle, cycle), params, retry)
+        result = _certify(H, SPHERE, None, SURFACES[SPHERE],
+                          dict(zip("abcd", (a, bd[0], c, bd[1]))), params,
+                          retry)
         if isinstance(result, HomeomorphCertificate):
             return result
         stage, detail = result.stage, result.detail
@@ -483,3 +465,4 @@ FINDERS = {
     PROJECTIVE_PLANE: find_projective_plane,
     SPHERE: find_sphere,
 }
+assert set(FINDERS) == set(TARGETS), "one finder per target"

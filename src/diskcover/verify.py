@@ -10,17 +10,17 @@ b. every disk classifies as a boundary-inducing disk whose boundary is
 c. any two disks intersect exactly in the 1-complex shared by their
    boundary cycles (common vertices and common edges, no triangles),
    which forces pairwise disjoint interiors avoiding all cycles;
-d. the target pattern: for a complete-hypergraph target the embedding
-   must map exactly the pattern's labels injectively, carry the pattern
-   edges into the skeleton (some triple of H holds both ends), and
-   the cycle list must be the image of the pattern's special 4-cycles
-   in order; for surface targets the embedding must map exactly the
-   target's labels injectively into V(H), the cycles must be the recipe
-   applied to it, and the union of all disks must classify as the right
-   closed surface by (Euler characteristic, orientability).
+d. the target's pattern (Γ(t) for a complete-hypergraph target, the
+   fixed recipe for a surface): the embedding maps exactly the pattern's
+   labels, injectively; it carries every pattern edge into the skeleton
+   (some triple of H holds both ends); the cycle list is the image of
+   the pattern's special 4-cycles in order; and, for a surface, the
+   union of all disks classifies as the pattern's closed surface by
+   (Euler characteristic, orientability).
 
-A malformed certificate (wrong counts, missing embedding labels) raises
-:class:`CertificateError` instead of producing a failed report.
+A malformed certificate (no disks, cycle and disk counts that differ or
+miss the target's, a cycle with a repeated or out-of-range vertex)
+raises :class:`CertificateError` instead of producing a failed report.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from math import comb
 
 import numpy as np
 
-from .certificates import (KTT, PROJECTIVE_PLANE, SPHERE, SURFACE_CYCLES, TORUS,
-                           HomeomorphCertificate, surface_cycles)
+from .certificates import KTT, SURFACES, HomeomorphCertificate, Pattern
 from .complexes import (CLOSED_SURFACE, TwoComplex, classify, cycle_edges,
                         disk_defect)
-from .gamma import gamma, role_name
+from .gamma import gamma
 from .hypergraph import Hypergraph3
 
 
@@ -64,13 +63,6 @@ class VerificationReport:
                 for c in self.checks
             ],
         }
-
-
-_SURFACE_SIGNATURE = {
-    TORUS: (0, True),
-    PROJECTIVE_PLANE: (1, False),
-    SPHERE: (2, True),
-}
 
 
 def _check_triangles(H: Hypergraph3, cert) -> CheckResult:
@@ -114,15 +106,14 @@ def _check_intersections(cert) -> CheckResult:
                        f"all {k * (k - 1) // 2} disk pairs clean")
 
 
-def _check_ktt_pattern(H: Hypergraph3, cert) -> CheckResult:
-    name = "pattern-ktt"
-    pattern = gamma(cert.t)
-    labels = [role_name(r) for r in pattern.roles]
+def _check_pattern(H: Hypergraph3, cert, pattern: Pattern) -> CheckResult:
+    name = f"pattern-{cert.target}"
+    labels = pattern.labels
     missing = [lab for lab in labels if lab not in cert.embedding]
     if missing:
-        raise CertificateError(
-            f"embedding missing pattern labels: {', '.join(missing[:4])}")
-    if set(cert.embedding) != set(labels):
+        return CheckResult(name, False, "embedding misses pattern labels: "
+                           f"{', '.join(missing[:4])}")
+    if len(cert.embedding) != len(labels):
         return CheckResult(name, False, "embedding has labels outside the pattern")
     image = [cert.embedding[lab] for lab in labels]
     if len(set(image)) != len(image):
@@ -144,30 +135,16 @@ def _check_ktt_pattern(H: Hypergraph3, cert) -> CheckResult:
             return CheckResult(
                 name, False,
                 f"pattern edge {labels[a]}-{labels[b]} missing from skeleton")
-    expected_cycles = tuple(
-        (image[a], image[b], image[c], image[d])
-        for a, b, c, d in pattern.special_cycles)
-    if cert.cycles != expected_cycles:
+    if cert.cycles != pattern.cycles_of(cert.embedding):
         return CheckResult(name, False,
                            "cycle list is not the image of the special 4-cycles")
-    return CheckResult(
-        name, True,
-        f"injective embedding of {len(labels)} pattern vertices, "
-        f"{len(expected_cycles)} special cycles matched")
-
-
-def _check_surface(H: Hypergraph3, cert) -> CheckResult:
-    name = f"pattern-{cert.target}"
-    labels = {lab for quad in SURFACE_CYCLES[cert.target] for lab in quad.split()}
-    image = set(cert.embedding.values())
-    if (set(cert.embedding) != labels or len(image) != len(labels)
-            or not image <= set(H.vertices)
-            or cert.cycles != surface_cycles(cert.target, cert.embedding)):
-        return CheckResult(name, False, "cycles are not the recipe applied to "
-                           f"an injective map of {', '.join(sorted(labels))} into V(H)")
-    union = TwoComplex(t for d in cert.disks for t in d.triangles)
-    cls = classify(union)
-    want_euler, want_orient = _SURFACE_SIGNATURE[cert.target]
+    if pattern.surface is None:
+        return CheckResult(
+            name, True,
+            f"injective embedding of {len(labels)} pattern vertices, "
+            f"{len(cert.cycles)} special cycles matched")
+    cls = classify(TwoComplex(t for d in cert.disks for t in d.triangles))
+    want_euler, want_orient = pattern.surface
     if cls.kind != CLOSED_SURFACE:
         return CheckResult(name, False, f"disk union classifies as {cls.kind}")
     if cls.euler != want_euler or cls.orientable is not want_orient:
@@ -188,6 +165,7 @@ def verify_certificate(H: Hypergraph3,
     if not cert.disks:
         raise CertificateError("certificate carries no disks")
     if cert.target == KTT:
+        # checked before gamma(t), which a hostile t would make huge
         expected = 3 * comb(cert.t, 3)
         if len(cert.cycles) != expected:
             raise CertificateError(
@@ -199,12 +177,8 @@ def verify_certificate(H: Hypergraph3,
         if any(not 0 <= v < H.n for v in c):
             raise CertificateError(f"cycle {c} leaves the vertex range")
 
-    checks = [_check_triangles(H, cert), _check_disks(cert),
-              _check_intersections(cert)]
-    if cert.target == KTT:
-        pattern_check = _check_ktt_pattern(H, cert)
-    else:
-        pattern_check = _check_surface(H, cert)
-    checks.append(pattern_check)
-    passed = all(c.passed for c in checks)
-    return VerificationReport(passed, tuple(checks), pattern_check.passed)
+    pattern = gamma(cert.t) if cert.target == KTT else SURFACES[cert.target]
+    checks = (_check_triangles(H, cert), _check_disks(cert),
+              _check_intersections(cert), _check_pattern(H, cert, pattern))
+    return VerificationReport(all(c.passed for c in checks), checks,
+                              checks[-1].passed)

@@ -12,7 +12,7 @@ from diskcover.cli import main
 from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
 from diskcover.io import serialize_graph, serialize_h3
-from diskcover.search import SearchParams, find_sphere
+from diskcover.search import SearchParams, find_k_t_homeomorph, find_sphere
 
 
 @pytest.fixture
@@ -277,6 +277,25 @@ def test_verify_failed_vs_malformed(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(h), str(mal))
     assert code == 2
     assert "malformed" in err
+
+
+def test_verify_missing_ktt_label_is_a_failed_check(capsys, tmp_path):
+    # a K_3 embedding without v0 fails the pattern check, as a surface
+    # embedding without one of its labels does: exit 1, not exit 2
+    H = complete_hypergraph(12)
+    h = tmp_path / "k12.h3"
+    h.write_text(serialize_h3(H))
+    cert = find_k_t_homeomorph(H, SearchParams(t=3, p=0.5, epsilon=0.1))
+    doc = json.loads(serialize_certificate(cert))
+    del doc["embedding"]["v0"]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(h), str(path))
+    assert code == 1
+    assert "[FAIL] pattern-ktt: embedding misses pattern labels: v0" in (
+        out.splitlines())
+    assert out.splitlines()[-1] == "verification failed"
+    assert err == "" and "Traceback" not in out
 
 
 def test_gen_models(capsys, tmp_path):

@@ -21,6 +21,7 @@ from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
 from diskcover.search import (SearchParams, find_k_t_homeomorph,
                               find_projective_plane, find_sphere, find_torus)
+from diskcover.verify import verify_certificate
 
 DESK = SearchParams(p=0.5, epsilon=0.1)
 
@@ -58,6 +59,31 @@ def test_sparse_sphere_digest(n, q, digest):
     # shortest path rule beyond distance 2
     cert = find_sphere(random_hypergraph(n, q, 0), DESK)
     assert _sha(serialize_certificate(cert)) == digest
+
+
+@pytest.mark.parametrize("finder, H, params, digest", [
+    (find_k_t_homeomorph, complete_hypergraph(12),
+     SearchParams(t=3, p=0.5, epsilon=0.1),
+     "d0e340b64d9fb655bfe8dd6b743df1cb6ec8827a184a07e9764c289e7c29a670"),
+    (find_k_t_homeomorph, complete_hypergraph(30),
+     SearchParams(t=4, p=0.5, epsilon=0.1),
+     "5ce61774e5e419f1c6c1f74fb41b1fce8bd67e039e631788707c018e20324e60"),
+    (find_torus, complete_hypergraph(20), DESK,
+     "8d4e8ee9aada7a6591d8cf9a54cce81aac1a55d5c951b016cfd51835588149b7"),
+    (find_projective_plane, complete_hypergraph(15), DESK,
+     "e10a57f76a9c9d6c33186fb8f663bfa5b86db4861c5de61422b6176695f438fe"),
+    (find_sphere, complete_hypergraph(8), DESK,
+     "b2d3cfe91281574973cc8227a3404e771027275232b44cab086941a77a37dec5"),
+    (find_sphere, random_hypergraph(40, 0.25, 0), DESK,
+     "0d354fca098087eebbae03226fc0e3f18cfc57dbe702bdfaa3c2ddfaa74ba056"),
+], ids=["ktt3-k12", "ktt4-k30", "torus-k20", "rp2-k15", "sphere-k8",
+        "sphere-g40"])
+def test_certificate_report_digest(finder, H, params, digest):
+    # the document `find` writes: the certificate with its verifier report,
+    # so a check's name or passing detail is pinned too
+    cert = finder(H, params)
+    report = verify_certificate(H, cert).as_dict()
+    assert _sha(serialize_certificate(cert, report=report)) == digest
 
 
 def test_sphere_sweep_digest():

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from diskcover.certificates import (SPHERE, HomeomorphCertificate)
+from diskcover.certificates import (KTT, PROJECTIVE_PLANE, SPHERE, SURFACES,
+                                    TORUS, HomeomorphCertificate)
 from diskcover.complexes import TwoComplex
 from diskcover.coverability import pyramid_disk
 from diskcover.experiments import threshold_sweep
-from diskcover.gamma import gamma, role_name
+from diskcover.gamma import gamma
 from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import Hypergraph3, complete_hypergraph
 from diskcover.search import (SearchParams, find_k_t_homeomorph, find_sphere,
@@ -157,11 +158,12 @@ def test_ktt_certificate_checks():
     report = verify_certificate(H, cert)
     assert report.passed
 
-    # dropping an embedding label is malformed, not merely failed
+    # a missing embedding label fails the pattern check, as for surfaces
     short = dict(cert.embedding)
     short.pop("v0")
-    with pytest.raises(CertificateError):
-        verify_certificate(H, replace(cert, embedding=short))
+    assert verify_certificate(H, replace(cert, embedding=short)).checks[-1] == (
+        CheckResult("pattern-ktt", False,
+                    "embedding misses pattern labels: v0"))
 
     # a non-injective embedding fails the pattern check
     squashed = dict(cert.embedding)
@@ -178,6 +180,34 @@ def test_ktt_certificate_checks():
     with pytest.raises(CertificateError):
         verify_certificate(H, replace(cert, cycles=cert.cycles[:2],
                                       disks=cert.disks[:2]))
+
+
+@pytest.mark.parametrize("target, t", [
+    (SPHERE, None), (TORUS, None), (PROJECTIVE_PLANE, None),
+    (KTT, 3), (KTT, 4), (KTT, 5),
+], ids=["sphere", "torus", "rp2", "ktt3", "ktt4", "ktt5"])
+def test_every_pattern_filled_with_pyramids_verifies(target, t):
+    # label k lands on vertex k; cycle i is coned off from its own fresh
+    # vertex len(labels) + i
+    pattern = gamma(t) if target == KTT else SURFACES[target]
+    labels = pattern.labels
+    H = complete_hypergraph(len(labels) + len(pattern.cycles))
+    embedding = {lab: k for k, lab in enumerate(labels)}
+    cycles = pattern.cycles_of(embedding)
+    disks = tuple(pyramid_disk(a, c, (b, len(labels) + i, d))
+                  for i, (a, b, c, d) in enumerate(cycles))
+    cert = HomeomorphCertificate(target, t, embedding, cycles, disks, 0, 0)
+    report = verify_certificate(H, cert)
+    assert report.passed and report.target_confirmed
+
+    # swapping the images of two labels moves the recipe's cycles off the
+    # certificate's: only the pattern check fails
+    swapped = dict(embedding, **{labels[0]: 1, labels[1]: 0})
+    report = verify_certificate(H, replace(cert, embedding=swapped))
+    assert [c.passed for c in report.checks] == [True, True, True, False]
+    assert report.checks[-1] == CheckResult(
+        f"pattern-{target}", False,
+        "cycle list is not the image of the special 4-cycles")
 
 
 def test_mutation_fuzz_small():
@@ -224,7 +254,7 @@ def test_verifier_never_reads_the_row_table(monkeypatch):
     # the first pattern edge at it is reported
     pattern = gamma(3)
     first = min(e for e in pattern.edges if 0 in e)
-    names = [role_name(pattern.roles[i]) for i in first]
+    names = [pattern.labels[i] for i in first]
     for far in (-1, 12, 10 ** 30):
         moved = replace(cert, embedding={**cert.embedding, "v0": far})
         assert verify_certificate(H, moved).checks[-1] == CheckResult(
