@@ -16,7 +16,10 @@ Both events are monotone in U, which the exact oracles exploit: they
 walk the subset lattice once, branching vertex by vertex, and prune a
 branch as soon as the event is decided with the vertices chosen so far
 (success with only the included ones, or failure even if every
-undecided vertex were included). The walk does not depend on p: it
+undecided vertex were included). Each node asks `_holds`, the one
+per-mask test that the sampled counts ask of their trial masks too:
+the event's path searches, each carrying its rows, and under
+EXHAUSTIVE_SMALL its disk searcher. The walk does not depend on p: it
 counts success leaves N[a, b] by vertices included and excluded, and
 Pr(p) = sum N[a, b] p^a (1 - p)^b (the two-terminal reliability
 polynomial) is evaluated in integers, as one numerator over D^k at
@@ -36,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, islice
 from math import lcm
 from typing import Callable, Iterable, Sequence
@@ -49,7 +53,7 @@ from .hypergraph import (
     _bits,
     common_neighborhood,
     iter_p2s,
-    link_intersection,
+    link_intersection_rows,
 )
 from .rng import keyed_bits, mask_bits, mix64, row_masks, trial_masks
 
@@ -185,27 +189,25 @@ def pyramid_disk(v: int, vp: int, path: Sequence[int]) -> TwoComplex:
 
 
 def path_exists(adj: dict[int, int], a: int, b: int, interior: int) -> bool:
-    """Whether a path a..b of length >= 2 runs through `interior`.
+    """Whether a path a..b of length >= 2 runs through `interior`, for two
+    distinct ends.
 
     The direct edge ab is left out and the internal vertices are
-    confined to the `interior` mask (a and b are never internal). This
-    is the prologue of `_meets`, which runs the search from the two
-    first frontiers, the neighbours of a and of b in the interior.
+    confined to the `interior` mask (a and b are never internal): the
+    one-search `_holds` on the full mask.
 
     `adj` must be symmetric (bit y of adj[x] set iff bit x of adj[y]
     is), since the search from b follows rows backwards.
     """
-    if a not in adj or b not in adj:
+    if a == b or a not in adj or b not in adj:
         return False
-    interior &= ~((1 << a) | (1 << b))
-    return _meets(adj, adj[a] & interior, adj[b] & interior, interior)
+    return _holds((_search(adj, a, b, interior),), None, -1)
 
 
-def _meets(adj: dict[int, int], front_a: int, front_b: int,
-           interior: int) -> bool:
+def _meets(adj, front_a: int, front_b: int, interior: int) -> bool:
     """Whether breadth-first searches from the first frontiers front_a and
     front_b meet inside `interior`, which must leave out both ends: the
-    frontier loop of `path_exists`.
+    path search of `_holds`.
 
     It grows the smaller frontier, and succeeds as soon as the two
     reached sets meet; it fails when either frontier empties.
@@ -227,7 +229,7 @@ def _meets(adj: dict[int, int], front_a: int, front_b: int,
     return False
 
 
-def _layers(adj: dict[int, int], end: int, reach: int,
+def _layers(adj, end: int, reach: int,
             goal: int = 0) -> tuple[dict[int, int], list[int]]:
     """A breadth-first search from `end` through the `reach` mask, which
     must leave out `end`: the distance of each vertex whose row it read,
@@ -293,7 +295,8 @@ def _lane_paths(nbrs: list[list[int]], source: dict[int, int],
 def least_path(adj: dict[int, int], a: int, b: int,
                interior: int) -> list[int] | None:
     """The lexicographically smallest shortest path a..b of length >= 2
-    through `interior`, or None when `path_exists` finds none.
+    through `interior`, or None when `path_exists` finds none (always
+    when a == b).
 
     The layers from a (`_layers`) stop at the first that meets N(b), so
     a shortest path has one internal vertex per layer, the last in that
@@ -301,7 +304,7 @@ def least_path(adj: dict[int, int], a: int, b: int,
     layer that reach that meeting set; the forward pass then takes the
     smallest kept neighbour of the previous vertex at each step.
     """
-    if a not in adj or b not in adj:
+    if a == b or a not in adj or b not in adj:
         return None
     interior &= ~((1 << a) | (1 << b))
     goal = adj[b]
@@ -405,34 +408,25 @@ def _least_hits(trials: int, epsilon: float) -> int:
     return h
 
 
-def _search(adj: dict[int, int], a: int, b: int, interior: int):
-    """A path search (ends, adj, a, b, interior) over rows at hand. `ends`
-    are the neighbours of a and of b in the interior other than a and b,
-    its first frontiers before a mask cuts them, read here off the rows;
-    `adj()` returns the symmetric rows, which a caller may build later."""
-    return ((adj[a] & interior & ~(1 << b), adj[b] & interior & ~(1 << a)),
-            lambda: adj, a, b, interior)
+def _search(rows, a: int, b: int, interior: int):
+    """A path search (ends, rows, a, b, interior) for a..b over symmetric
+    rows, indexed by vertex, with a and b taken out of the interior.
+    `ends` are the neighbours of a and of b in that interior, the first
+    frontiers before a mask cuts them."""
+    interior &= ~(1 << a | 1 << b)
+    return (rows[a] & interior, rows[b] & interior), rows, a, b, interior
 
 
-def _event(searches, disk: "_DiskSearcher | None") -> Callable[[int], bool]:
-    """The per-mask predicate of an event given by one or two path searches,
-    which the exact walks ask: it holds on m when some search finds an a..b
-    path of length >= 2 through interior & m, or else the disk searcher
-    (under EXHAUSTIVE_SMALL only) finds a disk inside m. The second
-    search's rows are fetched on the first mask where the first search
-    fails."""
-    if len(searches) == 1:
-        [(_, adj, a, b, interior)] = searches
-        adj = adj()
-        paths = lambda m: path_exists(adj, a, b, interior & m)
-    else:
-        (_, adj1, a1, b1, in1), (_, adj2, a2, b2, in2) = searches
-        adj1 = adj1()
-        paths = lambda m: (path_exists(adj1, a1, b1, in1 & m)
-                           or path_exists(adj2(), a2, b2, in2 & m))
-    if disk is None:
-        return paths
-    return lambda m: paths(m) or disk.find(m) is not None
+def _holds(searches, disk: "_DiskSearcher | None", m: int) -> bool:
+    """Whether the event holds on the vertex mask m: some search finds an
+    a..b path of length >= 2 through interior & m (`_meets` from ends & m),
+    or else the disk searcher (under EXHAUSTIVE_SMALL only) finds a disk
+    inside m. The one per-mask test of the exact walks and the sampled
+    counts."""
+    for (a, b), rows, _, _, interior in searches:
+        if _meets(rows, a & m, b & m, interior & m):
+            return True
+    return disk is not None and disk.find(m) is not None
 
 
 def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
@@ -444,16 +438,14 @@ def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
     search carries, reading no rows. A mask meeting both ends at one
     vertex holds a one-vertex path, a hit. A mask missing an end is a
     miss, except with a disk searcher, which can hold where no path
-    search starts. The rows are fetched once some mask is left open; on
-    each open mask m, in order, the search runs from ends & m (`_meets`)
-    when both ends meet m, then the disk searcher.
+    search starts. Each open mask is then asked of `_holds`, in order.
 
     Given `need`, it stops as soon as whether hits >= need is fixed: after
     the screens, at the need-th hit, or at the miss that leaves too few
     masks to reach need. The count is then partial, but that decision is
     the one the full count gives.
     """
-    (a, b), adj, x, y, interior = search
+    (a, b), *_ = search
     hit = a & b
     hits = misses = 0
     open_ = []
@@ -467,12 +459,9 @@ def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
     spare = len(masks) if need is None else len(masks) - need
     if not open_ or need is not None and hits >= need or misses > spare:
         return hits
-    rows = adj()
-    interior &= ~(1 << x | 1 << y)
+    searches = (search,)
     for m in open_:
-        if ((fa := m & a) and (fb := m & b)
-                and _meets(rows, fa, fb, m & interior)
-                or disk is not None and disk.find(m) is not None):
+        if _holds(searches, disk, m):
             hits += 1
             if hits == need:
                 break
@@ -492,9 +481,8 @@ def _order(searches, universe: list[int]) -> list[int]:
     umask = sum(1 << x for x in universe)
     far = 2 * len(universe) + 1  # above any sum of two distances
     best: list[tuple[int, int, int]] = []
-    for _, adj, a, b, interior in searches:
-        adj = adj()
-        da, db = (_layers(adj, end, umask & interior)[0] for end in (a, b))
+    for _, rows, a, b, interior in searches:
+        da, db = (_layers(rows, end, umask & interior)[0] for end in (a, b))
         keys = []
         for x in universe:
             xa = da.get(x, far)
@@ -566,7 +554,8 @@ def _admissibility_leaves(G: SkeletonGraph, w: int, u: int,
     branching first on the vertices nearest both ends."""
     searches, disk = _admissibility_event(G, w, u, wp)
     universe = [x for x in G.vertices if x not in (u, w, wp)]
-    return _leaf_counts(_order(searches, universe), _event(searches, disk))
+    return _leaf_counts(_order(searches, universe),
+                        partial(_holds, searches, disk))
 
 
 def exact_admissibility(G: SkeletonGraph, w: int, u: int, wp: int,
@@ -710,33 +699,22 @@ def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],
     return searcher.find((1 << H.n) - 1)
 
 
+def _disk_searcher(H: Hypergraph3, cyc: tuple[int, int, int, int],
+                   strategy: str, max_interior: int):
+    """The disk searcher of a checked 4-cycle, under EXHAUSTIVE_SMALL only."""
+    return (None if strategy == PYRAMID_ONLY
+            else _DiskSearcher(H, cyc, max_interior))
+
+
 def _coverability_event(H: Hypergraph3, cyc: tuple[int, int, int, int],
-                        strategy: str, max_interior: int,
-                        li_apex: SkeletonGraph | None = None):
+                        strategy: str, max_interior: int):
     """The coverability event of a checked 4-cycle v w v' w': the pyramid
     searches w..w' in LI(v, v') and v..v' in LI(w, w'), and the disk
-    searcher under EXHAUSTIVE_SMALL. A caller may pass LI(v, v').
-
-    The second search's ends are read off the link rows, as LI(w, w')[x]
-    is row(w)[x] & row(w')[x], so its screen needs no LI(w, w'); that is
-    built at most once, when a path search or the walk order first asks
-    for its rows."""
+    searcher under EXHAUSTIVE_SMALL."""
     v, w, vp, wp = cyc
-    if li_apex is None:
-        li_apex = link_intersection(H, v, vp)
-    rw, rwp = H.row(w), H.row(wp)
-    built = []
-
-    def second_rows() -> dict[int, int]:
-        if not built:
-            built.append(link_intersection(H, w, wp).adj_mask)
-        return built[0]
-
-    searches = (_search(li_apex.adj_mask, w, wp, -1),
-                ((rw[v] & rwp[v] & ~(1 << vp), rw[vp] & rwp[vp] & ~(1 << v)),
-                 second_rows, v, vp, -1))
-    return searches, (None if strategy == PYRAMID_ONLY
-                      else _DiskSearcher(H, cyc, max_interior))
+    return ((_search(link_intersection_rows(H, v, vp), w, wp, -1),
+             _search(link_intersection_rows(H, w, wp), v, vp, -1)),
+            _disk_searcher(H, cyc, strategy, max_interior))
 
 
 def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
@@ -766,7 +744,8 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
     cyc = _check_four_cycle(H, cycle)
     searches, disk = _coverability_event(H, cyc, strategy, max_interior)
     universe = [x for x in H.vertices if x not in cyc]
-    leaves = _leaf_counts(_order(searches, universe), _event(searches, disk))
+    leaves = _leaf_counts(_order(searches, universe),
+                          partial(_holds, searches, disk))
     return _reliability(leaves, len(universe), pf)
 
 
@@ -852,15 +831,16 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
     runs `_hits` over its side-1 misses with need - hits, on the second
     side and the disk searcher under EXHAUSTIVE_SMALL only: the event is
     side 1 or side 2 or a disk, so each count, or decision, is the full
-    event's. LI(v, v') is built once for all the cycles.
+    event's. The rows of LI(v, v') (`link_intersection_rows`) are built
+    once for all the cycles, and a cycle short of need builds those of
+    LI(w, w') for its second side alone.
     """
     if not pairs:
         return []
     trials = params.trials
     short = trials if need is None else need
     width = max(H.n, 1)
-    li_apex = link_intersection(H, v, vp)
-    adj = li_apex.adj_mask
+    adj = link_intersection_rows(H, v, vp)
     nbrs = None
     prefix = mix64(params.seed, _STREAM_COVER, v)
     full = (1 << trials) - 1
@@ -878,7 +858,7 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
             out += sure.tolist()
             continue
         if nbrs is None:
-            nbrs = [_bits(adj.get(x, 0)) for x in range(width)]
+            nbrs = [_bits(row) for row in adj]
         lanes = row_masks(bits.reshape(-1, width).T)
         source: dict[int, int] = {}
         target: dict[int, int] = {}
@@ -895,10 +875,10 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
         misses = iter(row_masks(bits[~hits & (counts < short)[:, None]]))
         for (w, wp), h in zip(block, counts.tolist()):
             if h < short:
-                searches, disk = _coverability_event(
-                    H, (v, w, vp, wp), params.strategy, params.max_interior,
-                    li_apex)
-                h += _hits(searches[1], disk, list(islice(misses, trials - h)),
+                disk = _disk_searcher(H, (v, w, vp, wp), params.strategy,
+                                      params.max_interior)
+                side = _search(link_intersection_rows(H, w, wp), v, vp, -1)
+                h += _hits(side, disk, list(islice(misses, trials - h)),
                            None if need is None else need - h)
             out.append(h)
     return out

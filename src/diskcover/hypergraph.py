@@ -322,6 +322,19 @@ def link(H: Hypergraph3, u: int) -> SkeletonGraph:
     return SkeletonGraph._from_masks(masks)
 
 
+def link_intersection_rows(H: Hypergraph3, v: int, vp: int) -> list[int]:
+    """The rows of LI(v, vp) over all of V(H): entry x is the mask
+    row(v)[x] & row(vp)[x] of the w with vxw and v'xw triples of H.
+
+    No triple repeats a vertex, so entries v and vp are 0 and no entry
+    holds bit v or bit vp: a path search over these rows never reaches
+    an apex.
+    """
+    if v == vp:
+        raise ValueError("link intersection requires two distinct vertices")
+    return list(map(and_, H.row(v), H.row(vp)))
+
+
 def link_intersection(H: Hypergraph3, v: int, vp: int) -> SkeletonGraph:
     """The common link of v and vp on V(H) minus both.
 
@@ -329,9 +342,7 @@ def link_intersection(H: Hypergraph3, v: int, vp: int) -> SkeletonGraph:
     query vertices are excluded from the vertex set, so paths found here
     automatically avoid the apexes of any pyramid built over them.
     """
-    if v == vp:
-        raise ValueError("link intersection requires two distinct vertices")
-    masks = dict(enumerate(map(and_, H.row(v), H.row(vp))))
+    masks = dict(enumerate(link_intersection_rows(H, v, vp)))
     del masks[v], masks[vp]
     return SkeletonGraph._from_masks(masks)
 

@@ -10,11 +10,12 @@ The order and the walk run on their own over every length-2 path of
 audits run per graph, each including the stages before it, so the
 reliability (with the per-path setup) and the cuts are read as
 differences. Each time is the best of `repeats` runs (default 7). Not
-collected by pytest.
+collected by pytest; `tests/test_stage_scripts.py` runs it once at `1 1`.
 """
 
 import sys
 import time
+from functools import partial
 
 import workloads
 from diskcover import coverability as cv
@@ -46,7 +47,7 @@ def main(batches: int = 40, repeats: int = 7) -> None:
     t_order, orders = best(repeats, lambda: [
         cv._order(searches, universe) for searches, _, universe in paths])
     t_walk, _ = best(repeats, lambda: [
-        cv._leaf_counts(order, cv._event(searches, disk))
+        cv._leaf_counts(order, partial(cv._holds, searches, disk))
         for (searches, disk, _), order in zip(paths, orders)])
     t_rows, _ = best(repeats, lambda: [
         list(cv._admissibility_rows(G, by_p)) for G in graphs])

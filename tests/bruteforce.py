@@ -7,8 +7,8 @@ exceptions are the trial decoder, which reads the library's Philox
 stream through numpy's own float draws, `lexicographic_disks`, which
 checks each triangle set with the library's `classify`, and
 `cycle_hits` and `count_uncoverable`, the references for the lane pass,
-which count each cycle's trial masks alone with the per-mask predicate
-of the library's exact walks (`_event`), not with the lane pass.
+which count each cycle's trial masks alone with the per-mask test of
+the library's exact walks (`_holds`), not with the lane pass.
 Slow on purpose; only run on small instances.
 """
 
@@ -20,8 +20,7 @@ from math import comb
 
 from diskcover.complexes import DISK, TwoComplex, classify
 from diskcover.coverability import (_STREAM_COVER, _coverability_event,
-                                    _event, _least_hits)
-from diskcover.hypergraph import link_intersection
+                                    _holds, _least_hits)
 from diskcover.rng import generator, trial_masks
 
 
@@ -355,17 +354,16 @@ def trial_matrix(seed, stream, trials, width, p):
     return generator(seed, *stream).random((trials, width)) < p
 
 
-def cycle_hits(H, cyc, params, li_apex=None):
+def cycle_hits(H, cyc, params):
     """How many trial masks of the 4-cycle, drawn as `trial_masks` draws
     them on the cycle's stream, the coverability event holds on: each
-    mask asked alone of `_event`, the exact walks' predicate, over both
-    pyramid sides and the disk searcher under EXHAUSTIVE_SMALL. A caller
-    may pass LI(v, v')."""
+    mask asked alone of `_holds`, the exact walks' per-mask test, over
+    both pyramid sides and the disk searcher under EXHAUSTIVE_SMALL."""
     masks = trial_masks(params.seed, (_STREAM_COVER, *cyc), params.trials,
                         max(H.n, 1), params.p)
-    event = _event(*_coverability_event(H, cyc, params.strategy,
-                                        params.max_interior, li_apex))
-    return sum(map(event, masks))
+    searches, disk = _coverability_event(H, cyc, params.strategy,
+                                         params.max_interior)
+    return sum(_holds(searches, disk, m) for m in masks)
 
 
 def count_uncoverable(H, v, vp, pairs, params):
@@ -373,8 +371,7 @@ def count_uncoverable(H, v, vp, pairs, params):
     one cycle at a time: the reference for the lane pass behind
     `pair_psi`. A cycle with a repeated vertex, a vertex outside H or an
     edge missing from S(H) counts outright; every other counts its hits
-    alone (`cycle_hits`, over one shared LI(v, v')) against the least hit
-    count."""
+    alone (`cycle_hits`) against the least hit count."""
     pairs = list(pairs)
     vertices = H.vertices
     if v == vp or v not in vertices or vp not in vertices:
@@ -382,8 +379,7 @@ def count_uncoverable(H, v, vp, pairs, params):
     rv, rvp = H.row(v), H.row(vp)
     valid = [(w, wp) for w, wp in pairs if w != wp
              and all(x in vertices and rv[x] and rvp[x] for x in (w, wp))]
-    li_apex = link_intersection(H, v, vp) if valid else None
     need = _least_hits(params.trials, params.epsilon)
     return len(pairs) - sum(
-        cycle_hits(H, (v, w, vp, wp), params, li_apex) >= need
+        cycle_hits(H, (v, w, vp, wp), params) >= need
         for w, wp in valid)

@@ -15,16 +15,15 @@ cycle (`keyed_bits`), the screen of the blocks whose cycles all have
 one-vertex pyramids (`_sure_hits`), the transpose of the other blocks'
 bits into lane sets and the packing of the side-1 misses into trial
 masks (`row_masks`), the first pyramid side over all lanes
-(`_lane_paths`), the link intersections (LI(v, v') once per pass,
-LI(w, w') when a second-side search needs it), and the second side of
-the cycles short of need (`_hits`, less the link intersections it
-builds). A stage is charged its calls' own time, less that of the timed
+(`_lane_paths`), the rows of the link intersections
+(`link_intersection_rows`: LI(v, v') once per pass, LI(w, w') once per
+cycle short of need), and the second side of those cycles (`_hits`). A stage is charged its calls' own time, less that of the timed
 calls inside them; `other` is the rest of the pass. It prints one
 markdown table row per workload: the blocks, how many the screen
 settled (those that ran no lane search), and times in µs per decision
 from the fastest replay. It exits non-zero when a workload records no
 decisions, since its row would then measure nothing. Not collected by
-pytest.
+pytest; `tests/test_stage_scripts.py` runs it once at `1 1`.
 """
 
 import sys
@@ -36,7 +35,7 @@ from diskcover import coverability as cv
 
 STAGES = {"draws": "keyed_bits", "screen": "_sure_hits",
           "lane sets": "row_masks",
-          "side 1": "_lane_paths", "LI": "link_intersection",
+          "side 1": "_lane_paths", "LI": "link_intersection_rows",
           "side 2": "_hits"}
 
 

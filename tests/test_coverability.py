@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -152,9 +153,12 @@ _VERTS = st.lists(st.integers(0, 11), min_size=2, max_size=12, unique=True)
 @given(_VERTS, st.data())
 def test_path_rule_matches_brute_force(verts, data):
     """path_exists decides the path event; least_path is the least
-    shortest path."""
+    shortest path. Two equal ends have no path between them, though a
+    closed walk may return to the end."""
     pairs, a, b, interior = _path_case(verts, data)
     adj = SkeletonGraph(verts, pairs).adj_mask
+    assert not path_exists(adj, a, a, interior)
+    assert least_path(adj, a, a, interior) is None
     allowed = {x for x in verts if (interior >> x) & 1}
     found = next(bf._simple_paths_interior_in(pairs, a, b, allowed), None)
     assert path_exists(adj, a, b, interior) == (found is not None)
@@ -369,7 +373,8 @@ def _ascending_walk(G, x, y, z):
 def _ascending_cover_walk(H, cyc, strategy, max_interior):
     """The coverability walk over V(H) minus the cycle in ascending order."""
     universe = [v for v in H.vertices if v not in cyc]
-    return _leaf_counts(universe, coverability._event(
+    return _leaf_counts(universe, partial(
+        coverability._holds,
         *coverability._coverability_event(H, cyc, strategy, max_interior)))
 
 
@@ -417,9 +422,11 @@ def test_ordered_walk_matches_ascending_walk(graph, data):
 
 
 def test_ordered_walk_asks_a_third_of_the_ascending_walk(monkeypatch):
+    # one `_holds` call per node of a walk
     asked = []
-    monkeypatch.setattr(coverability, "path_exists",
-                        lambda *args: asked.append(args) or path_exists(*args))
+    holds = coverability._holds
+    monkeypatch.setattr(coverability, "_holds",
+                        lambda *args: asked.append(args) or holds(*args))
     ordered = ascending = 0
     for n, q, seed in product(range(9, 13), (0.25, 0.4), range(4)):
         G = random_graph(n, q, seed=seed)
@@ -821,9 +828,9 @@ def _ends(search):
     """A search's ends: the neighbours of a and of b in its interior,
     other than a and b, read off its rows. They are the ends the event
     description carries, which the screens read."""
-    carried, adj, a, b, interior = search
-    rows = adj()
-    ends = (rows[a] & interior & ~(1 << b), rows[b] & interior & ~(1 << a))
+    carried, rows, a, b, interior = search
+    assert not interior >> a & 1 and not interior >> b & 1
+    ends = (rows[a] & interior, rows[b] & interior)
     assert ends == carried
     return ends
 
@@ -851,7 +858,7 @@ def test_screens_settle_only_sure_masks(n, density, host_seed, strategy, data):
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=16))
     for search, disk in _kernel_cases(H, cyc, strategy, G, w, u, wp):
-        event = coverability._event((search,), disk)
+        event = partial(coverability._holds, (search,), disk)
         a, b = _ends(search)
         for m in masks:
             screened = _kernel(search, disk, [m])
@@ -921,14 +928,14 @@ def test_decisions_ask_only_the_open_masks(n, density, host_seed, trials,
        st.sampled_from([PYRAMID_ONLY, EXHAUSTIVE_SMALL]), st.data())
 def test_kernel_counts_the_event_over_every_mask(n, density, host_seed,
                                                  strategy, data):
-    """Over all 2^n masks the kernel counts the masks on which `_event`, the
-    walks' predicate, holds for its one search: the search from the ends
-    never passes through an end, as `path_exists` leaves both out of the
-    interior."""
+    """Over all 2^n masks the kernel counts the masks on which `_holds`, the
+    walks' per-mask test, holds for its one search: the search from the
+    ends never passes through an end, as the search leaves both out of
+    the interior."""
     H, cyc, G, (w, u, wp) = _screen_case(n, density, host_seed, data)
     masks = list(range(1 << n))
     for search, disk in _kernel_cases(H, cyc, strategy, G, w, u, wp):
-        event = coverability._event((search,), disk)
+        event = partial(coverability._holds, (search,), disk)
         assert coverability._hits(search, disk, masks) == sum(
             map(event, masks))
 
@@ -965,27 +972,28 @@ def test_screens_decide_complete_host_without_a_path_search(monkeypatch):
 @given(st.integers(4, 9), st.sampled_from([0.3, 0.6, 1.0]),
        st.integers(0, 2 ** 32 - 1), st.data())
 def test_second_side_ends_read_off_the_rows(n, density, host_seed, data):
-    """The second pyramid search's ends, read as row(w)[x] & row(w')[x]
-    without LI(w, w'), are the ends LI(w, w') gives, for any four distinct
-    vertices, and its rows are LI(w, w')'s."""
+    """The second pyramid search's ends, read off its rows
+    row(w)[x] & row(w')[x], are the ends LI(w, w') gives, for any four
+    distinct vertices, and its rows are LI(w, w')'s, with 0 at w and w'."""
     rng = random.Random(host_seed)
     triples = [t for t in combinations(range(n), 3) if rng.random() < density]
     H = Hypergraph3(n, triples)
     v, w, vp, wp = data.draw(st.permutations(range(n)))[:4]
     searches, _ = coverability._coverability_event(H, (v, w, vp, wp),
                                                    PYRAMID_ONLY, 3)
-    ends, adj, a, b, interior = searches[1]
-    rows = link_intersection(H, w, wp).adj_mask
-    assert (a, b, interior) == (v, vp, -1)
-    assert ends == (rows[v] & ~(1 << vp), rows[vp] & ~(1 << v))
-    assert adj() == rows
+    ends, rows, a, b, interior = searches[1]
+    li = link_intersection(H, w, wp).adj_mask
+    assert (a, b, interior) == (v, vp, ~(1 << v | 1 << vp))
+    assert ends == (li[v] & ~(1 << vp), li[vp] & ~(1 << v))
+    assert {x: rows[x] for x in li} == li and rows[w] == rows[wp] == 0
 
 
 def _count_link_intersections(monkeypatch):
-    """The (v, v') of every link intersection coverability builds."""
+    """The (v, v') of every link intersection coverability builds the
+    rows of."""
     built = []
-    real = coverability.link_intersection
-    monkeypatch.setattr(coverability, "link_intersection",
+    real = coverability.link_intersection_rows
+    monkeypatch.setattr(coverability, "link_intersection_rows",
                         lambda H, v, vp: built.append((v, vp)) or real(H, v, vp))
     return built
 
@@ -999,21 +1007,24 @@ SIDE_TWO_H = Hypergraph3(8, [(0, 1, 4), (1, 2, 4), (0, 3, 5), (2, 3, 5),
                              (1, 2, 7), (2, 3, 7)])
 
 
-def test_second_side_link_intersection_only_when_searched(monkeypatch):
+def test_lane_pass_builds_each_sides_rows_once(monkeypatch):
     built = _count_link_intersections(monkeypatch)
     params = est_params(trials=64)
     need = coverability._least_hits(64, params.epsilon)
-    for n in (12, 30):
+    # on K_12 some trial's mask holds none of the 8 vertices off the
+    # cycle, so a full count finds the cycle short on the first side
+    for n, full in ((12, [(0, 2), (1, 3)]), (30, [(0, 2)])):
         H = complete_hypergraph(n)
-        # the screens settle every mask: LI(v, v') only, for a decision and
-        # for a full count
+        # the numpy screen settles a decision: LI(v, v') only
         assert coverability._cycle_hits(H, 0, 2, [(1, 3)], params,
                                          need)[0] >= need
         assert built == [(0, 2)]
         del built[:]
+        # a full count: LI(v, v') once, and LI(w, w') once if the cycle
+        # is short on the first side
         assert sample_disk_coverability(H, (0, 1, 2, 3),
                                         params).decided_coverable
-        assert built == [(0, 2)]
+        assert built == full
         del built[:]
     # the first side never holds, and the second side's screen leaves
     # enough masks open to reach need: LI(w, w') once per decision

@@ -13,7 +13,8 @@ from diskcover.experiments import audit_corpus
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, codegree,
                                   common_neighborhood, complete_hypergraph,
-                                  iter_p2s, link, link_intersection, skeleton)
+                                  iter_p2s, link, link_intersection,
+                                  link_intersection_rows, skeleton)
 
 
 def test_hypergraph_rejects_bad_triples():
@@ -145,6 +146,24 @@ def test_link_intersection_is_link_meet(n, raw):
     assert set(LI.edges) == meet
     for e in LI.edges:
         assert e in set(skeleton(H).edges)
+
+
+@settings(max_examples=200)
+@given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 3)))),
+    st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))))
+def test_link_intersection_rows_keep_the_apexes_out(host):
+    """The rows of LI(v, v') are link_intersection's on its vertices, 0 at
+    v and v', and hold neither bit v nor bit v' anywhere; hosts include
+    ones with no triple, or none through v, whose rows are all empty."""
+    n, triples, (v, vp) = host
+    H = Hypergraph3(n, triples)
+    rows = link_intersection_rows(H, v, vp)
+    assert len(rows) == n
+    masks = link_intersection(H, v, vp).adj_mask
+    assert {x: rows[x] for x in masks} == masks
+    assert rows[v] == rows[vp] == 0
+    assert all(not row >> v & 1 and not row >> vp & 1 for row in rows)
 
 
 @st.composite

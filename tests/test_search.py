@@ -284,9 +284,10 @@ def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
     """The pattern stage decides a draw's special cycles v_i v_ij v_j v_ijk
     in one lane pass per apex pair (v_i, v_j), over its t - 2 cycles, in
     first-appearance order: at seed 0 the core stage's 6 passes over
-    sampled pairs, then 6 for the accepted draw. A find builds 36 link
-    intersections (6 in the core stage, 6 in the pattern stage, 24 in the
-    gluer) and checks each of its 12 cycles once, in the gluer."""
+    sampled pairs, then 6 for the accepted draw. A find builds the rows of
+    36 link intersections (one per lane pass, 12 in all, and the gluer's
+    24 through `link_intersection`) and checks each of its 12 cycles
+    once, in the gluer."""
     passes = []
     real = coverability._cycle_hits
 
@@ -296,7 +297,8 @@ def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
 
     monkeypatch.setattr(coverability, "_cycle_hits", record)
     calls = Counter()
-    for f in (hypergraph.link_intersection, coverability._check_four_cycle):
+    for f in (hypergraph.link_intersection_rows,
+              coverability._check_four_cycle):
         def counting(*args, f=f):
             calls[f.__name__] += 1
             return f(*args)
@@ -312,7 +314,8 @@ def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
         cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1,
                                                    seed=seed))
         assert isinstance(cert, HomeomorphCertificate)
-        assert calls == {"link_intersection": 36, "_check_four_cycle": 12}
+        assert calls == {"link_intersection_rows": 36,
+                         "_check_four_cycle": 12}
     del passes[:]
     cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1))
     groups = {}
