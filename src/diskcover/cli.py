@@ -252,7 +252,6 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--estimator-trials must be positive")
     params = _with_estimator(
         SearchParams(t=args.t, trials=args.estimator_trials), args)
-    params.estimator(args.target)  # range checks, before any host is drawn
     rows = threshold_sweep(args.target, n_values, c_values, args.trials,
                            args.seed, params=params, jobs=args.jobs,
                            timing=args.timing)

@@ -53,7 +53,7 @@ from .hypergraph import (
     _bits,
     common_neighborhood,
     iter_p2s,
-    link_intersection_rows,
+    link_intersection,
 )
 from .rng import keyed_bits, mask_bits, mix64, row_masks, trial_masks
 
@@ -188,18 +188,20 @@ def pyramid_disk(v: int, vp: int, path: Sequence[int]) -> TwoComplex:
 # bitmask path search
 
 
-def path_exists(adj: dict[int, int], a: int, b: int, interior: int) -> bool:
+def path_exists(adj, a: int, b: int, interior: int) -> bool:
     """Whether a path a..b of length >= 2 runs through `interior`, for two
-    distinct ends.
+    distinct ends (False when a == b).
 
     The direct edge ab is left out and the internal vertices are
     confined to the `interior` mask (a and b are never internal): the
     one-search `_holds` on the full mask.
 
-    `adj` must be symmetric (bit y of adj[x] set iff bit x of adj[y]
-    is), since the search from b follows rows backwards.
+    `adj` holds the bitmask rows indexed by vertex (a list, or a graph's
+    `adj_mask`), and a and b must be vertices. The rows must be
+    symmetric (bit y of adj[x] set iff bit x of adj[y] is), since the
+    search from b follows rows backwards.
     """
-    if a == b or a not in adj or b not in adj:
+    if a == b:
         return False
     return _holds((_search(adj, a, b, interior),), None, -1)
 
@@ -292,11 +294,10 @@ def _lane_paths(nbrs: list[list[int]], source: dict[int, int],
                     reach[x] |= f
 
 
-def least_path(adj: dict[int, int], a: int, b: int,
-               interior: int) -> list[int] | None:
+def least_path(adj, a: int, b: int, interior: int) -> list[int] | None:
     """The lexicographically smallest shortest path a..b of length >= 2
-    through `interior`, or None when `path_exists` finds none (always
-    when a == b).
+    through `interior`, over rows as `path_exists` takes them, or None
+    when `path_exists` finds none (always when a == b).
 
     The layers from a (`_layers`) stop at the first that meets N(b), so
     a shortest path has one internal vertex per layer, the last in that
@@ -304,7 +305,7 @@ def least_path(adj: dict[int, int], a: int, b: int,
     layer that reach that meeting set; the forward pass then takes the
     smallest kept neighbour of the previous vertex at each step.
     """
-    if a == b or a not in adj or b not in adj:
+    if a == b:
         return None
     interior &= ~((1 << a) | (1 << b))
     goal = adj[b]
@@ -712,8 +713,8 @@ def _coverability_event(H: Hypergraph3, cyc: tuple[int, int, int, int],
     searches w..w' in LI(v, v') and v..v' in LI(w, w'), and the disk
     searcher under EXHAUSTIVE_SMALL."""
     v, w, vp, wp = cyc
-    return ((_search(link_intersection_rows(H, v, vp), w, wp, -1),
-             _search(link_intersection_rows(H, w, wp), v, vp, -1)),
+    return ((_search(link_intersection(H, v, vp), w, wp, -1),
+             _search(link_intersection(H, w, wp), v, vp, -1)),
             _disk_searcher(H, cyc, strategy, max_interior))
 
 
@@ -831,7 +832,7 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
     runs `_hits` over its side-1 misses with need - hits, on the second
     side and the disk searcher under EXHAUSTIVE_SMALL only: the event is
     side 1 or side 2 or a disk, so each count, or decision, is the full
-    event's. The rows of LI(v, v') (`link_intersection_rows`) are built
+    event's. The rows of LI(v, v') (`link_intersection`) are built
     once for all the cycles, and a cycle short of need builds those of
     LI(w, w') for its second side alone.
     """
@@ -840,7 +841,7 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
     trials = params.trials
     short = trials if need is None else need
     width = max(H.n, 1)
-    adj = link_intersection_rows(H, v, vp)
+    adj = link_intersection(H, v, vp)
     nbrs = None
     prefix = mix64(params.seed, _STREAM_COVER, v)
     full = (1 << trials) - 1
@@ -877,7 +878,7 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
             if h < short:
                 disk = _disk_searcher(H, (v, w, vp, wp), params.strategy,
                                       params.max_interior)
-                side = _search(link_intersection_rows(H, w, wp), v, vp, -1)
+                side = _search(link_intersection(H, w, wp), v, vp, -1)
                 h += _hits(side, disk, list(islice(misses, trials - h)),
                            None if need is None else need - h)
             out.append(h)

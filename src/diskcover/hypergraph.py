@@ -4,21 +4,22 @@ A :class:`Hypergraph3` is a vertex set {0..n-1} plus a set of unordered
 vertex triples, stored as one sorted, duplicate-free int64 array
 ``H.codes`` of triple codes (a*n + b)*n + c with a < b < c, so the
 codes ascend in the lexicographic order of the triples. A
-:class:`SkeletonGraph` is a plain simple graph; it is used for
-1-skeletons, link graphs, and link intersections. Both types are
-immutable and safe to share across concurrent tasks. Membership is a
-binary search in the codes, and the skeleton one scatter of the pairs
-of every code into an n x n bool array. Derived views are built on first
-use and kept: ``H.row(u)``, whose entry w is the bitmask of w' with uww'
-in H, built from the triples through u alone, which link and link
-intersection read (O(n) once built); ``H.edges``, the frozenset of
-triples as tuples, which no search, sweep or verify path reads; and a
-graph's ``edges`` and ``adj``, derived from ``adj_mask``. A graph's
-``vertices`` is a view of the keys of ``adj_mask``, not a stored set.
-Pickling and copying ship the stored form only (n, codes and labels; a
-graph's ``adj_mask``). At n = 800 and c = 2 a host holds 6 M triples:
-48 MB of codes, 12 MB of compact last vertices once a row is read, and
-0.6 MB for the n x n array of a skeleton or row while it is scattered.
+:class:`SkeletonGraph` is a plain simple graph, built only where a graph
+API is read: 1-skeletons and links (`link`). Both types are immutable
+and safe to share across concurrent tasks. Membership is a binary search
+in the codes, and the skeleton one scatter of the pairs of every code
+into an n x n bool array. Derived views are built on first use and kept:
+``H.row(u)``, whose entry w is the bitmask of w' with uww' in H, built
+from the triples through u alone, which links read, and whose ANDs with
+another row are a link intersection (O(n) once built); ``H.edges``, the
+frozenset of triples as tuples, which no search, sweep or verify path
+reads; and a graph's ``edges`` and ``adj``, derived from ``adj_mask``.
+A graph's ``vertices`` is a view of the keys of ``adj_mask``, not a
+stored set. Pickling and copying ship the stored form only (n, codes
+and labels; a graph's ``adj_mask``). At n = 800 and c = 2 a host holds
+6 M triples: 48 MB of codes, 12 MB of compact last vertices once a row
+is read, and 0.6 MB for the n x n array of a skeleton or row while it
+is scattered.
 
 Vertex identifiers are dense non-negative integers; external labels are
 mapped at the I/O boundary (see :mod:`diskcover.io`).
@@ -187,25 +188,29 @@ class Hypergraph3:
         a, bc = np.divmod(self.codes, self.n * self.n)
         return np.stack((a, *np.divmod(bc, self.n)), axis=1)
 
-    def has_triples(self, triples: Iterable[Iterable[int]]) -> np.ndarray:
-        """Whether each triple, its vertices in any order, is one of H: a bool
-        array from one batched binary search in the codes."""
-        n = self.n
-        return self.has_codes(np.array(
-            [(a * n + b) * n + c if 0 <= a < b < c < n else -1
-             for a, b, c in map(sorted, triples)], dtype=np.int64))
-
-    def has_codes(self, want: np.ndarray) -> np.ndarray:
-        """Whether each entry of an int64 array of codes (a*n + b)*n + c,
-        a < b < c, is a triple of H: a bool array of the same shape, from
-        one batched binary search in the codes."""
+    def has_triples(self, triples) -> np.ndarray:
+        """Whether each triple of an int array of shape (..., 3), its
+        vertices in any order, is one of H: a bool array of shape (...),
+        from one batched binary search in the codes. A triple with a
+        repeated vertex, or one outside 0..n-1 (however large), is not."""
+        n, t = self.n, np.asarray(triples)
         if not self.codes.size:
-            return np.zeros(want.shape, dtype=bool)
+            return np.zeros(t.shape[:-1], dtype=bool)
+        # rows of one 2-d array, so no step below meets a numpy scalar
+        a, b, c = t.reshape(-1, 3).T
+        # a sorting network, cheaper than np.sort on rows of three
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        b, c = np.minimum(b, c), np.maximum(b, c)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        ok = (0 <= a) & (a < b) & (b < c) & (c < n)
+        # a vertex outside V(H) may be huge: encode the checked triples only
+        a, b, c = np.where(ok, (a, b, c), 0).astype(np.int64)
+        want = (a * n + b) * n + c
         at = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
-        return self.codes[at] == want
+        return (ok & (self.codes[at] == want)).reshape(t.shape[:-1])
 
     def __contains__(self, triple: Iterable[int]) -> bool:
-        return bool(self.has_triples((_canon_triple(triple),))[0])
+        return bool(self.has_triples(_canon_triple(triple)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Hypergraph3) and self.n == other.n
@@ -315,16 +320,10 @@ def skeleton(H: Hypergraph3) -> SkeletonGraph:
     return SkeletonGraph._from_masks(dict(enumerate(row_masks(adj))))
 
 
-def link(H: Hypergraph3, u: int) -> SkeletonGraph:
-    """The link graph of u: edges vw with uvw a triple of H, on V(H) minus u."""
-    masks = dict(enumerate(H.row(u)))
-    del masks[u]
-    return SkeletonGraph._from_masks(masks)
-
-
-def link_intersection_rows(H: Hypergraph3, v: int, vp: int) -> list[int]:
-    """The rows of LI(v, vp) over all of V(H): entry x is the mask
-    row(v)[x] & row(vp)[x] of the w with vxw and v'xw triples of H.
+def link_intersection(H: Hypergraph3, v: int, vp: int) -> list[int]:
+    """The rows of LI(v, vp), the common link of v and vp, over all of
+    V(H): entry x is the mask row(v)[x] & row(vp)[x] of the w with vxw and
+    v'xw triples of H.
 
     No triple repeats a vertex, so entries v and vp are 0 and no entry
     holds bit v or bit vp: a path search over these rows never reaches
@@ -335,15 +334,14 @@ def link_intersection_rows(H: Hypergraph3, v: int, vp: int) -> list[int]:
     return list(map(and_, H.row(v), H.row(vp)))
 
 
-def link_intersection(H: Hypergraph3, v: int, vp: int) -> SkeletonGraph:
-    """The common link of v and vp on V(H) minus both.
-
-    Edge ww' is present iff both vww' and v'ww' are triples of H. Both
-    query vertices are excluded from the vertex set, so paths found here
-    automatically avoid the apexes of any pyramid built over them.
-    """
-    masks = dict(enumerate(link_intersection_rows(H, v, vp)))
-    del masks[v], masks[vp]
+def link(H: Hypergraph3, *vs: int) -> SkeletonGraph:
+    """The graph of edges ww' with vww' a triple of H for every v of vs, on
+    V(H) minus vs: link(H, u) is the link graph of u, and link(H, v, v')
+    that of their link intersection."""
+    masks = dict(enumerate(H.row(*vs) if len(vs) == 1
+                           else link_intersection(H, *vs)))
+    for v in vs:
+        del masks[v]
     return SkeletonGraph._from_masks(masks)
 
 

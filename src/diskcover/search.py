@@ -105,6 +105,9 @@ class SearchParams:
             raise ValueError("retry budgets must be positive")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        for name, x in (("p", self.p), ("epsilon", self.epsilon)):
+            if x is not None and not 0 < x < 1:
+                raise ValueError(f"{name} must lie strictly between 0 and 1")
 
     def resolved(self, target: str) -> tuple[float, float]:
         if target == KTT:
@@ -138,12 +141,13 @@ class GlueFailure:
 
 
 def _cycle_pyramid(cyc: tuple[int, int, int, int],
-                   lis: tuple[SkeletonGraph, SkeletonGraph],
+                   rows: dict[tuple[int, int], list[int]],
                    part_mask: int) -> TwoComplex | None:
-    """A pyramid disk over one 4-cycle with interior inside the part mask."""
+    """A pyramid disk over one 4-cycle with interior inside the part mask,
+    given the link intersection rows of each apex pair."""
     a, b, c, d = cyc
-    for (v, vp, w, wp), li in zip(((a, c, b, d), (b, d, a, c)), lis):
-        path = least_path(li.adj_mask, w, wp, part_mask)
+    for v, vp, w, wp in ((a, c, b, d), (b, d, a, c)):
+        path = least_path(rows[v, vp], w, wp, part_mask)
         if path is not None:
             return pyramid_disk(v, vp, path)
     return None
@@ -165,21 +169,21 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
     cycs = [tuple(c) for c in cycles]
     if not cycs:
         return []
-    # a cycle listed twice (the sphere's two disks) is checked, has its
-    # link intersections built and its pyramids tried with every free
-    # vertex, once
+    # a cycle listed twice (the sphere's two disks) is checked and tried
+    # with every free vertex once; an apex pair's rows are built once
     distinct = dict.fromkeys(cycs)
     for c in distinct:
         _check_four_cycle(H, c)
-    sides = {c: (link_intersection(H, c[0], c[2]),
-                 link_intersection(H, c[1], c[3])) for c in distinct}
+    pairs = dict.fromkeys(p for a, b, c, d in distinct
+                          for p in ((a, c), (b, d)))
+    rows = {p: link_intersection(H, *p) for p in pairs}
     k = len(cycs)
     W = {v for c in cycs for v in c}
     free = np.array([v for v in H.vertices if v not in W], dtype=np.int64)
 
     free_mask = sum(1 << v for v in free.tolist())
-    stuck = {c for c, lis in sides.items()
-             if _cycle_pyramid(c, lis, free_mask) is None}
+    stuck = {c for c in distinct
+             if _cycle_pyramid(c, rows, free_mask) is None}
     hopeless = [i for i, c in enumerate(cycs) if c in stuck]
     if hopeless:
         counts = tuple(1 if i in hopeless else 0 for i in range(k))
@@ -203,7 +207,7 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
         parts[part_of, free[gen.permutation(len(free))]] = True
         disks: list[TwoComplex] = []
         for i, part_mask in enumerate(row_masks(parts)):
-            disk = _cycle_pyramid(cycs[i], sides[cycs[i]], part_mask)
+            disk = _cycle_pyramid(cycs[i], rows, part_mask)
             if disk is None:
                 fail_counts[i] += 1
                 break
@@ -366,7 +370,7 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     hub_paths = ((0, 1), (2, 3), (4, 5))[:hub_degree // 2]
     est = params.estimator(target)
 
-    # stage 1: apex pair maximizing the common-link edge count
+    # stage 1: apex pair maximizing the common-link edge count (row bits)
     if H.n < hub_degree + 3 or not H.codes.size:
         return SearchFailure(target, "apex-selection",
                              "hypergraph too small or empty", 0)
@@ -378,15 +382,15 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
             pairs.add((min(int(a), int(b)), max(int(a), int(b))))
     best, best_e = None, -1
     for a, b in sorted(pairs):
-        li = link_intersection(H, a, b)
-        e = li.edge_count()
+        e = sum(row.bit_count() for row in link_intersection(H, a, b)) // 2
         if e > best_e:
-            best, best_e = (a, b, li), e
+            best, best_e = (a, b), e
     if best is None or best_e <= 0:
         return SearchFailure(target, "apex-selection",
                              "no sampled apex pair has a common link edge",
                              _LINK_SAMPLE)
-    u, up, G = best
+    u, up = best
+    G = link(H, u, up)
 
     # stage 2: hub vertex with admissible spoke paths
     candidates = sorted(v for v in G.vertices if G.degree(v) >= hub_degree)

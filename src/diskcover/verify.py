@@ -67,7 +67,8 @@ class VerificationReport:
 
 def _check_triangles(H: Hypergraph3, cert) -> CheckResult:
     tris = [t for d in cert.disks for t in sorted(d.triangles)]
-    stray = [t for t, ok in zip(tris, H.has_triples(tris)) if not ok]
+    found = H.has_triples(np.reshape(tris, (-1, 3)))
+    stray = [t for t, ok in zip(tris, found) if not ok]
     if stray:
         return CheckResult(
             "disk-triangles-in-hypergraph", False,
@@ -119,17 +120,12 @@ def _check_pattern(H: Hypergraph3, cert, pattern: Pattern) -> CheckResult:
     if len(set(image)) != len(image):
         return CheckResult(name, False, "embedding is not injective")
     # a pattern edge xy lies in the skeleton iff some triple xyw is in H:
-    # one edges x n grid of codes from the min, median and max of x, y, w,
-    # where w at an end, or an end outside V(H), makes no triple
-    n = H.n
+    # one edges x n grid of triples, where w at an end, or an end outside
+    # V(H), makes none
     edges = sorted(pattern.edges)
-    inside = [x if 0 <= x < n else -1 for x in image]
-    xy = np.sort(np.array([(inside[a], inside[b]) for a, b in edges],
-                          np.int64).reshape(-1, 2), axis=1)
-    x, y, w = xy[:, :1], xy[:, 1:], np.arange(n)
-    lo, hi = np.minimum(x, w), np.maximum(y, w)
-    present = (H.has_codes((lo * n + x + y + w - lo - hi) * n + hi)
-               & (x >= 0) & (w != x) & (w != y))
+    x, y = np.array([(image[a], image[b]) for a, b in edges]).T[..., None]
+    present = H.has_triples(
+        np.stack(np.broadcast_arrays(x, y, np.arange(H.n)), axis=-1))
     for (a, b), covered in zip(edges, present.any(axis=1)):
         if not covered:
             return CheckResult(

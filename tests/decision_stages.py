@@ -16,7 +16,7 @@ one-vertex pyramids (`_sure_hits`), the transpose of the other blocks'
 bits into lane sets and the packing of the side-1 misses into trial
 masks (`row_masks`), the first pyramid side over all lanes
 (`_lane_paths`), the rows of the link intersections
-(`link_intersection_rows`: LI(v, v') once per pass, LI(w, w') once per
+(`link_intersection`: LI(v, v') once per pass, LI(w, w') once per
 cycle short of need), and the second side of those cycles (`_hits`). A stage is charged its calls' own time, less that of the timed
 calls inside them; `other` is the rest of the pass. It prints one
 markdown table row per workload: the blocks, how many the screen
@@ -35,7 +35,7 @@ from diskcover import coverability as cv
 
 STAGES = {"draws": "keyed_bits", "screen": "_sure_hits",
           "lane sets": "row_masks",
-          "side 1": "_lane_paths", "LI": "link_intersection_rows",
+          "side 1": "_lane_paths", "LI": "link_intersection",
           "side 2": "_hits"}
 
 

@@ -396,16 +396,18 @@ def test_sweep_passes_the_estimator_parameters(capsys):
     ("--p", "2"), ("--p", "0"), ("--p", "x"), ("--epsilon", "1"),
     ("--epsilon", "1/0"), ("--epsilon", "nan")])
 def test_sweep_bad_estimator_parameter_is_usage_error(capsys, monkeypatch,
-                                                      target, option):
-    # checked before any host is drawn, even for the sphere, which never
-    # runs the estimator
+                                                      k8_file, target, option):
+    # checked before a sweep draws any host, or a find searches one, even
+    # for the sphere, which never runs the estimator
     monkeypatch.setattr(cli, "threshold_sweep",
                         lambda *a, **k: pytest.fail("a host was drawn"))
-    code, out, err = run(capsys, "sweep", "--target", target, "--n", "12",
-                         "--c", "1", *option)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    monkeypatch.setitem(cli.FINDERS, target,
+                        lambda *a: pytest.fail("a host was searched"))
+    for argv in (("sweep", "--n", "12", "--c", "1"), ("find", k8_file)):
+        code, out, err = run(capsys, *argv, "--target", target, *option)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_sweep_passes_the_estimator_trials(capsys, monkeypatch):

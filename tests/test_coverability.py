@@ -697,7 +697,7 @@ def _side_two(H, cyc, params):
     v, w, vp, wp = cyc
     masks = trial_masks(params.seed, (coverability._STREAM_COVER, *cyc),
                         params.trials, max(H.n, 1), params.p)
-    li = link_intersection(H, v, vp).adj_mask
+    li = link_intersection(H, v, vp)
     misses = [m for m in masks if not path_exists(li, w, wp, m)]
     searches, disk = coverability._coverability_event(
         H, cyc, params.strategy, params.max_interior)
@@ -982,7 +982,7 @@ def test_second_side_ends_read_off_the_rows(n, density, host_seed, data):
     searches, _ = coverability._coverability_event(H, (v, w, vp, wp),
                                                    PYRAMID_ONLY, 3)
     ends, rows, a, b, interior = searches[1]
-    li = link_intersection(H, w, wp).adj_mask
+    li = link(H, w, wp).adj_mask
     assert (a, b, interior) == (v, vp, ~(1 << v | 1 << vp))
     assert ends == (li[v] & ~(1 << vp), li[vp] & ~(1 << v))
     assert {x: rows[x] for x in li} == li and rows[w] == rows[wp] == 0
@@ -992,8 +992,8 @@ def _count_link_intersections(monkeypatch):
     """The (v, v') of every link intersection coverability builds the
     rows of."""
     built = []
-    real = coverability.link_intersection_rows
-    monkeypatch.setattr(coverability, "link_intersection_rows",
+    real = coverability.link_intersection
+    monkeypatch.setattr(coverability, "link_intersection",
                         lambda H, v, vp: built.append((v, vp)) or real(H, v, vp))
     return built
 
@@ -1574,7 +1574,7 @@ def test_dense_blocks_the_screen_leaves_run_the_lanes(monkeypatch, H, pairs,
     real = coverability._lane_paths
     monkeypatch.setattr(coverability, "_lane_paths",
                         lambda *args: calls.append(1) or real(*args))
-    li = link_intersection(H, 0, 1).adj_mask
+    li = link_intersection(H, 0, 1)
     assert [(w, wp) for w, wp in pairs if not li[w] & li[wp]] == pyramidless
     params = est_params(trials=64, epsilon=epsilon)
     need = coverability._least_hits(64, epsilon)

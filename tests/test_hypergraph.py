@@ -14,7 +14,7 @@ from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, codegree,
                                   common_neighborhood, complete_hypergraph,
                                   iter_p2s, link, link_intersection,
-                                  link_intersection_rows, skeleton)
+                                  skeleton)
 
 
 def test_hypergraph_rejects_bad_triples():
@@ -29,6 +29,30 @@ def test_hypergraph_rejects_bad_triples():
 def test_hypergraph_dedups_triples():
     H = Hypergraph3(4, [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
     assert len(H.edges) == 1
+
+
+_QUERY_VERTEX = st.one_of(st.integers(-2, 9),
+                          st.sampled_from([-2 ** 70, 2 ** 63 - 1, 2 ** 63, 2 ** 70]))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 3))))
+    if n >= 3 else st.just(set()),
+    st.lists(st.lists(_QUERY_VERTEX, min_size=3, max_size=3), max_size=12))))
+def test_has_triples_is_set_membership(case):
+    """has_triples answers membership of the triple's vertex set, in any
+    order, for an array of any leading shape; repeated vertices and ones
+    outside 0..n-1, however large, are never in H."""
+    n, triples, queries = case
+    H = Hypergraph3(n, triples)
+    members = set(map(frozenset, triples))
+    want = [len(set(q)) == 3 and frozenset(q) in members for q in queries]
+    got = H.has_triples(np.array(queries, dtype=object).reshape(-1, 3))
+    assert got.dtype == bool and got.tolist() == want
+    for q, w in zip(queries, want):
+        assert H.has_triples(q) == w
+        assert H.has_triples([[q, q]]).tolist() == [[w, w]]
 
 
 def test_skeleton_single_triple():
@@ -71,21 +95,23 @@ def test_link_isolated_vertex_and_bad_vertex():
 
 def test_link_intersection_direct():
     H = Hypergraph3(4, [(0, 2, 3), (1, 2, 3)])
-    LI = link_intersection(H, 0, 1)
+    LI = link(H, 0, 1)
     assert set(LI.edges) == {(2, 3)}
     assert set(LI.vertices) == {2, 3}
 
 
 def test_link_intersection_complete():
     H = complete_hypergraph(6)
-    LI = link_intersection(H, 0, 1)
+    LI = link(H, 0, 1)
     assert len(LI.edges) == 6  # K_4 on the other four
     assert set(LI.vertices) == {2, 3, 4, 5}
 
 
 def test_link_intersection_empty_and_errors():
     H = Hypergraph3(5, [(0, 1, 2), (3, 1, 2)])
-    assert not link_intersection(H, 0, 4).edges
+    assert not link(H, 0, 4).edges
+    with pytest.raises(ValueError):
+        link(H, 2, 2)
     with pytest.raises(ValueError):
         link_intersection(H, 2, 2)
 
@@ -140,7 +166,7 @@ def test_link_intersection_is_link_meet(n, raw):
     triples = [t for t in raw if len(set(t)) == 3 and max(t) < n]
     H = Hypergraph3(n, triples)
     Lv, Lw = link(H, 0), link(H, 1)
-    LI = link_intersection(H, 0, 1)
+    LI = link(H, 0, 1)
     meet = {e for e in Lv.edges if e in set(Lw.edges)
             and 0 not in e and 1 not in e}
     assert set(LI.edges) == meet
@@ -153,14 +179,17 @@ def test_link_intersection_is_link_meet(n, raw):
     st.just(n), st.sets(st.sampled_from(list(combinations(range(n), 3)))),
     st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))))
 def test_link_intersection_rows_keep_the_apexes_out(host):
-    """The rows of LI(v, v') are link_intersection's on its vertices, 0 at
-    v and v', and hold neither bit v nor bit v' anywhere; hosts include
-    ones with no triple, or none through v, whose rows are all empty."""
+    """The rows of LI(v, v') are the meet of the link rows of v and v'
+    from the definition, and those of its graph link(H, v, v') on its
+    vertices; they are 0 at v and v' and hold neither bit v nor bit v'
+    anywhere. Hosts include ones with no triple, or none through v, whose
+    rows are all empty."""
     n, triples, (v, vp) = host
     H = Hypergraph3(n, triples)
-    rows = link_intersection_rows(H, v, vp)
-    assert len(rows) == n
-    masks = link_intersection(H, v, vp).adj_mask
+    rows = link_intersection(H, v, vp)
+    assert rows == [x & y for x, y in zip(bf.link_row(triples, v, n),
+                                          bf.link_row(triples, vp, n))]
+    masks = link(H, v, vp).adj_mask
     assert {x: rows[x] for x in masks} == masks
     assert rows[v] == rows[vp] == 0
     assert all(not row >> v & 1 and not row >> vp & 1 for row in rows)
@@ -220,7 +249,7 @@ def test_row_core_matches_definitions(case):
                       bf.link_pairs(edges, u))
     _assert_graph(skeleton(H), range(n), skel_pairs)
     if v is not None:
-        _assert_graph(link_intersection(H, v, vp),
+        _assert_graph(link(H, v, vp),
                       [x for x in range(n) if x not in (v, vp)],
                       set(bf._li_pairs(edges, v, vp)))
 
@@ -271,7 +300,7 @@ def test_vertex_set_is_a_view_of_the_rows():
         assert len(H.vertices) == H.n == 5
         assert 7 in H.vertices and 2 in H.vertices and 3 not in H.vertices
         assert H.degree(7) == 0 and H.adj_mask[2] == 0
-    LI = link_intersection(complete_hypergraph(6), 3, 1)
+    LI = link(complete_hypergraph(6), 3, 1)
     assert list(LI.vertices) == [0, 2, 4, 5]
     assert LI.vertices == frozenset(LI.adj_mask)
     with pytest.raises(AttributeError):

@@ -40,6 +40,10 @@ def test_search_params_validation_and_defaults():
         SearchParams(t=2)
     with pytest.raises(ValueError):
         SearchParams(max_retries=0)
+    # a given p or epsilon is range-checked at once, whatever the target
+    for bad in ({"p": 2}, {"p": 0}, {"epsilon": 1}, {"epsilon": float("nan")}):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            SearchParams(**bad)
     p, eps = SearchParams(t=4).resolved(KTT)
     assert p == pytest.approx(4 ** -3)
     assert eps == pytest.approx(2 * 4 ** -6)
@@ -76,8 +80,8 @@ def test_glue_disks_complete():
 
 
 def test_glue_disks_same_cycle_twice(monkeypatch):
-    # as the sphere finder passes it: the cycle is checked, and its two link
-    # intersections built, once
+    # as the sphere finder passes it: the cycle is checked, and the rows of
+    # its two link intersections built, once
     H = complete_hypergraph(8)
     cyc = (0, 2, 1, 3)
     calls = []
@@ -92,6 +96,25 @@ def test_glue_disks_same_cycle_twice(monkeypatch):
     assert not isinstance(disks, GlueFailure)
     assert union_of(disks).triangles == disks[0].triangles | disks[1].triangles
     assert not disks[0].interior_vertices() & disks[1].interior_vertices()
+
+
+def test_glue_disks_builds_each_apex_pairs_rows_once(monkeypatch):
+    """On a K_4 certificate's 12 cycles the gluer asks for the rows of each
+    of the 18 distinct apex pairs once (6 pairs (v_i, v_j) of two cycles
+    each, 12 pairs (v_ij, v_ijk) of one) and builds no graph; its disks
+    are the certificate's."""
+    H = complete_hypergraph(30)
+    cert = find_k_t_homeomorph(H, replace(DESK, t=4))
+    asked = Counter()
+    monkeypatch.setattr(search, "link_intersection", lambda H, v, vp:
+                        asked.update([(v, vp)]) or link_intersection(H, v, vp))
+    for build in ("__init__", "_from_masks"):
+        monkeypatch.setattr(SkeletonGraph, build, lambda *a: pytest.fail(
+            "the gluer built a graph"))
+    disks = glue_disks(H, cert.cycles, replace(DESK, seed=cert.seed))
+    pairs = {p for a, b, c, d in cert.cycles for p in ((a, c), (b, d))}
+    assert len(pairs) == 18 and asked == Counter(pairs)
+    assert tuple(disks) == cert.disks
 
 
 def test_glue_disks_hopeless_cycle():
@@ -190,6 +213,20 @@ def test_find_projective_plane_k15():
     assert (c.kind, c.euler, c.orientable) == ("ClosedSurface", 1, False)
 
 
+@pytest.mark.parametrize("finder", [find_torus, find_projective_plane])
+def test_surface_apex_stage_builds_one_graph(monkeypatch, finder):
+    """The apex stage ranks its sampled pairs by the bits of their rows and
+    builds one graph, the winner's common link on V(H) minus both apexes."""
+    built = []
+    real = SkeletonGraph._from_masks.__func__
+    monkeypatch.setattr(SkeletonGraph, "_from_masks", classmethod(
+        lambda cls, masks: built.append(list(masks)) or real(cls, masks)))
+    cert = finder(complete_hypergraph(20), DESK)
+    assert isinstance(cert, HomeomorphCertificate)
+    apexes = (cert.embedding["u"], cert.embedding["u'"])
+    assert built == [[x for x in range(20) if x not in apexes]]
+
+
 def test_find_torus_hub_starved():
     # K_8 cannot host six distinct hub neighbours after the apexes go
     res = find_torus(complete_hypergraph(8), DESK)
@@ -285,9 +322,9 @@ def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
     in one lane pass per apex pair (v_i, v_j), over its t - 2 cycles, in
     first-appearance order: at seed 0 the core stage's 6 passes over
     sampled pairs, then 6 for the accepted draw. A find builds the rows of
-    36 link intersections (one per lane pass, 12 in all, and the gluer's
-    24 through `link_intersection`) and checks each of its 12 cycles
-    once, in the gluer."""
+    30 link intersections (one per lane pass, 12 in all, and the gluer's
+    18, one per distinct apex pair of its 12 cycles) and checks each of
+    its 12 cycles once, in the gluer."""
     passes = []
     real = coverability._cycle_hits
 
@@ -297,7 +334,7 @@ def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
 
     monkeypatch.setattr(coverability, "_cycle_hits", record)
     calls = Counter()
-    for f in (hypergraph.link_intersection_rows,
+    for f in (hypergraph.link_intersection,
               coverability._check_four_cycle):
         def counting(*args, f=f):
             calls[f.__name__] += 1
@@ -314,7 +351,7 @@ def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
         cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1,
                                                    seed=seed))
         assert isinstance(cert, HomeomorphCertificate)
-        assert calls == {"link_intersection_rows": 36,
+        assert calls == {"link_intersection": 30,
                          "_check_four_cycle": 12}
     del passes[:]
     cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1))

@@ -321,3 +321,20 @@ def test_surface_certificate_embedding_is_checked():
     for bad in ({}, {"a": 0, "b": 3, "c": 1, "d": 2},
                 {"a": 0, "b": 2, "c": 1, "d": 6}):
         assert _pattern_check(H, replace(cert, embedding=bad)) == (False, False)
+
+
+@pytest.mark.parametrize("far", [-1, -2 ** 70, 2 ** 63, 2 ** 70])
+def test_vertices_far_outside_the_host_fail_their_checks(far):
+    """An embedding or triangle vertex below 0, or too large for an int64
+    triple code, fails its own check and raises nothing."""
+    H, cert = hand_built_sphere()
+    report = verify_certificate(
+        H, replace(cert, embedding=dict(cert.embedding, a=far)))
+    assert [c.passed for c in report.checks] == [True, True, True, False]
+    assert report.checks[-1].detail == "pattern edge a-b missing from skeleton"
+    d1, d2 = cert.disks
+    stray = TwoComplex(list(d1.triangles) + [(2, 4, far)])
+    check = verify_certificate(H, replace(cert, disks=(stray, d2))).checks[0]
+    assert check == CheckResult(
+        "disk-triangles-in-hypergraph", False,
+        f"1 disk triangle(s) not edges of H, first {tuple(sorted((2, 4, far)))}")
