@@ -8,7 +8,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .hypergraph import Hypergraph3, SkeletonGraph, code_decoder, complete_hypergraph
+from .hypergraph import (Hypergraph3, SkeletonGraph, code_decoder, code_dtype,
+                         complete_hypergraph)
 from .rng import _threshold, generator, trial_bits
 
 __all__ = [
@@ -83,7 +84,7 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     total = comb(n, 3) if top > 0 else 0
     # sized for all but a mean + _SIGMAS sd tail of the kept count
     size = min(total, int(total * top + _SIGMAS * sqrt(total * top * (1 - top))))
-    codes = np.empty(max(size, 0), np.int64)
+    codes = np.empty(max(size, 0), code_dtype(n))
     level = np.empty(codes.size, np.min_scalar_type(grid.size))
     cut = _threshold(top)
     below = [np.uint64(_threshold(g)) for g in grid[:-1]]

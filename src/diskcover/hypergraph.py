@@ -1,9 +1,11 @@
 """Core 3-uniform hypergraph and graph types.
 
 A :class:`Hypergraph3` is a vertex set {0..n-1} plus a set of unordered
-vertex triples, stored as one sorted, duplicate-free int64 array
-``H.codes`` of triple codes (a*n + b)*n + c with a < b < c, so the
-codes ascend in the lexicographic order of the triples. A
+vertex triples, stored as one sorted, duplicate-free array ``H.codes``
+of triple codes (a*n + b)*n + c with a < b < c, so the codes ascend in
+the lexicographic order of the triples. Every code is below n^3, so
+they are int32 while n^3 < 2^31 (n <= 1290) and int64 above
+(`code_dtype`); every search in them uses keys of their dtype. A
 :class:`SkeletonGraph` is a plain simple graph, built only where a graph
 API is read: 1-skeletons and links (`link`). Both types are immutable
 and safe to share across concurrent tasks. Membership is a binary search
@@ -17,7 +19,7 @@ reads; and a graph's ``edges`` and ``adj``, derived from ``adj_mask``.
 A graph's ``vertices`` is a view of the keys of ``adj_mask``, not a
 stored set. Pickling and copying ship the stored form only (n, codes
 and labels; a graph's ``adj_mask``). At n = 800 and c = 2 a host holds
-6 M triples: 48 MB of codes, 12 MB of compact last vertices once a row
+6 M triples: 24 MB of codes, 12 MB of compact last vertices once a row
 is read, and 0.6 MB for the n x n array of a skeleton or row while it
 is scattered.
 
@@ -65,6 +67,12 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count must lie in 0..{_MAX_N - 1}")
 
 
+def code_dtype(n: int) -> type:
+    """The width of the triple codes of an n-vertex host: int32 while every
+    code, below n^3, fits (n <= 1290), int64 above."""
+    return np.int32 if n ** 3 < 1 << 31 else np.int64
+
+
 def code_decoder(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """The map from ascending lexicographic triple indices in 0..C(n, 3)-1 (an
     int64 array) to their triple codes. Raises ValueError for an n outside
@@ -102,8 +110,9 @@ def _link_row(n: int, codes: np.ndarray, last: np.ndarray, u: int) -> tuple[int,
     run of codes, with u second one run per smaller first vertex, and with
     u last are found by a scan of the last vertices before the first run."""
     nn = n * n
-    lo, hi = np.searchsorted(codes, (u * nn, (u + 1) * nn))
-    base = np.arange(u, dtype=np.int64) * nn + u * n
+    # keys of the codes' own dtype, so no search casts the whole host
+    lo, hi = np.searchsorted(codes, np.array((u * nn, (u + 1) * nn), codes.dtype))
+    base = np.arange(u, dtype=codes.dtype) * nn + u * n
     start, stop = np.searchsorted(codes, base), np.searchsorted(codes, base + n)
     runs = stop - start
     # the positions of every second-vertex run, one after another
@@ -142,12 +151,14 @@ class Hypergraph3:
     @classmethod
     def _from_codes(cls, n: int, codes: np.ndarray,
                     labels: tuple[str, ...] | None = None) -> Hypergraph3:
-        """The hypergraph with these codes, which must be sorted and distinct."""
+        """The hypergraph with these codes, which must be sorted and distinct;
+        they are stored in code_dtype(n), whatever their integer dtype."""
         H = cls.__new__(cls)
         H._set(n, codes, labels)
         return H
 
     def _set(self, n: int, codes: np.ndarray, labels) -> None:
+        codes = codes.astype(code_dtype(n), copy=False)
         codes.flags.writeable = False
         self.n, self.codes, self.labels = n, codes, labels
 
@@ -186,7 +197,7 @@ class Hypergraph3:
     def triples(self) -> np.ndarray:
         """The triples as rows a < b < c of an int64 array, lexicographically."""
         a, bc = np.divmod(self.codes, self.n * self.n)
-        return np.stack((a, *np.divmod(bc, self.n)), axis=1)
+        return np.stack((a, *np.divmod(bc, self.n)), axis=1, dtype=np.int64)
 
     def has_triples(self, triples) -> np.ndarray:
         """Whether each triple of an int array of shape (..., 3), its
@@ -204,7 +215,7 @@ class Hypergraph3:
         a, b = np.minimum(a, b), np.maximum(a, b)
         ok = (0 <= a) & (a < b) & (b < c) & (c < n)
         # a vertex outside V(H) may be huge: encode the checked triples only
-        a, b, c = np.where(ok, (a, b, c), 0).astype(np.int64)
+        a, b, c = np.where(ok, (a, b, c), 0).astype(self.codes.dtype)
         want = (a * n + b) * n + c
         at = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
         return (ok & (self.codes[at] == want)).reshape(t.shape[:-1])
@@ -308,7 +319,8 @@ def skeleton(H: Hypergraph3) -> SkeletonGraph:
     n, nn = H.n, H.n * H.n
     adj = np.zeros(nn, dtype=bool)
     for s in range(0, H.codes.size, _CHUNK):
-        code = H.codes[s:s + _CHUNK]
+        # widened once: numpy converts every int32 index array it is given
+        code = H.codes[s:s + _CHUNK].astype(np.int64)
         ab = code // n
         a = ab // n
         # the flat indices a*n + b, b*n + c and a*n + c
@@ -370,12 +382,13 @@ def complete_hypergraph(n: int) -> Hypergraph3:
     the range a host accepts."""
     _check_vertex_count(n)
     b, c = np.triu_indices(n, 1)
-    bc = b * n + c
+    # built in the stored width, so no int64 copy of the host is made
+    bc = (b * n + c).astype(code_dtype(n))
     # block a, the triples with first vertex a, pairs a with the last
     # C(n-a-1, 2) codes b*n + c, in lexicographic order
     blocks = [a * n * n + bc[bc.size - comb(n - a - 1, 2):]
               for a in range(n - 2)]
-    return Hypergraph3._from_codes(n, np.concatenate((np.empty(0, np.int64), *blocks)))
+    return Hypergraph3._from_codes(n, np.concatenate((np.empty(0, bc.dtype), *blocks)))
 
 
 def iter_p2s(G: SkeletonGraph) -> Iterator[tuple[int, int, int]]:

@@ -341,10 +341,12 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     # the pools depend on the core alone; an empty one fails every draw
     pools = [sorted(common_neighborhood(G, [core[i] for i in role]))
              for role in roles(t)[t:]]
+    sizes = [len(pool) for pool in pools]
     for retry in range(_PATTERN_RETRIES if all(pools) else 0):
         gen = generator(params.seed, _S_PATTERN, retry)
-        values = core + [pool[int(gen.integers(0, len(pool)))]
-                         for pool in pools]
+        # one array draw gives the values of one scalar draw per pool
+        values = core + [pool[i] for pool, i in
+                         zip(pools, gen.integers(0, sizes).tolist())]
         if len(set(values)) != len(values):
             continue
         draw = dict(zip(pattern.labels, values))

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 import bruteforce as bf
 from diskcover.experiments import audit_corpus
 from diskcover.generators import random_graph, random_hypergraph
-from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, codegree,
-                                  common_neighborhood, complete_hypergraph,
-                                  iter_p2s, link, link_intersection,
-                                  skeleton)
+from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, code_dtype,
+                                  codegree, common_neighborhood,
+                                  complete_hypergraph, iter_p2s, link,
+                                  link_intersection, skeleton)
+from diskcover.search import SearchParams, find_k_t_homeomorph
+from diskcover.verify import verify_certificate
 
 
 def test_hypergraph_rejects_bad_triples():
@@ -334,6 +336,82 @@ def test_last_vertex_column_widens_past_int16():
         H = Hypergraph3(n, [(0, 1, n - 1), (2, n - 2, n - 1), (0, 1, 2)])
         assert H._last.dtype == dtype
         assert H._last.tolist() == [2, n - 1, n - 1]
+
+
+def _row_of(triples, u, n):
+    """Entry w is the mask of the w' with uww' one of triples: bf.link_row
+    read from the triples through u, not from all n^2 pairs."""
+    row = [0] * n
+    for t in triples:
+        if u in t:
+            w, wp = set(t) - {u}
+            row[w] |= 1 << wp
+            row[wp] |= 1 << w
+    return tuple(row)
+
+
+@pytest.mark.parametrize("n, dtype", ((1290, np.int32), (1291, np.int64)))
+def test_code_width_follows_n(n, dtype):
+    # every code (a*n + b)*n + c is below n^3, which int32 holds up to
+    # n = 1290; the largest triple's code is the largest one
+    assert code_dtype(n) is dtype
+    top = (n - 3, n - 2, n - 1)
+    triples = [(0, 1, 2), (0, 1, n - 1), (5, 600, n - 1), (7, n - 2, n - 1), top]
+    H = Hypergraph3(n, triples)
+    wide = np.array([(a * n + b) * n + c for a, b, c in triples], np.int64)
+    drawn = random_hypergraph(n, 1e-6, seed=0)
+    assert drawn.codes.size > 100
+    for G, twin in ((H, Hypergraph3._from_codes(n, wide)),
+                    (H, pickle.loads(pickle.dumps(H))),
+                    (drawn, Hypergraph3(n, drawn.triples().tolist())),
+                    (drawn, Hypergraph3._from_codes(n, drawn.codes.astype(np.int64))),
+                    (drawn, pickle.loads(pickle.dumps(drawn)))):
+        assert G.codes.dtype == twin.codes.dtype == dtype
+        assert G == twin and hash(G) == hash(twin)
+    assert H.has_triples([top, top[::-1], (n - 4, n - 2, n - 1), (n - 2, n - 1, n),
+                          (0, 1, n - 1), (0, 2, n - 1)]).tolist() == [
+        True, True, False, False, True, False]
+    for G in (H, drawn):
+        ts = G.triples()
+        assert ts.dtype == np.int64
+        edges = [tuple(t) for t in ts.tolist()]
+        assert G.has_triples(ts).all()
+        assert G.has_triples(ts + [0, 0, 1]).tolist() == [
+            (a, b, c + 1) in G.edges for a, b, c in edges]
+        for u in (0, edges[-1][0], n - 2, n - 1):
+            assert G.row(u) == _row_of(edges, u, n)
+            Gu = link(G, u)
+            assert Gu.vertices == frozenset(range(n)) - {u}
+            assert Gu.edges == frozenset(bf.link_pairs(edges, u))
+        Gs = skeleton(G)
+        assert Gs.vertices == frozenset(range(n))
+        assert Gs.edges == frozenset(bf.skeleton_pairs(edges))
+    assert complete_hypergraph(6).codes.dtype == np.int32
+
+
+def test_no_binary_search_casts_the_host(monkeypatch):
+    # a search of int32 codes for int64 keys would cast the whole host to
+    # int64 on every call: every key handed to np.searchsorted with the
+    # host's codes must already have their dtype
+    H = complete_hypergraph(30)
+    assert H.codes.dtype == np.int32
+    real, searches = np.searchsorted, []
+
+    def guarded(a, v, *args, **kwargs):
+        if a is H.codes:
+            assert np.asarray(v).dtype == a.dtype
+            searches.append(v)
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", guarded)
+    H.row(17)
+    assert len(searches) == 3
+    assert H.has_triples([(0, 1, 2), (2, 1, 0), (0, 0, 1), (0, 1, 30)]).tolist() == [
+        True, True, False, False]
+    assert len(searches) == 4
+    cert = find_k_t_homeomorph(H, SearchParams(t=4, p=0.5, epsilon=0.1))
+    assert verify_certificate(H, cert).passed
+    assert len(searches) > 4
 
 
 def test_audit_reads_only_adjacency_masks():

@@ -317,6 +317,21 @@ def test_ktt_pattern_pools_are_built_once_per_core(monkeypatch):
     assert calls == [1] + [2] * 6 + [2] * 6 + [3] * 4
 
 
+def test_one_array_draw_matches_one_scalar_draw_per_pool():
+    # stage 3 draws every pool's index in one gen.integers(0, sizes) call;
+    # it must give the values, and leave the stream where, the scalar
+    # calls it replaced did, or every K_t certificate would move
+    rnd = random.Random(0)
+    for seed in range(500):
+        sizes = [rnd.choice((1, 2, rnd.randrange(1, 50), rnd.randrange(1, 5000),
+                             rnd.randrange(1, 1 << 40)))
+                 for _ in range(rnd.randrange(1, 13))]
+        one, each = generator(seed, search._S_PATTERN), generator(seed, search._S_PATTERN)
+        assert one.integers(0, sizes).tolist() == [int(each.integers(0, s))
+                                                   for s in sizes]
+        assert one.integers(0, 1 << 62) == each.integers(0, 1 << 62)
+
+
 def test_ktt_pattern_stage_runs_one_lane_pass_per_apex_pair(monkeypatch):
     """The pattern stage decides a draw's special cycles v_i v_ij v_j v_ijk
     in one lane pass per apex pair (v_i, v_j), over its t - 2 cycles, in
