@@ -54,6 +54,7 @@ from .hypergraph import (
     common_neighborhood,
     iter_p2s,
     link_intersection,
+    pair_masks,
 )
 from .rng import keyed_bits, mask_bits, mix64, row_masks, trial_masks
 
@@ -607,15 +608,21 @@ def _check_four_vertices(H: Hypergraph3, cycle: Sequence[int]) -> tuple[int, int
     return cyc
 
 
-def _check_four_cycle(H: Hypergraph3, cycle: Sequence[int]) -> tuple[int, int, int, int]:
-    """`_check_four_vertices(H, cycle)`, once every edge ab of the cycle
-    lies in some triple of H, read as a set bit b in the link row of a."""
+def _check_four_cycle(H: Hypergraph3, cycle: Sequence[int]
+                      ) -> tuple[tuple[int, int, int, int], list[int]]:
+    """`_check_four_vertices(H, cycle)` and the masks S_ab, S_bc, S_cd, S_da
+    of its edges, S_xy holding the w with xyw in H (`pair_masks`, which
+    builds no link row), once every S_xy is nonzero: each edge lies in
+    some triple of H. The first empty edge in cycle order is the one
+    reported."""
     cyc = _check_four_vertices(H, cycle)
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        if not H.row(a)[b]:
+    edges = list(zip(cyc, cyc[1:] + cyc[:1]))
+    masks = pair_masks(H, edges)
+    for (a, b), m in zip(edges, masks):
+        if not m:
             raise ValueError(f"cycle edge {H.label_of(a)}-{H.label_of(b)} "
                              "missing from the skeleton")
-    return cyc
+    return cyc, masks
 
 
 class _DiskSearcher:
@@ -728,7 +735,7 @@ def sample_disk_coverability(H: Hypergraph3, cycle: Sequence[int],
     in (seed, trials, cycle labels); independent of evaluation order.
     The count is the lane pass's over a single cycle (`_cycle_hits`).
     """
-    v, w, vp, wp = _check_four_cycle(H, cycle)
+    (v, w, vp, wp), _ = _check_four_cycle(H, cycle)
     [hits] = _cycle_hits(H, v, vp, [(w, wp)], params)
     return CoverabilityEstimate.from_counts(hits, params.trials,
                                             params.epsilon)
@@ -742,7 +749,7 @@ def exact_disk_coverability(H: Hypergraph3, cycle: Sequence[int], p,
     _check_max_interior(max_interior)
     _check_exact_size(H.n)
     pf = unit_fraction(p, "p")
-    cyc = _check_four_cycle(H, cycle)
+    cyc, _ = _check_four_cycle(H, cycle)
     searches, disk = _coverability_event(H, cyc, strategy, max_interior)
     universe = [x for x in H.vertices if x not in cyc]
     leaves = _leaf_counts(_order(searches, universe),

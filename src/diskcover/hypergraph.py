@@ -346,6 +346,24 @@ def link_intersection(H: Hypergraph3, v: int, vp: int) -> list[int]:
     return list(map(and_, H.row(v), H.row(vp)))
 
 
+def pair_masks(H: Hypergraph3, pairs: list[tuple[int, int]]) -> list[int]:
+    """Entry i is the mask of the w with x y w a triple of H, for the i-th
+    pair (x, y) of vertices: row(x)[y], read off a row the host already
+    keeps, else from one batched binary search in the codes for every
+    pair whose rows are both unbuilt, so no row is built."""
+    rows = H._rows
+    masks = [rows[x][y] if x in rows else rows[y][x] if y in rows else None
+             for x, y in pairs]
+    todo = [p for p, m in zip(pairs, masks) if m is None]
+    if todo:
+        t = np.empty((len(todo), H.n, 3), dtype=np.int64)
+        t[:, :, :2] = np.array(todo)[:, None]
+        t[:, :, 2] = np.arange(H.n)
+        found = iter(row_masks(H.has_triples(t)))
+        masks = [next(found) if m is None else m for m in masks]
+    return masks
+
+
 def link(H: Hypergraph3, *vs: int) -> SkeletonGraph:
     """The graph of edges ww' with vww' a triple of H for every v of vs, on
     V(H) minus vs: link(H, u) is the link graph of u, and link(H, v, v')

@@ -140,13 +140,28 @@ class GlueFailure:
     detail: str
 
 
-def _cycle_pyramid(cyc: tuple[int, int, int, int],
+def _open_sides(cyc: tuple[int, int, int, int], masks: list[int],
+                free_mask: int) -> list[tuple[int, int, int, int]]:
+    """The sides (v, v', w, w') of a 4-cycle a b c d, (a, c, b, d) then
+    (b, d, a, c), whose ends' first frontiers LI(v, v')[w] and
+    LI(v, v')[w'] both meet free_mask, read off its edge masks with no
+    row: LI(a, c)[b] = S_ab & S_bc, LI(a, c)[d] = S_cd & S_da, and so on.
+    `least_path` finds nothing on any other side through any part of
+    free_mask."""
+    a, b, c, d = cyc
+    ab, bc, cd, da = masks
+    return [side for side, ends in (((a, c, b, d), (ab & bc, cd & da)),
+                                    ((b, d, a, c), (da & ab, bc & cd)))
+            if all(e & free_mask for e in ends)]
+
+
+def _cycle_pyramid(sides: list[tuple[int, int, int, int]],
                    rows: dict[tuple[int, int], list[int]],
                    part_mask: int) -> TwoComplex | None:
     """A pyramid disk over one 4-cycle with interior inside the part mask,
-    given the link intersection rows of each apex pair."""
-    a, b, c, d = cyc
-    for v, vp, w, wp in ((a, c, b, d), (b, d, a, c)):
+    from the first of its sides (v, v', w, w') with a path w..w', given
+    the link intersection rows of each side's apex pair."""
+    for v, vp, w, wp in sides:
         path = least_path(rows[v, vp], w, wp, part_mask)
         if path is not None:
             return pyramid_disk(v, vp, path)
@@ -165,25 +180,27 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
     every cycle vertex, which is what the verifier's intersection check
     needs. Attempts are keyed by (seed, attempt index) and the first
     success by index wins, independent of execution order.
+
+    Before any link row is built, each cycle's sides are screened on its
+    edge masks from `_check_four_cycle` (`_open_sides`). A cycle with no
+    open side is hopeless outright, and an apex pair's rows are built
+    once, only for an open side.
     """
     cycs = [tuple(c) for c in cycles]
     if not cycs:
         return []
-    # a cycle listed twice (the sphere's two disks) is checked and tried
-    # with every free vertex once; an apex pair's rows are built once
-    distinct = dict.fromkeys(cycs)
-    for c in distinct:
-        _check_four_cycle(H, c)
-    pairs = dict.fromkeys(p for a, b, c, d in distinct
-                          for p in ((a, c), (b, d)))
-    rows = {p: link_intersection(H, *p) for p in pairs}
+    # a cycle listed twice (the sphere's two disks) is checked, screened
+    # and tried with every free vertex once
+    masks = {c: _check_four_cycle(H, c)[1] for c in dict.fromkeys(cycs)}
     k = len(cycs)
-    W = {v for c in cycs for v in c}
-    free = np.array([v for v in H.vertices if v not in W], dtype=np.int64)
+    W = {v for c in masks for v in c}
+    free_mask = ((1 << H.n) - 1) & ~sum(1 << v for v in W)
+    sides = {c: _open_sides(c, m, free_mask) for c, m in masks.items()}
+    pairs = dict.fromkeys((v, vp) for s in sides.values() for v, vp, _, _ in s)
+    rows = {p: link_intersection(H, *p) for p in pairs}
 
-    free_mask = sum(1 << v for v in free.tolist())
-    stuck = {c for c in distinct
-             if _cycle_pyramid(c, rows, free_mask) is None}
+    stuck = {c for c, s in sides.items()
+             if _cycle_pyramid(s, rows, free_mask) is None}
     hopeless = [i for i, c in enumerate(cycs) if c in stuck]
     if hopeless:
         counts = tuple(1 if i in hopeless else 0 for i in range(k))
@@ -191,23 +208,25 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
             0, counts,
             f"cycle(s) {hopeless} admit no pyramid disk even with every "
             "free vertex available")
-    if len(free) < k:
+    n_free = free_mask.bit_count()
+    if n_free < k:
         return GlueFailure(
             0, tuple(0 for _ in range(k)),
-            f"{len(free)} free vertices cannot give {k} disjoint interiors")
+            f"{n_free} free vertices cannot give {k} disjoint interiors")
 
+    free = np.setdiff1d(np.arange(H.n), list(W))
     fail_counts = [0] * k
-    base, extra = divmod(len(free), k)
+    base, extra = divmod(n_free, k)
     # the part of each position of a permuted `free`: the first `extra`
     # parts take base + 1 vertices, the rest base
     part_of = np.repeat(np.arange(k), [base + (i < extra) for i in range(k)])
     for attempt in range(_GLUE_RETRIES):
         gen = generator(params.seed, _S_GLUE, attempt)
         parts = np.zeros((k, H.n), dtype=bool)
-        parts[part_of, free[gen.permutation(len(free))]] = True
+        parts[part_of, free[gen.permutation(n_free)]] = True
         disks: list[TwoComplex] = []
         for i, part_mask in enumerate(row_masks(parts)):
-            disk = _cycle_pyramid(cycs[i], rows, part_mask)
+            disk = _cycle_pyramid(sides[cycs[i]], rows, part_mask)
             if disk is None:
                 fail_counts[i] += 1
                 break
@@ -432,10 +451,10 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
     straight to the gluer, which needs two pyramid disks over disjoint
     vertex pools. Used by the threshold sweeps.
     """
-    skel = skeleton(H)
     if H.n < 6:
         return SearchFailure(SPHERE, "cycle-selection",
                              "need at least 6 vertices", 0)
+    skel = skeleton(H)
     stage = "cycle-selection"
     detail = "no 4-cycle with two spare common neighbours"
     for retry in range(params.max_retries):

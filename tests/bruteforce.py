@@ -8,7 +8,10 @@ stream through numpy's own float draws, `lexicographic_disks`, which
 checks each triangle set with the library's `classify`, and
 `cycle_hits` and `count_uncoverable`, the references for the lane pass,
 which count each cycle's trial masks alone with the per-mask test of
-the library's exact walks (`_holds`), not with the lane pass.
+the library's exact walks (`_holds`), not with the lane pass, and
+`glue_disks_rows_first`, the reference for the gluer's edge-mask screen,
+which builds every link row first and finds paths with the library's
+`least_path`.
 Slow on purpose; only run on small instances.
 """
 
@@ -19,8 +22,11 @@ from itertools import combinations
 from math import comb
 
 from diskcover.complexes import DISK, TwoComplex, classify
-from diskcover.coverability import (_STREAM_COVER, _coverability_event,
-                                    _holds, _least_hits)
+from diskcover import search
+from diskcover.coverability import (_STREAM_COVER, _check_four_vertices,
+                                    _coverability_event, _holds, _least_hits,
+                                    least_path, pyramid_disk)
+from diskcover.hypergraph import link_intersection
 from diskcover.rng import generator, trial_masks
 
 
@@ -383,3 +389,68 @@ def count_uncoverable(H, v, vp, pairs, params):
     return len(pairs) - sum(
         cycle_hits(H, (v, w, vp, wp), params) >= need
         for w, wp in valid)
+
+
+def glue_disks_rows_first(H, cycles, params):
+    """The gluer without its edge-mask screen: each distinct cycle's edges
+    are checked on link rows (H.row(a)[b] != 0), the rows of both apex
+    pairs of every distinct cycle are built, and both sides of a cycle
+    are tried, (a, c) before (b, d). Attempt i splits the free vertices,
+    in the order of the (seed, i) permutation, into consecutive parts,
+    the first len(free) % k of them one vertex larger. The reference that
+    `search.glue_disks` must match: the same disks, GlueFailure or
+    ValueError."""
+    cycs = [tuple(c) for c in cycles]
+    if not cycs:
+        return []
+    distinct = dict.fromkeys(cycs)
+    for cyc in distinct:
+        _check_four_vertices(H, cyc)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not H.row(a)[b]:
+                raise ValueError(f"cycle edge {H.label_of(a)}-"
+                                 f"{H.label_of(b)} missing from the skeleton")
+    rows = {p: link_intersection(H, *p)
+            for a, b, c, d in distinct for p in ((a, c), (b, d))}
+
+    def pyramid(cyc, allowed):
+        a, b, c, d = cyc
+        for v, vp, w, wp in ((a, c, b, d), (b, d, a, c)):
+            path = least_path(rows[v, vp], w, wp, allowed)
+            if path is not None:
+                return pyramid_disk(v, vp, path)
+        return None
+
+    k = len(cycs)
+    W = {v for cyc in cycs for v in cyc}
+    free = [v for v in range(H.n) if v not in W]
+    hopeless = [i for i, cyc in enumerate(cycs)
+                if pyramid(cyc, sum(1 << v for v in free)) is None]
+    if hopeless:
+        return search.GlueFailure(
+            0, tuple(int(i in hopeless) for i in range(k)),
+            f"cycle(s) {hopeless} admit no pyramid disk even with every "
+            "free vertex available")
+    if len(free) < k:
+        return search.GlueFailure(
+            0, (0,) * k,
+            f"{len(free)} free vertices cannot give {k} disjoint interiors")
+    fails = [0] * k
+    base, extra = divmod(len(free), k)
+    for attempt in range(search._GLUE_RETRIES):
+        order = generator(params.seed, search._S_GLUE, attempt).permutation(
+            len(free)).tolist()
+        disks, start = [], 0
+        for i, cyc in enumerate(cycs):
+            size = base + (i < extra)
+            part = order[start:start + size]
+            start += size
+            disk = pyramid(cyc, sum(1 << free[j] for j in part))
+            if disk is None:
+                fails[i] += 1
+                break
+            disks.append(disk)
+        else:
+            return disks
+    return search.GlueFailure(search._GLUE_RETRIES, tuple(fails),
+                              "partition budget exhausted")

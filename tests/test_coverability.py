@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from diskcover import complexes, coverability
+from diskcover import complexes, coverability, hypergraph
 from diskcover.certificates import HomeomorphCertificate
 from diskcover.complexes import boundary, classify, is_boundary_inducing
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
@@ -1098,16 +1098,19 @@ def test_full_count_at_the_edges(H, p, epsilon, trials, strategy):
     ((0, 1, 2, 9), "vertex 9 not in the skeleton"),
     ((1, 4, 5, 3), "cycle edge 4-5 missing from the skeleton"),
 ], ids=["repeat", "outside", "edge"])
-def test_four_cycle_check_errors(cycle, message):
-    # rows already kept or not, the messages are the same
+def test_four_cycle_check_errors(cycle, message, monkeypatch):
+    # rows already kept or not, the messages are the same; a host with
+    # none kept reads its edge masks from the codes and builds no row
     kept = Hypergraph3(8, SIDE_TWO_H.edges)
     for u in range(8):
         kept.row(u)
+    monkeypatch.setattr(hypergraph, "_link_row", lambda *a: pytest.fail(
+        "a link row was built"))
     for H in (kept, Hypergraph3(8, SIDE_TWO_H.edges)):
         with pytest.raises(ValueError) as err:
             coverability._check_four_cycle(H, cycle)
         assert str(err.value) == message
-        assert coverability._check_four_cycle(H, [0, 1, 2, 3]) == (0, 1, 2, 3)
+        assert coverability._check_four_cycle(H, [0, 1, 2, 3])[0] == (0, 1, 2, 3)
 
 
 def test_coverability_deterministic_and_seeded():
@@ -1473,7 +1476,7 @@ def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
             for w, wp in combinations(sorted(G.adj[v] & G.adj[vp]), 2):
                 try:
                     valid.append(coverability._check_four_cycle(
-                        H, (v, w, vp, wp)))
+                        H, (v, w, vp, wp))[0])
                 except ValueError:
                     rejected += 1
             del decided[:]

@@ -93,6 +93,15 @@ def test_sphere_sweep_digest():
         "9384a2d8037fe407f5db9e6b9e4948a100395de87e713c4b33b79fd2a31bd524")
 
 
+def test_sphere_threshold_sweep_digest():
+    # default search params; its glue failures are settled both by the
+    # gluer's edge-mask screen and after link rows are built
+    rows = threshold_sweep(SPHERE, [100, 200], [0.5, 1, 2, 4], trials=2,
+                           seed=0)
+    assert _sha(sweep_csv(rows)) == (
+        "285eb480edfa8ef780782b52fd6168524e5acf87e999106b3240e81ecef09a25")
+
+
 def test_audit_corpus_digest():
     # the 3 x 3 (p, epsilon) grid plus a p whose denominator is not decimal
     graphs = [(f"g{n}-{q}", random_graph(n, q, seed=7 * n + int(10 * q)))

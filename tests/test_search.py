@@ -7,6 +7,8 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
 from diskcover import coverability, hypergraph, search
@@ -117,9 +119,13 @@ def test_glue_disks_builds_each_apex_pairs_rows_once(monkeypatch):
     assert tuple(disks) == cert.disks
 
 
-def test_glue_disks_hopeless_cycle():
-    # the skeleton contains the 4-cycle but H has no covering pyramid
+def test_glue_disks_hopeless_cycle(monkeypatch):
+    # the skeleton contains the 4-cycle but H has no covering pyramid; the
+    # edge masks already show it (LI(0, 2)[3] = S_23 & S_30 and
+    # LI(1, 3)[0] = S_01 & S_30 are empty), so no link row is built
     H = Hypergraph3(6, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 5)])
+    monkeypatch.setattr(hypergraph, "_link_row", lambda *a: pytest.fail(
+        "a link row was built"))
     res = glue_disks(H, [(0, 1, 2, 3)], DESK)
     assert isinstance(res, GlueFailure)
     assert res.retries == 0
@@ -135,6 +141,83 @@ def test_glue_disks_not_enough_free_vertices():
     H = complete_hypergraph(5)
     res = glue_disks(H, [(0, 1, 2, 3), (0, 1, 2, 4)], DESK)
     assert isinstance(res, GlueFailure)
+
+
+def _glue_or_error(glue, H, cycles, params):
+    try:
+        return glue(H, cycles, params)
+    except ValueError as err:
+        return str(err)
+
+
+def _same_glue(H, cycles, params):
+    """glue_disks, on a copy of H that keeps no link row and then on H once
+    the rows-first reference has built its rows there, returns what the
+    reference does."""
+    fresh = Hypergraph3._from_codes(H.n, H.codes)
+    got = _glue_or_error(glue_disks, fresh, cycles, params)
+    want = _glue_or_error(bf.glue_disks_rows_first, H, cycles, params)
+    assert got == want
+    assert _glue_or_error(glue_disks, H, cycles, params) == want
+    return got
+
+
+# two cycles whose only pyramids run through vertex 4: 1-4-3 in LI(0, 2)
+# and 6-4-8 in LI(5, 7); the free vertices are 4 and 9, so every
+# partition starves one of them
+_ONE_SHARED_APEX = Hypergraph3(10, [(0, 1, 4), (1, 2, 4), (0, 3, 4), (2, 3, 4),
+                                    (4, 5, 6), (4, 6, 7), (4, 5, 8),
+                                    (4, 7, 8)])
+
+
+@pytest.mark.parametrize("H, cycles, expect", [
+    (Hypergraph3(6, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 5)]),
+     [(0, 1, 2, 3)] * 2, "cycle(s) [0, 1] admit no pyramid disk"),
+    # side (0, 2) passes the screen (frontiers 4 and 5), but no path joins
+    # them in LI(0, 2); side (1, 3) fails it
+    (Hypergraph3(6, [(0, 1, 4), (1, 2, 4), (0, 3, 5), (2, 3, 5)]),
+     [(0, 1, 2, 3)], "cycle(s) [0] admit no pyramid disk"),
+    (complete_hypergraph(6), [(0, 1, 2, 3), (0, 1, 2, 4)],
+     "1 free vertices cannot give 2 disjoint interiors"),
+    (_ONE_SHARED_APEX, [(0, 1, 2, 3), (5, 6, 7, 8)],
+     "partition budget exhausted"),
+    (complete_hypergraph(8), [(0, 2, 1, 3)] * 2, None),
+    (_ONE_SHARED_APEX, [(0, 1, 2, 3), (0, 1, 2, 9)],
+     "cycle edge 2-9 missing from the skeleton"),
+], ids=["screened", "hopeless-after-rows", "too-few-free", "budget",
+        "glued", "missing-edge"])
+def test_glue_disks_matches_rows_first_reference(H, cycles, expect):
+    got = _same_glue(H, cycles, DESK)
+    if expect is None:
+        assert isinstance(got, list)
+    else:
+        assert (got if isinstance(got, str) else got.detail).startswith(expect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_glue_disks_matches_rows_first_reference_on_random_hosts(data):
+    n = data.draw(st.integers(5, 9), label="n")
+    H = random_hypergraph(n, data.draw(st.sampled_from((0.2, 0.4, 0.7))),
+                          data.draw(st.integers(0, 1 << 16)))
+    quad = st.permutations(range(n)).map(lambda p: tuple(p[:4]))
+    cycles = data.draw(st.lists(quad, min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # one cycle listed twice, as the sphere finder lists its cycle
+        cycles[-1] = cycles[0]
+    _same_glue(H, cycles, replace(DESK, seed=data.draw(st.integers(0, 3))))
+    # the screen opens exactly the sides whose two first frontiers in the
+    # link intersection rows meet the free vertices
+    free = (1 << n) - 1 & ~sum(1 << v for v in {v for c in cycles for v in c})
+    for cyc in cycles:
+        try:
+            _, masks = coverability._check_four_cycle(H, cyc)
+        except ValueError:
+            continue
+        a, b, c, d = cyc
+        assert search._open_sides(cyc, masks, free) == [
+            (v, vp, w, wp) for v, vp, w, wp in ((a, c, b, d), (b, d, a, c))
+            if all(link_intersection(H, v, vp)[x] & free for x in (w, wp))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The stage-timing scripts `audit_stages.py` and `decision_stages.py`
-reach private names of the package and are not collected by pytest: each
-runs here once, at one batch or op and one repeat, as a child process."""
+"""The stage-timing scripts `audit_stages.py`, `decision_stages.py` and
+`glue_stages.py` reach private names of the package and are not collected
+by pytest: each runs here once, at one batch or op and one repeat, as a
+child process."""
 
 import os
 import subprocess
@@ -15,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, workloads", [
     ("audit_stages.py", ["graphs"]),
     ("decision_stages.py", ["`ktt_complete`", "`psi_random`"]),
+    ("glue_stages.py", ["screened hopeless", "hopeless after rows",
+                        "too few free", "budget exhausted", "glued"]),
 ])
 def test_stage_script_prints_one_row_per_workload(script, workloads):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
