@@ -432,9 +432,11 @@ def _holds(searches, disk: "_DiskSearcher | None", m: int) -> bool:
 
 
 def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
-          need: int | None = None) -> int:
+          need: int | None = None, pair=None) -> int:
     """How many masks the event holds on, asked in mask order: a path found
-    by the one search, or else a disk found by the disk searcher.
+    by the one search, or else a disk found by the disk searcher. Given
+    `pair` (H, w, w'), the search carries its ends alone and its rows,
+    LI(w, w'), are built once a mask stays open.
 
     One pass over the masks settles the sure ones from the ends the
     search carries, reading no rows. A mask meeting both ends at one
@@ -461,6 +463,8 @@ def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
     spare = len(masks) if need is None else len(masks) - need
     if not open_ or need is not None and hits >= need or misses > spare:
         return hits
+    if pair is not None:
+        search = (search[0], link_intersection(*pair), *search[2:])
     searches = (search,)
     for m in open_:
         if _holds(searches, disk, m):
@@ -840,8 +844,8 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
     side and the disk searcher under EXHAUSTIVE_SMALL only: the event is
     side 1 or side 2 or a disk, so each count, or decision, is the full
     event's. The rows of LI(v, v') (`link_intersection`) are built
-    once for all the cycles, and a cycle short of need builds those of
-    LI(w, w') for its second side alone.
+    once for all the cycles, and a cycle short of need those of LI(w, w')
+    only if a mask stays open after its second side's screens.
     """
     if not pairs:
         return []
@@ -885,9 +889,11 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
             if h < short:
                 disk = _disk_searcher(H, (v, w, vp, wp), params.strategy,
                                       params.max_interior)
-                side = _search(link_intersection(H, w, wp), v, vp, -1)
+                rw, rwp = H.row(w), H.row(wp)
+                side = _search({v: rw[v] & rwp[v], vp: rw[vp] & rwp[vp]},
+                               v, vp, -1)
                 h += _hits(side, disk, list(islice(misses, trials - h)),
-                           None if need is None else need - h)
+                           None if need is None else need - h, (H, w, wp))
             out.append(h)
     return out
 

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+from copy import copy
 from itertools import combinations
 from math import comb, isqrt, sqrt
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .hypergraph import (Hypergraph3, SkeletonGraph, code_decoder, code_dtype,
-                         complete_hypergraph)
+from .hypergraph import (Hypergraph3, SkeletonGraph, _half, _halves,
+                         code_decoder, code_dtype, complete_hypergraph)
 from .rng import _threshold, generator, trial_bits
 
 __all__ = [
@@ -77,36 +78,61 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     the same stream as one draw of C(n, 3) floats, and compared with the
     `_threshold` of each density, as `trial_bits` does: a word's float is
     below p exactly when the word is below _threshold(p), so no float is
-    made. Only the kept indices are decoded."""
+    made. Only the kept indices are decoded. A large host is drawn in two
+    halves (`_halves`), each into its own part of one buffer."""
     decode = code_decoder(n)
     top = grid[-1] if grid.size else 0.0
     # nothing is kept at density 0, so nothing is drawn
     total = comb(n, 3) if top > 0 else 0
-    # sized for all but a mean + _SIGMAS sd tail of the kept count
-    size = min(total, int(total * top + _SIGMAS * sqrt(total * top * (1 - top))))
-    codes = np.empty(max(size, 0), code_dtype(n))
+
+    def bound(k: int) -> int:
+        # all but a mean + _SIGMAS sd tail of the kept count of k triples
+        return max(min(k, int(k * top + _SIGMAS * sqrt(k * top * (1 - top)))), 0)
+
+    half = _half(total, 4)
+    codes = np.empty(bound(half) + bound(total - half), code_dtype(n))
     level = np.empty(codes.size, np.min_scalar_type(grid.size))
     cut = _threshold(top)
     below = [np.uint64(_threshold(g)) for g in grid[:-1]]
-    m = 0
-    bits = generator(seed, _S_GNP3, n).bit_generator
-    for s in range(0, total, _DRAW_CHUNK):
-        raw = bits.random_raw(min(_DRAW_CHUNK, total - s))
-        # at top = 1 the cut is 2^64, above every word: all are kept
-        i = (np.arange(raw.size) if cut >> 64
-             else np.flatnonzero(raw < np.uint64(cut)))
-        if m + i.size > codes.size:
-            size = min(total, max(2 * codes.size, m + i.size))
-            codes, level = _grown(codes, m, size), _grown(level, m, size)
-        codes[m:m + i.size] = decode(i + s)
-        # a few comparisons beat a binary search per triple on a short grid
-        lev = level[m:m + i.size]
-        lev[:] = 0
-        kept = raw[i]
-        for t in below:
-            lev += kept >= t
-        m += i.size
-    return codes[:m], level[:m]
+    streams = {0: generator(seed, _S_GNP3, n).bit_generator}
+    if half < total:
+        # copied before either half draws; word half starts Philox block half // 4
+        streams[half] = copy(streams[0]).advance(half // 4)
+
+    def part(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        at, size = bound(lo), bound(hi - lo)
+        out, out_level = codes[at:at + size], level[at:at + size]
+        m = 0
+        for s in range(lo, hi, _DRAW_CHUNK):
+            raw = streams[lo].random_raw(min(_DRAW_CHUNK, hi - s))
+            # at top = 1 the cut is 2^64, above every word: all are kept
+            i = (np.arange(raw.size) if cut >> 64
+                 else np.flatnonzero(raw < np.uint64(cut)))
+            if m + i.size > out.size:
+                # a half that overflows its part grows a buffer of its own
+                size = min(hi - lo, max(2 * out.size, m + i.size))
+                out, out_level = (np.resize(out[:m], size),
+                                  np.resize(out_level[:m], size))
+            out[m:m + i.size] = decode(i + s)
+            # a few comparisons beat a binary search per triple on a short grid
+            lev = out_level[m:m + i.size]
+            lev[:] = 0
+            kept = raw[i]
+            for t in below:
+                lev += kept >= t
+            m += i.size
+        return out[:m], out_level[:m]
+
+    (first, first_level), *rest = _halves(part, total, 4)
+    for second, second_level in rest:
+        if first.base is not codes or second.base is not codes:
+            return (np.concatenate((first, second)),
+                    np.concatenate((first_level, second_level)))
+        # moved down in place, so the kept codes are never held twice
+        m, k = first.size, second.size
+        codes[m:m + k], level[m:m + k] = second, second_level
+        return codes[:m + k], level[:m + k]
+    return first, first_level
 
 
 def _thinned(codes: np.ndarray, level: np.ndarray,
@@ -124,12 +150,6 @@ def _thinned(codes: np.ndarray, level: np.ndarray,
         thin_level[m:m + at.size] = level[at]
         m += at.size
     return thin_codes, thin_level
-
-
-def _grown(buf: np.ndarray, m: int, size: int) -> np.ndarray:
-    out = np.empty(size, buf.dtype)
-    out[:m] = buf[:m]
-    return out
 
 
 def random_graph(n: int, p: float, seed: int) -> SkeletonGraph:

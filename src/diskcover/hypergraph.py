@@ -9,18 +9,19 @@ they are int32 while n^3 < 2^31 (n <= 1290) and int64 above
 :class:`SkeletonGraph` is a plain simple graph, built only where a graph
 API is read: 1-skeletons and links (`link`). Both types are immutable
 and safe to share across concurrent tasks. Membership is a binary search
-in the codes, and the skeleton one scatter of the pairs of every code
-into an n x n bool array. Derived views are built on first use and kept:
-``H.row(u)``, whose entry w is the bitmask of w' with uww' in H, built
-from the triples through u alone, which links read, and whose ANDs with
-another row are a link intersection (O(n) once built); ``H.edges``, the
-frozenset of triples as tuples, which no search, sweep or verify path
-reads; and a graph's ``edges`` and ``adj``, derived from ``adj_mask``.
+in the codes, and the skeleton a scatter of the pairs of every code into
+an n x n bool array, one per half of a large host (`_halves`). Derived
+views are built on first use and kept: ``H.row(u)``, whose entry w is
+the bitmask of w' with uww' in H, built from the triples through u
+alone, which links read, and whose ANDs with another row are a link
+intersection (O(n) once built); ``H.edges``, the frozenset of triples
+as tuples, which no search, sweep or verify path reads; and a graph's
+``edges`` and ``adj``, derived from ``adj_mask``.
 A graph's ``vertices`` is a view of the keys of ``adj_mask``, not a
 stored set. Pickling and copying ship the stored form only (n, codes
 and labels; a graph's ``adj_mask``). At n = 800 and c = 2 a host holds
 6 M triples: 24 MB of codes, 12 MB of compact last vertices once a row
-is read, and 0.6 MB for the n x n array of a skeleton or row while it
+is read, and 0.6 MB for each n x n array of a skeleton or row while it
 is scattered.
 
 Vertex identifiers are dense non-negative integers; external labels are
@@ -29,6 +30,8 @@ mapped at the I/O boundary (see :mod:`diskcover.io`).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from math import comb
 from operator import and_
 from typing import Callable, Iterable, Iterator, KeysView
@@ -41,6 +44,8 @@ from .rng import row_masks
 _MAX_N = 1 << 21
 # codes scattered per numpy step, so temporaries stay a few MB
 _CHUNK = 1 << 16
+# items from which a pass over a host is run in two halves (`_halves`)
+_SPLIT = 1 << 18
 
 
 def _canon_triple(t: Iterable[int]) -> tuple[int, int, int]:
@@ -97,11 +102,30 @@ def code_decoder(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return decode
 
 
+def _half(total: int, step: int = 1) -> int:
+    """Where `_halves` cuts [0, total): a multiple of step, or total."""
+    return total if total < _SPLIT else total // 2 // step * step
+
+
+def _halves(part: Callable[[int, int], object], total: int, step: int = 1) -> list:
+    """[part(0, half), part(half, total)], the second on a short-lived worker
+    thread, or [part(0, total)] below _SPLIT items. A part writes no array
+    slice the other reads or writes, and calls no shared Philox and nothing
+    `perfbench/tracer.py` wraps (its one span stack assumes one thread)."""
+    half = _half(total, step)
+    if half == total:
+        return [part(0, total)]
+    with ThreadPoolExecutor(1) as worker:
+        later = worker.submit(part, half, total)
+        return [part(0, half), later.result()]
+
+
 def _last_vertices(n: int, codes: np.ndarray) -> np.ndarray:
     """The last vertex c of every code, as int16 while every vertex fits."""
     last = np.empty(codes.size, dtype=np.int16 if n <= 1 << 15 else np.int32)
-    for s in range(0, codes.size, _CHUNK):
-        last[s:s + _CHUNK] = codes[s:s + _CHUNK] % n
+    # the ufunc casts into last through small buffers of its own
+    _halves(lambda lo, hi: np.remainder(codes[lo:hi], n, out=last[lo:hi]),
+            codes.size)
     return last
 
 
@@ -317,17 +341,21 @@ class SkeletonGraph:
 def skeleton(H: Hypergraph3) -> SkeletonGraph:
     """The graph on V(H) whose edges are the pairs covered by some triple."""
     n, nn = H.n, H.n * H.n
-    adj = np.zeros(nn, dtype=bool)
-    for s in range(0, H.codes.size, _CHUNK):
-        # widened once: numpy converts every int32 index array it is given
-        code = H.codes[s:s + _CHUNK].astype(np.int64)
-        ab = code // n
-        a = ab // n
-        # the flat indices a*n + b, b*n + c and a*n + c
-        adj[ab] = True
-        adj[code - a * nn] = True
-        adj[a * n + code - ab * n] = True
-    adj = adj.reshape(n, n)
+
+    def part(lo: int, hi: int) -> np.ndarray:
+        adj = np.zeros(nn, dtype=bool)
+        for s in range(lo, hi, _CHUNK):
+            # widened once: numpy converts every int32 index array it is given
+            code = H.codes[s:min(s + _CHUNK, hi)].astype(np.int64)
+            ab = code // n
+            a = ab // n
+            # the flat indices a*n + b, b*n + c and a*n + c
+            adj[ab] = True
+            adj[code - a * nn] = True
+            adj[a * n + code - ab * n] = True
+        return adj
+
+    adj = reduce(np.logical_or, _halves(part, H.codes.size)).reshape(n, n)
     adj |= adj.T
     return SkeletonGraph._from_masks(dict(enumerate(row_masks(adj))))
 

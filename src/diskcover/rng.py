@@ -17,14 +17,16 @@ _MASK64 = (1 << 64) - 1
 # One bit generator for every trial draw. Building a Philox from a key
 # also seeds an unused SeedSequence from the OS, at several times the
 # cost of setting the state. Each call sets the whole state before it
-# draws, so no draw depends on an earlier one; the package draws from
-# one thread per process, and two threads would need a generator each.
+# draws, so no draw depends on an earlier one; the worker thread of a
+# split host pass (`hypergraph._halves`) never draws from it.
 _PHILOX = np.random.Philox(key=0)
 # Its fresh state (zero counter, empty buffer, key (0, 0)) is the one
 # every call sets, with word 0 of the key written in place first; setting
 # a state copies its arrays.
 _STATE = _PHILOX.state
 _KEY = _STATE["state"]["key"]
+# seeds each `generator` Philox before its whole state is set: no OS entropy
+_SEED = np.random.SeedSequence(0)
 
 
 def mix64(*parts: int, key: int = 0x9E3779B97F4A7C15) -> int:
@@ -43,8 +45,11 @@ def mix64(*parts: int, key: int = 0x9E3779B97F4A7C15) -> int:
 
 
 def generator(seed: int, *stream: int) -> np.random.Generator:
-    """A Philox generator for the stream identified by (seed, *stream)."""
-    return np.random.Generator(np.random.Philox(key=mix64(seed, *stream)))
+    """The Philox generator of (seed, *stream): Philox(key=mix64(seed, *stream))."""
+    bits = np.random.Philox(_SEED)
+    key = np.array((mix64(seed, *stream), 0), np.uint64)
+    bits.state = {**_STATE, "state": {**_STATE["state"], "key": key}}
+    return np.random.Generator(bits)
 
 
 def _threshold(p: float) -> int:

@@ -17,7 +17,7 @@ bits into lane sets and the packing of the side-1 misses into trial
 masks (`row_masks`), the first pyramid side over all lanes
 (`_lane_paths`), the rows of the link intersections
 (`link_intersection`: LI(v, v') once per pass, LI(w, w') once per
-cycle short of need), and the second side of those cycles (`_hits`). A stage is charged its calls' own time, less that of the timed
+cycle short of need whose second side's screens leave a mask open), and the second side of those cycles (`_hits`). A stage is charged its calls' own time, less that of the timed
 calls inside them; `other` is the rest of the pass. It prints one
 markdown table row per workload: the blocks, how many the screen
 settled (those that ran no lane search), and times in µs per decision

@@ -711,9 +711,9 @@ def _lane_pass(H, cyc, params, need=None):
     real = coverability._hits
     v, w, vp, wp = cyc
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coverability, "_hits", lambda search, disk, masks, left:
+        mp.setattr(coverability, "_hits", lambda search, disk, masks, left, pair:
                    calls.append((masks, left))
-                   or real(search, disk, masks, left))
+                   or real(search, disk, masks, left, pair))
         [hits] = coverability._cycle_hits(H, v, vp, [(w, wp)], params, need)
     return hits, calls
 
@@ -1012,19 +1012,21 @@ def test_lane_pass_builds_each_sides_rows_once(monkeypatch):
     params = est_params(trials=64)
     need = coverability._least_hits(64, params.epsilon)
     # on K_12 some trial's mask holds none of the 8 vertices off the
-    # cycle, so a full count finds the cycle short on the first side
-    for n, full in ((12, [(0, 2), (1, 3)]), (30, [(0, 2)])):
+    # cycle, so a full count finds the cycle short on the first side; the
+    # second side's screens, read off rows 1 and 3, settle those masks
+    # (they miss both ends), so LI(w, w') is never built
+    for n in (12, 30):
         H = complete_hypergraph(n)
         # the numpy screen settles a decision: LI(v, v') only
         assert coverability._cycle_hits(H, 0, 2, [(1, 3)], params,
                                          need)[0] >= need
         assert built == [(0, 2)]
         del built[:]
-        # a full count: LI(v, v') once, and LI(w, w') once if the cycle
-        # is short on the first side
+        # a full count: LI(v, v') once, and LI(w, w') only for a mask
+        # the second side's screens leave open
         assert sample_disk_coverability(H, (0, 1, 2, 3),
                                         params).decided_coverable
-        assert built == full
+        assert built == [(0, 2)]
         del built[:]
     # the first side never holds, and the second side's screen leaves
     # enough masks open to reach need: LI(w, w') once per decision

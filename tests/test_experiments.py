@@ -57,6 +57,17 @@ def test_sweep_parallel_matches_serial():
     assert sweep_csv(serial) == sweep_csv(parallel)
 
 
+def test_sweep_of_split_hosts_matches_across_jobs():
+    """At n = 200 every host is drawn in two halves (C(200, 3) words) and
+    the c = 4 host (about 371 K triples) has its skeleton split too: the
+    rows are the same from one process and from two."""
+    serial = threshold_sweep(SPHERE, [200], [1.0, 4.0], trials=1, seed=3,
+                             params=FAST, jobs=1)
+    parallel = threshold_sweep(SPHERE, [200], [1.0, 4.0], trials=1, seed=3,
+                               params=FAST, jobs=2)
+    assert sweep_csv(serial) == sweep_csv(parallel)
+
+
 def test_sweep_draws_each_host_stream_once(monkeypatch):
     """One host stream per (n, trial), shared by its c cells, at any jobs."""
     streams = []

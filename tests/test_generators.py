@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 import diskcover.generators as generators
+import diskcover.hypergraph as hypergraph
 from diskcover.generators import (_S_GNP2, _S_GNP3, clique_pendant_graph,
                                   random_graph, random_graph_corpus,
                                   random_hypergraph, random_hypergraphs)
@@ -65,25 +66,33 @@ def test_random_hypergraph_matches_one_shot_definition(n, p, seed):
 @given(st.integers(0, 14),
        st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
                 min_size=1, max_size=5),
-       st.integers(0, 2 ** 40), st.booleans(), st.booleans())
-@example(0, [0.5, 0.0], 1, False, False)
-@example(1, [1.0], 1, False, False)
-@example(2, [0.3, 1.0], 1, False, False)
-@example(3, [0.5, 1.0, 0.5, 0.0], 1, False, False)
-@example(14, [0.2, 0.9, 0.2, 0.6], 7, False, True)
-@example(14, [0.4, 0.1], 3, True, True)
+       st.integers(0, 2 ** 40), st.booleans(), st.booleans(), st.booleans())
+@example(0, [0.5, 0.0], 1, False, False, False)
+@example(1, [1.0], 1, False, False, True)
+@example(2, [0.3, 1.0], 1, False, False, False)
+@example(3, [0.5, 1.0, 0.5, 0.0], 1, False, False, True)
+@example(14, [0.2, 0.9, 0.2, 0.6], 7, False, True, False)
+@example(14, [0.4, 0.1], 3, True, True, False)
+@example(14, [0.4, 0.1], 3, True, True, True)
+@example(14, [1.0, 0.3], 3, False, True, True)
+@example(8, [0.5], 2, True, False, True)
 # C(75, 3) = 67525 floats cross the first 2^16-float chunk boundary
-@example(75, [0.02, 0.3, 0.02], 5, False, False)
+@example(75, [0.02, 0.3, 0.02], 5, False, False, False)
 def test_random_hypergraphs_yield_the_one_density_hosts(n, ps, seed, tiny_chunks,
-                                                        overflow):
+                                                        overflow, halves):
     """Every host the nested draw yields is the one-density host at its p,
-    highest p first, whatever the chunking or the starting buffer size."""
+    highest p first, whatever the chunking, the starting buffer size, or
+    whether the draw runs in two halves on two threads."""
     with pytest.MonkeyPatch.context() as mp:
         if tiny_chunks:
             mp.setattr(generators, "_DRAW_CHUNK", 7)
         if overflow:
             # a buffer far below the kept count: every chunk may regrow it
             mp.setattr(generators, "_SIGMAS", -1e6)
+        if halves:
+            # any host of 8 triples or more is drawn in two halves, the
+            # second from word 4 * (C(n, 3) // 8) on
+            mp.setattr(hypergraph, "_SPLIT", 8)
         hosts = list(random_hypergraphs(n, ps, seed))
     assert [p for p, _ in hosts] == sorted(set(ps), reverse=True)
     for p, H in hosts:

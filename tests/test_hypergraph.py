@@ -1,5 +1,7 @@
 import copy
 import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
+import diskcover.hypergraph as hypergraph
 from diskcover.experiments import audit_corpus
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, code_dtype,
@@ -315,6 +318,45 @@ def test_skeleton_builds_no_row():
     assert _unset(H, "_rows") and _unset(H, "_last")
     H.row(7)
     assert list(H._rows) == [7]
+
+
+def test_host_passes_split_in_halves_match_one_pass(monkeypatch):
+    """Above _SPLIT codes the skeleton and the last-vertex column are built
+    in two halves on two threads: the same as in one pass, even with the
+    threads switching every microsecond, and the worker thread is gone
+    when the call returns."""
+    H = random_hypergraph(130, 0.8, seed=3)
+    assert H.codes.size >= hypergraph._SPLIT
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = skeleton(H)
+        assert threading.active_count() == threads
+        last = H._last
+        assert threading.active_count() == threads
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(hypergraph, "_SPLIT", H.codes.size + 1)
+    assert skeleton(H).adj_mask == split.adj_mask
+    assert np.array_equal(hypergraph._last_vertices(H.n, H.codes), last)
+    assert last.tolist() == (H.codes % H.n).tolist()
+
+
+def test_halves_cut_on_a_step_and_run_the_second_on_a_worker():
+    seen = []
+
+    def part(lo, hi):
+        seen.append(threading.current_thread() is threading.main_thread())
+        return lo, hi
+
+    total = hypergraph._SPLIT + 10
+    assert hypergraph._halves(part, total, 4) == [
+        (0, total // 8 * 4), (total // 8 * 4, total)]
+    assert sorted(seen) == [False, True]
+    seen.clear()
+    assert hypergraph._halves(part, total - 11) == [(0, total - 11)]
+    assert seen == [True]
 
 
 def test_row_rejects_a_non_vertex_once_rows_are_kept():

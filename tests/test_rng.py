@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.random.bit_generator as bit_generator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,37 @@ def test_mix64_prefix_mixed_once(prefix, rest):
         assert np.array_equal(keyed_bits(key, 5, 9, 0.3),
                               trial_bits(prefix[0], (prefix[1], *rest), 5, 9,
                                          0.3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=4),
+       st.integers(0, 40))
+def test_generator_is_the_keyed_philox(seed, stream, skip):
+    """`generator` sets a Philox built from a fixed seed to the key's state:
+    its draws are those of numpy's Philox built from the key itself, and
+    building it asks the OS for no entropy."""
+    want = np.random.Generator(np.random.Philox(key=mix64(seed, *stream)))
+    got = generator(seed, *stream)
+    assert np.array_equal(got.random(skip), want.random(skip))
+    assert np.array_equal(got.bit_generator.random_raw(9),
+                          want.bit_generator.random_raw(9))
+    assert got.integers(0, 1000, 7).tolist() == want.integers(0, 1000, 7).tolist()
+
+
+def test_generator_asks_no_os_entropy(monkeypatch):
+    """numpy seeds a SeedSequence built with no entropy from
+    `secrets.randbits`; a Philox built from a key builds one, and
+    `generator` does not."""
+    asked = []
+    real = bit_generator.randbits
+    monkeypatch.setattr(bit_generator, "randbits",
+                        lambda k: asked.append(k) or real(k))
+    want = np.random.Generator(np.random.Philox(key=mix64(3, 1, 2)))
+    before = len(asked)
+    assert before > 0
+    assert generator(3, 1, 2).random() == want.random()
+    assert len(asked) == before
 
 
 def test_generator_streams_independent():
