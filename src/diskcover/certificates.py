@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .complexes import TwoComplex
@@ -46,7 +47,7 @@ class Pattern:
     cycles: tuple[tuple[int, int, int, int], ...]
     surface: tuple[int, bool] | None = None
 
-    @property
+    @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The sides of the special cycles, as sorted label-index pairs."""
         return frozenset((min(a, b), max(a, b)) for c in self.cycles

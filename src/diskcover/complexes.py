@@ -22,7 +22,7 @@ and calls each a cycle, a path or other:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -112,10 +112,10 @@ def _component_shapes(edges: Iterable[tuple[int, int]]) -> list[str]:
     """The shape of each connected component of a simple graph given by its
     edges: "cycle" (every degree 2), "path" (no degree above 2 and two
     ends) or "other"."""
-    adj: dict[int, list[int]] = {}
+    adj: defaultdict[int, list[int]] = defaultdict(list)
     for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+        adj[a].append(b)
+        adj[b].append(a)
     seen: set[int] = set()
     shapes = []
     for start in adj:
@@ -182,9 +182,9 @@ def _orientable(X: TwoComplex) -> bool:
 
 
 def _vertex_links(X: TwoComplex) -> dict[int, list[tuple[int, int]]]:
-    """Every vertex link in one pass over the triangles: the link of v has
-    an edge joining the other two vertices of each triangle at v."""
-    links: dict[int, list[tuple[int, int]]] = {v: [] for v in X.vertices}
+    """Every vertex link, keyed by vertex, in one pass over the triangles:
+    the link of v has an edge joining the other two of each triangle at v."""
+    links: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for a, b, c in X.triangles:
         links[a].append((b, c))
         links[b].append((a, c))
@@ -192,19 +192,22 @@ def _vertex_links(X: TwoComplex) -> dict[int, list[tuple[int, int]]]:
     return links
 
 
-def classify(X: TwoComplex) -> Classification:
-    """Recognize disks, closed surfaces, and surfaces with boundary."""
+def classify(X: TwoComplex, incidence: Counter | None = None) -> Classification:
+    """Recognize disks, closed surfaces, and surfaces with boundary. A
+    caller that counted X's edge incidence may pass it."""
     if not X.triangles:
         raise ValueError("cannot classify an empty complex")
-    incidence = X.edge_incidence
-    euler = euler_characteristic(X, incidence)
+    if incidence is None:
+        incidence = X.edge_incidence
+    links = _vertex_links(X)
+    euler = len(links) - len(incidence) + len(X.triangles)
     bd_edges = _boundary_edges(incidence)
     bd_shapes = _component_shapes(bd_edges)
     surface_like = (
         all(k <= 2 for k in incidence.values())
         and len(_component_shapes(incidence)) == 1
         and all(_component_shapes(lk) in (["path"], ["cycle"])
-                for lk in _vertex_links(X).values())
+                for lk in links.values())
     )
     if not surface_like:
         return Classification(OTHER, euler, None, len(bd_shapes))
@@ -232,9 +235,9 @@ def is_boundary_inducing(X: TwoComplex) -> bool:
     Chord-free means every skeleton edge joining two boundary vertices
     is itself a boundary edge.
     """
-    if classify(X).kind != DISK:
-        raise ValueError("boundary-inducing is defined only for disks")
     incidence = X.edge_incidence
+    if classify(X, incidence).kind != DISK:
+        raise ValueError("boundary-inducing is defined only for disks")
     return _chord_free(X, _boundary_edges(incidence), incidence)
 
 
@@ -252,11 +255,11 @@ def disk_defect(X: TwoComplex, cycle, incidence: dict | None = None) -> str | No
     first check that fails names the defect. A caller that counted X's
     edge incidence may pass it.
     """
-    kind = classify(X).kind
-    if kind != DISK:
-        return f"classifies as {kind}"
     if incidence is None:
         incidence = X.edge_incidence
+    kind = classify(X, incidence).kind
+    if kind != DISK:
+        return f"classifies as {kind}"
     bd_edges = _boundary_edges(incidence)
     if bd_edges != cycle_edges(cycle):
         return f"boundary differs from cycle {cycle}"

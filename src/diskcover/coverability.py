@@ -832,11 +832,12 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
     whether it reaches need is fixed; without it every count is exact.
 
     A lane is one (cycle, trial). Each cycle's trial bits are the matrix
-    behind its `trial_masks`. Given `need`, when every cycle of a block
-    has one-vertex pyramids, C = LI(v, v')[w] & LI(v, v')[w'] nonempty,
-    one numpy screen counts each cycle's trials that meet C, the sure
-    hits of `_hits`; if each count reaches `need`, those counts stand and
-    no lane is built. Otherwise the block's bits are stacked and
+    behind its `trial_masks`; one `keyed_bits` call draws a block's, one
+    (cycle, trial, vertex) array. Given `need`, when every cycle of a
+    block has one-vertex pyramids, C = LI(v, v')[w] & LI(v, v')[w']
+    nonempty, one numpy screen counts each cycle's trials that meet C,
+    the sure hits of `_hits`; if each count reaches `need`, those counts
+    stand and no lane is built. Otherwise the block's bits are
     transposed into one lane set per vertex, and the first pyramid side,
     w..w' in LI(v, v'), runs as one `_lane_paths` over all the block's
     lanes. A cycle short of `need` (of every trial, without it) then
@@ -860,10 +861,8 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
     out = []
     for s in range(0, len(pairs), size):
         block = pairs[s:s + size]
-        bits = np.empty((len(block), trials, width), bool)
-        for c, (w, wp) in enumerate(block):
-            bits[c] = keyed_bits(mix64(w, vp, wp, key=prefix),
-                                 trials, width, params.p)
+        bits = keyed_bits([mix64(w, vp, wp, key=prefix) for w, wp in block],
+                          trials, width, params.p)
         pyramids = [adj[w] & adj[wp] for w, wp in block]
         if need is not None and all(pyramids) and (
                 sure := _sure_hits(bits, pyramids)).min() >= need:

@@ -12,6 +12,7 @@ realizing the complete 3-uniform hypergraph on t vertices. Every edge of
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .certificates import Pattern
@@ -34,6 +35,7 @@ def roles(t: int) -> list[Role]:
             + list(combinations(range(t), 3)))
 
 
+@cache
 def gamma(t: int) -> Pattern:
     """Γ(t) on t + C(t,2) + C(t,3) labelled vertices with its special cycles,
     (v_i, v_ij, v_j, v_ijk) for each triple and each pair inside it."""

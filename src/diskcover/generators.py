@@ -11,7 +11,7 @@ import numpy as np
 
 from .hypergraph import (Hypergraph3, SkeletonGraph, _half, _halves,
                          code_decoder, code_dtype, complete_hypergraph)
-from .rng import _threshold, generator, trial_bits
+from .rng import _threshold, generator, streams, trial_bits
 
 __all__ = [
     "random_hypergraph",
@@ -184,8 +184,7 @@ def random_graph_corpus(count: int, seed: int):
     audit loops while small ones get dense.
     """
     lo, hi = _CORPUS_N
-    for i in range(count):
-        gen = generator(seed, _S_CORPUS, i)
+    for i, gen in zip(range(count), streams(seed, _S_CORPUS)):
         n = int(gen.integers(lo, hi + 1))
         c = _CORPUS_C[int(gen.integers(0, len(_CORPUS_C)))]
         p = min(0.8, c / n)

@@ -9,6 +9,8 @@ work is split across workers.
 from __future__ import annotations
 
 import math
+from itertools import count
+from typing import Iterator
 
 import numpy as np
 
@@ -16,16 +18,18 @@ _MASK64 = (1 << 64) - 1
 
 # One bit generator for every trial draw. Building a Philox from a key
 # also seeds an unused SeedSequence from the OS, at several times the
-# cost of setting the state. Each call sets the whole state before it
-# draws, so no draw depends on an earlier one; the worker thread of a
-# split host pass (`hypergraph._halves`) never draws from it.
+# cost of setting the state. A `keyed_bits` call sets the whole state
+# before each key's words, one key per row of one block buffer, so no
+# draw depends on an earlier one; the worker thread of a split host pass
+# (`hypergraph._halves`) never draws from it.
 _PHILOX = np.random.Philox(key=0)
 # Its fresh state (zero counter, empty buffer, key (0, 0)) is the one
-# every call sets, with word 0 of the key written in place first; setting
-# a state copies its arrays.
+# every `_rekey` of any Philox sets, with word 0 of the key written in
+# place first; setting a state copies its arrays.
 _STATE = _PHILOX.state
 _KEY = _STATE["state"]["key"]
-# seeds each `generator` Philox before its whole state is set: no OS entropy
+# seeds each `generator` and `streams` Philox before it is re-keyed: no
+# OS entropy
 _SEED = np.random.SeedSequence(0)
 
 
@@ -44,12 +48,29 @@ def mix64(*parts: int, key: int = 0x9E3779B97F4A7C15) -> int:
     return h
 
 
+def _rekey(bits: np.random.Philox, key: int) -> None:
+    """Set the whole state of a Philox to that of Philox(key=key): zero
+    counter, empty buffer and no buffered 32-bit half."""
+    _KEY[0] = key
+    bits.state = _STATE
+
+
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """The Philox generator of (seed, *stream): Philox(key=mix64(seed, *stream))."""
     bits = np.random.Philox(_SEED)
-    key = np.array((mix64(seed, *stream), 0), np.uint64)
-    bits.state = {**_STATE, "state": {**_STATE["state"], "key": key}}
+    _rekey(bits, mix64(seed, *stream))
     return np.random.Generator(bits)
+
+
+def streams(seed: int, *stream: int) -> Iterator[np.random.Generator]:
+    """`generator(seed, *stream, i)` for i = 0, 1, ...: one Generator,
+    re-keyed to mix64(i, key=mix64(seed, *stream)) before each step, so
+    a step's draws must be taken before the next step starts."""
+    bits, prefix = np.random.Philox(_SEED), mix64(seed, *stream)
+    gen = np.random.Generator(bits)
+    for i in count():
+        _rekey(bits, mix64(i, key=prefix))
+        yield gen
 
 
 def _threshold(p: float) -> int:
@@ -77,19 +98,23 @@ def trial_bits(seed: int, stream: tuple[int, ...], trials: int, width: int,
     come from comparing raw Philox words with `_threshold(p)`, with no
     doubles made.
     """
-    return keyed_bits(mix64(seed, *stream), trials, width, p)
+    return keyed_bits([mix64(seed, *stream)], trials, width, p)[0]
 
 
-def keyed_bits(key: int, trials: int, width: int, p: float) -> np.ndarray:
-    """`trial_bits(seed, stream, trials, width, p)` given the stream key
-    mix64(seed, *stream) in place of seed and stream."""
+def keyed_bits(keys: list, trials: int, width: int, p: float) -> np.ndarray:
+    """The `trial_bits(seed, stream, trials, width, p)` of each stream key
+    mix64(seed, *stream) in keys, stacked as a (len(keys), trials, width)
+    bool array: one threshold, and each key's words compared straight
+    into its row."""
     threshold = _threshold(p)
     if threshold >> 64:
-        return np.ones((trials, width), bool)
-    _KEY[0] = key
-    _PHILOX.state = _STATE
-    raw = _PHILOX.random_raw(trials * width).reshape(trials, width)
-    return raw < np.uint64(threshold)
+        return np.ones((len(keys), trials, width), bool)
+    out = np.empty((len(keys), trials * width), bool)
+    threshold, size = np.uint64(threshold), trials * width
+    for i, key in enumerate(keys):
+        _rekey(_PHILOX, key)
+        np.less(_PHILOX.random_raw(size), threshold, out=out[i])
+    return out.reshape(len(keys), trials, width)
 
 
 def row_masks(bits: np.ndarray) -> list[int]:

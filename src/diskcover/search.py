@@ -53,7 +53,7 @@ from .hypergraph import (
     link_intersection,
     skeleton,
 )
-from .rng import generator, row_masks
+from .rng import generator, mask_bits, row_masks, streams
 from .verify import verify_certificate
 
 _S_LINK = 0x51
@@ -214,14 +214,13 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
             0, tuple(0 for _ in range(k)),
             f"{n_free} free vertices cannot give {k} disjoint interiors")
 
-    free = np.setdiff1d(np.arange(H.n), list(W))
+    free = np.flatnonzero(mask_bits([free_mask], H.n))
     fail_counts = [0] * k
     base, extra = divmod(n_free, k)
     # the part of each position of a permuted `free`: the first `extra`
     # parts take base + 1 vertices, the rest base
     part_of = np.repeat(np.arange(k), [base + (i < extra) for i in range(k)])
-    for attempt in range(_GLUE_RETRIES):
-        gen = generator(params.seed, _S_GLUE, attempt)
+    for _, gen in zip(range(_GLUE_RETRIES), streams(params.seed, _S_GLUE)):
         parts = np.zeros((k, H.n), dtype=bool)
         parts[part_of, free[gen.permutation(n_free)]] = True
         disks: list[TwoComplex] = []
@@ -326,8 +325,7 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     # stage 2: dependent random choice of the t core vertices
     core: list[int] | None = None
     candidates = sorted(v for v in G.vertices if G.degree(v) > 0)
-    for retry in range(params.max_retries):
-        gen = generator(params.seed, _S_CORE, retry)
+    for _, gen in zip(range(params.max_retries), streams(params.seed, _S_CORE)):
         if not candidates:
             break
         w0 = candidates[int(gen.integers(0, len(candidates)))]
@@ -361,8 +359,8 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     pools = [sorted(common_neighborhood(G, [core[i] for i in role]))
              for role in roles(t)[t:]]
     sizes = [len(pool) for pool in pools]
-    for retry in range(_PATTERN_RETRIES if all(pools) else 0):
-        gen = generator(params.seed, _S_PATTERN, retry)
+    for retry, gen in zip(range(_PATTERN_RETRIES if all(pools) else 0),
+                          streams(params.seed, _S_PATTERN)):
         # one array draw gives the values of one scalar draw per pool
         values = core + [pool[i] for pool, i in
                          zip(pools, gen.integers(0, sizes).tolist())]
@@ -415,10 +413,10 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
 
     # stage 2: hub vertex with admissible spoke paths
     candidates = sorted(v for v in G.vertices if G.degree(v) >= hub_degree)
-    for retry in range(params.max_retries):
+    for retry, gen in zip(range(params.max_retries),
+                          streams(params.seed, _S_HUB)):
         if not candidates:
             break
-        gen = generator(params.seed, _S_HUB, retry)
         v = candidates[int(gen.integers(0, len(candidates)))]
         ws = _pick_distinct(gen, sorted(common_neighborhood(G, (v,))), hub_degree)
         if ws is None:
@@ -457,8 +455,8 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
     skel = skeleton(H)
     stage = "cycle-selection"
     detail = "no 4-cycle with two spare common neighbours"
-    for retry in range(params.max_retries):
-        gen = generator(params.seed, _S_SPHERE, retry)
+    for retry, gen in zip(range(params.max_retries),
+                          streams(params.seed, _S_SPHERE)):
         draws = gen.integers(0, H.n, size=(_LINK_SAMPLE, 2))
         best = None
         best_c = 1

@@ -19,8 +19,9 @@ d. the target's pattern (Γ(t) for a complete-hypergraph target, the
    (Euler characteristic, orientability).
 
 A malformed certificate (no disks, cycle and disk counts that differ or
-miss the target's, a cycle with a repeated or out-of-range vertex)
-raises :class:`CertificateError` instead of producing a failed report.
+miss the target's, a cycle with a repeated or out-of-range vertex, a
+disk with no triangles) raises :class:`CertificateError` instead of
+producing a failed report.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ def _check_triangles(H: Hypergraph3, cert) -> CheckResult:
                        f"all {sum(len(d) for d in cert.disks)} triangles present")
 
 
-def _check_disks(cert) -> CheckResult:
-    for i, (cyc, disk) in enumerate(zip(cert.cycles, cert.disks)):
-        defect = disk_defect(disk, cyc)
+def _check_disks(cert, incidences) -> CheckResult:
+    for i, (cyc, inc) in enumerate(zip(cert.cycles, incidences)):
+        defect = disk_defect(cert.disks[i], cyc, inc)
         if defect is not None:
             return CheckResult("disks-bound-cycles", False, f"disk {i} {defect}")
     return CheckResult("disks-bound-cycles", True,
@@ -87,12 +88,13 @@ def _check_disks(cert) -> CheckResult:
                        "assigned boundaries")
 
 
-def _check_intersections(cert) -> CheckResult:
+def _check_intersections(cert, incidences) -> CheckResult:
     k = len(cert.disks)
     verts = [frozenset(c) for c in cert.cycles]
     edges = [cycle_edges(c) for c in cert.cycles]
-    disk_verts = [d.vertices for d in cert.disks]
-    disk_edges = [d.edges for d in cert.disks]
+    # every vertex of a disk lies on one of its edges
+    disk_edges = [inc.keys() for inc in incidences]
+    disk_verts = [{v for e in es for v in e} for es in disk_edges]
     for i in range(k):
         di = cert.disks[i]
         for j in range(i + 1, k):
@@ -172,9 +174,14 @@ def verify_certificate(H: Hypergraph3,
             raise CertificateError(f"cycle {c} has repeated vertices")
         if any(not 0 <= v < H.n for v in c):
             raise CertificateError(f"cycle {c} leaves the vertex range")
+    for i, d in enumerate(cert.disks):
+        if not d.triangles:
+            raise CertificateError(f"disk {i} has no triangles")
 
     pattern = gamma(cert.t) if cert.target == KTT else SURFACES[cert.target]
-    checks = (_check_triangles(H, cert), _check_disks(cert),
-              _check_intersections(cert), _check_pattern(H, cert, pattern))
+    incidences = [d.edge_incidence for d in cert.disks]
+    checks = (_check_triangles(H, cert), _check_disks(cert, incidences),
+              _check_intersections(cert, incidences),
+              _check_pattern(H, cert, pattern))
     return VerificationReport(all(c.passed for c in checks), checks,
                               checks[-1].passed)

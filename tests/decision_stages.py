@@ -11,7 +11,7 @@ each decision passes as `need`) of `ops` ops of each workload (default 3,
 seed 0) are recorded, so the `ktt_complete` row holds the core and the
 pattern stages' passes, then replayed `repeats` times
 (default 5) with each stage's functions timed: the trial bits of every
-cycle (`keyed_bits`), the screen of the blocks whose cycles all have
+cycle (`keyed_bits`, one call per block of cycles), the screen of the blocks whose cycles all have
 one-vertex pyramids (`_sure_hits`), the transpose of the other blocks'
 bits into lane sets and the packing of the side-1 misses into trial
 masks (`row_masks`), the first pyramid side over all lanes

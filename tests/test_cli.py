@@ -456,9 +456,15 @@ def _nest_triangle(doc):
     doc["disks"][0][0] = [[0, 1], 2, 3]
 
 
+def _empty_disk(doc):
+    doc["disks"][1] = []
+
+
 @pytest.mark.parametrize("mutate", [
     _set_cycle_int, _set_embedding_list, _set_ktt_string_t, _nest_triangle,
-], ids=["cycle-int", "embedding-list", "t-string", "nested-triangle"])
+    _empty_disk,
+], ids=["cycle-int", "embedding-list", "t-string", "nested-triangle",
+        "empty-disk"])
 def test_verify_mistyped_certificate_is_usage_error(capsys, tmp_path, mutate):
     h = tmp_path / "k12.h3"
     h.write_text(serialize_h3(complete_hypergraph(12)))

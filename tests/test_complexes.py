@@ -11,8 +11,9 @@ import bruteforce as bf
 from diskcover import complexes
 from diskcover.complexes import (CLOSED_SURFACE, DISK, OTHER,
                                  SURFACE_WITH_BOUNDARY, TwoComplex, boundary,
-                                 classify, cycle_edges, euler_characteristic,
-                                 is_boundary_inducing, orientability)
+                                 classify, cycle_edges, disk_defect,
+                                 euler_characteristic, is_boundary_inducing,
+                                 orientability)
 from diskcover.certificates import SPHERE, HomeomorphCertificate
 from diskcover.coverability import pyramid_disk
 from diskcover.hypergraph import Hypergraph3
@@ -237,6 +238,25 @@ def test_classify_invariant_under_relabeling():
             got = classify(TwoComplex(relabeled))
             assert (got.kind, got.euler, got.orientable) == \
                 (base.kind, base.euler, base.orientable)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(), TETRA, OCTA, RP2_6, TORUS7, MOBIUS, PYRAMID4]),
+       st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                         st.integers(0, 6)), max_size=5),
+       st.sampled_from([(0, 2, 1, 4), (0, 1, 2, 3), (2, 3, 4, 5)]))
+def test_classify_and_disk_defect_take_the_callers_incidence(base, extra, cycle):
+    """Handed X's edge incidence, `classify` and `disk_defect` answer as
+    they do when they count it, on surfaces, the PYRAMID4 disk (boundary
+    0 2 1 4), and these with stray triangles added, most of them not
+    manifolds."""
+    X = TwoComplex([*base, *(t for t in extra if len(set(t)) == 3)])
+    if not X.triangles:
+        return
+    inc = X.edge_incidence
+    assert classify(X, inc) == classify(X)
+    assert classify(X, inc).euler == euler_characteristic(X)
+    assert disk_defect(X, cycle, inc) == disk_defect(X, cycle)
 
 
 def test_closed_surface_incidence_double_count():

@@ -1183,9 +1183,9 @@ def test_exact_coverability_rejects_empty_interior_budget(strategy, budget):
 def test_disk_search_classifies_each_accepted_leaf_once(monkeypatch):
     calls = []
 
-    def counting(X):
+    def counting(X, *args):
         calls.append(X)
-        return classify(X)
+        return classify(X, *args)
 
     monkeypatch.setattr(complexes, "classify", counting)
     disk = find_boundary_inducing_disk(complete_hypergraph(8), (0, 1, 2, 3),

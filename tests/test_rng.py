@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bruteforce import trial_matrix
 from diskcover.rng import (generator, keyed_bits, mask_bits, mix64, row_masks,
-                           trial_bits, trial_masks)
+                           streams, trial_bits, trial_masks)
 
 
 def test_mix64_stable_and_sensitive():
@@ -23,13 +23,60 @@ def test_mix64_stable_and_sensitive():
 def test_mix64_prefix_mixed_once(prefix, rest):
     """A key mixed on from its prefix's key is the full chain's key, as the
     lane pass mixes (seed, stream tag, v) once per apex pair; and a stream
-    drawn from that key is the stream `trial_bits` draws."""
+    drawn from that key is the stream `trial_bits` draws, alone or as one
+    row of a block of keys."""
     key = mix64(*rest, key=mix64(*prefix))
     assert key == mix64(*prefix, *rest)
     if len(prefix) == 2:
-        assert np.array_equal(keyed_bits(key, 5, 9, 0.3),
-                              trial_bits(prefix[0], (prefix[1], *rest), 5, 9,
-                                         0.3))
+        want = trial_bits(prefix[0], (prefix[1], *rest), 5, 9, 0.3)
+        assert np.array_equal(keyed_bits([key], 5, 9, 0.3), want[None])
+        block = keyed_bits([mix64(1), key, mix64(2)], 5, 9, 0.3)
+        assert np.array_equal(block[1], want)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0, 1.5])
+@pytest.mark.parametrize("trials, width", [(5, 9), (4, 8), (1, 1), (3, 0)])
+def test_keyed_bits_block_is_the_stacked_one_key_matrices(p, trials, width):
+    """A block of keys is the one-key matrices stacked, each that of
+    numpy's Philox built from its key; 5 x 9 = 45 words is not a whole
+    number of Philox's 4-word blocks."""
+    keys = [mix64(k, 3) for k in range(6)]
+    block = keyed_bits(keys, trials, width, p)
+    assert block.shape == (len(keys), trials, width) and block.dtype == bool
+    assert np.array_equal(block, np.stack(
+        [keyed_bits([k], trials, width, p)[0] for k in keys]))
+    for row, key in zip(block, keys):
+        draws = np.random.Generator(np.random.Philox(key=key)).random(
+            (trials, width))
+        assert np.array_equal(row, draws < p)
+    assert keyed_bits([], trials, width, p).shape == (0, trials, width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2 ** 70, 2 ** 70),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=3),
+       st.lists(st.tuples(st.integers(1, 50), st.integers(0, 12),
+                          st.integers(0, 9)), min_size=1, max_size=6))
+def test_streams_step_is_the_indexed_generator(seed, stream, steps):
+    """Step i of `streams(seed, *stream)` draws what `generator(seed,
+    *stream, i)` draws: integers, a permutation and raw words, whatever
+    the draws of the step before left behind: each step ends with a
+    buffered 32-bit half, which the re-key drops."""
+    for i, (gen, (high, size, raw)) in enumerate(zip(streams(seed, *stream),
+                                                     steps)):
+        want = generator(seed, *stream, i)
+        assert gen.integers(0, high, size).tolist() == want.integers(
+            0, high, size).tolist()
+        assert (gen.bit_generator.state["has_uint32"]
+                == want.bit_generator.state["has_uint32"])
+        assert np.array_equal(gen.permutation(size), want.permutation(size))
+        assert np.array_equal(gen.bit_generator.random_raw(raw),
+                              want.bit_generator.random_raw(raw))
+        # one bounded integer more from an empty buffer leaves a half,
+        # which must not reach the next step
+        if not gen.bit_generator.state["has_uint32"]:
+            gen.integers(0, 2 ** 31)
+        assert gen.bit_generator.state["has_uint32"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -60,6 +107,9 @@ def test_generator_asks_no_os_entropy(monkeypatch):
     before = len(asked)
     assert before > 0
     assert generator(3, 1, 2).random() == want.random()
+    steps = streams(3, 1)
+    next(steps)
+    assert next(steps).random() == generator(3, 1, 1).random()
     assert len(asked) == before
 
 

@@ -149,6 +149,10 @@ def test_malformed_certificates_raise():
     for bad in ((0, 1, 2, 99), (0, 1, 1, 2), (0, 1, 2)):
         with pytest.raises(CertificateError):
             verify_certificate(H, replace(cert, cycles=(cert.cycles[0], bad)))
+    # an empty disk is malformed, not a complex the classifier rejects
+    with pytest.raises(CertificateError, match="^disk 1 has no triangles$"):
+        verify_certificate(H, replace(cert, disks=(cert.disks[0],
+                                                   TwoComplex([]))))
 
 
 def test_ktt_certificate_checks():
