@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .certificates import (TARGETS, HomeomorphCertificate, parse_certificate,
                            serialize_certificate)
@@ -27,8 +27,8 @@ from .coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY, EstimatorParams,
 from .generators import (clique_pendant_graph, complete_hypergraph,
                          random_hypergraph)
 from .hypergraph import link, skeleton
-from .io import (classification_dict, parse_complex, parse_graph, parse_h3,
-                 read_text, serialize_complex, serialize_graph, serialize_h3)
+from .io import (parse_complex, parse_graph, parse_h3, read_text,
+                 serialize_complex, serialize_graph, serialize_h3)
 from .search import FINDERS, SearchParams
 from .experiments import audit_corpus, sweep_csv, threshold_sweep
 from .verify import CertificateError, verify_certificate
@@ -102,7 +102,7 @@ def _cmd_classify(args) -> int:
     X, _ = parse_complex(read_text(args.file))
     c = classify(X)
     if args.format == "json":
-        _emit(json.dumps(classification_dict(c), indent=2) + "\n", args.out)
+        _emit(json.dumps(asdict(c), indent=2) + "\n", args.out)
     else:
         _emit(f"kind: {c.kind}\neuler: {c.euler}\norientable: {c.orientable}\n"
               f"boundary_components: {c.boundary_components}\n", args.out)

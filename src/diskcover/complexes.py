@@ -3,16 +3,21 @@
 A :class:`TwoComplex` stores only its triangle set; vertices, edges and
 edge incidences are derived on each read, so every edge lies in at
 least one triangle. The recognizer in :func:`classify` is
-combinatorial, and each of its graph questions goes to one routine,
-``_component_shapes``, which splits a graph into connected components
-and calls each a cycle, a path or other:
+combinatorial, and each of its graph questions is a count of connected
+components by one union-find, ``_components``:
 
 * a complex is a surface with boundary when no edge lies in more than
-  two triangles, its 1-skeleton is one component, and the link of every
-  vertex (all links are built in one pass over the triangles) is one
-  path or one cycle;
+  two triangles, its 1-skeleton is one component, and its link corners
+  make one component per vertex. Corner (v, w) stands for w in the link
+  of v, and each triangle joins its two corners at each of its
+  vertices. With every edge in at most two triangles no link vertex has
+  degree above 2, so a link is one path or one cycle exactly when it is
+  connected;
 * a disk is such a surface whose boundary, the edges lying in exactly
-  one triangle, is one cycle and whose Euler characteristic is 1;
+  one triangle, is one component and whose Euler characteristic is 1.
+  Each boundary vertex's link is a path, whose two ends are its two
+  boundary edges, so the boundary is 2-regular and one component is
+  one cycle;
 * a closed surface has every edge in exactly two triangles and every
   vertex link a single cycle. Closed surfaces are then identified by
   the pair (Euler characteristic, orientability), orientable meaning
@@ -22,7 +27,7 @@ and calls each a cycle, a path or other:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -101,39 +106,27 @@ class Classification:
     boundary_components: int
 
 
-def euler_characteristic(X: TwoComplex, incidence: Counter | None = None) -> int:
-    """V - E + F, counting E from X's edge incidence if the caller has it."""
-    if incidence is None:
-        incidence = X.edge_incidence
-    return len(X.vertices) - len(incidence) + len(X.triangles)
+def euler_characteristic(X: TwoComplex) -> int:
+    """V - E + F."""
+    return len(X.vertices) - len(X.edge_incidence) + len(X.triangles)
 
 
-def _component_shapes(edges: Iterable[tuple[int, int]]) -> list[str]:
-    """The shape of each connected component of a simple graph given by its
-    edges: "cycle" (every degree 2), "path" (no degree above 2 and two
-    ends) or "other"."""
-    adj: defaultdict[int, list[int]] = defaultdict(list)
+def _components(edges: Iterable[tuple]) -> int:
+    """The number of connected components of the graph given by its edges
+    (so with no isolated vertex), by union-find with path halving."""
+    parent: dict = {}
+    merges = 0
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[int] = set()
-    shapes = []
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        ends = forks = 0
-        while stack:
-            nbrs = adj[stack.pop()]
-            ends += len(nbrs) == 1
-            forks += len(nbrs) > 2
-            for w in nbrs:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        shapes.append("other" if forks else "path" if ends else "cycle")
-    return shapes
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        while (p := parent[a]) != a:
+            parent[a] = a = parent[p]
+        while (p := parent[b]) != b:
+            parent[b] = b = parent[p]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return len(parent) - merges
 
 
 def _cycle_sequence(edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
@@ -159,7 +152,8 @@ def _boundary_edges(incidence: dict[tuple[int, int], int]
 def boundary(X: TwoComplex) -> Boundary:
     """All edges in exactly one triangle and whether they form one simple cycle."""
     edges = _boundary_edges(X.edge_incidence)
-    single = _component_shapes(edges) == ["cycle"]
+    degrees = Counter(v for e in edges for v in e)
+    single = set(degrees.values()) == {2} and _components(edges) == 1
     return Boundary(edges, single, _cycle_sequence(edges) if single else None)
 
 
@@ -178,18 +172,7 @@ def _orientable(X: TwoComplex) -> bool:
         for e, side in (((a, b), i), ((b, c), i), ((a, c), -i)):
             runs.setdefault(e, []).append(side)
     cover = [edge for x, y in runs.values() for edge in ((x, -y), (-x, y))]
-    return len(_component_shapes(cover)) == 2
-
-
-def _vertex_links(X: TwoComplex) -> dict[int, list[tuple[int, int]]]:
-    """Every vertex link, keyed by vertex, in one pass over the triangles:
-    the link of v has an edge joining the other two of each triangle at v."""
-    links: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for a, b, c in X.triangles:
-        links[a].append((b, c))
-        links[b].append((a, c))
-        links[c].append((a, b))
-    return links
+    return _components(cover) == 2
 
 
 def classify(X: TwoComplex, incidence: Counter | None = None) -> Classification:
@@ -199,26 +182,30 @@ def classify(X: TwoComplex, incidence: Counter | None = None) -> Classification:
         raise ValueError("cannot classify an empty complex")
     if incidence is None:
         incidence = X.edge_incidence
-    links = _vertex_links(X)
-    euler = len(links) - len(incidence) + len(X.triangles)
+    vertex_count = len(X.vertices)
+    euler = vertex_count - len(incidence) + len(X.triangles)
     bd_edges = _boundary_edges(incidence)
-    bd_shapes = _component_shapes(bd_edges)
+    bd_count = _components(bd_edges)
+    # corner (v, w) is w in the link of v; triangle abc joins, at a, the
+    # corners (a, b) and (a, c), and likewise at b and at c
+    corners = (pair for a, b, c in X.triangles
+               for pair in (((a, b), (a, c)), ((b, a), (b, c)),
+                            ((c, a), (c, b))))
     surface_like = (
         all(k <= 2 for k in incidence.values())
-        and len(_component_shapes(incidence)) == 1
-        and all(_component_shapes(lk) in (["path"], ["cycle"])
-                for lk in links.values())
+        and _components(incidence) == 1
+        and _components(corners) == vertex_count
     )
     if not surface_like:
-        return Classification(OTHER, euler, None, len(bd_shapes))
+        return Classification(OTHER, euler, None, bd_count)
 
     if not bd_edges:
         # every edge in exactly two triangles, every link a cycle
         return Classification(CLOSED_SURFACE, euler, _orientable(X), 0)
 
-    if bd_shapes == ["cycle"] and euler == 1:
+    if bd_count == 1 and euler == 1:
         return Classification(DISK, euler, None, 1)
-    return Classification(SURFACE_WITH_BOUNDARY, euler, None, len(bd_shapes))
+    return Classification(SURFACE_WITH_BOUNDARY, euler, None, bd_count)
 
 
 def orientability(X: TwoComplex) -> bool:

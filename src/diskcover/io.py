@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
-from .complexes import Classification, TwoComplex
+from .complexes import TwoComplex
 from .hypergraph import Hypergraph3, SkeletonGraph
 
 _VERTEX_HEADER = "#vertices:"
@@ -92,15 +92,6 @@ def serialize_complex(X: TwoComplex, labels: dict[int, str] | None = None) -> st
         return labels[v] if labels else str(v)
 
     return "\n".join(" ".join(name(v) for v in t) for t in sorted(X.triangles)) + "\n"
-
-
-def classification_dict(c: Classification) -> dict:
-    return {
-        "kind": c.kind,
-        "euler": c.euler,
-        "orientable": c.orientable,
-        "boundary_components": c.boundary_components,
-    }
 
 
 def read_text(path_or_file: str | IO[str]) -> str:

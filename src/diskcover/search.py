@@ -333,8 +333,9 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
         vs = _pick_distinct(gen, W, t)
         if vs is None:
             continue
-        if any(codegree(G, triple) <= _R
-               for triple in combinations(vs, 3)):
+        codegrees = {triple: codegree(G, triple)
+                     for triple in combinations(vs, 3)}
+        if any(codeg <= _R for codeg in codegrees.values()):
             continue
         psis = {
             frozenset(pair): _sampled_psi(H, G, pair[0], pair[1], est, gen)
@@ -342,8 +343,8 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
         }
         phi_sum = sum(
             (triple_phi(psis[frozenset((x, y))], psis[frozenset((x, z))],
-                        psis[frozenset((y, z))], codegree(G, (x, y, z)))
-             for x, y, z in combinations(vs, 3)), Fraction(0))
+                        psis[frozenset((y, z))], codeg)
+             for (x, y, z), codeg in codegrees.items()), Fraction(0))
         if phi_sum < _PHI:
             core = vs
             break
@@ -389,7 +390,8 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     hub_paths = ((0, 1), (2, 3), (4, 5))[:hub_degree // 2]
     est = params.estimator(target)
 
-    # stage 1: apex pair maximizing the common-link edge count (row bits)
+    # stage 1: apex pair maximizing the common-link edge count; the
+    # winner's graph is kept, so its rows are ANDed once
     if H.n < hub_degree + 3 or not H.codes.size:
         return SearchFailure(target, "apex-selection",
                              "hypergraph too small or empty", 0)
@@ -399,17 +401,17 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
     for a, b in draws:
         if a != b:
             pairs.add((min(int(a), int(b)), max(int(a), int(b))))
-    best, best_e = None, -1
+    best, best_G, best_e = None, None, -1
     for a, b in sorted(pairs):
-        e = sum(row.bit_count() for row in link_intersection(H, a, b)) // 2
+        Gab = link(H, a, b)
+        e = Gab.edge_count()
         if e > best_e:
-            best, best_e = (a, b), e
+            best, best_G, best_e = (a, b), Gab, e
     if best is None or best_e <= 0:
         return SearchFailure(target, "apex-selection",
                              "no sampled apex pair has a common link edge",
                              _LINK_SAMPLE)
-    u, up = best
-    G = link(H, u, up)
+    (u, up), G = best, best_G
 
     # stage 2: hub vertex with admissible spoke paths
     candidates = sorted(v for v in G.vertices if G.degree(v) >= hub_degree)

@@ -262,11 +262,27 @@ def surface_conditions(triangles):
             seen.add(x)
             stack.extend(adj.get(x, ()))
         connected = len(seen) == len(verts)
+
+    # components of the boundary graph, one DFS from each unseen end
+    boundary_edges = [e for e in edges if inc[e] == 1]
+    bd_adj = _adj_from_pairs(boundary_edges)
+    bd_seen, boundary_components = set(), 0
+    for start in bd_adj:
+        if start in bd_seen:
+            continue
+        boundary_components += 1
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x not in bd_seen:
+                bd_seen.add(x)
+                stack.extend(bd_adj[x])
     return {
         "euler": len(verts) - len(edges) + len(tris),
         "connected": connected,
         "max_incidence": max(inc.values(), default=0),
-        "boundary_edges": [e for e in edges if inc[e] == 1],
+        "boundary_edges": boundary_edges,
+        "boundary_components": boundary_components,
         "links_ok": all(link_ok(v) for v in verts),
     }
 

@@ -279,6 +279,9 @@ def test_classify_against_brute_force(raw):
     surface_like = (cond["connected"] and cond["max_incidence"] <= 2
                     and cond["links_ok"])
     assert (c.kind != OTHER) == surface_like
+    assert c.boundary_components == cond["boundary_components"]
+    assert (c.kind == DISK) == (surface_like and cond["euler"] == 1
+                                and cond["boundary_components"] == 1)
     if c.kind == CLOSED_SURFACE:
         assert not cond["boundary_edges"]
         assert c.orientable == bf.orientable_by_enumeration(X.triangles)

@@ -7,12 +7,17 @@ purpose; update the digest in the same change and say why.
 """
 
 import hashlib
+import json
+import random
+from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from diskcover.certificates import SPHERE, serialize_certificate
+from diskcover.complexes import TwoComplex, boundary, classify
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
                                     admissibility_probabilities,
                                     exact_disk_coverability)
@@ -22,6 +27,7 @@ from diskcover.hypergraph import complete_hypergraph
 from diskcover.search import (SearchParams, find_k_t_homeomorph,
                               find_projective_plane, find_sphere, find_torus)
 from diskcover.verify import verify_certificate
+from test_complexes import MOBIUS, OCTA, PYRAMID4, RP2_6, TETRA, TORUS7
 
 DESK = SearchParams(p=0.5, epsilon=0.1)
 
@@ -148,3 +154,26 @@ def test_exact_coverability_digest():
     assert len(lines) == 48
     assert _sha("\n".join(lines) + "\n") == (
         "32948dcc054bcea7904f31092f9e0e03993ccccae639417346c4f95260eba1d8")
+
+
+def test_classify_digest():
+    # the dict `diskcover classify --format json` prints, and the boundary
+    # cycle, of the fixture surfaces and of 4000 seeded random complexes
+    # on 3-8 vertices with 1-14 triangles
+    rng = random.Random(7)
+    corpus = [TETRA, OCTA, RP2_6, TORUS7, MOBIUS, PYRAMID4]
+    for _ in range(4000):
+        n = rng.randint(3, 8)
+        corpus.append([rng.sample(range(n), 3)
+                       for _ in range(rng.randint(1, 14))])
+    lines, kinds = [], Counter()
+    for tris in corpus:
+        X = TwoComplex(tris)
+        c = classify(X)
+        kinds[c.kind] += 1
+        lines.append(f"{sorted(X.triangles)} {json.dumps(asdict(c))} "
+                     f"{boundary(X).cycle}")
+    assert kinds == {"Other": 2152, "Disk": 1492, "ClosedSurface": 350,
+                     "SurfaceWithBoundary": 12}
+    assert _sha("\n".join(lines) + "\n") == (
+        "808257469d74b492eee9b380d6c6b0d2ffaae726e27ff64dab6d0cdb0a763785")

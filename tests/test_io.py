@@ -1,12 +1,13 @@
 import io
+import json
 
 import pytest
 
-from diskcover.complexes import TwoComplex, classify
+from diskcover.cli import main
+from diskcover.complexes import TwoComplex
 from diskcover.hypergraph import Hypergraph3, SkeletonGraph
-from diskcover.io import (classification_dict, parse_complex, parse_graph,
-                          parse_h3, read_text, serialize_complex,
-                          serialize_graph, serialize_h3)
+from diskcover.io import (parse_complex, parse_graph, parse_h3, read_text,
+                          serialize_complex, serialize_graph, serialize_h3)
 
 
 def test_parse_h3_basic():
@@ -76,12 +77,17 @@ def test_serialize_complex_round_trip():
     assert X2 == X
 
 
-def test_classification_serialization():
-    c = classify(TwoComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]))
-    d = classification_dict(c)
-    assert d["kind"] == "ClosedSurface"
-    assert d["euler"] == 2
-    assert d["orientable"] is True
+def test_classification_serialization(capsys, tmp_path):
+    # `classify --format json` writes the Classification fields in order
+    path = tmp_path / "tetra.h3"
+    path.write_text(serialize_complex(
+        TwoComplex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])))
+    assert main(["classify", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"kind": "ClosedSurface", "euler": 2,
+                               "orientable": True, "boundary_components": 0}
+    assert out == ('{\n  "kind": "ClosedSurface",\n  "euler": 2,\n'
+                   '  "orientable": true,\n  "boundary_components": 0\n}\n')
 
 
 def test_read_text_path_and_file(tmp_path):

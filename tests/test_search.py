@@ -297,17 +297,25 @@ def test_find_projective_plane_k15():
 
 
 @pytest.mark.parametrize("finder", [find_torus, find_projective_plane])
-def test_surface_apex_stage_builds_one_graph(monkeypatch, finder):
-    """The apex stage ranks its sampled pairs by the bits of their rows and
-    builds one graph, the winner's common link on V(H) minus both apexes."""
-    built = []
+def test_surface_apex_stage_ands_each_pair_once(monkeypatch, finder):
+    """The apex stage ranks its sampled pairs by the edges of their common
+    link graphs, as the K_t finder ranks its sampled links: one
+    `link_intersection` and one graph per distinct sampled pair, in
+    sorted order, and the winner's graph is kept, not built again."""
+    asked, built = [], []
+    monkeypatch.setattr(hypergraph, "link_intersection", lambda H, v, vp:
+                        asked.append((v, vp)) or link_intersection(H, v, vp))
     real = SkeletonGraph._from_masks.__func__
     monkeypatch.setattr(SkeletonGraph, "_from_masks", classmethod(
         lambda cls, masks: built.append(list(masks)) or real(cls, masks)))
     cert = finder(complete_hypergraph(20), DESK)
     assert isinstance(cert, HomeomorphCertificate)
-    apexes = (cert.embedding["u"], cert.embedding["u'"])
-    assert built == [[x for x in range(20) if x not in apexes]]
+    draws = generator(DESK.seed, search._S_LINK).integers(
+        0, 20, size=(search._LINK_SAMPLE, 2)).tolist()
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in draws if a != b})
+    assert len(pairs) > 1 and asked == pairs
+    assert built == [[x for x in range(20) if x not in p] for p in pairs]
+    assert (cert.embedding["u"], cert.embedding["u'"]) in pairs
 
 
 def test_find_torus_hub_starved():

@@ -1,7 +1,7 @@
-"""The stage-timing scripts `audit_stages.py`, `decision_stages.py` and
-`glue_stages.py` reach private names of the package and are not collected
-by pytest: each runs here once, at one batch or op and one repeat, as a
-child process."""
+"""The stage-timing scripts `audit_stages.py`, `decision_stages.py`,
+`glue_stages.py` and `verify_stages.py` reach private names of the
+package and are not collected by pytest: each runs here once, at one
+batch or op and one repeat, as a child process."""
 
 import os
 import subprocess
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("decision_stages.py", ["`ktt_complete`", "`psi_random`"]),
     ("glue_stages.py", ["screened hopeless", "hopeless after rows",
                         "too few free", "budget exhausted", "glued"]),
+    ("verify_stages.py", ["`ktt_complete`", "`sphere_sweep`"]),
 ])
 def test_stage_script_prints_one_row_per_workload(script, workloads):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
