@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .complexes import TwoComplex
+from .complexes import TwoComplex, cycle_edges
 
 KTT = "ktt"
 TORUS = "torus"
@@ -50,8 +50,7 @@ class Pattern:
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The sides of the special cycles, as sorted label-index pairs."""
-        return frozenset((min(a, b), max(a, b)) for c in self.cycles
-                         for a, b in zip(c, c[1:] + c[:1]))
+        return frozenset().union(*map(cycle_edges, self.cycles))
 
     def cycles_of(self, embedding: Mapping[str, int]):
         """The special cycles' image under an embedding, in order."""

@@ -300,33 +300,21 @@ def least_path(adj, a: int, b: int, interior: int) -> list[int] | None:
     through `interior`, over rows as `path_exists` takes them, or None
     when `path_exists` finds none (always when a == b).
 
-    The layers from a (`_layers`) stop at the first that meets N(b), so
-    a shortest path has one internal vertex per layer, the last in that
-    layer & N(b). A backward pass keeps the vertices of each earlier
-    layer that reach that meeting set; the forward pass then takes the
-    smallest kept neighbour of the previous vertex at each step.
+    The layers from b (`_layers`) stop at the first that meets N(a), and
+    layer i holds exactly the interior vertices i + 1 steps from b. So
+    a shortest path takes its first internal vertex from the last layer
+    and each next one from the layer before, and the walk from a that
+    takes the smallest such neighbour of the last vertex at each step
+    is the least of them.
     """
     if a == b:
         return None
-    interior &= ~((1 << a) | (1 << b))
-    goal = adj[b]
-    _, layers = _layers(adj, a, interior, goal)
-    target = layers[-1] & goal if layers else 0
-    if not target:
+    start = adj[a]
+    _, layers = _layers(adj, b, interior & ~((1 << a) | (1 << b)), start)
+    if not layers or not layers[-1] & start:
         return None
-    kept = [target]
-    for layer in reversed(layers[:-1]):
-        keep = 0
-        f = layer
-        while f:
-            low = f & -f
-            f ^= low
-            if adj[low.bit_length() - 1] & target:
-                keep |= low
-        kept.append(keep)
-        target = keep
     path = [a]
-    for layer in reversed(kept):
+    for layer in reversed(layers):
         cand = layer & adj[path[-1]]
         path.append((cand & -cand).bit_length() - 1)
     path.append(b)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
+from itertools import combinations
 from math import comb
 from operator import and_
 from typing import Callable, Iterable, Iterator, KeysView
@@ -439,8 +440,6 @@ def complete_hypergraph(n: int) -> Hypergraph3:
 
 def iter_p2s(G: SkeletonGraph) -> Iterator[tuple[int, int, int]]:
     """Unlabeled length-2 paths (x, y, z) with x < z, each emitted once."""
-    for y in sorted(G.vertices):
-        ns = _bits(G.adj_mask[y])
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                yield (ns[i], y, ns[j])
+    for y, m in G.adj_mask.items():
+        for x, z in combinations(_bits(m), 2):
+            yield (x, y, z)

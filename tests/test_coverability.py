@@ -215,6 +215,17 @@ def test_least_path_distance_two_reads_only_the_ends():
     assert set(adj.reads) == {0, 1}
 
 
+def test_least_path_reads_no_dead_end_beside_the_start():
+    # 0 has eight interior neighbours 2..9 that lead nowhere, and one path
+    # 0-10-11-12-1 of four edges; the layers grow from 1 and the walk from
+    # 0 reads only the rows along that path
+    dead = range(2, 10)
+    pairs = [(0, x) for x in dead] + [(0, 10), (10, 11), (11, 12), (12, 1)]
+    adj = _CountingAdj(SkeletonGraph(range(13), pairs).adj_mask)
+    assert least_path(adj, 0, 1, (1 << 13) - 1) == [0, 10, 11, 12, 1]
+    assert not set(adj.reads) & set(dead)
+
+
 def test_path_exists_distance_two_reads_only_the_ends():
     # the two frontiers from 0 and 1 in the K_8 link of 8 in K_9 meet at
     # once, before either is expanded
