@@ -381,8 +381,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError, MemoryError) as exc:
+        return _fail(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

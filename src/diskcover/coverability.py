@@ -620,27 +620,24 @@ def _check_four_cycle(H: Hypergraph3, cycle: Sequence[int]
 class _DiskSearcher:
     """Exhaustive search for boundary-inducing disks over one 4-cycle.
 
-    Candidate triangles are those of H inside the allowed vertex pool
-    that do not span an opposite pair of the cycle (such a triangle
-    would put a chord into the disk skeleton). The search grows a
-    partial complex across its smallest open edge, so every disk with at
-    most `max_interior` interior vertices is reached exactly once.
+    The candidates on an edge xy are the triangles xyw of H that hold no
+    opposite pair of the cycle (that would put a chord into the disk
+    skeleton). They are read off the link row H.row(x)[y], built once
+    and kept on the host, on the edge's first use, and stored in
+    `by_edge` in ascending w. The search grows a partial complex across
+    its smallest open edge, so every disk with at most `max_interior`
+    interior vertices is reached exactly once.
     """
 
     def __init__(self, H: Hypergraph3, cycle: Sequence[int], max_interior: int):
         _check_max_interior(max_interior)
-        self.cycle = tuple(cycle)
-        self.cycle_set = frozenset(self.cycle)
+        self.H, self.cycle = H, tuple(cycle)
+        self.cycle_mask = sum(1 << v for v in self.cycle)
         self.cycle_edges = cycle_edges(self.cycle)
-        tris = H.triples()
-        on = [(tris == x).any(axis=1) for x in self.cycle]
-        skip = (sum(on) > 2) | (on[0] & on[2]) | (on[1] & on[3])
-        cands = zip(*tris[~skip].T.tolist())
+        a, b, c, d = self.cycle
+        # the bit of the vertex opposite each cycle vertex
+        self.opposite = {a: 1 << c, b: 1 << d, c: 1 << a, d: 1 << b}
         self.by_edge: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for t in cands:
-            x, y, z = t
-            for e in ((x, y), (x, z), (y, z)):
-                self.by_edge.setdefault(e, []).append(t)
         self.max_tris = 2 * (max_interior + 1)
         self.max_interior = max_interior
 
@@ -648,7 +645,7 @@ class _DiskSearcher:
         """First boundary-inducing disk whose interior bits all lie in the mask."""
         start = min(self.cycle_edges)
 
-        def rec(used: list, inc: dict, interior: frozenset) -> TwoComplex | None:
+        def rec(used: list, inc: dict, interior: int) -> TwoComplex | None:
             open_edges = [e for e, k in inc.items()
                           if k == 1 and e not in self.cycle_edges]
             if used and not open_edges:
@@ -661,16 +658,19 @@ class _DiskSearcher:
                 return None
             # the empty complex grows across the least cycle edge
             e = min(open_edges, default=start)
-            for t in self.by_edge.get(e, ()):
+            if e not in self.by_edge:
+                x, y = e
+                ws = self.H.row(x)[y] & ~(self.opposite.get(x, 0)
+                                          | self.opposite.get(y, 0))
+                self.by_edge[e] = [tuple(sorted((x, y, w))) for w in _bits(ws)]
+            for t in self.by_edge[e]:
                 if t in used:
                     continue
-                new_int = [x for x in t
-                           if x not in self.cycle_set and x not in interior]
-                if any(not (allowed_interior >> x) & 1 for x in new_int):
-                    continue
-                if len(interior) + len(new_int) > self.max_interior:
-                    continue
                 x, y, z = t
+                new = (1 << x | 1 << y | 1 << z) & ~(self.cycle_mask | interior)
+                if new & ~allowed_interior or (
+                        (interior | new).bit_count() > self.max_interior):
+                    continue
                 edges = ((x, y), (x, z), (y, z))
                 # an edge takes two triangles at most, a cycle edge one
                 if any(inc.get(f, 0) >= (1 if f in self.cycle_edges else 2)
@@ -679,12 +679,12 @@ class _DiskSearcher:
                 inc2 = dict(inc)
                 for f in edges:
                     inc2[f] = inc2.get(f, 0) + 1
-                found = rec(used + [t], inc2, interior | frozenset(new_int))
+                found = rec(used + [t], inc2, interior | new)
                 if found is not None:
                     return found
             return None
 
-        return rec([], {}, frozenset())
+        return rec([], {}, 0)
 
 
 def find_boundary_inducing_disk(H: Hypergraph3, cycle: Sequence[int],

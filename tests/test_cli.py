@@ -377,6 +377,23 @@ def test_sweep_bad_grid_is_usage_error(capsys, n, c):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 3.64 TiB for an array"),
+     "Unable to allocate 3.64 TiB for an array"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, exc, message):
+    # a host too large to draw fails its allocation inside the sweep; the
+    # sweep is stubbed to raise, so nothing large is allocated
+    def sweep(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "threshold_sweep", sweep)
+    code, out, err = run(capsys, "sweep", "--target", "sphere", "--n",
+                         "2000000", "--c", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_sweep_passes_the_estimator_parameters(capsys):
     # at the surface default (1/18, 1/163) no n = 100, c = 4 host passes
     # the hub stage; at (1/2, 1/10) the torus is found on both

@@ -16,6 +16,7 @@ from itertools import combinations
 
 import pytest
 
+from diskcover import coverability
 from diskcover.certificates import SPHERE, serialize_certificate
 from diskcover.complexes import TwoComplex, boundary, classify
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
@@ -154,6 +155,30 @@ def test_exact_coverability_digest():
     assert len(lines) == 48
     assert _sha("\n".join(lines) + "\n") == (
         "32948dcc054bcea7904f31092f9e0e03993ccccae639417346c4f95260eba1d8")
+
+
+def test_disk_search_order_digest():
+    # the first disk the exhaustive search finds, over 420 seeded (host,
+    # cycle, interior mask, budget) cases on 8-60 vertices: 197 find one,
+    # of 4, 6 or 8 triangles, so the order candidates are tried in is
+    # pinned, not only whether a disk exists
+    rng = random.Random(37)
+    lines = []
+    for n, q in ((8, 0.6), (10, 0.5), (12, 0.45), (16, 0.4), (24, 0.35),
+                 (40, 0.3), (60, 0.3)):
+        for seed in range(3):
+            H = random_hypergraph(n, q, seed)
+            for _ in range(20):
+                cycle = tuple(rng.sample(range(n), 4))
+                budget = rng.randint(1, 3)
+                mask = ((1 << n) - 1 if rng.random() < 0.25
+                        else rng.getrandbits(n))
+                disk = coverability._DiskSearcher(H, cycle, budget).find(mask)
+                tris = None if disk is None else sorted(disk.triangles)
+                lines.append(f"{n},{q},{seed},{cycle},{budget},{mask:x} {tris}")
+    assert sum(not line.endswith("None") for line in lines) == 197
+    assert _sha("\n".join(lines) + "\n") == (
+        "57daf893bfe84bad2ff0fb50cd85793873071a3a7b6cce9861df80c97170238d")
 
 
 def test_classify_digest():

@@ -1,7 +1,7 @@
 """Source checks that need no linter: unused imports and dead private names
 in the package, the functions the benchmark tracer wraps, the one module
-that packs bit rows, and the CLI functions that may catch ValueError, read
-with `ast` alone."""
+that packs bit rows, the search modules that never decode the host, and
+the CLI functions that may catch ValueError, read with `ast` alone."""
 
 import ast
 import importlib
@@ -103,6 +103,18 @@ def test_only_rng_packs_bit_rows():
     packers = [name for name, tree in MODULES.items()
                if name != "rng.py" and "packbits" in _referenced(tree)]
     assert packers == []
+
+
+def test_searches_never_decode_the_whole_host():
+    # the search, coverability and verifier code read the host through its
+    # link rows and binary searches in its codes, never by decoding every
+    # triple
+    callers = [name for name in ("coverability.py", "search.py", "verify.py")
+               for node in ast.walk(MODULES[name])
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "triples"]
+    assert callers == []
 
 
 def _catches_value_error(handler: ast.ExceptHandler) -> bool:
