@@ -9,8 +9,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .hypergraph import (Hypergraph3, SkeletonGraph, _half, _halves,
-                         code_decoder, code_dtype, complete_hypergraph)
+from .hypergraph import (Hypergraph3, SkeletonGraph, _check_memory,
+                         _check_vertex_count, _half, _halves, code_decoder,
+                         code_dtype, complete_hypergraph)
 from .rng import _threshold, generator, streams, trial_bits
 
 __all__ = [
@@ -59,7 +60,8 @@ def random_hypergraphs(n: int, ps: Iterable[float],
     the previous one, so only the current host and the buffer it was cut
     from need be alive: drop a host before asking for the next. Asking for
     the first host raises ValueError, before anything is drawn, for a p
-    outside [0, 1] or an n outside the range a host accepts.
+    outside [0, 1], an n outside the range a host accepts, or a draw whose
+    buffers would not fit in physical memory.
     """
     grid = sorted(set(ps))
     if not all(0 <= p <= 1 for p in grid):
@@ -80,7 +82,7 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     below p exactly when the word is below _threshold(p), so no float is
     made. Only the kept indices are decoded. A large host is drawn in two
     halves (`_halves`), each into its own part of one buffer."""
-    decode = code_decoder(n)
+    _check_vertex_count(n)
     top = grid[-1] if grid.size else 0.0
     # nothing is kept at density 0, so nothing is drawn
     total = comb(n, 3) if top > 0 else 0
@@ -90,8 +92,12 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
         return max(min(k, int(k * top + _SIGMAS * sqrt(k * top * (1 - top)))), 0)
 
     half = _half(total, 4)
-    codes = np.empty(bound(half) + bound(total - half), code_dtype(n))
-    level = np.empty(codes.size, np.min_scalar_type(grid.size))
+    size = bound(half) + bound(total - half)
+    level_dtype = np.min_scalar_type(grid.size)
+    _check_memory(n, size * (np.dtype(code_dtype(n)).itemsize + level_dtype.itemsize))
+    decode = code_decoder(n)
+    codes = np.empty(size, code_dtype(n))
+    level = np.empty(size, level_dtype)
     cut = _threshold(top)
     below = [np.uint64(_threshold(g)) for g in grid[:-1]]
     streams = {0: generator(seed, _S_GNP3, n).bit_generator}

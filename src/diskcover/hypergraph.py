@@ -30,6 +30,7 @@ mapped at the I/O boundary (see :mod:`diskcover.io`).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import combinations
@@ -71,6 +72,23 @@ def _bits(m: int) -> list[int]:
 def _check_vertex_count(n: int) -> None:
     if not 0 <= n < _MAX_N:
         raise ValueError(f"vertex count must lie in 0..{_MAX_N - 1}")
+
+
+def _physical_memory() -> int:
+    """This machine's physical memory, in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(n: int, nbytes: int) -> None:
+    """Raise ValueError when an n-vertex host build would hold more than
+    physical memory at its peak: `nbytes` of triple arrays plus its vertex
+    pair tables, at most 32 bytes a pair. A build asks before it allocates
+    anything, because past physical memory it is killed, not refused."""
+    peak, total = nbytes + 32 * comb(n, 2), _physical_memory()
+    if peak > total:
+        raise ValueError(f"a host on {n} vertices needs about {peak / 1e9:.1f} "
+                         f"GB at its peak, more than the {total / 1e9:.1f} GB "
+                         "of physical memory")
 
 
 def code_dtype(n: int) -> type:
@@ -426,8 +444,10 @@ def codegree(G: SkeletonGraph, vs: Iterable[int]) -> int:
 
 def complete_hypergraph(n: int) -> Hypergraph3:
     """All C(n,3) triples on n vertices. Raises ValueError for an n outside
-    the range a host accepts."""
+    the range a host accepts or a host larger than physical memory."""
     _check_vertex_count(n)
+    # the blocks and their concatenation each hold every code
+    _check_memory(n, 2 * comb(n, 3) * np.dtype(code_dtype(n)).itemsize)
     b, c = np.triu_indices(n, 1)
     # built in the stored width, so no int64 copy of the host is made
     bc = (b * n + c).astype(code_dtype(n))

@@ -3,7 +3,11 @@
 Four finders share one pipeline shape: pick an ambient link structure,
 pick core vertices by dependent random choice, assemble boundary
 4-cycles, then glue one pyramid disk per cycle with pairwise disjoint
-interiors. Every stage has a bounded retry budget keyed off the params
+interiors. The K_t and surface finders share their first stage
+(`_best_link`): of 16 sampled vertices, or vertex pairs, the one whose
+link, or common link, has the most edges. The surface finders read the
+hub degree, spoke pairs and embedding labels off their `Pattern`
+recipe. Every stage has a bounded retry budget keyed off the params
 seed, so a run is a pure function of (H, params); failures are returned
 as stage-tagged values, never raised. A finder only returns a
 certificate after the independent verifier has passed it.
@@ -256,6 +260,21 @@ def _certify(H: Hypergraph3, target: str, t: int | None, pattern: Pattern,
     return cert
 
 
+def _best_link(H: Hypergraph3, seed: int, arity: int):
+    """Stage 1 of the K_t and surface finders: of _LINK_SAMPLE draws of
+    `arity` vertices, the distinct sorted tuples in ascending order, the
+    first whose link (common link, for a pair) has the most edges, and that
+    graph; (None, None) when every sampled link is empty."""
+    draws = generator(seed, _S_LINK).integers(0, H.n, size=(_LINK_SAMPLE, arity))
+    best, best_G, best_e = None, None, 0
+    for vs in sorted({tuple(sorted(d)) for d in draws.tolist()
+                      if len(set(d)) == arity}):
+        G = link(H, *vs)
+        if (e := G.edge_count()) > best_e:
+            best, best_G, best_e = vs, G, e
+    return best, best_G
+
+
 # ---------------------------------------------------------------------------
 # complete-pattern search
 
@@ -305,22 +324,15 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
     t = params.t
     est = params.estimator(KTT)
 
-    # stage 1: link selection over a sample of candidate vertices
+    # stage 1: the sampled vertex whose link graph has the most edges
     if H.n == 0 or not H.codes.size:
         return SearchFailure(KTT, "link-selection", "hypergraph has no edges", 0)
-    gen = generator(params.seed, _S_LINK)
-    cand = sorted({int(x) for x in gen.integers(0, H.n, size=_LINK_SAMPLE)})
-    best_u, best_G, best_e = -1, None, -1
-    for u in cand:
-        Gu = link(H, u)
-        e = Gu.edge_count()
-        if e > best_e:
-            best_u, best_G, best_e = u, Gu, e
-    if best_e <= 0:
+    best, G = _best_link(H, params.seed, 1)
+    if G is None:
         return SearchFailure(KTT, "link-selection",
                              "every sampled link graph is empty",
                              _LINK_SAMPLE)
-    u, G = best_u, best_G
+    [u] = best
 
     # stage 2: dependent random choice of the t core vertices
     core: list[int] | None = None
@@ -337,13 +349,11 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
                      for triple in combinations(vs, 3)}
         if any(codeg <= _R for codeg in codegrees.values()):
             continue
-        psis = {
-            frozenset(pair): _sampled_psi(H, G, pair[0], pair[1], est, gen)
-            for pair in combinations(vs, 2)
-        }
+        # both come in the order of vs, so a triple's pairs are keys as is
+        psis = {(x, y): _sampled_psi(H, G, x, y, est, gen)
+                for x, y in combinations(vs, 2)}
         phi_sum = sum(
-            (triple_phi(psis[frozenset((x, y))], psis[frozenset((x, z))],
-                        psis[frozenset((y, z))], codeg)
+            (triple_phi(psis[x, y], psis[x, z], psis[y, z], codeg)
              for (x, y, z), codeg in codegrees.items()), Fraction(0))
         if phi_sum < _PHI:
             core = vs
@@ -385,33 +395,24 @@ def find_k_t_homeomorph(H: Hypergraph3, params: SearchParams):
 
 
 def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
-    # the hub's spokes pair up (w1, w2), (w3, w4), ... for admissibility
-    hub_degree = 6 if target == TORUS else 4
-    hub_paths = ((0, 1), (2, 3), (4, 5))[:hub_degree // 2]
+    # the recipe's labels are u, u', v and then the hub's spokes w1, w2, ...
+    # in order; the spokes of each cycle u w u' w' pair up for admissibility
+    pattern = SURFACES[target]
+    hub_degree = len(pattern.labels) - 3
+    spoke_pairs = sorted((c[1] - 3, c[3] - 3) for c in pattern.cycles
+                         if {c[0], c[2]} == {0, 1})
     est = params.estimator(target)
 
-    # stage 1: apex pair maximizing the common-link edge count; the
-    # winner's graph is kept, so its rows are ANDed once
-    if H.n < hub_degree + 3 or not H.codes.size:
+    # stage 1: the sampled apex pair whose common link has the most edges
+    if H.n < len(pattern.labels) or not H.codes.size:
         return SearchFailure(target, "apex-selection",
                              "hypergraph too small or empty", 0)
-    gen = generator(params.seed, _S_LINK)
-    pairs = set()
-    draws = gen.integers(0, H.n, size=(_LINK_SAMPLE, 2))
-    for a, b in draws:
-        if a != b:
-            pairs.add((min(int(a), int(b)), max(int(a), int(b))))
-    best, best_G, best_e = None, None, -1
-    for a, b in sorted(pairs):
-        Gab = link(H, a, b)
-        e = Gab.edge_count()
-        if e > best_e:
-            best, best_G, best_e = (a, b), Gab, e
-    if best is None or best_e <= 0:
+    best, G = _best_link(H, params.seed, 2)
+    if G is None:
         return SearchFailure(target, "apex-selection",
                              "no sampled apex pair has a common link edge",
                              _LINK_SAMPLE)
-    (u, up), G = best, best_G
+    u, up = best
 
     # stage 2: hub vertex with admissible spoke paths
     candidates = sorted(v for v in G.vertices if G.degree(v) >= hub_degree)
@@ -423,12 +424,10 @@ def _find_surface(H: Hypergraph3, params: SearchParams, target: str):
         ws = _pick_distinct(gen, sorted(common_neighborhood(G, (v,))), hub_degree)
         if ws is None:
             continue
-        if all(_admissible(G, ws[i], v, ws[j], est) for i, j in hub_paths):
+        if all(_admissible(G, ws[i], v, ws[j], est) for i, j in spoke_pairs):
             # stages 3-4: embed the fixed cycle recipe, glue and verify
-            embedding = {"u": u, "u'": up, "v": v}
-            embedding.update({f"w{i + 1}": w for i, w in enumerate(ws)})
-            return _certify(H, target, None, SURFACES[target], embedding,
-                            params, retry)
+            embedding = dict(zip(pattern.labels, (u, up, v, *ws)))
+            return _certify(H, target, None, pattern, embedding, params, retry)
     return SearchFailure(target, "hub-selection",
                          f"no hub with {hub_degree} neighbours and "
                          "admissible spoke paths", params.max_retries)
@@ -459,22 +458,16 @@ def find_sphere(H: Hypergraph3, params: SearchParams):
     detail = "no 4-cycle with two spare common neighbours"
     for retry, gen in zip(range(params.max_retries),
                           streams(params.seed, _S_SPHERE)):
-        draws = gen.integers(0, H.n, size=(_LINK_SAMPLE, 2))
-        best = None
-        best_c = 1
-        # rank the draws by codegree; only the winner's neighbours are listed
-        for a, c in draws.tolist():
-            if a == c:
-                continue
-            k = (skel.adj_mask[a] & skel.adj_mask[c]).bit_count()
-            if k > best_c:
-                best, best_c = (a, c), k
-        if best is None:
+        # the first draw of the highest codegree, which must be at least 2;
+        # only the winner's neighbours are listed
+        codeg = {(a, c): (skel.adj_mask[a] & skel.adj_mask[c]).bit_count()
+                 for a, c in gen.integers(0, H.n, size=(_LINK_SAMPLE, 2)).tolist()
+                 if a != c}
+        best = max(codeg, key=codeg.get, default=None)
+        if best is None or codeg[best] < 2:
             continue
         a, c = best
         bd = _pick_distinct(gen, sorted(common_neighborhood(skel, best)), 2)
-        if bd is None:
-            continue
         result = _certify(H, SPHERE, None, SURFACES[SPHERE],
                           dict(zip("abcd", (a, bd[0], c, bd[1]))), params,
                           retry)

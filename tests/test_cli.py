@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskcover.certificates import parse_certificate, serialize_certificate
-from diskcover import cli
+from diskcover import cli, hypergraph
 from diskcover.cli import main
 from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
@@ -375,6 +375,20 @@ def test_sweep_bad_grid_is_usage_error(capsys, n, c):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "complete", "--n", "100"),
+    ("--model", "gnp3", "--n", "120", "--p", "1"),
+], ids=["complete", "gnp3"])
+def test_gen_past_physical_memory_is_one_error_line(capsys, monkeypatch, argv):
+    # a host past physical memory is refused before it is built, so the
+    # process is not killed mid-build; 1 MiB stands in for the machine's
+    monkeypatch.setattr(hypergraph, "_physical_memory", lambda: 1 << 20)
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a host on ") and err.count("\n") == 1
+    assert err.endswith("of physical memory\n")
 
 
 @pytest.mark.parametrize("exc, message", [

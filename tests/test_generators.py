@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,24 @@ def test_random_hypergraph_validation():
 def test_negative_vertex_count_raises(build):
     with pytest.raises(ValueError, match="vertex count"):
         build()
+
+
+def test_hosts_past_physical_memory_are_refused_before_allocating(monkeypatch):
+    # with 1 MiB of memory, K_100 (two copies of 161,700 int32 codes) and
+    # the full draw of 120 vertices (280,840 codes and levels, 5 bytes
+    # each) are refused before any pair table or buffer exists; the
+    # smaller builds still fit
+    monkeypatch.setattr(hypergraph, "_physical_memory", lambda: 1 << 20)
+    assert complete_hypergraph(80).codes.size == comb(80, 3)
+    assert random_hypergraph(120, 0.3, 0).codes.size > 0
+    with monkeypatch.context() as mp:
+        for name in ("empty", "triu_indices"):
+            mp.setattr(np, name, lambda *a, **k: pytest.fail("allocated"))
+        for build in (lambda: complete_hypergraph(100),
+                      lambda: random_hypergraph(120, 1.0, 0),
+                      lambda: list(random_hypergraphs(120, [0.3, 1.0], 0))):
+            with pytest.raises(ValueError, match="physical memory"):
+                build()
 
 
 def test_random_graph_basic():

@@ -10,7 +10,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,8 +25,9 @@ from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
 from diskcover.experiments import audit_corpus, sweep_csv, threshold_sweep
 from diskcover.generators import random_graph, random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
-from diskcover.search import (SearchParams, find_k_t_homeomorph,
-                              find_projective_plane, find_sphere, find_torus)
+from diskcover.search import (SearchFailure, SearchParams,
+                              find_k_t_homeomorph, find_projective_plane,
+                              find_sphere, find_torus)
 from diskcover.verify import verify_certificate
 from test_complexes import MOBIUS, OCTA, PYRAMID4, RP2_6, TETRA, TORUS7
 
@@ -66,6 +67,33 @@ def test_sparse_sphere_digest(n, q, digest):
     # shortest path rule beyond distance 2
     cert = find_sphere(random_hypergraph(n, q, 0), DESK)
     assert _sha(serialize_certificate(cert)) == digest
+
+
+@pytest.mark.parametrize("finder, outcomes, digest", [
+    (find_k_t_homeomorph, {"core-vertices": 6, "cert": 4, "glue": 2},
+     "81fbbeacd6a67db1de151cb869c3fa2864afabf195ee40ca8c9b22a27bf7b640"),
+    (find_torus, {"hub-selection": 5, "glue": 1, "cert": 6},
+     "5f5f44f29b3df0e98207dc6c09027b02ba1d3446f8d85875796b5eaa10747087"),
+    (find_projective_plane, {"hub-selection": 4, "glue": 2, "cert": 6},
+     "a004415053d46536ca3123a47be1aca6a3d6e2435a6c911f3d3dee73c71baa2c"),
+], ids=["ktt4", "torus", "rp2"])
+def test_random_host_outcome_digest(finder, outcomes, digest):
+    # every sampled link or apex pair of a complete host has the same edge
+    # count, so only hosts like these pin how stage 1 ranks its candidates;
+    # a failure is pinned as its record
+    lines, kinds = [], Counter()
+    for q in (0.35, 0.7):
+        for seed in range(6):
+            found = finder(random_hypergraph(40, q, seed),
+                           replace(DESK, seed=seed))
+            if isinstance(found, SearchFailure):
+                kinds[found.stage] += 1
+                lines.append(json.dumps(asdict(found)) + "\n")
+            else:
+                kinds["cert"] += 1
+                lines.append(serialize_certificate(found))
+    assert kinds == outcomes
+    assert _sha("".join(lines)) == digest
 
 
 @pytest.mark.parametrize("finder, H, params, digest", [

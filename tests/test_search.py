@@ -318,6 +318,37 @@ def test_surface_apex_stage_ands_each_pair_once(monkeypatch, finder):
     assert (cert.embedding["u"], cert.embedding["u'"]) in pairs
 
 
+@pytest.mark.parametrize("finder, n, spokes", [
+    (find_torus, 20, [("w1", "w2"), ("w3", "w4"), ("w5", "w6")]),
+    (find_projective_plane, 15, [("w1", "w2"), ("w3", "w4")]),
+], ids=["torus", "rp2"])
+def test_surface_hub_asks_the_recipes_spoke_pairs(monkeypatch, finder, n,
+                                                 spokes):
+    # the spoke pairs come from the recipe's cycles through u and u'; on a
+    # complete host the first hub draw passes, so every pair is asked once
+    asked = []
+    real = search._admissible
+    monkeypatch.setattr(search, "_admissible", lambda G, x, v, y, est:
+                        asked.append((x, v, y)) or real(G, x, v, y, est))
+    cert = finder(complete_hypergraph(n), DESK)
+    assert isinstance(cert, HomeomorphCertificate) and cert.retries == 0
+    emb = cert.embedding
+    assert asked == [(emb[w], emb["v"], emb[wp]) for w, wp in spokes]
+
+
+def test_one_vertex_link_draws_match_a_flat_draw():
+    # the K_t finder's stage 1 draws its vertices as (_LINK_SAMPLE, 1); the
+    # values must be those of the flat draw it replaced, or every K_t
+    # certificate would move
+    for n in (7, 30, 100, 1000):
+        for seed in range(50):
+            flat = generator(seed, search._S_LINK).integers(
+                0, n, size=search._LINK_SAMPLE)
+            column = generator(seed, search._S_LINK).integers(
+                0, n, size=(search._LINK_SAMPLE, 1))
+            assert column.ravel().tolist() == flat.tolist()
+
+
 def test_find_torus_hub_starved():
     # K_8 cannot host six distinct hub neighbours after the apexes go
     res = find_torus(complete_hypergraph(8), DESK)
