@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from typing import Iterable
 
 from .certificates import (TARGETS, HomeomorphCertificate, parse_certificate,
                            serialize_certificate)
@@ -27,19 +28,21 @@ from .coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY, EstimatorParams,
 from .generators import (clique_pendant_graph, complete_hypergraph,
                          random_hypergraph)
 from .hypergraph import link, skeleton
-from .io import (parse_complex, parse_graph, parse_h3, read_text,
-                 serialize_complex, serialize_graph, serialize_h3)
+from .io import (h3_blocks, parse_complex, parse_graph, parse_h3, read_text,
+                 serialize_complex, serialize_graph)
 from .search import FINDERS, SearchParams
 from .experiments import audit_corpus, sweep_csv, threshold_sweep
 from .verify import CertificateError, verify_certificate
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each of its pieces as it is made, to out or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _fail(msg: str) -> int:
@@ -235,11 +238,11 @@ def _cmd_gen(args) -> int:
         if args.p is None:
             raise ValueError("--p is required for model gnp3")
         H = random_hypergraph(args.n, float(as_fraction(args.p)), args.seed)
-        _emit(serialize_h3(H), args.out)
+        _emit(h3_blocks(H), args.out)
     elif args.p is not None:
         raise ValueError(f"--p applies only to model gnp3, not {args.model}")
     elif args.model == "complete":
-        _emit(serialize_h3(complete_hypergraph(args.n)), args.out)
+        _emit(h3_blocks(complete_hypergraph(args.n)), args.out)
     else:
         _emit(serialize_graph(clique_pendant_graph(args.n)), args.out)
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from copy import copy
 from itertools import combinations
 from math import comb, isqrt, sqrt
@@ -9,9 +10,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .hypergraph import (Hypergraph3, SkeletonGraph, _check_memory,
-                         _check_vertex_count, _half, _halves, code_decoder,
-                         code_dtype, complete_hypergraph)
+from .hypergraph import (Hypergraph3, SkeletonGraph, _PairLevels,
+                         _check_memory, _check_vertex_count, _half, _halves,
+                         _pair_blocks, code_dtype, complete_hypergraph)
 from .rng import _threshold, generator, streams, trial_bits
 
 __all__ = [
@@ -58,19 +59,30 @@ def random_hypergraphs(n: int, ps: Iterable[float],
     each, the number of densities <= their float; the host at the r-th
     lowest density is the triples of level <= r. Each host is thinned from
     the previous one, so only the current host and the buffer it was cut
-    from need be alive: drop a host before asking for the next. Asking for
-    the first host raises ValueError, before anything is drawn, for a p
-    outside [0, 1], an n outside the range a host accepts, or a draw whose
-    buffers would not fit in physical memory.
+    from need be alive: drop a host before asking for the next. The hosts
+    of a grid of two or more densities share one pair-level table, built
+    on the first skeleton asked of any of them (`hypergraph._PairLevels`).
+    Asking for the first host raises ValueError, before anything is drawn,
+    for a p outside [0, 1], an n outside the range a host accepts, or a
+    draw whose buffers would not fit in physical memory.
     """
     grid = sorted(set(ps))
     if not all(0 <= p <= 1 for p in grid):
         raise ValueError("triple probability must lie in [0, 1]")
     codes, level = _draw(n, np.array(grid), seed)
-    for r in reversed(range(len(grid))):
-        if r < len(grid) - 1:
-            codes, level = _thinned(codes, level, r)
-        yield grid[r], Hypergraph3._from_codes(n, codes)
+    shared = _PairLevels(n) if len(grid) > 1 else None
+    try:
+        for r in reversed(range(len(grid))):
+            if r < len(grid) - 1:
+                codes, level = _thinned(codes, level, r)
+            if shared:
+                shared.held = codes, level, r
+            # no local names the host, so it dies when the caller drops it
+            yield grid[r], Hypergraph3._from_codes(
+                n, codes, levels=(shared, r) if shared else None)
+    finally:
+        if shared:
+            shared.held = None
 
 
 def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +92,11 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     the same stream as one draw of C(n, 3) floats, and compared with the
     `_threshold` of each density, as `trial_bits` does: a word's float is
     below p exactly when the word is below _threshold(p), so no float is
-    made. Only the kept indices are decoded. A large host is drawn in two
-    halves (`_halves`), each into its own part of one buffer."""
+    made. A chunk that would cross a first-vertex block end stops at the
+    last one it reaches, so it is the tail of one block, whose kept indices
+    are decoded by one gather from the pair codes, or a run of whole
+    blocks, each index offset by its own block's entry. A large host is
+    drawn in two halves (`_halves`), each into its own part of one buffer."""
     _check_vertex_count(n)
     top = grid[-1] if grid.size else 0.0
     # nothing is kept at density 0, so nothing is drawn
@@ -95,7 +110,7 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     size = bound(half) + bound(total - half)
     level_dtype = np.min_scalar_type(grid.size)
     _check_memory(n, size * (np.dtype(code_dtype(n)).itemsize + level_dtype.itemsize))
-    decode = code_decoder(n)
+    bc, ends = _pair_blocks(n)
     codes = np.empty(size, code_dtype(n))
     level = np.empty(size, level_dtype)
     cut = _threshold(top)
@@ -105,28 +120,47 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
         # copied before either half draws; word half starts Philox block half // 4
         streams[half] = copy(streams[0]).advance(half // 4)
 
+    # index i of block a has code heads[a] + bc[i + offs[a]]
+    offs = bc.size - np.array(ends, np.int64)
+    heads = np.arange(len(ends), dtype=bc.dtype) * (n * n)
+
     def part(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         at, size = bound(lo), bound(hi - lo)
         out, out_level = codes[at:at + size], level[at:at + size]
-        m = 0
-        for s in range(lo, hi, _DRAW_CHUNK):
-            raw = streams[lo].random_raw(min(_DRAW_CHUNK, hi - s))
+        m, s = 0, lo
+        while s < hi:
+            a, e = bisect_right(ends, s), min(s + _DRAW_CHUNK, hi)
+            if ends[a] < e < hi:
+                # a chunk that leaves block a ends at the last block end it
+                # reaches: it is a tail of block a or a run of whole blocks
+                e = ends[bisect_right(ends, e) - 1]
+            raw = streams[lo].random_raw(e - s)
             # at top = 1 the cut is 2^64, above every word: all are kept
             i = (np.arange(raw.size) if cut >> 64
                  else np.flatnonzero(raw < np.uint64(cut)))
-            if m + i.size > out.size:
+            k = i.size
+            if m + k > out.size:
                 # a half that overflows its part grows a buffer of its own
-                size = min(hi - lo, max(2 * out.size, m + i.size))
+                size = min(hi - lo, max(2 * out.size, m + k))
                 out, out_level = (np.resize(out[:m], size),
                                   np.resize(out_level[:m], size))
-            out[m:m + i.size] = decode(i + s)
+            if ends[a] >= e:
+                np.add(bc[i + (s + offs[a])], heads[a], out=out[m:m + k])
+            else:
+                # blocks a..b: each index takes its block's offset and head
+                b = bisect_right(ends, e - 1)
+                runs = np.diff(np.searchsorted(i, np.array([s, *ends[a:b], e]) - s))
+                np.add(bc[i + np.repeat(offs[a:b + 1] + s, runs)],
+                       np.repeat(heads[a:b + 1], runs), out=out[m:m + k])
             # a few comparisons beat a binary search per triple on a short grid
-            lev = out_level[m:m + i.size]
+            lev = out_level[m:m + k]
             lev[:] = 0
-            kept = raw[i]
-            for t in below:
-                lev += kept >= t
-            m += i.size
+            if below:
+                kept = raw[i]
+                for t in below:
+                    lev += kept >= t
+            m += k
+            s = e
         return out[:m], out_level[:m]
 
     (first, first_level), *rest = _halves(part, total, 4)

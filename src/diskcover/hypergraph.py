@@ -10,7 +10,9 @@ they are int32 while n^3 < 2^31 (n <= 1290) and int64 above
 API is read: 1-skeletons and links (`link`). Both types are immutable
 and safe to share across concurrent tasks. Membership is a binary search
 in the codes, and the skeleton a scatter of the pairs of every code into
-an n x n bool array, one per half of a large host (`_halves`). Derived
+an n x n bool array, one per half of a large host (`_halves`), or, for
+the hosts of one nested draw, a read of the one pair-level table they
+share (`_PairLevels`). Derived
 views are built on first use and kept: ``H.row(u)``, whose entry w is
 the bitmask of w' with uww' in H, built from the triples through u
 alone, which links read, and whose ANDs with another row are a link
@@ -33,7 +35,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import and_
 from typing import Callable, Iterable, Iterator, KeysView
@@ -97,28 +99,15 @@ def code_dtype(n: int) -> type:
     return np.int32 if n ** 3 < 1 << 31 else np.int64
 
 
-def code_decoder(n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from ascending lexicographic triple indices in 0..C(n, 3)-1 (an
-    int64 array) to their triple codes. Raises ValueError for an n outside
-    the range a host accepts."""
-    _check_vertex_count(n)
+def _pair_blocks(n: int) -> tuple[np.ndarray, list[int]]:
+    """bc, the pair codes b*n + c (b < c) in lexicographic order and in
+    code_dtype(n), and the ends of the first-vertex blocks of the
+    lexicographic triple order: block a, the C(n-a-1, 2) triples with first
+    vertex a, ends at ends[a], and its pairs are the tail of bc, so its
+    triple index i has code a*n^2 + bc[i + bc.size - ends[a]]."""
     b, c = np.triu_indices(n, 1)
-    bc = b * n + c
-    a = np.arange(max(n - 2, 0))
-    # block a, the C(n-a-1, 2) triples with first vertex a, ends at ends[a];
-    # its pairs b*n + c are the tail of bc, so index i of block a reads
-    # bc[i + shift[a]]
-    ends = np.cumsum((n - a - 1) * (n - a - 2) // 2)
-    shift = bc.size - ends
-
-    def decode(i: np.ndarray) -> np.ndarray:
-        # the block of each index counts the block ends at or below it, found
-        # by where each end falls among the sorted indices: n binary searches,
-        # not one per index
-        a = np.bincount(np.searchsorted(i, ends), minlength=i.size + 1)[:i.size].cumsum()
-        return a * (n * n) + bc[i + shift[a]]
-
-    return decode
+    ends = list(accumulate(comb(n - a - 1, 2) for a in range(n - 2)))
+    return (b * n + c).astype(code_dtype(n)), ends
 
 
 def _half(total: int, step: int = 1) -> int:
@@ -142,9 +131,12 @@ def _halves(part: Callable[[int, int], object], total: int, step: int = 1) -> li
 def _last_vertices(n: int, codes: np.ndarray) -> np.ndarray:
     """The last vertex c of every code, as int16 while every vertex fits."""
     last = np.empty(codes.size, dtype=np.int16 if n <= 1 << 15 else np.int32)
-    # the ufunc casts into last through small buffers of its own
-    _halves(lambda lo, hi: np.remainder(codes[lo:hi], n, out=last[lo:hi]),
-            codes.size)
+    for s in range(0, codes.size, _CHUNK):
+        # c = code - n * (code // n), in a chunk-size buffer, not a host-size one
+        c = codes[s:s + _CHUNK] // n
+        c *= -n
+        c += codes[s:s + _CHUNK]
+        last[s:s + c.size] = c
     return last
 
 
@@ -173,7 +165,7 @@ def _link_row(n: int, codes: np.ndarray, last: np.ndarray, u: int) -> tuple[int,
 class Hypergraph3:
     """An immutable 3-uniform hypergraph on vertices 0..n-1."""
 
-    __slots__ = ("n", "codes", "labels", "edges", "_rows", "_last")
+    __slots__ = ("n", "codes", "labels", "edges", "_rows", "_last", "_levels")
 
     def __init__(self, n: int, triples: Iterable[Iterable[int]],
                  labels: tuple[str, ...] | None = None):
@@ -193,11 +185,14 @@ class Hypergraph3:
 
     @classmethod
     def _from_codes(cls, n: int, codes: np.ndarray,
-                    labels: tuple[str, ...] | None = None) -> Hypergraph3:
+                    labels: tuple[str, ...] | None = None,
+                    levels: tuple[_PairLevels, int] | None = None) -> Hypergraph3:
         """The hypergraph with these codes, which must be sorted and distinct;
-        they are stored in code_dtype(n), whatever their integer dtype."""
+        they are stored in code_dtype(n), whatever their integer dtype. A host
+        of a nested draw passes its draw's table and its level (`skeleton`)."""
         H = cls.__new__(cls)
         H._set(n, codes, labels)
+        H._levels = levels
         return H
 
     def _set(self, n: int, codes: np.ndarray, labels) -> None:
@@ -215,6 +210,8 @@ class Hypergraph3:
             value = {}
         elif name == "_last":
             value = _last_vertices(self.n, self.codes)
+        elif name == "_levels":
+            value = None
         elif name == "edges":
             value = frozenset(zip(*self.triples().T.tolist()))
         else:
@@ -357,26 +354,109 @@ class SkeletonGraph:
         return f"SkeletonGraph(n={self.n}, edges={self.edge_count()})"
 
 
+def _scatter(adj: np.ndarray, code: np.ndarray, n: int) -> None:
+    """Set the flat n x n bool array adj at a*n + b, b*n + c and a*n + c for
+    each code of an int64 array (numpy converts every int32 index array it
+    is given, so the codes are widened once)."""
+    ab = code // n
+    a = ab // n
+    adj[ab] = True
+    adj[code - a * (n * n)] = True
+    adj[a * n + code - ab * n] = True
+
+
 def skeleton(H: Hypergraph3) -> SkeletonGraph:
-    """The graph on V(H) whose edges are the pairs covered by some triple."""
-    n, nn = H.n, H.n * H.n
+    """The graph on V(H) whose edges are the pairs covered by some triple:
+    read off the pair-level table of H's draw when it has one
+    (`_PairLevels`), else scattered from the codes."""
+    n = H.n
+    adj = H._levels[0].adjacency(H._levels[1]) if H._levels else None
+    if adj is None:
+        def part(lo: int, hi: int) -> np.ndarray:
+            adj = np.zeros(n * n, dtype=bool)
+            for s in range(lo, hi, _CHUNK):
+                _scatter(adj, H.codes[s:min(s + _CHUNK, hi)].astype(np.int64), n)
+            return adj
 
-    def part(lo: int, hi: int) -> np.ndarray:
-        adj = np.zeros(nn, dtype=bool)
-        for s in range(lo, hi, _CHUNK):
-            # widened once: numpy converts every int32 index array it is given
-            code = H.codes[s:min(s + _CHUNK, hi)].astype(np.int64)
-            ab = code // n
-            a = ab // n
-            # the flat indices a*n + b, b*n + c and a*n + c
-            adj[ab] = True
-            adj[code - a * nn] = True
-            adj[a * n + code - ab * n] = True
-        return adj
-
-    adj = reduce(np.logical_or, _halves(part, H.codes.size)).reshape(n, n)
-    adj |= adj.T
+        adj = reduce(np.logical_or, _halves(part, H.codes.size)).reshape(n, n)
+        adj |= adj.T
     return SkeletonGraph._from_masks(dict(enumerate(row_masks(adj))))
+
+
+class _PairLevels:
+    """The skeletons of the nested hosts of one multi-density draw, read
+    off one n x n table whose entry (x, y) is the least level of a drawn
+    triple holding x and y: the host at level r has the pairs of entry <= r.
+
+    The draw hands over the codes and levels it holds, with their top
+    level, at every host it yields (`held`), and takes them back when it
+    ends. The table is built from them on the first skeleton asked of a
+    host they cover, so a draw whose hosts ask for none builds nothing,
+    and a host asked after the draw has thinned past it gets None (its
+    own scatter). The table is n^2 bytes, kept while a host holds it.
+    """
+
+    __slots__ = ("n", "held", "table", "top")
+
+    def __init__(self, n: int):
+        self.n, self.held, self.table, self.top = n, None, None, -1
+
+    def adjacency(self, r: int) -> np.ndarray | None:
+        """The n x n bool skeleton of the host at level r, or None."""
+        if self.table is None and self.held is not None and r <= self.held[2]:
+            codes, level, self.top = self.held
+            self.table = _pair_levels(self.n, codes, level, self.top)
+        return self.table <= r if r <= self.top else None
+
+
+def _pair_levels(n: int, codes: np.ndarray, level: np.ndarray,
+                 top: int) -> np.ndarray:
+    """The symmetric n x n table whose entry (x, y) is the least level[i]
+    of a codes[i] holding x and y, or top + 1 where none does.
+
+    The level-0 triples are scattered. Then at each denser level r, the
+    pairs still unset are either looked up in the codes, n - 2 keys a
+    pair, which settles every level at once, or, when that asks for more
+    keys than level r has triples, level r's own triples are scattered.
+    Every pass goes a chunk at a time, so no temporary is host-size.
+    """
+    unset = top + 1
+    table = np.full(n * n, unset, level.dtype)
+    for r in range(unset):
+        x, y = np.nonzero(np.triu(table.reshape(n, n) == unset, 1))
+        if r and x.size * (n - 2) <= sum(
+                np.count_nonzero(level[s:s + _CHUNK] == r)
+                for s in range(0, level.size, _CHUNK)):
+            _look_up_levels(table, n, codes, level, x, y, unset)
+            break
+        hit = np.zeros(n * n, dtype=bool)
+        for s in range(0, codes.size, _CHUNK):
+            # positions, not a bool mask: a gather by them is 3x faster
+            at = np.flatnonzero(level[s:s + _CHUNK] == r) + s
+            _scatter(hit, codes[at].astype(np.int64), n)
+        table[hit & (table == unset)] = r
+    table = table.reshape(n, n)
+    return np.minimum(table, table.T)
+
+
+def _look_up_levels(table: np.ndarray, n: int, codes: np.ndarray,
+                    level: np.ndarray, x: np.ndarray, y: np.ndarray,
+                    unset: int) -> None:
+    """Set table[x*n + y] to the least level of a code holding x < y, or
+    to unset where none does, by one binary search in the codes for each
+    triple xyw, a few pairs at a time."""
+    if not codes.size:
+        return
+    w, rows = np.arange(n), max(1, _CHUNK // n)
+    for s in range(0, x.size, rows):
+        px, py = x[s:s + rows, None], y[s:s + rows, None]
+        # the code of {x, y, w}; w = x or w = y gives a code of no triple
+        key = np.where(w < px, (w * n + px) * n + py,
+                       np.where(w < py, (px * n + w) * n + py,
+                                (px * n + py) * n + w)).astype(codes.dtype)
+        at = np.minimum(np.searchsorted(codes, key), codes.size - 1)
+        table[px[:, 0] * n + py[:, 0]] = np.where(
+            codes[at] == key, level[at], unset).min(axis=1)
 
 
 def link_intersection(H: Hypergraph3, v: int, vp: int) -> list[int]:
@@ -448,13 +528,10 @@ def complete_hypergraph(n: int) -> Hypergraph3:
     _check_vertex_count(n)
     # the blocks and their concatenation each hold every code
     _check_memory(n, 2 * comb(n, 3) * np.dtype(code_dtype(n)).itemsize)
-    b, c = np.triu_indices(n, 1)
     # built in the stored width, so no int64 copy of the host is made
-    bc = (b * n + c).astype(code_dtype(n))
-    # block a, the triples with first vertex a, pairs a with the last
-    # C(n-a-1, 2) codes b*n + c, in lexicographic order
-    blocks = [a * n * n + bc[bc.size - comb(n - a - 1, 2):]
-              for a in range(n - 2)]
+    bc, ends = _pair_blocks(n)
+    blocks = [a * n * n + bc[bc.size - end + start:]
+              for a, (start, end) in enumerate(zip([0, *ends], ends))]
     return Hypergraph3._from_codes(n, np.concatenate((np.empty(0, bc.dtype), *blocks)))
 
 

@@ -18,7 +18,9 @@ Complexes serialize their triangle lists in the ".h3" line format.
 
 from __future__ import annotations
 
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .complexes import TwoComplex
 from .hypergraph import Hypergraph3, SkeletonGraph
@@ -58,12 +60,24 @@ def parse_h3(text: str) -> Hypergraph3:
 
 
 def serialize_h3(H: Hypergraph3) -> str:
+    return "".join(h3_blocks(H))
+
+
+def h3_blocks(H: Hypergraph3) -> Iterator[str]:
+    """serialize_h3(H) in pieces: the header line, then the lines of one
+    first-vertex block at a time, so only that block's triples are decoded
+    and held as text."""
     # Header always written: it pins isolated vertices and the label->id order,
     # making parse -> serialize -> parse the identity.
-    lines = [_VERTEX_HEADER + " " + " ".join(H.label_of(v) for v in H.vertices)]
-    for t in H.triples().tolist():
-        lines.append(" ".join(H.label_of(v) for v in t))
-    return "\n".join(lines) + "\n"
+    names = [H.label_of(v) for v in H.vertices]
+    yield _VERTEX_HEADER + " " + " ".join(names) + "\n"
+    n, nn = H.n, H.n * H.n
+    ends = np.searchsorted(H.codes, np.arange(1, n + 1, dtype=H.codes.dtype) * nn)
+    for a, (start, end) in enumerate(zip([0, *ends.tolist()], ends.tolist())):
+        if start < end:
+            b, c = np.divmod(H.codes[start:end] - a * nn, n)
+            yield "".join(f"{names[a]} {names[x]} {names[y]}\n"
+                          for x, y in zip(b.tolist(), c.tolist()))
 
 
 def parse_graph(text: str) -> tuple[SkeletonGraph, tuple[str, ...]]:

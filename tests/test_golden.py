@@ -14,9 +14,10 @@ from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from diskcover import coverability
+from diskcover import coverability, generators
 from diskcover.certificates import SPHERE, serialize_certificate
 from diskcover.complexes import TwoComplex, boundary, classify
 from diskcover.coverability import (EXHAUSTIVE_SMALL, PYRAMID_ONLY,
@@ -135,6 +136,26 @@ def test_sphere_threshold_sweep_digest():
                            seed=0)
     assert _sha(sweep_csv(rows)) == (
         "285eb480edfa8ef780782b52fd6168524e5acf87e999106b3240e81ecef09a25")
+
+
+@pytest.mark.parametrize("chunk", [None, 4099], ids=["default", "shrunk"])
+def test_draw_digest(chunk, monkeypatch):
+    # the codes and levels of the nested draw, recorded while the draw still
+    # decoded each chunk by a search for its first-vertex block ends; n = 400
+    # is drawn in two halves, and a chunk of 4099 words ends inside a Philox
+    # block; grids of 4 and 1 levels, with and without p = 0 and p = 1
+    if chunk:
+        monkeypatch.setattr(generators, "_DRAW_CHUNK", chunk)
+    digest = hashlib.sha256()
+    for n in (3, 12, 60, 400):
+        for grid in ((0.01, 0.05, 0.2, 0.4), (0.0, 0.1, 0.5, 1.0),
+                     (0.3,), (0.0,), (1.0,)):
+            codes, level = generators._draw(n, np.array(grid), n)
+            digest.update(f"{n}|{grid}|{codes.dtype}|{level.dtype}|".encode())
+            digest.update(codes.tobytes())
+            digest.update(level.tobytes())
+    assert digest.hexdigest() == (
+        "f5ed43fa657c94a6089a5b29899cbfb1f5c43c58abc5ae03278b18b621868335")
 
 
 def test_audit_corpus_digest():

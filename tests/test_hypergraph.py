@@ -2,6 +2,7 @@ import copy
 import pickle
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 import diskcover.hypergraph as hypergraph
-from diskcover.experiments import audit_corpus
-from diskcover.generators import random_graph, random_hypergraph
+from diskcover.certificates import KTT, SPHERE, TORUS
+from diskcover.experiments import audit_corpus, threshold_sweep
+from diskcover.generators import (random_graph, random_hypergraph,
+                                  random_hypergraphs)
 from diskcover.hypergraph import (Hypergraph3, SkeletonGraph, code_dtype,
                                   codegree, common_neighborhood,
                                   complete_hypergraph, iter_p2s, link,
@@ -321,10 +324,10 @@ def test_skeleton_builds_no_row():
 
 
 def test_host_passes_split_in_halves_match_one_pass(monkeypatch):
-    """Above _SPLIT codes the skeleton and the last-vertex column are built
-    in two halves on two threads: the same as in one pass, even with the
-    threads switching every microsecond, and the worker thread is gone
-    when the call returns."""
+    """Above _SPLIT codes the skeleton is built in two halves on two
+    threads: the same as in one pass, even with the threads switching
+    every microsecond, and the worker thread is gone when the call
+    returns. The last-vertex column, built a chunk at a time, is code % n."""
     H = random_hypergraph(130, 0.8, seed=3)
     assert H.codes.size >= hypergraph._SPLIT
     threads = threading.active_count()
@@ -341,6 +344,125 @@ def test_host_passes_split_in_halves_match_one_pass(monkeypatch):
     assert skeleton(H).adj_mask == split.adj_mask
     assert np.array_equal(hypergraph._last_vertices(H.n, H.codes), last)
     assert last.tolist() == (H.codes % H.n).tolist()
+
+
+def _scattered(H):
+    """H's skeleton scattered from its codes alone, by a host with no table."""
+    return skeleton(Hypergraph3._from_codes(H.n, H.codes))
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The (n, top) of every pair-level table built, and the pair count of
+    every lookup, while the test runs."""
+    builds, lookups = [], []
+    build, look_up = hypergraph._pair_levels, hypergraph._look_up_levels
+
+    def counted_build(n, codes, level, top):
+        builds.append((n, top))
+        return build(n, codes, level, top)
+
+    def counted_look_up(table, n, codes, level, x, y, unset):
+        lookups.append(x.size)
+        return look_up(table, n, codes, level, x, y, unset)
+
+    monkeypatch.setattr(hypergraph, "_pair_levels", counted_build)
+    monkeypatch.setattr(hypergraph, "_look_up_levels", counted_look_up)
+    return builds, lookups
+
+
+_DENSITIES = st.one_of(st.sampled_from([0.0, 0.005, 0.02, 0.3, 1.0]),
+                       st.floats(0, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 40), st.lists(_DENSITIES, min_size=1, max_size=5),
+       st.integers(0, 2 ** 40), st.integers(0, 4))
+# sparse bases, whose unset pairs ask more keys than a level has triples,
+# so every denser level is scattered
+@example(40, [0.005, 0.9], 1, 0)
+@example(40, [0.005, 0.02, 0.3, 1.0], 2, 0)
+@example(30, [0.02, 0.3, 0.02, 0.6], 3, 2)
+# dense bases, whose few unset pairs are looked up
+@example(40, [0.3, 0.5, 1.0], 4, 0)
+@example(40, [0.0, 1.0], 5, 1)
+@example(2, [0.4, 1.0], 6, 0)
+@example(0, [0.0, 0.5], 7, 0)
+def test_nested_hosts_read_the_skeleton_of_a_scatter(n, ps, seed, first):
+    """Every host of a nested draw has the skeleton a scatter of its own
+    codes gives, whichever host is asked first: hosts from the first one
+    asked on are asked while the draw holds their arrays, the ones before
+    it after the draw has ended."""
+    hosts = []
+    for i, (_, H) in enumerate(random_hypergraphs(n, ps, seed)):
+        hosts.append(H)
+        if i >= first:
+            assert skeleton(H) == _scattered(H)
+    for H in hosts[:first]:
+        assert skeleton(H) == _scattered(H)
+
+
+@pytest.mark.parametrize("ps, lookups", [
+    ((0.005, 0.9), []),
+    ((0.005, 0.02, 0.3, 1.0), [0]),
+    ((0.1, 0.3, 0.5, 1.0), [17]),
+], ids=["scatter", "scatter-then-lookup", "lookup"])
+def test_table_looks_up_the_pairs_a_dense_level_leaves_unset(ps, lookups,
+                                                              table_builds):
+    # n = 40, 780 pairs, seed 0: the 0.1 base leaves 17 pairs unset, 646
+    # keys against 1,918 triples at 0.3; the 0.005 base leaves 650, 24,700
+    # keys against 8,932 triples at 0.9, or 160 at 0.02, and then 351
+    # (13,338 keys) against 2,703 at 0.3, which leaves none
+    builds, seen = table_builds
+    for _, H in random_hypergraphs(40, ps, 0):
+        assert skeleton(H) == _scattered(H)
+    assert builds == [(40, len(ps) - 1)] and seen == lookups
+
+
+def test_host_asked_after_the_draw_moved_on_scatters(table_builds):
+    builds, _ = table_builds
+    draw = random_hypergraphs(30, [0.1, 0.2, 0.4], 1)
+    _, top = next(draw)
+    _, mid = next(draw)
+    # the draw has thinned past the top host: it scatters, builds nothing
+    assert skeleton(top) == _scattered(top) and builds == []
+    # the middle host builds the table from the arrays the draw holds now,
+    # and the bottom host reads it
+    assert skeleton(mid) == _scattered(mid) and builds == [(30, 1)]
+    _, low = next(draw)
+    assert skeleton(low) == _scattered(low) and builds == [(30, 1)]
+    # a draw that has ended holds nothing: its hosts scatter
+    hosts = [H for _, H in random_hypergraphs(30, [0.1, 0.4], 2)]
+    assert [skeleton(H) for H in hosts] == [_scattered(H) for H in hosts]
+    assert builds == [(30, 1)]
+    # one density: no table at all
+    assert random_hypergraph(30, 0.4, 2)._levels is None
+
+
+@pytest.mark.parametrize("target, tables", [(KTT, 0), (TORUS, 0), (SPHERE, 2)])
+def test_only_sweeps_that_read_a_skeleton_build_a_table(target, tables,
+                                                       table_builds):
+    builds, _ = table_builds
+    threshold_sweep(target, [12, 20], [1.0, 4.0], 1, 0,
+                    params=SearchParams(p=0.5, epsilon=0.1, trials=16))
+    assert len(builds) == tables
+
+
+def test_table_build_peaks_below_a_scatter_of_the_top_host():
+    draw = random_hypergraphs(400, [c / 20 for c in (0.5, 1, 2, 4)], 0)
+    _, top = next(draw)
+    plain = Hypergraph3._from_codes(top.n, top.codes)
+    tracemalloc.start()
+    try:
+        want = skeleton(plain)
+        scatter_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert skeleton(top) == want
+        table_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert table_peak < scatter_peak
 
 
 def test_halves_cut_on_a_step_and_run_the_second_on_a_worker():

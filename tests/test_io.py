@@ -2,12 +2,17 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskcover.cli import main
 from diskcover.complexes import TwoComplex
-from diskcover.hypergraph import Hypergraph3, SkeletonGraph
-from diskcover.io import (parse_complex, parse_graph, parse_h3, read_text,
-                          serialize_complex, serialize_graph, serialize_h3)
+from diskcover.generators import random_hypergraph
+from diskcover.hypergraph import (Hypergraph3, SkeletonGraph,
+                                  complete_hypergraph)
+from diskcover.io import (h3_blocks, parse_complex, parse_graph, parse_h3,
+                          read_text, serialize_complex, serialize_graph,
+                          serialize_h3)
 
 
 def test_parse_h3_basic():
@@ -46,6 +51,58 @@ def test_h3_round_trip_identity():
     assert H2.edges == H1.edges
     assert [H2.label_of(v) for v in H2.vertices] == \
         [H1.label_of(v) for v in H1.vertices]
+
+
+def _h3_all_at_once(H):
+    """The .h3 text as it was written before it went a block at a time:
+    every triple decoded at once, one line each."""
+    lines = ["#vertices: " + " ".join(H.label_of(v) for v in H.vertices)]
+    for t in H.triples().tolist():
+        lines.append(" ".join(H.label_of(v) for v in t))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.floats(0, 1), st.integers(0, 2 ** 40),
+       st.booleans())
+@example(0, 0.5, 0, False)
+@example(2, 1.0, 0, True)
+@example(12, 0.0, 0, True)
+@example(12, 1.0, 0, True)
+def test_h3_blocks_write_the_bytes_of_one_whole_decode(n, p, seed, labelled):
+    H = random_hypergraph(n, p, seed)
+    if labelled:
+        H = Hypergraph3._from_codes(n, H.codes, tuple(f"v{n - v}" for v in range(n)))
+    blocks = list(h3_blocks(H))
+    # the header, then one piece per first vertex of some triple
+    assert len(blocks) == 1 + len(set((H.codes // (n * n)).tolist()))
+    assert "".join(blocks) == serialize_h3(H) == _h3_all_at_once(H)
+
+
+class _Pieces(io.StringIO):
+    """A text stream that keeps each string written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+def test_gen_writes_the_host_a_block_at_a_time(tmp_path, monkeypatch):
+    out = tmp_path / "h.h3"
+    assert main(["gen", "--model", "gnp3", "--n", "40", "--p", "0.3",
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert out.read_text() == _h3_all_at_once(random_hypergraph(40, 0.3, 5))
+    stdout = _Pieces()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(["gen", "--model", "complete", "--n", "9"]) == 0
+    # the header and the blocks of first vertices 0..6, each as it is made
+    assert stdout.pieces == list(h3_blocks(complete_hypergraph(9)))
+    assert len(stdout.pieces) == 8
+    assert stdout.getvalue() == _h3_all_at_once(complete_hypergraph(9))
 
 
 def test_parse_graph_and_round_trip():
