@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations, compress
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -56,7 +56,8 @@ from .hypergraph import (
     link_intersection,
     pair_masks,
 )
-from .rng import keyed_bits, mask_bits, mix64, row_masks, trial_masks
+from .rng import (bit_words, keyed_bits, mask_bits, mask_words, mix64,
+                  row_masks, trial_masks, word_masks)
 
 PYRAMID_ONLY = "pyramid-only"
 EXHAUSTIVE_SMALL = "exhaustive-small"
@@ -420,17 +421,15 @@ def _holds(searches, disk: "_DiskSearcher | None", m: int) -> bool:
 
 
 def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
-          need: int | None = None, pair=None) -> int:
+          need: int | None = None) -> int:
     """How many masks the event holds on, asked in mask order: a path found
-    by the one search, or else a disk found by the disk searcher. Given
-    `pair` (H, w, w'), the search carries its ends alone and its rows,
-    LI(w, w'), are built once a mask stays open.
+    by the one search, or else a disk found by the disk searcher.
 
     One pass over the masks settles the sure ones from the ends the
     search carries, reading no rows. A mask meeting both ends at one
     vertex holds a one-vertex path, a hit. A mask missing an end is a
     miss, except with a disk searcher, which can hold where no path
-    search starts. Each open mask is then asked of `_holds`, in order.
+    search starts. The open masks are then asked in order (`_ask`).
 
     Given `need`, it stops as soon as whether hits >= need is fixed: after
     the screens, at the need-th hit, or at the miss that leaves too few
@@ -449,12 +448,20 @@ def _hits(search, disk: "_DiskSearcher | None", masks: list[int],
         else:
             open_.append(m)
     spare = len(masks) if need is None else len(masks) - need
-    if not open_ or need is not None and hits >= need or misses > spare:
+    if need is not None and hits >= need or misses > spare:
         return hits
-    if pair is not None:
-        search = (search[0], link_intersection(*pair), *search[2:])
-    searches = (search,)
-    for m in open_:
+    return _ask((search,), disk, open_, hits, misses, need, spare)
+
+
+def _ask(searches, disk: "_DiskSearcher | None", masks: Iterable[int],
+         hits: int, misses: int, need: int | None, spare: int) -> int:
+    """hits, plus how many of the open masks the event holds on (`_holds`),
+    asked in order: the masks the screens left, after `hits` sure hits
+    and `misses` sure misses. It stops at the need-th hit, or at the
+    miss past `spare`, the most misses that still leave need reachable.
+    Without need, and with a spare no miss count passes, it asks every
+    mask."""
+    for m in masks:
         if _holds(searches, disk, m):
             hits += 1
             if hits == need:
@@ -828,18 +835,15 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
     stand and no lane is built. Otherwise the block's bits are
     transposed into one lane set per vertex, and the first pyramid side,
     w..w' in LI(v, v'), runs as one `_lane_paths` over all the block's
-    lanes. A cycle short of `need` (of every trial, without it) then
-    runs `_hits` over its side-1 misses with need - hits, on the second
-    side and the disk searcher under EXHAUSTIVE_SMALL only: the event is
-    side 1 or side 2 or a disk, so each count, or decision, is the full
-    event's. The rows of LI(v, v') (`link_intersection`) are built
-    once for all the cycles, and a cycle short of need those of LI(w, w')
-    only if a mask stays open after its second side's screens.
+    lanes. The cycles short of `need` (of every trial, without it) then
+    take their second side over their side-1 misses (`_second_sides`):
+    the event is side 1 or side 2 or a disk, so each count, or decision,
+    is the full event's. The rows of LI(v, v') (`link_intersection`)
+    are built once for all the cycles.
     """
     if not pairs:
         return []
     trials = params.trials
-    short = trials if need is None else need
     width = max(H.n, 1)
     adj = link_intersection(H, v, vp)
     nbrs = None
@@ -869,19 +873,71 @@ def _cycle_hits(H: Hypergraph3, v: int, vp: int,
             lanes[wp] &= ~own
         hit = _lane_paths(nbrs, source, target, lanes)
         hits = mask_bits([hit], len(block) * trials).reshape(-1, trials)
-        counts = hits.sum(axis=1)
-        # the side-1 misses of the cycles short, cycle by cycle
-        misses = iter(row_masks(bits[~hits & (counts < short)[:, None]]))
-        for (w, wp), h in zip(block, counts.tolist()):
-            if h < short:
-                disk = _disk_searcher(H, (v, w, vp, wp), params.strategy,
-                                      params.max_interior)
-                rw, rwp = H.row(w), H.row(wp)
-                side = _search({v: rw[v] & rwp[v], vp: rw[vp] & rwp[vp]},
-                               v, vp, -1)
-                h += _hits(side, disk, list(islice(misses, trials - h)),
-                           None if need is None else need - h, (H, w, wp))
-            out.append(h)
+        out += _second_sides(H, v, vp, block, bits, hits, params, need)
+    return out
+
+
+def _second_sides(H: Hypergraph3, v: int, vp: int,
+                  block: list[tuple[int, int]], bits: np.ndarray,
+                  hits: np.ndarray, params: EstimatorParams,
+                  need: int | None) -> list[int]:
+    """The counts of a block's cycles given their side-1 hits, a (cycles,
+    trials) bool array: a cycle short of `need` (of every trial, without
+    it) adds its second side, v..v' in LI(w, w'), or under
+    EXHAUSTIVE_SMALL a disk, over its side-1 misses, under `_hits`'
+    screens and stop rules.
+
+    The short cycles' misses are packed as uint64 words (`bit_words`),
+    in trial order, and screened all at once. The hit screen of `_hits`
+    never fires here: a mask meeting both second-side ends at one
+    vertex meets C = LI(v, v')[w] & LI(v, v')[w'], a one-vertex pyramid
+    of the first side too. Under PYRAMID_ONLY a miss m is a sure miss
+    when m & A or m & B is 0, where A = row(v)[w] & row(v)[w'] and
+    B = row(v')[w] & row(v')[w'], less v and v', are LI(w, w')[v] and
+    LI(w, w')[v'], the second side's ends, read off the apexes' rows, so
+    the screen builds no row of w or w'. A cycle with no open mask, or
+    (given need) with more sure misses than trials - need, takes its
+    first-side count as it is. Each other one builds LI(w, w') and asks
+    its open masks in trial order (`_ask`), with its disk searcher under
+    EXHAUSTIVE_SMALL.
+    """
+    trials = params.trials
+    spare = trials if need is None else trials - need
+    counts = hits.sum(axis=1)
+    low = counts < (trials if need is None else need)
+    short = np.flatnonzero(low)
+    if not short.size:
+        return counts.tolist()
+    # the short cycles' misses in trial order, and the rank in `short` of
+    # each one's cycle
+    rows = np.flatnonzero(~hits & low[:, None])
+    rank = np.repeat(np.arange(short.size), trials - counts[short])
+    words = bit_words(bits.reshape(-1, bits.shape[2]).take(rows, axis=0))
+    cycles = [block[c] for c in short.tolist()]
+    open_ = np.ones(rank.size, bool)
+    if params.strategy == PYRAMID_ONLY:
+        rv, rvp = H.row(v), H.row(vp)
+        apexes = ~(1 << v | 1 << vp)
+        ends = mask_words([e & apexes for w, wp in cycles
+                           for e in (rv[w] & rv[wp], rvp[w] & rvp[wp])],
+                          words.shape[1])
+        for side in (0, 1):
+            open_ &= (words & ends[2 * rank + side]).any(axis=1)
+    asked = np.bincount(rank[open_], minlength=short.size)
+    sure_misses = trials - counts[short] - asked
+    rest = (asked > 0) & (sure_misses <= spare)
+    out = counts.tolist()
+    masks = word_masks(words[open_ & rest[rank]])
+    stop = 0
+    for c, (w, wp), k, missed in compress(zip(
+            short.tolist(), cycles, asked.tolist(), sure_misses.tolist()),
+            rest.tolist()):
+        start, stop = stop, stop + k
+        side = _search(link_intersection(H, w, wp), v, vp, -1)
+        disk = _disk_searcher(H, (v, w, vp, wp), params.strategy,
+                              params.max_interior)
+        out[c] = _ask((side,), disk, masks[start:stop], out[c], missed,
+                      need, spare)
     return out
 
 

@@ -178,14 +178,15 @@ def _draw(n: int, grid: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def _thinned(codes: np.ndarray, level: np.ndarray,
              r: int) -> tuple[np.ndarray, np.ndarray]:
     """The entries of level <= r of both arrays. Gathering by positions is
-    about 3x faster than boolean indexing at sweep densities; taking them a
-    chunk at a time keeps the positions from costing as much as the result."""
-    keep = level <= r
-    size = np.count_nonzero(keep)
+    about 3x faster than boolean indexing at sweep densities. Both the
+    count and the gather go a chunk at a time, so no temporary, neither
+    a mask nor the positions, is host-size."""
+    chunks = range(0, level.size, _DRAW_CHUNK)
+    size = sum(np.count_nonzero(level[s:s + _DRAW_CHUNK] <= r) for s in chunks)
     thin_codes, thin_level = np.empty(size, codes.dtype), np.empty(size, level.dtype)
     m = 0
-    for s in range(0, keep.size, _DRAW_CHUNK):
-        at = np.flatnonzero(keep[s:s + _DRAW_CHUNK]) + s
+    for s in chunks:
+        at = np.flatnonzero(level[s:s + _DRAW_CHUNK] <= r) + s
         thin_codes[m:m + at.size] = codes[at]
         thin_level[m:m + at.size] = level[at]
         m += at.size

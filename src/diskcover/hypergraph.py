@@ -67,8 +67,15 @@ def _canon_pair(e: Iterable[int]) -> tuple[int, int]:
 
 
 def _bits(m: int) -> list[int]:
-    """Positions of the set bits of m >= 0, ascending."""
-    return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
+    """Positions of the set bits of m >= 0, ascending: one step per set bit,
+    taking the lowest (m & -m) off, where a walk of the `bin()` string
+    takes one step per bit up to the highest."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 def _check_vertex_count(n: int) -> None:
@@ -475,18 +482,36 @@ def link_intersection(H: Hypergraph3, v: int, vp: int) -> list[int]:
 
 def pair_masks(H: Hypergraph3, pairs: list[tuple[int, int]]) -> list[int]:
     """Entry i is the mask of the w with x y w a triple of H, for the i-th
-    pair (x, y) of vertices: row(x)[y], read off a row the host already
-    keeps, else from one batched binary search in the codes for every
-    pair whose rows are both unbuilt, so no row is built."""
+    pair (x, y) of distinct vertices: row(x)[y], read off a row the host
+    already keeps, else from the codes, so no row is built. With x < y,
+    the w > y are the one run of codes (x n + y) n + w, found by two
+    binary searches, and the y - 1 other w are asked by one batched
+    binary search for every such pair."""
     rows = H._rows
     masks = [rows[x][y] if x in rows else rows[y][x] if y in rows else None
              for x, y in pairs]
     todo = [p for p, m in zip(pairs, masks) if m is None]
     if todo:
-        t = np.empty((len(todo), H.n, 3), dtype=np.int64)
-        t[:, :, :2] = np.array(todo)[:, None]
-        t[:, :, 2] = np.arange(H.n)
-        found = iter(row_masks(H.has_triples(t)))
+        n, codes = H.n, H.codes
+        x, y = np.sort(np.array(todo, dtype=np.int64), axis=1).T
+        grid = np.zeros((len(todo), n), dtype=bool)
+        if codes.size:
+            # one search for the code of each triple {w, x, y}, w < y but
+            # x, and for the two ends of each pair's run of w > y, the codes
+            # (x n + y) n + w
+            w = np.arange(y.max())
+            pair, w = np.nonzero((w < y[:, None]) & (w != x[:, None]))
+            px = x[pair]
+            key = (np.minimum(w, px) * n + np.maximum(w, px)) * n + y[pair]
+            base = (x * n + y) * n
+            at = np.searchsorted(codes, np.concatenate(
+                (key, base, base + n)).astype(codes.dtype))
+            hit = codes[np.minimum(at[:key.size], codes.size - 1)] == key
+            grid[pair[hit], w[hit]] = True
+            lo, hi = at[key.size:].reshape(2, -1).tolist()
+            for i, (a, b) in enumerate(zip(lo, hi)):
+                grid[i, codes[a:b] - base[i]] = True
+        found = iter(row_masks(grid))
         masks = [next(found) if m is None else m for m in masks]
     return masks
 

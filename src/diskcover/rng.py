@@ -117,39 +117,60 @@ def keyed_bits(keys: list, trials: int, width: int, p: float) -> np.ndarray:
     return out.reshape(len(keys), trials, width)
 
 
+def bit_words(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d bool matrix as little-endian uint64 words, bit v of
+    word v // 64 holding column v: a (rows, max(1, ceil(width / 64)))
+    array. The rows are padded to whole words as bools, then packed
+    eight to a byte in one flat `np.packbits`: on many short rows, such
+    as a block's side-1 misses, that is 1.6-2x faster than packing row
+    by row, which costs about 14 ns a row."""
+    rows, width = bits.shape
+    k = max(1, -(-width // 64))
+    padded = np.zeros((rows, 64 * k), bool)
+    padded[:, :width] = bits
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(rows, k)
+
+
+def word_masks(words: np.ndarray) -> list[int]:
+    """Each row of a 2-d uint64 word array as an integer bitmask, word j
+    at bit 64 j: the inverse of `mask_words`."""
+    masks = words[:, 0].tolist()
+    for j in range(1, words.shape[1]):
+        masks = [m | x << 64 * j for m, x in zip(masks, words[:, j].tolist())]
+    return masks
+
+
 def row_masks(bits: np.ndarray) -> list[int]:
     """Each row of a 2-d bool matrix as an integer bitmask (bit v = column v):
     the one encoder of bit rows in the package.
 
-    The rows are packed eight columns to a byte. Up to 128 columns they
-    are padded to whole 64-bit words and read as little-endian uint64,
-    a second word ORed in at bit 64; a wider row is read by one
+    Up to 128 columns the rows are read off their `bit_words`. A wider
+    row is packed eight columns to a byte and read by one
     `int.from_bytes`.
     """
     rows, width = bits.shape
+    if width <= 128:
+        return word_masks(bit_words(bits))
     # packbits along a strided axis is several times slower than a copy
     packed = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")
-    if width > 128:
-        w, flat = packed.shape[1], packed.tobytes()
-        return [int.from_bytes(flat[i:i + w], "little")
-                for i in range(0, rows * w, w)]
-    words = np.zeros((rows, 8 if width <= 64 else 16), np.uint8)
-    words[:, :packed.shape[1]] = packed
-    words = words.view("<u8")
-    masks = words[:, 0].tolist()
-    if width > 64:
-        masks = [m | x << 64 for m, x in zip(masks, words[:, 1].tolist())]
-    return masks
+    w, flat = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(flat[i:i + w], "little")
+            for i in range(0, rows * w, w)]
+
+
+def mask_words(masks: list[int], k: int) -> np.ndarray:
+    """The inverse of `bit_words`: masks below 2^(64 k) as the rows of a
+    (len(masks), k) array of little-endian uint64 words."""
+    flat = b"".join(m.to_bytes(8 * k, "little") for m in masks)
+    return np.frombuffer(flat, "<u8").reshape(len(masks), k)
 
 
 def mask_bits(masks: list[int], width: int) -> np.ndarray:
     """The inverse of `row_masks`: masks below 2^width as the rows of a
     (len(masks), width) bool matrix, bit v in column v."""
-    nbytes = width // 8 + 1
-    flat = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    return np.unpackbits(
-        np.frombuffer(flat, np.uint8).reshape(len(masks), nbytes), axis=1,
-        count=width, bitorder="little").view(bool)
+    words = mask_words(masks, width // 64 + 1)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=width,
+                         bitorder="little").view(bool)
 
 
 def trial_masks(seed: int, stream: tuple[int, ...], trials: int, width: int,

@@ -9,19 +9,24 @@ decides the special cycles of each apex pair of a draw) and `psi_random`
 The lane passes (`coverability._cycle_hits`, with the least hit count
 each decision passes as `need`) of `ops` ops of each workload (default 3,
 seed 0) are recorded, so the `ktt_complete` row holds the core and the
-pattern stages' passes, then replayed `repeats` times
-(default 5) with each stage's functions timed: the trial bits of every
-cycle (`keyed_bits`, one call per block of cycles), the screen of the blocks whose cycles all have
-one-vertex pyramids (`_sure_hits`), the transpose of the other blocks'
-bits into lane sets and the packing of the side-1 misses into trial
-masks (`row_masks`), the first pyramid side over all lanes
-(`_lane_paths`), the rows of the link intersections
-(`link_intersection`: LI(v, v') once per pass, LI(w, w') once per
-cycle short of need whose second side's screens leave a mask open), and the second side of those cycles (`_hits`). A stage is charged its calls' own time, less that of the timed
-calls inside them; `other` is the rest of the pass. It prints one
-markdown table row per workload: the blocks, how many the screen
-settled (those that ran no lane search), and times in µs per decision
-from the fastest replay. It exits non-zero when a workload records no
+pattern stages' passes, then replayed `repeats` times (default 5) with
+each stage's functions timed: the trial bits of every cycle
+(`keyed_bits`, one call per block of cycles), the screen of the blocks
+whose cycles all have one-vertex pyramids (`_sure_hits`), the transpose
+of the other blocks' bits into lane sets (`row_masks`), the first
+pyramid side over all lanes (`_lane_paths`), the rows of the link
+intersections (`link_intersection`: LI(v, v') once per pass, LI(w, w')
+once per cycle whose second side the screen leaves undecided), and the
+second side of the cycles short of need (`_second_sides`: the packing
+of a block's side-1 misses into words, its numpy screen of them, and
+the path searches of the cycles it leaves). A stage is charged its
+calls' own time, less that of the timed calls inside them; `other` is
+the rest of the pass. It prints one markdown table row per workload:
+the blocks, how many the screen
+settled (those that ran no lane search), the cycles short of need after
+the first side, how many of those the second side's screen settled
+(those that ran no path search), and times in µs per decision from the
+fastest replay. It exits non-zero when a workload records no
 decisions, since its row would then measure nothing. Not collected by
 pytest; `tests/test_stage_scripts.py` runs it once at `1 1`.
 """
@@ -36,7 +41,7 @@ from diskcover import coverability as cv
 STAGES = {"draws": "keyed_bits", "screen": "_sure_hits",
           "lane sets": "row_masks",
           "side 1": "_lane_paths", "LI": "link_intersection",
-          "side 2": "_hits"}
+          "side 2": "_second_sides"}
 
 
 def record(wl, ops):
@@ -62,7 +67,8 @@ def record(wl, ops):
 
 def replay(calls):
     """The whole time of one replay of the passes, the own time of each
-    stage in it, and how many calls each stage made."""
+    stage in it, and how many calls each stage made, with the cycles
+    short of need ("short") and the second-side searches ("searched")."""
     own, count, inner = Counter(), Counter(), []
 
     def timed(stage, f):
@@ -79,9 +85,21 @@ def replay(calls):
                     inner[-1] += dt
         return run
 
-    real = {name: getattr(cv, name) for name in STAGES.values()}
+    real = {name: getattr(cv, name) for name in (*STAGES.values(), "_ask")}
+
+    def second_sides(H, v, vp, block, bits, hits, params, need):
+        short = params.trials if need is None else need
+        count["short"] += int((hits.sum(axis=1) < short).sum())
+        return real["_second_sides"](H, v, vp, block, bits, hits, params,
+                                     need)
+
+    def ask(*args):
+        count["searched"] += 1
+        return real["_ask"](*args)
+
+    cv._second_sides, cv._ask = second_sides, ask
     for stage, name in STAGES.items():
-        setattr(cv, name, timed(stage, real[name]))
+        setattr(cv, name, timed(stage, getattr(cv, name)))
     try:
         t0 = time.perf_counter()
         for call in calls:
@@ -95,8 +113,8 @@ def replay(calls):
 
 def main(ops: int = 3, repeats: int = 5) -> None:
     print("| workload | decisions | blocks | settled | short of need | "
-          + " | ".join(STAGES) + " | other | whole |")
-    print("|---" * (len(STAGES) + 7) + "|")
+          "settled by screen | " + " | ".join(STAGES) + " | other | whole |")
+    print("|---" * (len(STAGES) + 8) + "|")
     for wl in (workloads.KttComplete(), workloads.PsiRandom()):
         calls = record(wl, ops)
         decisions = sum(len(pairs) for _, _, _, pairs, _, _ in calls)
@@ -113,7 +131,8 @@ def main(ops: int = 3, repeats: int = 5) -> None:
         cells = " | ".join(f"{t / decisions * 1e6:.1f}" for t in times)
         settled = blocks - count["side 1"]
         print(f"| `{wl.name}` | {decisions} | {blocks} | {settled} | "
-              f"{count['side 2']} | {cells} |")
+              f"{count['short']} | {count['short'] - count['searched']} | "
+              f"{cells} |")
 
 
 if __name__ == "__main__":

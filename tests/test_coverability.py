@@ -703,8 +703,8 @@ def _check_decision_path(search, disk, masks, need, outcomes) -> None:
 def _side_two(H, cyc, params):
     """The trial masks of a checked cycle, the masks among them on which
     the first pyramid side misses, and the second side's search and disk
-    searcher: what the lane pass hands `_hits` for a cycle short on the
-    first side."""
+    searcher: what the lane pass's second side asks of a cycle short on
+    the first side."""
     v, w, vp, wp = cyc
     masks = trial_masks(params.seed, (coverability._STREAM_COVER, *cyc),
                         params.trials, max(H.n, 1), params.p)
@@ -716,17 +716,19 @@ def _side_two(H, cyc, params):
 
 
 def _lane_pass(H, cyc, params, need=None):
-    """`_cycle_hits` of one cycle, and the (masks, need) of each `_hits`
-    call it made."""
-    calls = []
-    real = coverability._hits
+    """`_cycle_hits` of one cycle, and what its second side asked, in
+    order, as `_kernel` records it: the only path searches and disk
+    searches the lane pass makes are the second side's."""
+    asked = []
+    meets, find = coverability._meets, coverability._DiskSearcher.find
     v, w, vp, wp = cyc
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coverability, "_hits", lambda search, disk, masks, left, pair:
-                   calls.append((masks, left))
-                   or real(search, disk, masks, left, pair))
+        mp.setattr(coverability, "_meets", lambda adj, fa, fb, inner:
+                   asked.append((fa, fb, inner)) or meets(adj, fa, fb, inner))
+        mp.setattr(coverability._DiskSearcher, "find", lambda self, m:
+                   asked.append(("disk", m)) or find(self, m))
         [hits] = coverability._cycle_hits(H, v, vp, [(w, wp)], params, need)
-    return hits, calls
+    return hits, asked
 
 
 @settings(max_examples=60, deadline=None)
@@ -743,10 +745,12 @@ def test_decision_path_matches_samplers(n, density, host_seed, trials,
     `bf.pyramid_event`, or a disk of `bf.lexicographic_disks` under
     EXHAUSTIVE_SMALL (budgets up to the default of three interior
     vertices), and `bf.admissibility_event`. The lane pass counts a cycle
-    by handing `_hits` its first side's misses, all of them without need
-    and with need less the first side's hits once that is positive; the
-    stopping decisions agree with the full counts, and the kernel stops
-    where the count fixes them."""
+    as the single-search kernel `_hits` counts its first side's misses,
+    all of them without need and with need less the first side's hits
+    once that is positive: its second side asks, in order, what the
+    kernel asks of those misses, and adds what it counts. The stopping
+    decisions agree with the full counts, and the kernel stops where the
+    count fixes them."""
     rng = random.Random(host_seed)
     triples = [t for t in combinations(range(n), 3) if rng.random() < density]
     H = Hypergraph3(n, triples)
@@ -768,13 +772,17 @@ def test_decision_path_matches_samplers(n, density, host_seed, trials,
     outcomes = [held[m] for m in masks]
     full = sample_disk_coverability(H, cyc, params)
     assert full.successes == sum(outcomes)
-    assert _lane_pass(H, cyc, params) == (full.successes, [(misses, None)]
-                                          if misses else [])
-    hits, calls = _lane_pass(H, cyc, params, need)
+    side_one = trials - len(misses)
+    kernel = _kernel(search, disk, misses)
+    assert _lane_pass(H, cyc, params) == (side_one + kernel[0], kernel[1])
+    hits, asked = _lane_pass(H, cyc, params, need)
     assert (hits >= need) == full.decided_coverable
-    left = need - (trials - len(misses))
-    assert calls == ([(misses, left)] if left > 0 else [])
-    if left > 0:
+    left = need - side_one
+    if left <= 0:
+        assert asked == []
+    else:
+        kernel = _kernel(search, disk, misses, left)
+        assert (hits, asked) == (side_one + kernel[0], kernel[1])
         _check_decision_path(search, disk, misses, left,
                              [held[m] for m in misses])
 
@@ -1060,6 +1068,34 @@ def test_lane_pass_builds_each_sides_rows_once(monkeypatch):
     assert built == [(0, 2), (1, 3)]
 
 
+# DEAD_END_H is SIDE_TWO_H with 8 beside 6 in LI(1, 3)[0], a dead end: a
+# mask missing 7, or both 6 and 8, is a sure miss of the second side, and
+# one holding 7 and 8 but not 6 is open and misses
+DEAD_END_H = Hypergraph3(9, [*SIDE_TWO_H.edges, (0, 1, 8), (0, 3, 8)])
+
+
+@pytest.mark.parametrize("epsilon, seed", [(0.1, 1), (0.1, 3), (0.2, 0),
+                                           (0.2, 2)])
+def test_second_side_counts_sure_misses_toward_the_stop(epsilon, seed):
+    """The first side never holds on DEAD_END_H, and the second side's
+    screen leaves some sure misses, too few to fix the decision; the
+    searches then stop at the open miss that, with those, leaves too few
+    masks to reach need. The lane pass asks what `_hits` asks of the same
+    masks and counts what it counts, and decides as the full count does."""
+    cyc = (0, 1, 2, 3)
+    params = est_params(p=0.9, epsilon=epsilon, trials=64, seed=seed)
+    need = coverability._least_hits(64, epsilon)
+    masks, misses, search, disk = _side_two(DEAD_END_H, cyc, params)
+    assert misses == masks
+    sure = [_sure(search, disk, m) for m in masks]
+    hits, asked = _kernel(search, disk, masks, need)
+    assert 0 < sure.count(False) <= 64 - need
+    assert hits < need and len(asked) < sure.count(None)
+    assert _lane_pass(DEAD_END_H, cyc, params, need) == (hits, asked)
+    assert not sample_disk_coverability(DEAD_END_H, cyc,
+                                        params).decided_coverable
+
+
 # On TWO_SIDES_H the 4-cycle 0 1 2 3 has a first pyramid side 1-4-5-3 and
 # a second side 0-6-7-2: a trial holds when the mask holds 4 and 5, or 6
 # and 7.
@@ -1279,6 +1315,34 @@ def test_exhaustive_small_at_its_default_budget(host, data):
     for p in ORACLE_PS:
         want = sum(p ** len(U) * (1 - p) ** (n - len(U)) for U in sets)
         assert exact_disk_coverability(H, cyc, p, EXHAUSTIVE_SMALL, 3) == want
+
+
+# DEAD_END_H is SIDE_TWO_H with 8 beside 6 in LI(1, 3)[0], a dead end: a
+# mask missing 7, or both 6 and 8, is a sure miss of the second side, and
+# one holding 7 and 8 but not 6 is open and misses
+DEAD_END_H = Hypergraph3(9, [*SIDE_TWO_H.edges, (0, 1, 8), (0, 3, 8)])
+
+
+@pytest.mark.parametrize("epsilon, seed", [(0.1, 1), (0.1, 3), (0.2, 0),
+                                           (0.2, 2)])
+def test_second_side_counts_sure_misses_toward_the_stop(epsilon, seed):
+    """The first side never holds on DEAD_END_H, and the second side's
+    screen leaves some sure misses, too few to fix the decision; the
+    searches then stop at the open miss that, with those, leaves too few
+    masks to reach need. The lane pass asks what `_hits` asks of the same
+    masks and counts what it counts, and decides as the full count does."""
+    cyc = (0, 1, 2, 3)
+    params = est_params(p=0.9, epsilon=epsilon, trials=64, seed=seed)
+    need = coverability._least_hits(64, epsilon)
+    masks, misses, search, disk = _side_two(DEAD_END_H, cyc, params)
+    assert misses == masks
+    sure = [_sure(search, disk, m) for m in masks]
+    hits, asked = _kernel(search, disk, masks, need)
+    assert 0 < sure.count(False) <= 64 - need
+    assert hits < need and len(asked) < sure.count(None)
+    assert _lane_pass(DEAD_END_H, cyc, params, need) == (hits, asked)
+    assert not sample_disk_coverability(DEAD_END_H, cyc,
+                                        params).decided_coverable
 
 
 # On TWO_SIDES_H the 4-cycle 0 1 2 3 has a first pyramid side 1-4-5-3 and
@@ -1505,7 +1569,8 @@ def test_pair_psi_rejects_exactly_the_invalid_cycles(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([12, 70]), st.sampled_from([0.02, 0.2, 0.3, 0.5, 1.0]),
+@given(st.sampled_from([12, 64, 65, 70]),
+       st.sampled_from([0.02, 0.2, 0.3, 0.5, 1.0]),
        st.integers(0, 2 ** 32 - 1), st.sampled_from([PYRAMID_ONLY,
                                                      EXHAUSTIVE_SMALL]),
        st.integers(1, 70), st.sampled_from([0.1, 0.5, 0.999999]),
@@ -1515,8 +1580,9 @@ def test_lane_pass_matches_per_cycle_loop(n, density, host_seed, strategy,
     """The lane pass counts each cycle's hits as the per-cycle reference
     does, asking every mask alone (`bf.cycle_hits`), and decides each
     cycle as that count does, so its count of non-coverable cycles is
-    the reference's: at 70 vertices, where a trial
-    mask spans two words, with up to 150 pairs, more than one block of
+    the reference's: at 64 vertices, where a trial mask fills one
+    uint64 word of the second side's screen, and at 65 and 70, where it
+    spans two, with up to 150 pairs, more than one block of
     64 (or of 4096 // trials) cycles, and with apexes and pairs drawn past
     V(H), so that repeated vertices and missing edges occur. At densities
     0.2 and 0.3 many cycles fall short on the first side and turn on

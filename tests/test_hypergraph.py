@@ -315,6 +315,45 @@ def test_vertex_set_is_a_view_of_the_rows():
         G.vertices = frozenset()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 70), st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_pair_masks_are_the_rows_entries(n, density, seed, data):
+    """`pair_masks` gives row(x)[y] for each pair, in either order, from
+    the codes while no row is kept (the run of w > max(x, y) and one key
+    for each other w), and off the kept rows once they are."""
+    H = random_hypergraph(n, density, seed)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]), max_size=12))
+    masks = hypergraph.pair_masks(H, pairs)
+    assert not H._rows
+    assert masks == [H.row(x)[y] for x, y in pairs]
+    kept = data.draw(st.sets(st.sampled_from(range(n))))
+    H = random_hypergraph(n, density, seed)
+    for u in kept:
+        H.row(u)
+    assert hypergraph.pair_masks(H, pairs) == masks
+    assert set(H._rows) == kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2000), st.sampled_from([0.001, 0.02, 0.5, 0.98, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+@example(0, 1.0, 0)
+def test_bits_are_the_set_positions_ascending(width, density, seed):
+    """`_bits` lists the set bits as the walk of the `bin()` string does,
+    for 0, every single bit below 2,000 and sparse and dense masks."""
+    def walk(m):
+        return [i for i, c in enumerate(reversed(bin(m))) if c == "1"]
+
+    on = np.flatnonzero(np.random.default_rng(seed).random(width) < density)
+    m = sum(1 << int(i) for i in on)
+    assert hypergraph._bits(m) == walk(m) == on.tolist()
+    if width:
+        assert hypergraph._bits(1 << width - 1) == walk(1 << width - 1) == [width - 1]
+
+
 def test_skeleton_builds_no_row():
     H = random_hypergraph(30, 0.3, seed=1)
     skeleton(H)

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import trial_matrix
-from diskcover.rng import (generator, keyed_bits, mask_bits, mix64, row_masks,
-                           streams, trial_bits, trial_masks)
+from diskcover.rng import (bit_words, generator, keyed_bits, mask_bits,
+                           mask_words, mix64, row_masks, streams,
+                           trial_bits, trial_masks)
 
 
 def test_mix64_stable_and_sensitive():
@@ -165,7 +166,9 @@ def test_row_masks_match_per_bit_reference(width, rows, density, seed,
                                            transposed):
     """Bit v of mask i is entry (i, v), on both sides of the 128-column
     switch from words to bytes, and for a strided (transposed) matrix;
-    `mask_bits` turns the masks back into the matrix."""
+    `mask_bits` turns the masks back into the matrix. Word j of a row's
+    `bit_words` is bits 64 j .. 64 j + 63 of its mask, and `mask_words`
+    turns the masks back into those words."""
     rnd = np.random.default_rng(seed)
     if transposed:
         bits = (rnd.random((width, rows)) < density).T
@@ -174,3 +177,9 @@ def test_row_masks_match_per_bit_reference(width, rows, density, seed,
     want = [sum(1 << v for v in range(width) if row[v]) for row in bits]
     assert row_masks(bits) == want
     assert np.array_equal(mask_bits(want, width), bits)
+    k = max(1, -(-width // 64))
+    words = bit_words(bits)
+    assert words.shape == (rows, k)
+    assert words.tolist() == [[m >> 64 * j & (1 << 64) - 1 for j in range(k)]
+                              for m in want]
+    assert np.array_equal(mask_words(want, k), words)
