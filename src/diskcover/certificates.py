@@ -10,19 +10,22 @@ be is one Pattern record: `SURFACES` holds the surfaces', and
 
 The JSON document is versioned ("cert_version": 1). Triangles and
 cycles are stored as vertex-id lists; the embedding maps pattern labels
-(strings) to vertex ids. A verifier report may ride along under
-"report" but is ignored when parsing back to a certificate. Parsing
-checks every field's type, so malformed input raises only ValueError.
+(strings) to vertex ids. A finder's verifier report rides along, and
+may be written under "report", which parsing ignores. Parsing checks
+every field's type, so malformed input raises only ValueError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .complexes import TwoComplex, cycle_edges
+
+if TYPE_CHECKING:  # verify imports this module
+    from .verify import VerificationReport
 
 KTT = "ktt"
 TORUS = "torus"
@@ -90,6 +93,8 @@ class HomeomorphCertificate:
     disks: tuple[TwoComplex, ...]
     seed: int
     retries: int
+    # a finder's passing report, so its caller need not verify again
+    report: VerificationReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.target not in TARGETS:

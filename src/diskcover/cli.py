@@ -207,8 +207,8 @@ def _cmd_find(args) -> int:
         print(f"not found: stage={result.stage} ({result.detail})",
               file=sys.stderr)
         return 1
-    report = verify_certificate(H, result)
-    _emit(serialize_certificate(result, report=report.as_dict()), args.out)
+    # a finder returns a certificate only with its verifier's passing report
+    _emit(serialize_certificate(result, result.report.as_dict()), args.out)
     if args.out is not None:
         print(f"found {args.target}; certificate written to {args.out}")
     return 0

@@ -169,6 +169,26 @@ def _link_row(n: int, codes: np.ndarray, last: np.ndarray, u: int) -> tuple[int,
     return tuple(row_masks(adj.reshape(n, n)))
 
 
+def _triple_codes(n: int, x, y, w, dtype: type) -> np.ndarray:
+    """The codes of {x, y, w} in dtype, for vertices x, y and w broadcast
+    together (with x, y columns of pairs and w = arange(n), every xyw of
+    each pair): the least, the sum less least and most, and the most. A
+    repeated vertex repeats a digit, which gives the code of no triple."""
+    x, y, w = (np.asarray(v, dtype) for v in (x, y, w))
+    a, c = np.minimum(np.minimum(x, y), w), np.maximum(np.maximum(x, y), w)
+    return (a * n + (x + y + w - a - c)) * n + c
+
+
+def _search(codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each key, in the codes' dtype so no search casts the host,
+    lies in the sorted codes, clamped to the last code, and whether it is
+    that code: one batched binary search."""
+    if not codes.size:
+        return np.zeros(keys.shape, np.intp), np.zeros(keys.shape, bool)
+    at = np.minimum(np.searchsorted(codes, keys), codes.size - 1)
+    return at, codes[at] == keys
+
+
 class Hypergraph3:
     """An immutable 3-uniform hypergraph on vertices 0..n-1."""
 
@@ -252,20 +272,14 @@ class Hypergraph3:
         from one batched binary search in the codes. A triple with a
         repeated vertex, or one outside 0..n-1 (however large), is not."""
         n, t = self.n, np.asarray(triples)
-        if not self.codes.size:
-            return np.zeros(t.shape[:-1], dtype=bool)
         # rows of one 2-d array, so no step below meets a numpy scalar
-        a, b, c = t.reshape(-1, 3).T
-        # a sorting network, cheaper than np.sort on rows of three
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        b, c = np.minimum(b, c), np.maximum(b, c)
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        ok = (0 <= a) & (a < b) & (b < c) & (c < n)
+        flat = t.reshape(-1, 3)
+        inside = (0 <= flat) & (flat < n)
+        ok = inside[:, 0] & inside[:, 1] & inside[:, 2]
         # a vertex outside V(H) may be huge: encode the checked triples only
-        a, b, c = np.where(ok, (a, b, c), 0).astype(self.codes.dtype)
-        want = (a * n + b) * n + c
-        at = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
-        return (ok & (self.codes[at] == want)).reshape(t.shape[:-1])
+        _, hit = _search(self.codes, _triple_codes(
+            n, *np.where(ok, flat.T, 0), self.codes.dtype))
+        return (ok & hit).reshape(t.shape[:-1])
 
     def __contains__(self, triple: Iterable[int]) -> bool:
         return bool(self.has_triples(_canon_triple(triple)))
@@ -456,14 +470,10 @@ def _look_up_levels(table: np.ndarray, n: int, codes: np.ndarray,
         return
     w, rows = np.arange(n), max(1, _CHUNK // n)
     for s in range(0, x.size, rows):
-        px, py = x[s:s + rows, None], y[s:s + rows, None]
-        # the code of {x, y, w}; w = x or w = y gives a code of no triple
-        key = np.where(w < px, (w * n + px) * n + py,
-                       np.where(w < py, (px * n + w) * n + py,
-                                (px * n + py) * n + w)).astype(codes.dtype)
-        at = np.minimum(np.searchsorted(codes, key), codes.size - 1)
-        table[px[:, 0] * n + py[:, 0]] = np.where(
-            codes[at] == key, level[at], unset).min(axis=1)
+        px, py = x[s:s + rows], y[s:s + rows]
+        at, hit = _search(codes, _triple_codes(n, px[:, None], py[:, None],
+                                               w, codes.dtype))
+        table[px * n + py] = np.where(hit, level[at], unset).min(axis=1)
 
 
 def link_intersection(H: Hypergraph3, v: int, vp: int) -> list[int]:
@@ -483,35 +493,17 @@ def link_intersection(H: Hypergraph3, v: int, vp: int) -> list[int]:
 def pair_masks(H: Hypergraph3, pairs: list[tuple[int, int]]) -> list[int]:
     """Entry i is the mask of the w with x y w a triple of H, for the i-th
     pair (x, y) of distinct vertices: row(x)[y], read off a row the host
-    already keeps, else from the codes, so no row is built. With x < y,
-    the w > y are the one run of codes (x n + y) n + w, found by two
-    binary searches, and the y - 1 other w are asked by one batched
-    binary search for every such pair."""
+    already keeps, else from one batched binary search in the codes for
+    the n triples xyw of every other pair, so no row is built."""
     rows = H._rows
     masks = [rows[x][y] if x in rows else rows[y][x] if y in rows else None
              for x, y in pairs]
     todo = [p for p, m in zip(pairs, masks) if m is None]
     if todo:
-        n, codes = H.n, H.codes
-        x, y = np.sort(np.array(todo, dtype=np.int64), axis=1).T
-        grid = np.zeros((len(todo), n), dtype=bool)
-        if codes.size:
-            # one search for the code of each triple {w, x, y}, w < y but
-            # x, and for the two ends of each pair's run of w > y, the codes
-            # (x n + y) n + w
-            w = np.arange(y.max())
-            pair, w = np.nonzero((w < y[:, None]) & (w != x[:, None]))
-            px = x[pair]
-            key = (np.minimum(w, px) * n + np.maximum(w, px)) * n + y[pair]
-            base = (x * n + y) * n
-            at = np.searchsorted(codes, np.concatenate(
-                (key, base, base + n)).astype(codes.dtype))
-            hit = codes[np.minimum(at[:key.size], codes.size - 1)] == key
-            grid[pair[hit], w[hit]] = True
-            lo, hi = at[key.size:].reshape(2, -1).tolist()
-            for i, (a, b) in enumerate(zip(lo, hi)):
-                grid[i, codes[a:b] - base[i]] = True
-        found = iter(row_masks(grid))
+        x, y = np.array(todo).T[..., None]
+        _, hit = _search(H.codes, _triple_codes(H.n, x, y, np.arange(H.n),
+                                                H.codes.dtype))
+        found = iter(row_masks(hit))
         masks = [next(found) if m is None else m for m in masks]
     return masks
 

@@ -19,7 +19,7 @@ enforced; on thin inputs the stage tags say where the pipeline died.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -243,8 +243,8 @@ def glue_disks(H: Hypergraph3, cycles, params: SearchParams):
 def _certify(H: Hypergraph3, target: str, t: int | None, pattern: Pattern,
              embedding: dict[str, int], params: SearchParams, retries: int):
     """Glue one disk per special cycle of the embedded pattern into a
-    certificate and return it once the verifier passes it; otherwise the
-    glue or verify SearchFailure."""
+    certificate and return it, carrying its report, once the verifier
+    passes it; otherwise the glue or verify SearchFailure."""
     cycles = pattern.cycles_of(embedding)
     glued = glue_disks(H, cycles, params)
     if isinstance(glued, GlueFailure):
@@ -257,7 +257,7 @@ def _certify(H: Hypergraph3, target: str, t: int | None, pattern: Pattern,
         failed = [c.name for c in report.checks if not c.passed]
         return SearchFailure(target, "verify",
                              f"verifier rejected: {', '.join(failed)}", retries)
-    return cert
+    return replace(cert, report=report)
 
 
 def _best_link(H: Hypergraph3, seed: int, arity: int):

@@ -42,14 +42,14 @@ class CertificateError(ValueError):
     """Raised for structurally malformed certificates (not failed checks)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     passed: bool
     checks: tuple[CheckResult, ...]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskcover.certificates import parse_certificate, serialize_certificate
-from diskcover import cli, hypergraph
+from diskcover import cli, hypergraph, search, verify
 from diskcover.cli import main
 from diskcover.generators import random_hypergraph
 from diskcover.hypergraph import complete_hypergraph
@@ -241,6 +241,31 @@ def test_find_verify_round_trip(capsys, tmp_path):
     assert code == 0
     assert "verified" in out
     assert "[ok]" in out
+
+
+@pytest.mark.parametrize("n, target", [(30, ("ktt", "--t", "4")), (8, ("sphere",)),
+                                       (20, ("torus",))])
+def test_find_verifies_once(capsys, monkeypatch, tmp_path, n, target):
+    # the finder's own check is the one verifier call of a find, and the
+    # report it prints is the one a fresh verify of the printed certificate
+    # gives, so the output is what a second verify would have printed
+    H = complete_hypergraph(n)
+    h = tmp_path / "host.h3"
+    h.write_text(serialize_h3(H))
+    real, calls = verify.verify_certificate, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (search, cli):
+        monkeypatch.setattr(module, "verify_certificate", counted)
+    code, out, _ = run(capsys, "find", str(h), "--target", *target,
+                       "--p", "0.5", "--epsilon", "0.1")
+    assert code == 0 and len(calls) == 1
+    cert = parse_certificate(out)
+    assert cert.report is None
+    assert out == serialize_certificate(cert, real(H, cert).as_dict())
 
 
 def test_find_failure_exit(capsys, tmp_path):

@@ -1317,80 +1317,6 @@ def test_exhaustive_small_at_its_default_budget(host, data):
         assert exact_disk_coverability(H, cyc, p, EXHAUSTIVE_SMALL, 3) == want
 
 
-# DEAD_END_H is SIDE_TWO_H with 8 beside 6 in LI(1, 3)[0], a dead end: a
-# mask missing 7, or both 6 and 8, is a sure miss of the second side, and
-# one holding 7 and 8 but not 6 is open and misses
-DEAD_END_H = Hypergraph3(9, [*SIDE_TWO_H.edges, (0, 1, 8), (0, 3, 8)])
-
-
-@pytest.mark.parametrize("epsilon, seed", [(0.1, 1), (0.1, 3), (0.2, 0),
-                                           (0.2, 2)])
-def test_second_side_counts_sure_misses_toward_the_stop(epsilon, seed):
-    """The first side never holds on DEAD_END_H, and the second side's
-    screen leaves some sure misses, too few to fix the decision; the
-    searches then stop at the open miss that, with those, leaves too few
-    masks to reach need. The lane pass asks what `_hits` asks of the same
-    masks and counts what it counts, and decides as the full count does."""
-    cyc = (0, 1, 2, 3)
-    params = est_params(p=0.9, epsilon=epsilon, trials=64, seed=seed)
-    need = coverability._least_hits(64, epsilon)
-    masks, misses, search, disk = _side_two(DEAD_END_H, cyc, params)
-    assert misses == masks
-    sure = [_sure(search, disk, m) for m in masks]
-    hits, asked = _kernel(search, disk, masks, need)
-    assert 0 < sure.count(False) <= 64 - need
-    assert hits < need and len(asked) < sure.count(None)
-    assert _lane_pass(DEAD_END_H, cyc, params, need) == (hits, asked)
-    assert not sample_disk_coverability(DEAD_END_H, cyc,
-                                        params).decided_coverable
-
-
-# On TWO_SIDES_H the 4-cycle 0 1 2 3 has a first pyramid side 1-4-5-3 and
-# a second side 0-6-7-2: a trial holds when the mask holds 4 and 5, or 6
-# and 7.
-TWO_SIDES_H = Hypergraph3(8, [(0, 1, 4), (1, 2, 4), (0, 4, 5), (2, 4, 5),
-                              (0, 3, 5), (2, 3, 5), (0, 1, 6), (0, 3, 6),
-                              (1, 6, 7), (3, 6, 7), (1, 2, 7), (2, 3, 7)])
-
-
-@pytest.mark.parametrize("strategy", [PYRAMID_ONLY, EXHAUSTIVE_SMALL])
-@pytest.mark.parametrize("H, p, epsilon, trials", [
-    (TWO_SIDES_H, 0.9, 0.5, coverability._BLOCK_LANES + 100),
-    (SIDE_TWO_H, 0.9, 0.5, 64),
-], ids=["wider-than-lane-cap", "past-need"])
-def test_full_count_at_the_edges(H, p, epsilon, trials, strategy):
-    """`sample_disk_coverability` counts every trial brute force counts
-    (`bf.pyramid_event`, or a disk of `bf.lexicographic_disks` under
-    EXHAUSTIVE_SMALL), past the hits a decision needs: over more trials
-    than a lane pass holds lanes, so that one cycle's block is wider than
-    the lane cap, where the first side alone reaches need and the second
-    still adds hits on its misses, and on SIDE_TWO_H at p = 0.9, where the
-    first side never holds and the second keeps counting past need."""
-    cyc = (0, 1, 2, 3)
-    triples = sorted(H.edges)
-    params = est_params(p=p, epsilon=epsilon, trials=trials,
-                        strategy=strategy)
-    interiors = [] if strategy == PYRAMID_ONLY else [
-        frozenset(v for t in disk for v in t) - set(cyc) for disk in
-        bf.lexicographic_disks(triples, cyc, range(H.n), 3)]
-    masks, misses, _, _ = _side_two(H, cyc, params)
-    held = [bf.pyramid_event(triples, cyc, U)
-            or any(inner <= U for inner in interiors)
-            for U in map(_members, masks)]
-    full = sample_disk_coverability(H, cyc, params)
-    assert full.successes == sum(held)
-    assert full.trials == trials
-    need = coverability._least_hits(trials, epsilon)
-    assert full.successes > need
-    if trials > coverability._BLOCK_LANES:
-        assert 0 < len(misses) <= trials - need
-        assert any(m >> 6 & 3 == 3 for m in misses)
-    else:
-        assert len(misses) == trials
-    [hits] = coverability._cycle_hits(H, 0, 2, [(1, 3)], params, need)
-    assert (hits >= need) == full.decided_coverable
-
-
 @pytest.mark.parametrize("cycle, message", [
     ((0, 1, 0, 2), "boundary cycle must list four distinct vertices"),
     ((0, 1, 2), "boundary cycle must list four distinct vertices"),

@@ -559,7 +559,8 @@ def test_code_width_follows_n(n, dtype):
     # n = 1290; the largest triple's code is the largest one
     assert code_dtype(n) is dtype
     top = (n - 3, n - 2, n - 1)
-    triples = [(0, 1, 2), (0, 1, n - 1), (5, 600, n - 1), (7, n - 2, n - 1), top]
+    triples = [(0, 1, 2), (0, 1, n - 1), (0, n - 2, n - 1), (2, 3, n - 2),
+               (5, 600, n - 1), (7, n - 2, n - 1), (n - 4, n - 3, n - 1), top]
     H = Hypergraph3(n, triples)
     wide = np.array([(a * n + b) * n + c for a, b, c in triples], np.int64)
     drawn = random_hypergraph(n, 1e-6, seed=0)
@@ -574,6 +575,23 @@ def test_code_width_follows_n(n, dtype):
     assert H.has_triples([top, top[::-1], (n - 4, n - 2, n - 1), (n - 2, n - 1, n),
                           (0, 1, n - 1), (0, 2, n - 1)]).tolist() == [
         True, True, False, False, True, False]
+    for G in (H, drawn):
+        # the pairs of the least and greatest codes, in either order, and
+        # pairs no triple holds, asked of the codes before any row is kept
+        edges = [tuple(t) for t in G.triples().tolist()]
+        pairs = [p for t in edges[:3] + edges[-3:] for p in combinations(t, 2)]
+        pairs += [(b, a) for a, b in pairs[::4]] + [(4, 5), (n - 5, n - 1)]
+        assert hypergraph.pair_masks(G, pairs) == [
+            _row_of(edges, x, n)[y] for x, y in pairs]
+        assert not G._rows
+        # the pair-level look-up: the least level of a triple holding x < y
+        level = (np.arange(G.codes.size) % 3).astype(np.int8)
+        x, y = np.sort(pairs, axis=1).T
+        table = np.full(n * n, 3, np.int8)
+        hypergraph._look_up_levels(table, n, G.codes, level, x, y, 3)
+        assert table[x * n + y].tolist() == [
+            min((r for t, r in zip(edges, level.tolist()) if a in t and b in t),
+                default=3) for a, b in zip(x.tolist(), y.tolist())]
     for G in (H, drawn):
         ts = G.triples()
         assert ts.dtype == np.int64

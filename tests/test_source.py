@@ -1,10 +1,13 @@
 """Source checks that need no linter: unused imports and dead private names
-in the package, the functions the benchmark tracer wraps, the one module
-that packs bit rows, the search modules that never decode the host, and
-the CLI functions that may catch ValueError, read with `ast` alone."""
+in the package, top-level names bound twice in the package or the tests,
+the functions the benchmark tracer wraps, the one module that packs bit
+rows, the search modules that never decode the host, the verifier that
+reads no link row, and the CLI functions that may catch ValueError, read
+with `ast` alone."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import diskcover
@@ -82,6 +85,19 @@ def test_every_private_name_is_referenced():
     assert dead == []
 
 
+def test_no_top_level_name_is_bound_twice():
+    # Python keeps the last binding, so a test defined twice under one name
+    # runs once, and the first copy is dead code that still reads as covered
+    trees = {f"diskcover/{name}": tree for name, tree in MODULES.items()}
+    for p in sorted(Path(__file__).parent.glob("*.py")):
+        trees[f"tests/{p.name}"] = ast.parse(p.read_text(encoding="utf-8"))
+    twice = []
+    for path, tree in trees.items():
+        bound = Counter(name for stmt in tree.body for name in _defined(stmt))
+        twice += [f"{path}:{name}" for name, k in bound.items() if k > 1]
+    assert twice == []
+
+
 def test_traced_functions_exist():
     # the tracer only warns about a traced name it cannot find, so a rename
     # in the package would silently drop that span from every traced run
@@ -115,6 +131,13 @@ def test_searches_never_decode_the_whole_host():
                and isinstance(node.func, ast.Attribute)
                and node.func.attr == "triples"]
     assert callers == []
+
+
+def test_verifier_reads_no_search_state():
+    # the verifier asks the codes (`has_triples`) and never reads the link
+    # rows or pair masks the finders read, so their faults cannot cancel out
+    read = _referenced(MODULES["verify.py"])
+    assert read & {"row", "pair_masks", "link", "link_intersection"} == set()
 
 
 def _catches_value_error(handler: ast.ExceptHandler) -> bool:
